@@ -15,7 +15,6 @@ from .catalysis import (
     initial_spectrum,
     intermediate_state,
     locc_probability,
-    n_cat_required,
     n_star,
     optimal_two_qubit_catalyst,
     search_catalyst,

@@ -27,6 +27,7 @@ from .spectra import (
     TOL,
     SchmidtVector,
     can_convert_deterministically,
+    conversion_probabilities,
     conversion_probability,
     make_schmidt,
     monotones,
@@ -184,44 +185,15 @@ REFINE_STEP = 1e-6
 MAX_SEARCH_EVALUATIONS = 2_000_000
 
 
-def _batch_min_ratio(initial: np.ndarray, final: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
-    """Vectorized monotone-ratio minimum over a batch of catalyst rows.
-
-    ``initial`` and ``final`` are sorted coefficient arrays of equal length;
-    each row of ``catalysts`` is a sorted catalyst spectrum.  Matches the
-    scalar path in :mod:`entcat.spectra` including the zero conventions.
-    """
-    g, d = catalysts.shape[0], initial.size * catalysts.shape[1]
-    joint_i = np.sort((initial[None, :, None] * catalysts[:, None, :]).reshape(g, d), axis=1)[:, ::-1]
-    joint_f = np.sort((final[None, :, None] * catalysts[:, None, :]).reshape(g, d), axis=1)[:, ::-1]
-
-    zeros = np.zeros((g, 1))
-    e_i = 1.0 - np.concatenate([zeros, np.cumsum(joint_i, axis=1)[:, :-1]], axis=1)
-    e_f = 1.0 - np.concatenate([zeros, np.cumsum(joint_f, axis=1)[:, :-1]], axis=1)
-    np.maximum(e_i, 0.0, out=e_i)
-    np.maximum(e_f, 0.0, out=e_f)
-
-    num_zero = e_i <= TOL
-    den_zero = e_f <= TOL
-    forced_zero = np.any(num_zero & ~den_zero, axis=1)
-    valid = ~num_zero & ~den_zero
-    ratios = np.where(valid, e_i / np.where(den_zero, 1.0, e_f), np.inf)
-    p = np.min(ratios, axis=1)
-    p = np.where(p >= 1.0 - TOL, 1.0, p)
-    p = np.where(forced_zero, 0.0, p)
-    return p
-
-
 @lru_cache(maxsize=8)
-def _ordered_simplex_grid(dimension: int, points_per_axis: int) -> tuple:
+def _ordered_simplex_grid(dimension: int, points_per_axis: int) -> np.ndarray:
     """Grid over sorted catalyst spectra c1 >= ... >= cd >= 0 summing to 1.
 
     The free coordinates c2..cd are sampled on a regular mesh and filtered to
     the ordered simplex; rows come out sorted by coefficients ascending so a
     first-occurrence argmax breaks ties toward the smaller largest coefficient.
+    The array is cached, so it is returned read-only.
     """
-    if dimension == 1:
-        return (np.array([[1.0]]),)
     axes = [np.linspace(0.0, 1.0 / (j + 2), points_per_axis) for j in range(dimension - 1)]
     mesh = np.meshgrid(*axes, indexing="ij")
     tail = np.stack([m.ravel() for m in mesh], axis=1)
@@ -232,8 +204,9 @@ def _ordered_simplex_grid(dimension: int, points_per_axis: int) -> tuple:
         ok &= grid[:, j] >= grid[:, j + 1]
     ok &= grid[:, -1] >= 0.0
     grid = grid[ok]
-    order = np.lexsort(grid.T[::-1])
-    return (grid[order],)
+    grid = grid[np.lexsort(grid.T[::-1])]
+    grid.flags.writeable = False
+    return grid
 
 
 def _two_qubit_grid(points: int) -> np.ndarray:
@@ -265,16 +238,24 @@ def search_catalyst(
     final = target_spectrum(problem.n).coefficients
     points = grid_points if grid_points is not None else GRID_POINTS.get(d_c, 12)
 
+    def objective(catalysts: np.ndarray) -> np.ndarray:
+        # Tensor every catalyst row onto both sides, one joint spectrum per row.
+        rows = catalysts.shape[0]
+        return conversion_probabilities(
+            (initial[None, :, None] * catalysts[:, None, :]).reshape(rows, -1),
+            (final[None, :, None] * catalysts[:, None, :]).reshape(rows, -1),
+        )
+
     if d_c == 2:
         candidates = _two_qubit_grid(points)
     else:
-        candidates = _ordered_simplex_grid(d_c, points)[0]
+        candidates = _ordered_simplex_grid(d_c, points)
         seed = optimal_two_qubit_catalyst(problem).spectrum.coefficients
         embedded = np.concatenate([seed, np.zeros(d_c - 2)])[None, :]
         candidates = np.concatenate([candidates, embedded], axis=0)
 
     evaluations = candidates.shape[0]
-    probs = _batch_min_ratio(initial, final, candidates)
+    probs = objective(candidates)
     best_idx = int(np.argmax(probs))
     best = candidates[best_idx].copy()
     best_p = float(probs[best_idx])
@@ -299,7 +280,7 @@ def search_catalyst(
                     "catalyst search exceeded its evaluation budget",
                     best=make_schmidt(best),
                 )
-            poll = _batch_min_ratio(initial, final, batch)
+            poll = objective(batch)
             k = int(np.argmax(poll))
             if poll[k] > best_p:
                 best_p = float(poll[k])
@@ -382,24 +363,6 @@ def intermediate_state(initial: SchmidtVector, final: SchmidtVector) -> SchmidtV
 # ---------------------------------------------------------------------------
 
 
-def n_cat_required(c0: float, alpha_supply: float) -> int:
-    """Copies of a supply state needed to build a two-qubit catalyst.
-
-    Smallest m with ``alpha_supply**m <= c0``, which makes the conversion of
-    m supply copies into the catalyst deterministic under LOCC.
-    """
-    if not 0.5 < c0 < 1.0:
-        raise InvalidInputError(f"catalyst coefficient must lie in (0.5, 1), got {c0}")
-    if not 0.5 < alpha_supply < 1.0:
-        raise InvalidInputError(f"supply alpha must lie in (0.5, 1), got {alpha_supply}")
-    m = max(1, math.ceil(math.log(c0) / math.log(alpha_supply)))
-    while m > 1 and alpha_supply ** (m - 1) <= c0:
-        m -= 1
-    while alpha_supply**m > c0:
-        m += 1
-    return m
-
-
 def _power_top_partial_sums(alpha: float, m: int, count: int) -> np.ndarray:
     """Partial sums of the ``count`` largest coefficients of an m-fold power.
 
@@ -418,23 +381,30 @@ def _power_top_partial_sums(alpha: float, m: int, count: int) -> np.ndarray:
     return np.cumsum(top)
 
 
-def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float, max_copies: int = 100_000) -> int:
-    """Copies of a two-qubit supply state needed to reach ``catalyst``.
+def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float) -> int:
+    """Fewest copies of a two-qubit supply state that reach ``catalyst`` under LOCC.
 
-    Generalizes :func:`n_cat_required` to catalysts of any dimension via the
-    majorization test; the two agree for two-qubit catalysts.  Only the first
-    few monotones of the supply power can bind, because the catalyst's vanish
-    beyond its own dimension, so the test stays cheap for any copy count.
+    m copies of ``(alpha, 1-alpha)`` reach the catalyst with certainty when
+    their spectrum majorizes it.  The largest supply coefficient ``alpha**m``
+    must not exceed the largest catalyst coefficient, so the count starts at
+    the smallest such m and steps up until every monotone of the supply power
+    dominates the catalyst's.  For a two-qubit catalyst that first condition
+    is the whole test.  Only the first few monotones of the power can bind,
+    because the catalyst's vanish beyond its own dimension, so the test stays
+    cheap for any copy count.
     """
     if not 0.5 < alpha_supply < 1.0:
         raise InvalidInputError(f"supply alpha must lie in (0.5, 1), got {alpha_supply}")
-    e_cat = monotones(catalyst).values
-    for m in range(1, max_copies + 1):
-        partial = _power_top_partial_sums(alpha_supply, m, catalyst.dimension - 1)
-        e_supply = 1.0 - partial
-        if np.all(e_supply >= e_cat[1:] - TOL):
-            return m
-    raise NumericFailureError(f"no copy count up to {max_copies} reaches the catalyst")
+    c_max = float(catalyst.coefficients[0])
+    m = max(1, math.ceil(math.log(c_max) / math.log(alpha_supply)))
+    while m > 1 and alpha_supply ** (m - 1) <= c_max:
+        m -= 1
+    while alpha_supply**m > c_max:
+        m += 1
+    e_cat = monotones(catalyst).values[1:]
+    while not np.all(1.0 - _power_top_partial_sums(alpha_supply, m, e_cat.size) >= e_cat - TOL):
+        m += 1
+    return m
 
 
 def combined_supply_feasible(supplies, c0: float) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import mpmath
@@ -21,7 +21,6 @@ from .catalysis import (
     ConcentrationProblem,
     copies_for_catalyst,
     locc_probability,
-    n_cat_required,
     optimal_two_qubit_catalyst,
     search_catalyst,
 )
@@ -115,10 +114,9 @@ class TimingBreakdown:
 
 @dataclass(frozen=True)
 class CatalystSupplyTiming:
-    """Mean catalyst production time plus a diagnostic lower bound."""
+    """Mean catalyst production time and the copies each path needs."""
 
     time_s: float
-    bound_s: float
     copies_per_path: tuple
 
 
@@ -186,38 +184,19 @@ def t_primary(n: int, t0_s: float, p0: float) -> float:
     return n * t0_s / p0
 
 
-def t_catalyst(
-    paths: Sequence[AuxPath],
-    c0: float,
-    *,
-    per_copy_time: bool = False,
-) -> CatalystSupplyTiming:
+def t_catalyst(paths: Sequence[AuxPath], catalyst: SchmidtVector) -> CatalystSupplyTiming:
     """Mean time for the auxiliary paths to produce one catalyst.
 
-    Each path needs ``n_cat_required(c0, alpha_i)`` copies.  The default
-    weighting multiplies each path's supply rate by its copy requirement,
-    exactly as the timing model states it; ``per_copy_time=True`` switches to
-    the alternative where needing more copies makes a path slower
-    (rate ``P_i / (n_i T_i)``), kept for diagnostics only.
+    Path i needs ``copies_for_catalyst(catalyst, alpha_i)`` copies, and its
+    supply rate is that copy requirement times ``P_i / T_i``, exactly as the
+    timing model states it; the paths' rates add.
     """
     paths = list(paths)
     if not paths:
         raise InvalidInputError("at least one auxiliary path is required")
-    copies = tuple(n_cat_required(c0, p.alpha) for p in paths)
-    if per_copy_time:
-        rates = [p.gen_probability / (m * p.gen_time_s) for p, m in zip(paths, copies)]
-    else:
-        rates = [m * p.gen_probability / p.gen_time_s for p, m in zip(paths, copies)]
-    total = sum(rates)
-    bound = 1.0 / (len(paths) * min(rates))
-    return CatalystSupplyTiming(time_s=1.0 / total, bound_s=bound, copies_per_path=copies)
-
-
-def catalyst_copy_requirement(catalyst: SchmidtVector, alpha_supply: float) -> int:
-    """Copies of a supply state needed to rebuild the catalyst deterministically."""
-    if catalyst.dimension == 2:
-        return n_cat_required(float(catalyst.coefficients[0]), alpha_supply)
-    return copies_for_catalyst(catalyst, alpha_supply)
+    copies = tuple(copies_for_catalyst(catalyst, p.alpha) for p in paths)
+    total = sum(m * p.gen_probability / p.gen_time_s for p, m in zip(paths, copies))
+    return CatalystSupplyTiming(time_s=1.0 / total, copies_per_path=copies)
 
 
 def t_edge_cycle(
@@ -241,16 +220,10 @@ def t_edge_cycle(
         t_cat = None
         t_both = t_pri
     elif aux.mode == FINITE_AUX:
-        # Same weighting as t_catalyst, with the copy requirement taken from
-        # the full majorization test so catalysts of any dimension work.
-        supply_rate = sum(
-            catalyst_copy_requirement(catalyst, p.alpha) * p.gen_probability / p.gen_time_s
-            for p in aux.paths
-        )
-        t_cat = 1.0 / supply_rate
+        t_cat = t_catalyst(aux.paths, catalyst).time_s
         t_both = max(t_pri, t_cat)
     else:
-        n_cat = catalyst_copy_requirement(catalyst, edge.alpha)
+        n_cat = copies_for_catalyst(catalyst, edge.alpha)
         t_cat = n_cat * t0 / edge.herald_probability
         t_both = (edge.copies + n_cat) * t0 / edge.herald_probability
     t_cycle = p_cat * t_pri + (1.0 - p_cat) * t_both
@@ -310,6 +283,42 @@ def edge_catalyst(edge: EdgeParams) -> CatalystSpec:
     return search_catalyst(problem, edge.catalyst_dim)
 
 
+def _locc_side(edge: EdgeParams, n_edges: int) -> tuple:
+    """``(p_locc, z_locc, rate_locc_hz)`` of the plain-LOCC chain."""
+    p_locc = locc_probability(ConcentrationProblem(edge.copies, edge.alpha))
+    z_locc = waiting_factor(n_edges, p_locc)
+    t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
+    return p_locc, z_locc, 1.0 / (t_pri * z_locc)
+
+
+def _catalyst_side(edge: EdgeParams, n_edges: int) -> tuple:
+    """``(catalyst spectrum, p_cat, z_cat, n_cat)``, the same for every aux mode."""
+    catalyst = edge_catalyst(edge)
+    p_cat = catalyst.success_probability
+    n_cat = copies_for_catalyst(catalyst.spectrum, edge.alpha)
+    return catalyst.spectrum, p_cat, waiting_factor(n_edges, p_cat), n_cat
+
+
+def _rate_report(edge: EdgeParams, aux: AuxConfig, locc: tuple, catalytic: tuple) -> RateReport:
+    p_locc, z_locc, rate_locc = locc
+    spectrum, p_cat, z_cat, n_cat = catalytic
+    timing = t_edge_cycle(p_cat, edge, aux, spectrum)
+    rate_cat = 1.0 / (timing.t_edge_cycle_s * z_cat)
+    return RateReport(
+        p_locc=p_locc,
+        p_cat=p_cat,
+        c0=float(spectrum.coefficients[0]),
+        n_cat=n_cat,
+        eta_p=p_cat / p_locc,
+        z_locc=z_locc,
+        z_cat=z_cat,
+        timing=timing,
+        rate_locc_hz=rate_locc,
+        rate_cat_hz=rate_cat,
+        eta_r=rate_cat / rate_locc,
+    )
+
+
 def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> RateReport:
     """End-to-end distribution rates with and without catalysis for an N-edge chain.
 
@@ -319,28 +328,8 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> RateReport
     """
     if n_edges < 1:
         raise InvalidInputError(f"edge count must be positive, got {n_edges}")
-    problem = ConcentrationProblem(edge.copies, edge.alpha)
-    p_locc = locc_probability(problem)
-    catalyst = edge_catalyst(edge)
-    p_cat = catalyst.success_probability
-    timing = t_edge_cycle(p_cat, edge, aux, catalyst.spectrum)
-    z_cat = waiting_factor(n_edges, p_cat)
-    z_locc = waiting_factor(n_edges, p_locc)
-    rate_cat = 1.0 / (timing.t_edge_cycle_s * z_cat)
-    rate_locc = 1.0 / (timing.t_primary_s * z_locc)
-    return RateReport(
-        p_locc=p_locc,
-        p_cat=p_cat,
-        c0=float(catalyst.spectrum.coefficients[0]),
-        n_cat=catalyst_copy_requirement(catalyst.spectrum, edge.alpha),
-        eta_p=p_cat / p_locc,
-        z_locc=z_locc,
-        z_cat=z_cat,
-        timing=timing,
-        rate_locc_hz=rate_locc,
-        rate_cat_hz=rate_cat,
-        eta_r=rate_cat / rate_locc,
-    )
+    catalytic = _catalyst_side(edge, n_edges)
+    return _rate_report(edge, aux, _locc_side(edge, n_edges), catalytic)
 
 
 # Relative size, against the running sum, of the geometric tail left off
@@ -396,13 +385,7 @@ def rate_slotted(edge: EdgeParams, n_edges: int) -> float:
 # Rate-ratio sweep over the primary-state asymmetry
 # ---------------------------------------------------------------------------
 
-SWEEP_CSV_HEADER = (
-    "alpha,mode,catalyst_dim,p_locc,p_cat,c0,n_cat,eta_p,z_locc,z_cat,"
-    "t_edge_cycle_s,rate_locc_hz,rate_cat_hz,eta_r,window_flag"
-)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepRow:
     """One sweep sample; catalyst-dependent fields are None out of window."""
 
@@ -410,17 +393,22 @@ class SweepRow:
     mode: str
     catalyst_dim: int
     p_locc: float
-    p_cat: Optional[float]
-    c0: Optional[float]
-    n_cat: Optional[int]
-    eta_p: Optional[float]
+    p_cat: Optional[float] = None
+    c0: Optional[float] = None
+    n_cat: Optional[int] = None
+    eta_p: Optional[float] = None
     z_locc: float
-    z_cat: Optional[float]
-    t_edge_cycle_s: Optional[float]
+    z_cat: Optional[float] = None
+    t_edge_cycle_s: Optional[float] = None
     rate_locc_hz: float
-    rate_cat_hz: Optional[float]
-    eta_r: Optional[float]
+    rate_cat_hz: Optional[float] = None
+    eta_r: Optional[float] = None
     window_flag: str
+
+
+_SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
+SWEEP_CSV_HEADER = ",".join(_SWEEP_FIELDS)
+_REPORT_FIELDS = tuple(f.name for f in fields(RateReport) if f.name in _SWEEP_FIELDS)
 
 
 def sweep_rates(
@@ -441,66 +429,52 @@ def sweep_rates(
     Grid points where the copy count falls outside the catalysis window are
     flagged and carry only the plain-LOCC quantities instead of erroring, so
     sweeps can span the whole asymmetry range.
+
+    Each quantity is computed once, by the code :func:`rate_catalytic` uses:
+    the plain-LOCC side once per alpha, the catalyst and its waiting factor
+    once per (dimension, alpha), and only the edge-cycle time once per mode.
     """
-    for a in alpha_grid:
-        if not 0.5 < a < 1.0:
-            raise InvalidInputError(f"grid alpha must lie in (0.5, 1), got {a}")
+    auxes = [AuxConfig(mode, tuple(aux_paths) if mode == FINITE_AUX else ()) for mode in modes]
+    edges = [
+        EdgeParams(
+            alpha=alpha,
+            copies=copies,
+            length_km=length_km,
+            fiber_speed_km_s=fiber_speed_km_s,
+            herald_probability=herald_probability,
+        )
+        for alpha in sorted(alpha_grid)
+    ]
+    locc = [_locc_side(edge, n_edges) for edge in edges]
+    # (edge at this dimension, catalyst side), or None out of window.
+    catalytic = {}
+    for dim in catalyst_dims:
+        for i, edge in enumerate(edges):
+            edge_d = replace(edge, catalyst_dim=dim)
+            try:
+                catalytic[dim, i] = (edge_d, _catalyst_side(edge_d, n_edges))
+            except CatalysisWindowError:
+                catalytic[dim, i] = None
+
     rows = []
-    for mode in modes:
-        aux = AuxConfig(mode, tuple(aux_paths) if mode == FINITE_AUX else ())
+    for aux in auxes:
         for dim in catalyst_dims:
-            for alpha in sorted(alpha_grid):
-                edge = EdgeParams(
-                    alpha=alpha,
-                    copies=copies,
-                    length_km=length_km,
-                    fiber_speed_km_s=fiber_speed_km_s,
-                    herald_probability=herald_probability,
-                    catalyst_dim=dim,
-                )
-                problem = ConcentrationProblem(copies, alpha)
-                p_locc = locc_probability(problem)
-                t_pri = t_primary(copies, edge.cycle_time_s, herald_probability)
-                z_locc = waiting_factor(n_edges, p_locc)
-                try:
-                    report = rate_catalytic(edge, aux, n_edges)
-                except CatalysisWindowError:
+            for i, edge in enumerate(edges):
+                point = dict(alpha=edge.alpha, mode=aux.mode, catalyst_dim=dim)
+                if catalytic[dim, i] is None:
+                    p_locc, z_locc, rate_locc = locc[i]
                     rows.append(
-                        SweepRow(
-                            alpha=alpha,
-                            mode=mode,
-                            catalyst_dim=dim,
-                            p_locc=p_locc,
-                            p_cat=None,
-                            c0=None,
-                            n_cat=None,
-                            eta_p=None,
-                            z_locc=z_locc,
-                            z_cat=None,
-                            t_edge_cycle_s=None,
-                            rate_locc_hz=1.0 / (t_pri * z_locc),
-                            rate_cat_hz=None,
-                            eta_r=None,
-                            window_flag=WINDOW_OUT,
-                        )
+                        SweepRow(**point, p_locc=p_locc, z_locc=z_locc,
+                                 rate_locc_hz=rate_locc, window_flag=WINDOW_OUT)
                     )
                     continue
+                edge_d, cat = catalytic[dim, i]
+                report = _rate_report(edge_d, aux, locc[i], cat)
                 rows.append(
                     SweepRow(
-                        alpha=alpha,
-                        mode=mode,
-                        catalyst_dim=dim,
-                        p_locc=report.p_locc,
-                        p_cat=report.p_cat,
-                        c0=report.c0,
-                        n_cat=report.n_cat,
-                        eta_p=report.eta_p,
-                        z_locc=report.z_locc,
-                        z_cat=report.z_cat,
+                        **point,
+                        **{name: getattr(report, name) for name in _REPORT_FIELDS},
                         t_edge_cycle_s=report.timing.t_edge_cycle_s,
-                        rate_locc_hz=report.rate_locc_hz,
-                        rate_cat_hz=report.rate_cat_hz,
-                        eta_r=report.eta_r,
                         window_flag=WINDOW_OK,
                     )
                 )
@@ -520,24 +494,6 @@ def _cell(value) -> str:
 def write_sweep_csv(rows: Sequence[SweepRow], stream) -> None:
     """Write sweep rows with the fixed header, 12 significant digits."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER.split(","))
+    writer.writerow(_SWEEP_FIELDS)
     for r in rows:
-        writer.writerow(
-            [
-                _cell(r.alpha),
-                r.mode,
-                _cell(r.catalyst_dim),
-                _cell(r.p_locc),
-                _cell(r.p_cat),
-                _cell(r.c0),
-                _cell(r.n_cat),
-                _cell(r.eta_p),
-                _cell(r.z_locc),
-                _cell(r.z_cat),
-                _cell(r.t_edge_cycle_s),
-                _cell(r.rate_locc_hz),
-                _cell(r.rate_cat_hz),
-                _cell(r.eta_r),
-                r.window_flag,
-            ]
-        )
+        writer.writerow([_cell(getattr(r, name)) for name in _SWEEP_FIELDS])

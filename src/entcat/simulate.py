@@ -15,13 +15,14 @@ from typing import Optional
 
 import numpy as np
 
+from .catalysis import copies_for_catalyst
 from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
     FINITE_AUX,
+    NO_AUX,
     AuxConfig,
     EdgeParams,
-    catalyst_copy_requirement,
     edge_catalyst,
     t_edge_cycle,
     waiting_factor,
@@ -132,6 +133,34 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, batch))))
 
 
+def _max_of_geometrics(p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
+    """Sample ``scale`` times the maximum of N independent geometric(p) counts.
+
+    Rows are drawn in batches of ``_BATCH_TRIALS``, batch b from the Philox
+    stream ``(seed, b)``, so results do not depend on how batches are
+    scheduled.  Returns the sample mean, its standard error and the total
+    count drawn in each of the N columns.
+    """
+    total = 0.0
+    total_sq = 0.0
+    column_totals = np.zeros(n_edges, dtype=np.int64)
+    done = 0
+    batch = 0
+    while done < trials:
+        size = min(_BATCH_TRIALS, trials - done)
+        counts = _batch_rng(seed, batch).geometric(p, size=(size, n_edges))
+        column_totals += counts.sum(axis=0)
+        sample = counts.max(axis=1).astype(float) * scale
+        total += float(sample.sum())
+        total_sq += float((sample**2).sum())
+        del counts  # so that only one batch is held while the next is drawn
+        done += size
+        batch += 1
+    mean = total / trials
+    var = max(0.0, (total_sq - trials * mean * mean) / max(trials - 1, 1))
+    return mean, math.sqrt(var / trials), column_totals
+
+
 def simulate_abstract(cfg: SimConfig) -> SimResult:
     """Geometric-cycle chain model.
 
@@ -142,30 +171,15 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
     if cfg.mode != ABSTRACT_MODE:
         raise InvalidInputError("config mode must be abstract")
     p_cat, t_cycle = _resolved_parameters(cfg)
-    counters = [EdgeCounters() for _ in range(cfg.n_edges)]
-
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    batch = 0
-    while done < cfg.trials:
-        size = min(_BATCH_TRIALS, cfg.trials - done)
-        rng = _batch_rng(cfg.seed, batch)
-        cycles = rng.geometric(p_cat, size=(size, cfg.n_edges))
-        for e in range(cfg.n_edges):
-            col = cycles[:, e]
-            counters[e].catalysis_attempts += int(col.sum())
-            counters[e].catalysis_successes += size
-            counters[e].catalysis_failures += int(col.sum()) - size
-        completion = cycles.max(axis=1).astype(float) * t_cycle
-        total += float(completion.sum())
-        total_sq += float((completion**2).sum())
-        done += size
-        batch += 1
-
-    mean = total / cfg.trials
-    var = max(0.0, (total_sq - cfg.trials * mean * mean) / max(cfg.trials - 1, 1))
-    std_error = math.sqrt(var / cfg.trials)
+    mean, std_error, attempts = _max_of_geometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
+    counters = [
+        EdgeCounters(
+            catalysis_attempts=int(a),
+            catalysis_successes=cfg.trials,
+            catalysis_failures=int(a) - cfg.trials,
+        )
+        for a in attempts
+    ]
     return SimResult(
         mean_completion_s=mean,
         std_error_s=std_error,
@@ -186,8 +200,12 @@ class _EdgeState:
     aux_ticks: list = field(default_factory=list)
 
 
-def _detailed_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, counters, intervals):
-    """Run one time-slotted replication; returns the delivery count."""
+def _detailed_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, rebuild_copies, counters, intervals):
+    """Run one time-slotted replication; returns the delivery count.
+
+    ``rebuild_copies`` is the number of primary pairs an edge with an empty
+    stock turns into a catalyst, or 0 where catalysts come from elsewhere.
+    """
     edge = cfg.edge
     t0 = edge.cycle_time_s
     p0 = edge.herald_probability
@@ -220,13 +238,21 @@ def _detailed_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, counters, 
         for e in range(cfg.n_edges):
             st = states[e]
             ctr = counters[e]
-            if not st.ready and st.pairs < n:
+            # An empty stock without aux paths means loading n_cat extra pairs.
+            if not st.ready and (
+                st.pairs < n or (st.stock == 0 and st.pairs < n + rebuild_copies)
+            ):
                 ctr.primary_attempts += 1
                 ctr.loading_slots += 1
                 if load_rngs[e].random() < p0:
                     st.pairs += 1
-                    if st.pairs == n:
+                    if st.pairs == n + (rebuild_copies if st.stock == 0 else 0):
                         ctr.loads_completed += 1
+                        if st.pairs > n:
+                            # The extra pairs become a new catalyst.
+                            st.pairs = n
+                            st.stock = 1
+                            ctr.catalysts_produced += 1
             # Auxiliary paths tick on their own period, applied at the first
             # slot boundary at or after each completion; a full stock pauses
             # the path rather than discarding finished catalysts.
@@ -280,28 +306,34 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     are held; auxiliary paths accumulate raw pairs toward catalysts on their
     own clocks; once n pairs and a catalyst are available the edge attempts
     catalysis, recycling the catalyst on success and losing it together with
-    the pairs on failure.  A delivery happens when every edge holds a Bell
-    pair, after which all edges restart loading while stocks persist.
+    the pairs on failure.  Without auxiliary paths an edge whose stock is
+    empty loads n + n_cat pairs and turns n_cat of them into a catalyst, the
+    cost :func:`entcat.network.t_edge_cycle` charges.  A delivery happens
+    when every edge holds a Bell pair, after which all edges restart loading
+    while stocks persist.
     """
     if cfg.mode != DETAILED_MODE:
         raise InvalidInputError("config mode must be detailed")
     if cfg.edge is None:
         raise InvalidInputError("detailed simulation requires edge parameters")
     paths = cfg.aux.paths if cfg.aux.mode == FINITE_AUX else ()
-    if cfg.p_cat_override is not None and not paths:
+    rebuild = cfg.aux.mode == NO_AUX
+    if cfg.p_cat_override is not None and not paths and not rebuild:
         p_cat = cfg.p_cat_override
         copies_needed = []
+        rebuild_copies = 0
     else:
         catalyst = edge_catalyst(cfg.edge)
         p_cat = cfg.p_cat_override or catalyst.success_probability
-        copies_needed = [
-            catalyst_copy_requirement(catalyst.spectrum, p.alpha) for p in paths
-        ]
+        copies_needed = [copies_for_catalyst(catalyst.spectrum, p.alpha) for p in paths]
+        rebuild_copies = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha) if rebuild else 0
     counters = [EdgeCounters() for _ in range(cfg.n_edges)]
     intervals: list[float] = []
     deliveries = 0
     for trial in range(cfg.trials):
-        deliveries += _detailed_trial(cfg, trial, p_cat, copies_needed, counters, intervals)
+        deliveries += _detailed_trial(
+            cfg, trial, p_cat, copies_needed, rebuild_copies, counters, intervals
+        )
 
     total_time = cfg.trials * cfg.max_slots * cfg.edge.cycle_time_s
     if deliveries == 0:
@@ -354,21 +386,7 @@ def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> W
     if trials < 2:
         raise InvalidInputError("need at least two trials for a standard error")
     analytic = waiting_factor(n_edges, p)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    batch = 0
-    while done < trials:
-        size = min(_BATCH_TRIALS, trials - done)
-        rng = _batch_rng(seed, batch)
-        maxima = rng.geometric(p, size=(size, n_edges)).max(axis=1).astype(float)
-        total += float(maxima.sum())
-        total_sq += float((maxima**2).sum())
-        done += size
-        batch += 1
-    mean = total / trials
-    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    std_error = math.sqrt(var / trials)
+    mean, std_error, _ = _max_of_geometrics(p, n_edges, trials, seed)
     deviation = abs(mean - analytic) / std_error if std_error > 0 else 0.0
     return WaitingFactorCheck(
         n_edges=n_edges,

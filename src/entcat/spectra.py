@@ -129,43 +129,43 @@ def tensor_product(a: SchmidtVector, b: SchmidtVector) -> SchmidtVector:
     return SchmidtVector(prod)
 
 
-def _padded_monotone_values(initial: SchmidtVector, final: SchmidtVector):
-    d = max(initial.dimension, final.dimension)
-    e_i = monotones(initial.padded(d)).values
-    e_f = monotones(final.padded(d)).values
-    return e_i, e_f
+def conversion_probabilities(initial: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """Optimal LOCC conversion probability for each pair of rows.
+
+    Row k of ``initial`` and row k of ``final`` are the coefficients of two
+    spectra, zero-padded to a common length, in any order.  Sorted ascending,
+    the running sum at position j is the monotone made of the j+1 smallest
+    coefficients, a suffix sum that keeps the relative precision of small
+    tails; the last entry, the whole mass, is set to exactly 1.  The minimum
+    over monotones does not depend on their order, so nothing is reversed.
+
+    Entries at or below ``TOL`` count as zero.  An index where the final
+    monotone vanishes is never binding and is skipped; a vanishing initial
+    monotone against a positive final one forces the probability to zero.
+    """
+    e_i = np.cumsum(np.sort(initial, axis=1), axis=1)
+    e_f = np.cumsum(np.sort(final, axis=1), axis=1)
+    e_i[:, -1] = 1.0
+    e_f[:, -1] = 1.0
+    num_zero = e_i <= TOL
+    den_zero = e_f <= TOL
+    valid = ~num_zero & ~den_zero
+    p = np.min(np.where(valid, e_i / np.where(den_zero, 1.0, e_f), np.inf), axis=1)
+    # The whole-mass ratio is identically 1, so p <= 1 up to rounding.  Snap
+    # values within tolerance of 1 so that p == 1 exactly when conversion is
+    # deterministic under the same tolerance.
+    p[p >= 1.0 - TOL] = 1.0
+    p[np.any(num_zero & ~den_zero, axis=1)] = 0.0
+    return p
 
 
 def can_convert_deterministically(initial: SchmidtVector, final: SchmidtVector) -> bool:
     """Majorization test: can ``initial`` reach ``final`` with certainty under LOCC?
 
-    Both spectra are zero-padded to the larger dimension, then every monotone
-    of the initial state must dominate the final one's (within tolerance).
+    Both spectra are zero-padded to the larger dimension; the conversion is
+    deterministic when every monotone ratio is within tolerance of 1 or more.
     """
-    e_i, e_f = _padded_monotone_values(initial, final)
-    return bool(np.all(e_i >= e_f - TOL))
-
-
-def _min_monotone_ratio(e_i: np.ndarray, e_f: np.ndarray) -> float:
-    """Minimum ratio of monotones with the zero-entry conventions.
-
-    Indices where the final monotone vanishes but the initial one does not are
-    never binding and are skipped; an index with a vanishing initial monotone
-    against a positive final one forces the result to zero; indices where both
-    vanish are skipped.  Entries at or below ``TOL`` count as zero.
-    """
-    num_zero = e_i <= TOL
-    den_zero = e_f <= TOL
-    if np.any(num_zero & ~den_zero):
-        return 0.0
-    valid = ~num_zero & ~den_zero
-    p = float(np.min(e_i[valid] / e_f[valid]))
-    # The first ratio is identically 1, so p <= 1 up to rounding.  Snap values
-    # within tolerance of 1 so that p == 1 exactly when conversion is
-    # deterministic under the same tolerance.
-    if p >= 1.0 - TOL:
-        return 1.0
-    return p
+    return conversion_probability(initial, final) == 1.0
 
 
 def conversion_probability(initial: SchmidtVector, final: SchmidtVector) -> float:
@@ -175,5 +175,6 @@ def conversion_probability(initial: SchmidtVector, final: SchmidtVector) -> floa
     spectra (padded to a common dimension).  Returns 1 exactly when
     :func:`can_convert_deterministically` holds.
     """
-    e_i, e_f = _padded_monotone_values(initial, final)
-    return _min_monotone_ratio(e_i, e_f)
+    d = max(initial.dimension, final.dimension)
+    rows = (initial.padded(d).coefficients[None, :], final.padded(d).coefficients[None, :])
+    return float(conversion_probabilities(*rows)[0])

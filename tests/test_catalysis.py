@@ -12,7 +12,6 @@ from entcat.catalysis import (
     initial_spectrum,
     intermediate_state,
     locc_probability,
-    n_cat_required,
     n_star,
     optimal_two_qubit_catalyst,
     search_catalyst,
@@ -223,26 +222,6 @@ class TestSearchCatalyst:
         with pytest.raises(InvalidInputError):
             search_catalyst(ConcentrationProblem(2, 0.8), 1)
 
-    def test_batch_objective_matches_scalar_route(self):
-        # the vectorized grid evaluator must agree with the public
-        # catalysis_probability path, including zero conventions
-        from entcat.catalysis import _batch_min_ratio
-
-        rng = np.random.default_rng(3)
-        for n, alpha in [(2, 0.8), (3, 0.9)]:
-            problem = ConcentrationProblem(n, alpha)
-            initial = initial_spectrum(problem).coefficients
-            final = target_spectrum(n).coefficients
-            rows = []
-            for _ in range(20):
-                c = np.sort(rng.random(4))[::-1]
-                rows.append(c / c.sum())
-            rows.append(np.array([1.0, 0.0, 0.0, 0.0]))  # product catalyst
-            batch = _batch_min_ratio(initial, final, np.asarray(rows))
-            for row, expected in zip(rows, batch):
-                scalar = catalysis_probability(problem, make_schmidt(row))
-                assert scalar == pytest.approx(float(expected), abs=1e-12)
-
 
 class TestIntermediateState:
     def test_probabilistic_case(self):
@@ -275,38 +254,44 @@ class TestIntermediateState:
 
 class TestSupplyAccounting:
     def test_reference_copy_count(self):
-        assert n_cat_required(C0_2_08, 0.8) == 3
+        assert copies_for_catalyst(two_qubit_state(C0_2_08), 0.8) == 3
 
     def test_single_copy_when_equal(self):
-        assert n_cat_required(0.59196, 0.59196) == 1
+        assert copies_for_catalyst(two_qubit_state(0.59196), 0.59196) == 1
 
     def test_high_quality_supply(self):
-        assert n_cat_required(0.9, 0.99) == 11
+        assert copies_for_catalyst(two_qubit_state(0.9), 0.99) == 11
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            n_cat_required(0.4, 0.8)
+            copies_for_catalyst(two_qubit_state(0.4), 0.8)
         with pytest.raises(InvalidInputError):
-            n_cat_required(0.9, 1.0)
+            copies_for_catalyst(two_qubit_state(0.9), 1.0)
+        with pytest.raises(InvalidInputError):
+            copies_for_catalyst(two_qubit_state(0.9), 0.5)
 
     def test_generalized_agrees_with_closed_form(self):
+        # a two-qubit catalyst needs the smallest m with alpha**m <= c0
         rng = np.random.default_rng(7)
         for _ in range(100):
             c0 = float(rng.uniform(0.51, 0.99))
             alpha = float(rng.uniform(0.51, 0.99))
-            assert copies_for_catalyst(two_qubit_state(c0), alpha) == n_cat_required(
-                c0, alpha
-            )
+            m = 1
+            while alpha**m > c0:
+                m += 1
+            assert copies_for_catalyst(two_qubit_state(c0), alpha) == m
 
     def test_generalized_copy_count_is_sufficient(self):
         catalyst = make_schmidt([0.4, 0.3, 0.2, 0.1])
         alpha = 0.9
         m = copies_for_catalyst(catalyst, alpha)
         supply = two_qubit_state(alpha)
-        product = supply
-        for _ in range(m - 1):
-            product = tensor_product(product, supply)
-        assert can_convert_deterministically(product, catalyst)
+        fewer = supply
+        for _ in range(m - 2):
+            fewer = tensor_product(fewer, supply)
+        assert m > 1
+        assert not can_convert_deterministically(fewer, catalyst)  # minimal
+        assert can_convert_deterministically(tensor_product(fewer, supply), catalyst)
 
     def test_combined_supply_reference(self):
         assert combined_supply_feasible([(0.8, 3)], C0_2_08)
@@ -314,7 +299,7 @@ class TestSupplyAccounting:
         assert combined_supply_feasible([(0.75, 1), (0.75, 1)], 0.6)
 
     def test_combined_supply_consistent_with_copy_count(self):
-        m = n_cat_required(C0_2_08, 0.8)
+        m = copies_for_catalyst(two_qubit_state(C0_2_08), 0.8)
         assert combined_supply_feasible([(0.8, m)], C0_2_08)
         assert not combined_supply_feasible([(0.8, m - 1)], C0_2_08)
 

@@ -135,7 +135,10 @@ class TestSimulateCommand:
             "alpha = 0.8\n"
             "n = 2\n"
             "P0 = 0.5\n"
-            "aux_mode = none\n"
+            "aux_mode = finite\n"
+            "aux.1.alpha = 0.8\n"
+            "aux.1.P = 1.0\n"
+            "aux.1.T_s = 1000.0\n"
             "initial_stock = 0\n"
             "max_slots = 1500\n"
             "seed = 4\n"

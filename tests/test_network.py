@@ -3,7 +3,12 @@ import io
 import numpy as np
 import pytest
 
-from entcat.catalysis import ConcentrationProblem, optimal_two_qubit_catalyst
+from entcat.catalysis import (
+    ConcentrationProblem,
+    copies_for_catalyst,
+    locc_probability,
+    optimal_two_qubit_catalyst,
+)
 from entcat.errors import InvalidInputError
 from entcat.network import (
     AUX_RICH,
@@ -11,11 +16,11 @@ from entcat.network import (
     NO_AUX,
     SWEEP_CSV_HEADER,
     AuxConfig,
+    SweepRow,
     AuxPath,
     EdgeParams,
     alpha_from_fidelity,
     alpha_from_transmittivities,
-    catalyst_copy_requirement,
     edge_catalyst,
     fidelity_from_alpha,
     rate_catalytic,
@@ -96,26 +101,15 @@ class TestTimings:
         assert t_primary(4, 1.0, 0.25) == pytest.approx(16.0)
 
     def test_t_catalyst_single_path(self):
-        timing = t_catalyst([AuxPath(0.8, 0.5, 1e-3)], 0.5919671916850177)
+        timing = t_catalyst([AuxPath(0.8, 0.5, 1e-3)], two_qubit_state(0.5919671916850177))
         assert timing.copies_per_path == (3,)
         assert timing.time_s == pytest.approx(1.0 / (3 * 0.5 / 1e-3))
 
     def test_t_catalyst_two_identical_paths_halves(self):
         path = AuxPath(0.8, 0.5, 1e-3)
-        one = t_catalyst([path], 0.59196).time_s
-        two = t_catalyst([path, path], 0.59196).time_s
+        one = t_catalyst([path], two_qubit_state(0.59196)).time_s
+        two = t_catalyst([path, path], two_qubit_state(0.59196)).time_s
         assert two == pytest.approx(one / 2)
-
-    def test_t_catalyst_bound_holds(self):
-        paths = [AuxPath(0.8, 0.5, 1e-3), AuxPath(0.9, 0.2, 5e-4), AuxPath(0.7, 0.9, 2e-3)]
-        timing = t_catalyst(paths, 0.75)
-        assert timing.time_s <= timing.bound_s + 1e-18
-
-    def test_t_catalyst_alternative_weighting(self):
-        paths = [AuxPath(0.8, 0.5, 1e-3)]
-        printed = t_catalyst(paths, 0.59196).time_s
-        alt = t_catalyst(paths, 0.59196, per_copy_time=True).time_s
-        assert alt == pytest.approx(printed * 9)  # n_cat = 3 moves across the bar
 
     def test_edge_cycle_aux_rich(self):
         edge = EdgeParams(alpha=0.8, copies=2, herald_probability=0.5)
@@ -146,13 +140,11 @@ class TestTimings:
             assert tb.t_edge_cycle_s == pytest.approx(tb.t_primary_s)
 
     def test_edge_cycle_finite_aux_matches_supply_timing(self):
-        # for a two-qubit catalyst the generalized copy requirement reduces to
-        # the closed-form one, so both routes agree exactly
         edge = EdgeParams(alpha=0.8, copies=2, herald_probability=0.5)
         catalyst = optimal_two_qubit_catalyst(ConcentrationProblem(2, 0.8))
         paths = (AuxPath(0.8, 0.01, 1.0), AuxPath(0.9, 0.05, 0.3))
         tb = t_edge_cycle(0.88, edge, AuxConfig(FINITE_AUX, paths), catalyst.spectrum)
-        direct = t_catalyst(paths, float(catalyst.spectrum.coefficients[0]))
+        direct = t_catalyst(paths, catalyst.spectrum)
         assert tb.t_catalyst_s == pytest.approx(direct.time_s, rel=1e-12)
 
     def test_edge_cycle_finite_aux_takes_max(self):
@@ -270,12 +262,13 @@ class TestRates:
         report = rate_catalytic(edge, AuxConfig(AUX_RICH), 32)
         assert report.eta_r == pytest.approx(report.eta_p, rel=0.05)
 
-    def test_catalyst_copy_requirement_dim4(self):
+    def test_copies_for_catalyst_dim4(self):
         edge = EdgeParams(alpha=0.8, copies=2, catalyst_dim=4)
         catalyst = edge_catalyst(edge)
-        m = catalyst_copy_requirement(catalyst.spectrum, 0.8)
+        m = copies_for_catalyst(catalyst.spectrum, 0.8)
         assert m >= 1
-        two_qubit = catalyst_copy_requirement(two_qubit_state(0.59196+ 7.2e-6), 0.8)
+        assert rate_catalytic(edge, AuxConfig(AUX_RICH), 4).n_cat == m
+        two_qubit = copies_for_catalyst(two_qubit_state(0.59196 + 7.2e-6), 0.8)
         assert two_qubit == 3
 
 
@@ -325,6 +318,34 @@ class TestSweep:
         for a, b in zip(rows2, rows4):
             if a.window_flag == "ok":
                 assert b.eta_r >= a.eta_r - 1e-9
+
+    def test_rows_match_rate_catalytic_per_point(self):
+        # the sweep shares work across modes and dimensions; every row must
+        # still equal what rate_catalytic computes for that point alone
+        grid = [0.6, 0.75, 0.8, 0.9]
+        rows = sweep_rates(2, 8, grid, [AUX_RICH, NO_AUX], [2, 4], herald_probability=0.4)
+        expected = []
+        for mode in (AUX_RICH, NO_AUX):
+            for dim in (2, 4):
+                for alpha in grid:
+                    edge = EdgeParams(alpha=alpha, copies=2, herald_probability=0.4,
+                                      catalyst_dim=dim)
+                    p_locc = locc_probability(ConcentrationProblem(2, alpha))
+                    point = dict(alpha=alpha, mode=mode, catalyst_dim=dim, p_locc=p_locc)
+                    if alpha == 0.6:  # n = 2 is outside the catalysis window
+                        z_locc = waiting_factor(8, p_locc)
+                        rate_locc = 1.0 / (t_primary(2, edge.cycle_time_s, 0.4) * z_locc)
+                        expected.append(SweepRow(**point, z_locc=z_locc, rate_locc_hz=rate_locc,
+                                                 window_flag="out_of_window"))
+                        continue
+                    r = rate_catalytic(edge, AuxConfig(mode), 8)
+                    expected.append(SweepRow(
+                        **point, p_cat=r.p_cat, c0=r.c0, n_cat=r.n_cat, eta_p=r.eta_p,
+                        z_locc=r.z_locc, z_cat=r.z_cat, t_edge_cycle_s=r.timing.t_edge_cycle_s,
+                        rate_locc_hz=r.rate_locc_hz, rate_cat_hz=r.rate_cat_hz, eta_r=r.eta_r,
+                        window_flag="ok",
+                    ))
+        assert rows == expected
 
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidInputError):

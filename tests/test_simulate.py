@@ -12,7 +12,7 @@ from entcat.simulate import (
     simulate_detailed,
     validate_waiting_factor,
 )
-from entcat.network import waiting_factor
+from entcat.network import rate_catalytic, waiting_factor
 
 import oracles
 
@@ -94,7 +94,9 @@ class TestAbstract:
 
 class TestDetailed:
     def test_starvation_times_out(self):
-        cfg = SimConfig(n_edges=2, mode="detailed", edge=EDGE, aux=AuxConfig(NO_AUX),
+        # the only aux path first completes long after the run ends
+        aux = AuxConfig(FINITE_AUX, (AuxPath(0.8, 1.0, 1e3),))
+        cfg = SimConfig(n_edges=2, mode="detailed", edge=EDGE, aux=aux,
                         initial_stock=0, max_slots=2000, seed=3)
         res = simulate_detailed(cfg)
         assert res.timed_out
@@ -143,6 +145,28 @@ class TestDetailed:
         )
         mean_slots = res.mean_completion_s / EDGE.cycle_time_s
         assert abs(mean_slots - expected_slots) <= 3 * res.std_error_s / EDGE.cycle_time_s
+
+    def test_no_aux_single_edge_matches_fixed_cycle_rate(self):
+        # At N = 1 the fixed-cycle rate is exact for the slot model (Wald's
+        # identity): an attempt after a failure also loads n_cat pairs to
+        # rebuild the catalyst, as t_edge_cycle charges.
+        cfg = SimConfig(n_edges=1, mode="detailed", edge=EDGE, aux=AuxConfig(NO_AUX),
+                        initial_stock=0, max_slots=200_000, seed=8)
+        res = simulate_detailed(cfg)
+        expected = rate_catalytic(EDGE, AuxConfig(NO_AUX), 1).rate_cat_hz
+        sigma = res.rate_hz * res.std_error_s / res.mean_completion_s
+        assert abs(res.rate_hz - expected) <= 3 * sigma
+        ctr = res.counters[0]
+        # one catalyst built at the start and one after every failure
+        assert ctr.catalysts_produced in (ctr.catalysis_failures, ctr.catalysis_failures + 1)
+
+    def test_no_aux_chain_rebuilds_from_empty_stock(self):
+        cfg = SimConfig(n_edges=4, mode="detailed", edge=EDGE, aux=AuxConfig(NO_AUX),
+                        initial_stock=0, max_slots=20_000, seed=3)
+        res = simulate_detailed(cfg)
+        assert not res.timed_out
+        assert res.deliveries > 0
+        assert all(c.catalysts_produced > 0 for c in res.counters)
 
     def test_aux_replenishment_feeds_stock(self):
         # zero initial stock: only auxiliary production can enable catalysis

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from entcat.errors import InvalidInputError
 from entcat.spectra import (
     SchmidtVector,
     can_convert_deterministically,
+    conversion_probabilities,
     conversion_probability,
     make_schmidt,
     monotones,
@@ -194,3 +198,54 @@ class TestConversionProbability:
             tensor_product(initial, catalyst), tensor_product(final, catalyst)
         )
         assert assisted >= plain - 1e-12
+
+
+def _tensored(weights, catalyst_rows):
+    """Joint spectra of one state with each catalyst row, as the search builds them."""
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    rows = np.asarray(catalyst_rows, dtype=float)
+    return (w[None, :, None] * rows[:, None, :]).reshape(rows.shape[0], -1)
+
+
+def _exact_tensored(weights, catalyst):
+    return [Fraction(a) * Fraction(c) for a in weights for c in catalyst]
+
+
+class TestConversionProbabilities:
+    """The batched kernel against the exact oracle on catalyst-tensored spectra."""
+
+    def check(self, wi, wf, catalysts):
+        catalysts = np.asarray(catalysts, dtype=float)
+        catalysts = catalysts / catalysts.sum(axis=1, keepdims=True)
+        got = conversion_probabilities(_tensored(wi, catalysts), _tensored(wf, catalysts))
+        exact = [
+            oracles.exact_conversion_probability(_exact_tensored(wi, row), _exact_tensored(wf, row))
+            for row in catalysts
+        ]
+        for p, e in zip(got, exact):
+            assert p == pytest.approx(float(e), abs=1e-12)
+            assert (p == 1.0) == (e == 1)
+        return exact
+
+    @pytest.mark.parametrize("n,alpha", [(2, 0.8), (3, 0.9)])
+    def test_random_dim4_catalysts(self, n, alpha):
+        initial = [alpha**k * (1 - alpha) ** (n - k) for k in range(n, -1, -1)
+                   for _ in range(math.comb(n, k))]
+        final = [0.5, 0.5] + [0.0] * (2**n - 2)
+        rng = np.random.default_rng(3)
+        rows = np.sort(rng.random((20, 4)), axis=1)[:, ::-1]
+        self.check(initial, final, rows)
+
+    def test_product_catalyst(self):
+        self.check([0.64, 0.16, 0.16, 0.04], [0.5, 0.5, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0]])
+
+    def test_zero_tails(self):
+        self.check([5, 3, 2, 0, 0], [6, 4, 0, 0, 0], [[7, 3, 0, 0], [1, 0, 0, 0], [2, 1, 1, 0]])
+        # rank cannot grow: the initial tail vanishes where the final one does not
+        self.check([1, 1, 0, 0], [2, 1, 1, 0], [[3, 1], [1, 1]])
+
+    def test_pinned_tail_precision_case(self):
+        # exactly 1; monotones taken as 1 - prefix sums gave 0.999999999998781
+        exact = self.check([1, 1, 2, 2, 17, 99], [1, 1, 1, 1, 18, 100], [[1, 44]])
+        assert exact == [1]
