@@ -20,6 +20,7 @@ from entcat.catalysis import (
 from entcat.errors import CatalysisWindowError, InvalidInputError, ResourceLimitError
 from entcat.spectra import (
     can_convert_deterministically,
+    conversion_probabilities,
     conversion_probability,
     make_schmidt,
     monotones,
@@ -221,6 +222,29 @@ class TestSearchCatalyst:
     def test_rejects_bad_dimension(self):
         with pytest.raises(InvalidInputError):
             search_catalyst(ConcentrationProblem(2, 0.8), 1)
+
+    def test_batch_objective_matches_scalar_route(self):
+        # the batched kernel on catalyst-tensored rows, built as the search
+        # builds them, must agree with the public catalysis_probability path,
+        # including zero conventions
+        rng = np.random.default_rng(3)
+        for n, alpha in [(2, 0.8), (3, 0.9)]:
+            problem = ConcentrationProblem(n, alpha)
+            initial = initial_spectrum(problem).coefficients
+            final = target_spectrum(n).coefficients
+            rows = []
+            for _ in range(20):
+                c = np.sort(rng.random(4))[::-1]
+                rows.append(c / c.sum())
+            rows.append(np.array([1.0, 0.0, 0.0, 0.0]))  # product catalyst
+            catalysts = np.asarray(rows)
+            batch = conversion_probabilities(
+                (initial[None, :, None] * catalysts[:, None, :]).reshape(len(rows), -1),
+                (final[None, :, None] * catalysts[:, None, :]).reshape(len(rows), -1),
+            )
+            for row, expected in zip(rows, batch):
+                scalar = catalysis_probability(problem, make_schmidt(row))
+                assert scalar == pytest.approx(float(expected), abs=1e-12)
 
 
 class TestIntermediateState:
