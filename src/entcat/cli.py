@@ -44,6 +44,10 @@ def _open_out(path: str):
 # numbered groups (aux.1.alpha, aux.1.P, aux.1.T_s).  Unknown keys reject.
 # ---------------------------------------------------------------------------
 
+def _stock_capacity(value: str):
+    return value if value == "unlimited" else int(value)
+
+
 _SCALAR_KEYS = {
     "mode": str,
     "n_edges": int,
@@ -51,7 +55,7 @@ _SCALAR_KEYS = {
     "seed": int,
     "max_slots": int,
     "initial_stock": int,
-    "stock_capacity": str,  # integer or the word "unlimited"
+    "stock_capacity": _stock_capacity,  # integer or the word "unlimited"
     "L0_km": float,
     "cf_km_s": float,
     "P0": float,
@@ -64,6 +68,13 @@ _SCALAR_KEYS = {
 }
 
 _AUX_FIELD_KEYS = {"alpha": float, "P": float, "T_s": float}
+
+
+def _cast(cast, value: str, key: str, lineno: int):
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise InvalidInputError(f"config line {lineno}: bad value for {key}: {exc}") from exc
 
 
 def parse_config(text: str) -> dict:
@@ -83,16 +94,12 @@ def parse_config(text: str) -> dict:
             parts = key.split(".")
             if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in _AUX_FIELD_KEYS:
                 raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
-            index = int(parts[1])
-            cast = _AUX_FIELD_KEYS[parts[2]]
-            aux_groups.setdefault(index, {})[parts[2]] = cast(value)
+            group = aux_groups.setdefault(int(parts[1]), {})
+            group[parts[2]] = _cast(_AUX_FIELD_KEYS[parts[2]], value, key, lineno)
             continue
         if key not in _SCALAR_KEYS:
             raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _SCALAR_KEYS[key](value)
-        except ValueError as exc:
-            raise InvalidInputError(f"config line {lineno}: bad value for {key}: {exc}") from exc
+        values[key] = _cast(_SCALAR_KEYS[key], value, key, lineno)
     if aux_groups:
         paths = []
         for index in sorted(aux_groups):
@@ -113,8 +120,8 @@ def _sim_config_from(values: dict, args) -> simulate.SimConfig:
             merged[key] = flag
 
     capacity = merged.get("stock_capacity")
-    if isinstance(capacity, str):
-        capacity = None if capacity == "unlimited" else int(capacity)
+    if capacity == "unlimited":
+        capacity = None
 
     edge = None
     if "alpha" in merged:
@@ -202,8 +209,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     values: dict = {}
     if args.config is not None:
-        with open(args.config) as handle:
-            values = parse_config(handle.read())
+        try:
+            with open(args.config) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read config {args.config}: {exc.strerror}") from exc
+        values = parse_config(text)
     cfg = _sim_config_from(values, args)
     result = simulate.run_simulation(cfg)
     record = simulate.result_record(cfg, result)

@@ -17,7 +17,13 @@ from entcat.catalysis import (
     search_catalyst,
     target_spectrum,
 )
-from entcat.errors import CatalysisWindowError, InvalidInputError, ResourceLimitError
+from entcat import catalysis
+from entcat.errors import (
+    CatalysisWindowError,
+    InvalidInputError,
+    NumericFailureError,
+    ResourceLimitError,
+)
 from entcat.spectra import (
     can_convert_deterministically,
     conversion_probabilities,
@@ -27,6 +33,8 @@ from entcat.spectra import (
     tensor_product,
     two_qubit_state,
 )
+
+import oracles
 
 # Closed-form reference points, pinned from the formula and cross-checked by
 # the numeric search below.
@@ -223,6 +231,52 @@ class TestSearchCatalyst:
         with pytest.raises(InvalidInputError):
             search_catalyst(ConcentrationProblem(2, 0.8), 1)
 
+    def test_two_dim_within_1e9_of_closed_form(self):
+        # criterion 1's problems: n in (2, 3), alpha on 0.55..0.95
+        for n in (2, 3):
+            for alpha in [round(0.55 + 0.05 * i, 2) for i in range(9)]:
+                if not 2 <= n <= n_star(alpha) - 1:
+                    continue
+                problem = ConcentrationProblem(n, alpha)
+                closed = optimal_two_qubit_catalyst(problem).success_probability
+                found = search_catalyst(problem, 2).success_probability
+                assert abs(found - closed) <= 1e-9, (n, alpha, found - closed)
+
+    @pytest.mark.parametrize("n, alpha", [(2, 0.8), (3, 0.9)])
+    def test_larger_dimension_never_worse_and_exact(self, n, alpha):
+        # zero-padding embeds each dimension in the next, so the certified
+        # optimum cannot fall as d_c grows
+        problem = ConcentrationProblem(n, alpha)
+        initial = initial_spectrum(problem).coefficients
+        final = target_spectrum(n).coefficients
+        previous = 0.0
+        for d_c in range(2, 9):
+            found = search_catalyst(problem, d_c)
+            assert found.dimension == d_c
+            assert found.success_probability >= previous
+            previous = found.success_probability
+            c = found.spectrum.coefficients
+            exact = oracles.exact_conversion_probability(
+                np.outer(initial, c).ravel().tolist(), np.outer(final, c).ravel().tolist()
+            )
+            assert abs(float(exact) - found.success_probability) <= 1e-12
+
+    def test_spectrum_sorted_and_normalised(self):
+        for n, alpha, d_c in [(2, 0.8, 3), (3, 0.9, 4), (2, 0.95, 6)]:
+            c = search_catalyst(ConcentrationProblem(n, alpha), d_c).spectrum.coefficients
+            assert c.size == d_c
+            assert np.all(np.diff(c) <= 0.0)
+            assert np.all(c >= 0.0)
+            assert abs(c.sum() - 1.0) <= 1e-15
+
+    def test_cut_budget_exhausted_raises(self, monkeypatch):
+        # an uncertified point is never returned; the best one rides on the error
+        monkeypatch.setattr(catalysis, "_max_cuts", lambda free: 20)
+        with pytest.raises(NumericFailureError) as info:
+            search_catalyst(ConcentrationProblem(2, 0.8), 4)
+        assert info.value.best is not None
+        assert info.value.best.dimension == 4
+
     def test_batch_objective_matches_scalar_route(self):
         # the batched kernel on catalyst-tensored rows, built as the search
         # builds them, must agree with the public catalysis_probability path,
@@ -326,6 +380,21 @@ class TestSupplyAccounting:
         m = copies_for_catalyst(two_qubit_state(C0_2_08), 0.8)
         assert combined_supply_feasible([(0.8, m)], C0_2_08)
         assert not combined_supply_feasible([(0.8, m - 1)], C0_2_08)
+
+    def test_combined_supply_matches_copy_count(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            alpha = float(rng.uniform(0.51, 0.999))
+            c0 = float(rng.uniform(0.501, 0.999))
+            m = int(rng.integers(1, 60))
+            needed = copies_for_catalyst(two_qubit_state(c0), alpha)
+            assert combined_supply_feasible([(alpha, m)], c0) == (needed <= m)
+
+    def test_combined_supply_beyond_twenty_copies(self):
+        # the 2**40 product spectrum is never built
+        assert combined_supply_feasible([(0.8, 40)], 0.6)
+        assert not combined_supply_feasible([(0.99, 40)], 0.6)
+        assert combined_supply_feasible([(0.99, 30), (0.9, 10)], 0.6)
 
     def test_combined_supply_validation(self):
         with pytest.raises(InvalidInputError):

@@ -189,6 +189,29 @@ class TestSimulateCommand:
         assert record["seed"] == 99
         assert record["deliveries"] == 25
 
+    def test_bad_stock_capacity_is_an_input_error(self, capsys, tmp_path):
+        conf = tmp_path / "sim.conf"
+        conf.write_text("mode = detailed\nalpha = 0.8\nstock_capacity = lots\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: config line 3: bad value for stock_capacity")
+
+    def test_bad_aux_value_is_an_input_error(self, capsys, tmp_path):
+        conf = tmp_path / "sim.conf"
+        conf.write_text("aux_mode = finite\naux.1.alpha = high\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: config line 2: bad value for aux.1.alpha")
+
+    def test_missing_config_is_an_input_error(self, capsys, tmp_path):
+        missing = tmp_path / "absent.conf"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(missing), "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read config {missing}")
+
 
 class TestValidateZ:
     def test_reports_pass(self, capsys):
