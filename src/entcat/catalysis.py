@@ -286,24 +286,6 @@ def search_catalyst(problem: ConcentrationProblem, d_c: int) -> CatalystSpec:
 # ---------------------------------------------------------------------------
 
 
-def _lower_convex_minorant(values: np.ndarray) -> np.ndarray:
-    """Greatest convex minorant of ``values`` sampled at integer positions."""
-    n = values.size
-    hull = [0]
-    for k in range(1, n):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (values[j] - values[i]) * (k - j) <= (values[k] - values[j]) * (j - i):
-                break
-            hull.pop()
-        hull.append(k)
-    out = np.empty(n)
-    for a, b in zip(hull[:-1], hull[1:]):
-        ks = np.arange(a, b + 1)
-        out[a : b + 1] = values[a] + (values[b] - values[a]) * (ks - a) / (b - a)
-    return out
-
-
 def _spectrum_from_monotones(values: np.ndarray) -> SchmidtVector:
     coeffs = np.diff(np.concatenate([values, [0.0]])) * -1.0
     np.maximum(coeffs, 0.0, out=coeffs)
@@ -316,8 +298,7 @@ def intermediate_state(initial: SchmidtVector, final: SchmidtVector) -> SchmidtV
     The returned spectrum gamma satisfies the operational contract of the
     two-step protocol: ``initial`` reaches gamma with certainty, and the
     optimal probability of converting gamma into ``final`` equals that of the
-    direct conversion.  The construction is verified on every call; a convex
-    minorant over the feasible monotone box is used as a fallback, and a
+    direct conversion.  The construction is verified on every call, and a
     verification failure raises rather than returning an unverified state.
     """
     d = max(initial.dimension, final.dimension)
@@ -327,17 +308,13 @@ def intermediate_state(initial: SchmidtVector, final: SchmidtVector) -> SchmidtV
     e_f = monotones(final).values
 
     # Every monotone ratio is at least p, so the candidate monotone vector is
-    # the final state's scaled by p, with the first entry reset to 1.
-    candidate = np.concatenate([[1.0], p * e_f[1:]])
-    for values in (candidate, _lower_convex_minorant(candidate)):
-        try:
-            gamma = _spectrum_from_monotones(values)
-        except InvalidInputError:
-            continue
-        reachable = can_convert_deterministically(initial, gamma)
-        p_out = conversion_probability(gamma, final)
-        if reachable and abs(p_out - p) <= 1e-10:
-            return gamma
+    # the final state's scaled by p, with the first entry reset to 1.  With
+    # b_1 >= b_2 >= ... the final coefficients, its steps 1 - p + p*b_1,
+    # p*b_2, p*b_3, ... never grow, so it is already convex.
+    gamma = _spectrum_from_monotones(np.concatenate([[1.0], p * e_f[1:]]))
+    reachable = can_convert_deterministically(initial, gamma)
+    if reachable and abs(conversion_probability(gamma, final) - p) <= 1e-10:
+        return gamma
     raise NumericFailureError(
         f"intermediate state construction failed verification for p={p}"
     )

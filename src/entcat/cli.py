@@ -185,7 +185,10 @@ def _cmd_catalyst(args) -> int:
 def _cmd_sweep(args) -> int:
     alpha_grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     modes = [m.strip() for m in args.mode.split(",")]
-    dims = [int(d) for d in args.dim.split(",")]
+    try:
+        dims = [int(d) for d in args.dim.split(",")]
+    except ValueError as exc:
+        raise InvalidInputError(f"could not parse --dim {args.dim!r}: {exc}") from exc
     for mode in modes:
         if mode == network.FINITE_AUX:
             raise InvalidInputError(

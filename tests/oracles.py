@@ -1,13 +1,15 @@
 """Independent oracles used to derive and pin expected test values.
 
 These deliberately avoid the library's own code paths: exact rational
-arithmetic for the monotone-ratio minimum, a positive-term series for the
-waiting factor, and a Markov survival recursion for the slot-level chain
-model.
+arithmetic for the monotone-ratio minimum, a positive-term series and a
+high-precision inclusion-exclusion sum for the waiting factor, and a Markov
+survival recursion for the slot-level chain model.
 """
 
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -63,6 +65,24 @@ def waiting_factor_series(n_edges: int, p: float, tol: float = 1e-15) -> float:
         m += 1
         if term < tol:
             return total
+
+
+def waiting_factor_mp(n_edges: int, p: float) -> float:
+    """Expected maximum of N geometric waits by inclusion-exclusion in mpmath.
+
+    ``sum_j (-1)**(j+1) C(N, j) / (1 - q**j)``.  The alternating terms cancel
+    ~0.302 decimal digits per edge, so the sum runs at that many digits plus
+    60 of headroom and is exact to the last bit of the returned double.
+    """
+    with mpmath.workdps(int(n_edges * 0.302) + 60):
+        q = 1 - mpmath.mpf(p)
+        q_j = mpmath.mpf(1)
+        total = mpmath.mpf(0)
+        for j in range(1, n_edges + 1):
+            q_j *= q
+            term = mpmath.mpf(math.comb(n_edges, j)) / (1 - q_j)
+            total += term if j % 2 else -term
+        return float(total)
 
 
 def harmonic(n: int) -> float:

@@ -318,6 +318,21 @@ class TestIntermediateState:
         gamma = intermediate_state(initial, final)
         np.testing.assert_allclose(gamma.coefficients, final.coefficients, atol=1e-12)
 
+    def test_small_tail_pair(self):
+        # gamma's smallest monotone lands below TOL while the final one is above
+        wi = [0.5591280731635895, 0.3056071620846256, 0.10201800306520689,
+              0.02346291736134384, 0.007380237985615619, 0.001994747058818766,
+              0.00040638815311099777, 2.4711276887714395e-06]
+        wf = [0.45441797089070785, 0.27844866304732796, 0.10381830386311722,
+              0.0847900815405002, 0.07344519903228255, 0.0050797816233150855,
+              2.7492063201644512e-12, 0.0]
+        initial, final = make_schmidt(wi), make_schmidt(wf)
+        p = conversion_probability(initial, final)
+        assert p == pytest.approx(float(oracles.exact_conversion_probability(wi, wf)), abs=1e-12)
+        gamma = intermediate_state(initial, final)
+        assert can_convert_deterministically(initial, gamma)
+        assert abs(conversion_probability(gamma, final) - p) <= 1e-10
+
     def test_contract_on_random_problems(self):
         rng = np.random.default_rng(1234)
         for _ in range(300):

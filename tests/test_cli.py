@@ -100,6 +100,27 @@ class TestSweep:
         assert code == 1
         assert "finite" in err
 
+    def test_bad_dim_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--dim", "2,x", "--steps", "3")
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
+    def test_dims_two_three_four(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "3", "--dim", "2,3,4", "--steps", "60")
+        assert code == 0
+        lines = out.splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 180
+        p_cat = {}
+        for row in rows:
+            if row["window_flag"] == "ok":
+                p_cat.setdefault(row["alpha"], {})[int(row["catalyst_dim"])] = float(row["p_cat"])
+        assert p_cat
+        for by_dim in p_cat.values():
+            assert by_dim[2] <= by_dim[3] <= by_dim[4]
+
     def test_stdout_equals_file(self, capsys, tmp_path):
         out_file = tmp_path / "s.csv"
         args = ["sweep", "--steps", "8", "--alpha-min", "0.72", "--alpha-max", "0.9"]

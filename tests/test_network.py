@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entcat
 from entcat.catalysis import (
     ConcentrationProblem,
     copies_for_catalyst,
@@ -89,9 +94,13 @@ class TestEdgeParams:
         with pytest.raises(InvalidInputError):
             EdgeParams(alpha=0.4)
         with pytest.raises(InvalidInputError):
-            EdgeParams(alpha=0.8, catalyst_dim=3)
+            EdgeParams(alpha=0.8, catalyst_dim=1)
         with pytest.raises(InvalidInputError):
             EdgeParams(alpha=0.8, herald_probability=0.0)
+
+    def test_any_catalyst_dimension_from_two(self):
+        for dim in (2, 3, 4, 5):
+            assert EdgeParams(alpha=0.8, catalyst_dim=dim).catalyst_dim == dim
 
 
 class TestTimings:
@@ -179,6 +188,28 @@ class TestWaitingFactor:
     def test_matches_positive_series_oracle(self, n_edges, p):
         exact = oracles.waiting_factor_series(n_edges, p)
         assert waiting_factor(n_edges, p) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "n_edges,p",
+        [
+            (n_edges, p)
+            for n_edges in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 256, 1024)
+            for p in (1e-6, 1e-4, 1e-3, 0.0099, 0.01, 0.0101, 0.1, 0.5, 0.99, 1.0)
+        ]
+        + [(4096, 1e-6), (4096, 0.3)],
+    )
+    def test_matches_mpmath_oracle(self, n_edges, p):
+        exact = oracles.waiting_factor_mp(n_edges, p)
+        assert waiting_factor(n_edges, p) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_import_leaves_mpmath_unloaded(self):
+        code = "import sys, entcat; print('mpmath' in sys.modules)"
+        src = str(Path(entcat.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"
 
     def test_harmonic_small_p_limit(self):
         for n_edges in (2, 8, 32):

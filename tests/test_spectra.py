@@ -161,6 +161,14 @@ class TestConversionProbability:
     def test_rank_cannot_increase(self):
         assert conversion_probability(vec(0.5, 0.5), vec(0.4, 0.3, 0.3)) == 0.0
 
+    def test_small_positive_initial_monotone(self):
+        # the initial tail 3e-13 is below TOL but not zero; it must not force 0
+        wi, wf = [0.9, 0.1 - 3e-13, 3e-13], [0.5, 0.5 - 3e-12, 3e-12]
+        got = conversion_probability(make_schmidt(wi), make_schmidt(wf))
+        expected = float(oracles.exact_conversion_probability(wi, wf))
+        assert expected == pytest.approx(0.1)
+        assert got == pytest.approx(expected, abs=1e-12)
+
     @given(weight_lists, weight_lists)
     @settings(max_examples=300, deadline=None)
     def test_matches_exact_oracle(self, wi, wf):
