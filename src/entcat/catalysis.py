@@ -254,7 +254,7 @@ def search_catalyst(problem: ConcentrationProblem, d_c: int) -> CatalystSpec:
             order = np.argsort(joint)
             e_i = np.cumsum(joint[order])[zeros:]
             e_f = target @ c
-            ratios = np.divide(e_i, e_f, out=np.full(e_f.size, np.inf), where=e_f > TOL)
+            ratios = np.divide(e_i, e_f, out=np.full(e_f.size, np.inf), where=e_f > 0.0)
             k = int(np.argmin(ratios))
             p = float(ratios[k])
             if p > best_p:

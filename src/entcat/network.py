@@ -350,6 +350,10 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> RateReport
 # when :func:`rate_slotted` stops summing.
 _SLOTTED_TAIL_TOL = 1e-17
 _SLOTTED_MAX_SLOTS = 10_000_000
+# Slots :func:`rate_slotted` sums per step: the first block, and the size
+# the blocks double up to.
+_SLOTTED_FIRST_BLOCK = 16
+_SLOTTED_BLOCK = 4096
 
 
 def rate_slotted(edge: EdgeParams, n_edges: int) -> float:
@@ -379,19 +383,36 @@ def rate_slotted(edge: EdgeParams, n_edges: int) -> float:
     decay = q0 + p0 * fail ** (1.0 / n)
     tail_tol = _SLOTTED_TAIL_TOL * (1.0 - decay)
 
-    held = [1.0] + [0.0] * (n - 1)  # P(unfinished, k pairs held) at slot start
-    survival = 1.0
+    # One slot maps the row vector P(unfinished, k pairs held) through `step`.
+    step = np.diag(np.full(n, q0)) + np.diag(np.full(n - 1, p0), 1)
+    step[n - 1, 0] += p0 * fail
+    # Slots are summed in blocks of B: column r of `ahead` is step^r 1, so
+    # held @ ahead is S over the next B slots, and `jump` is step^B.  B
+    # starts small and doubles, so short sums stay short.
+    ahead = np.ones((n, 1))
+    jump = step
+    while ahead.shape[1] < _SLOTTED_FIRST_BLOCK:
+        ahead = np.hstack((ahead, jump @ ahead))
+        jump = jump @ jump
+    held = np.zeros(n)
+    held[0] = 1.0
     total = 0.0
-    for slot in range(_SLOTTED_MAX_SLOTS):
-        # P(slowest edge unfinished after `slot` slots), without cancellation.
-        term = 1.0 if survival >= 1.0 else -math.expm1(n_edges * math.log1p(-survival))
-        total += term
-        if slot >= n and term <= tail_tol * total:
-            return 1.0 / (total * edge.cycle_time_s)
-        held = [q0 * held[0] + p0 * fail * held[-1]] + [
-            q0 * held[k] + p0 * held[k - 1] for k in range(1, n)
-        ]
-        survival = math.fsum(held)
+    slot = 0
+    while slot < _SLOTTED_MAX_SLOTS:
+        survival = np.minimum(held @ ahead, 1.0)
+        # P(slowest edge unfinished after each slot), without cancellation.
+        with np.errstate(divide="ignore"):
+            terms = -np.expm1(n_edges * np.log1p(-survival))
+        running = np.cumsum(np.concatenate(([total], terms)))[1:]
+        stop = (np.arange(slot, slot + terms.size) >= n) & (terms <= tail_tol * running)
+        if stop.any():
+            return 1.0 / (running[np.argmax(stop)] * edge.cycle_time_s)
+        total = running[-1]
+        slot += terms.size
+        held = held @ jump
+        if terms.size < _SLOTTED_BLOCK:
+            ahead = np.hstack((ahead, jump @ ahead))
+            jump = jump @ jump
     raise NumericFailureError("slot-level survival sum failed to converge")
 
 

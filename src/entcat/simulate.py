@@ -3,14 +3,17 @@
 Two simulators: an abstract per-edge geometric-cycle model matching the
 analytic rate composition exactly, and a slot-level discrete-event model
 with catalyst stock, recycling on success, loss on failure, and
-auxiliary-path replenishment.  Trials are independently seeded so results
-are bit-identical however they are scheduled.
+auxiliary-path replenishment.  The slot-level model is computed per edge
+from block draws where the edges renew at every delivery (plentiful or no
+aux paths) and stepped slot by slot where they do not (finite aux paths).
+Trials are independently seeded so results are bit-identical however they
+are scheduled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -191,28 +194,172 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
     )
 
 
+# Load draws per call on one edge's stream, and deliveries settled per step;
+# both bound the working memory whatever ``max_slots`` is.
+_DRAW_BLOCK = 1 << 11
+_DELIVERY_BLOCK = 1 << 8
+
+
+class _EdgeRenewals:
+    """One edge's loads and catalysis attempts, read a block of draws at a time.
+
+    The edge draws one load value per loading slot and one attempt value per
+    completed load, and nothing while it waits ready, so the load draws at
+    which its catalysis attempts succeed depend on its own two streams only.
+    With ``rebuild_copies`` > 0 (no aux paths) a load needs n + n_cat
+    successes when the stock is empty, which is when the failures so far have
+    used up the initial stock and the last attempt failed; otherwise every
+    load needs n.  No edge uses more load values than there are slots, so
+    at most ``max_slots`` are drawn.
+    """
+
+    def __init__(self, cfg: SimConfig, trial: int, edge: int, p_cat, rebuild_copies):
+        self.load_rng = _trial_rng(cfg.seed, trial, edge, 0)
+        self.attempt_rng = _trial_rng(cfg.seed, trial, edge, 1)
+        self.limit = cfg.max_slots
+        self.n = cfg.edge.copies
+        self.p0 = cfg.edge.herald_probability
+        self.p_cat = p_cat
+        self.rebuild_copies = rebuild_copies
+        self.initial_stock = cfg.initial_stock
+        self.drawn = 0  # load draws taken
+        self.found = 0  # successes among them
+        self.total = 0  # successes needed through the last queued load
+        self.failures = 0
+        self.last_failed = True  # so that a first load from an empty stock rebuilds
+        # Loads queued from the attempt stream but not yet completed: the
+        # successes needed through each (cumulative), its attempt outcome, and
+        # whether it rebuilds the catalyst.
+        self.need = np.empty(0, np.int64)
+        self.won = np.empty(0, bool)
+        self.rebuilt = np.empty(0, bool)
+        # Completed loads not yet counted: the load draw that completes each
+        # (counted from 1), its attempt outcome, and whether it rebuilt.
+        self.done = (np.empty(0, np.int64), np.empty(0, bool), np.empty(0, bool))
+
+    def ready_draws(self, count: int) -> np.ndarray:
+        """Load draws of the next ``count`` successful attempts not yet counted.
+
+        Fewer come back when the edge reaches ``limit`` draws first.
+        """
+        blocks = [self.done]
+        have = np.count_nonzero(self.done[1])
+        while have < count and self.drawn < self.limit:
+            blocks.append(self._draw())
+            have += np.count_nonzero(blocks[-1][1])
+        at, won, _ = self.done = tuple(map(np.concatenate, zip(*blocks)))
+        return at[won][:count]
+
+    def settle(self, used: int, ctr: EdgeCounters) -> None:
+        """Count into ``ctr`` the loads completed within the first ``used`` load draws."""
+        at, won, rebuilt = self.done
+        k = int(np.searchsorted(at, used, side="right"))
+        successes = int(np.count_nonzero(won[:k]))
+        ctr.loads_completed += k
+        ctr.catalysis_attempts += k
+        ctr.catalysis_successes += successes
+        ctr.catalysis_failures += k - successes
+        ctr.catalysts_consumed += k - successes
+        ctr.catalysts_produced += int(np.count_nonzero(rebuilt[:k]))
+        self.done = at[k:], won[k:], rebuilt[k:]
+
+    def _draw(self):
+        """The loads completed in the next block of load draws."""
+        size = min(_DRAW_BLOCK, self.limit - self.drawn)
+        hits = np.flatnonzero(self.load_rng.random(size) < self.p0) + (self.drawn + 1)
+        self.drawn += size
+        found = self.found + hits.size
+        if found > self.total:
+            # Every load needs at least n successes, so this many cover the block.
+            self._queue((found - self.total) // self.n + 1)
+        k = int(np.searchsorted(self.need, found, side="right"))
+        block = hits[self.need[:k] - self.found - 1], self.won[:k], self.rebuilt[:k]
+        self.need, self.won, self.rebuilt = self.need[k:], self.won[k:], self.rebuilt[k:]
+        self.found = found
+        return block
+
+    def _queue(self, count: int) -> None:
+        """Queue the next ``count`` loads with their attempt outcomes."""
+        ok = self.attempt_rng.random(count) < self.p_cat
+        empty = np.zeros(count, bool)
+        if self.rebuild_copies:
+            failed = ~ok
+            before = self.failures + np.cumsum(failed) - failed
+            empty = (before >= self.initial_stock) & np.concatenate(([self.last_failed], failed[:-1]))
+            self.failures += int(failed.sum())
+            self.last_failed = bool(failed[-1])
+        needs = self.total + np.cumsum(self.n + self.rebuild_copies * empty)
+        self.total = int(needs[-1])
+        self.need = np.concatenate((self.need, needs))
+        self.won = np.concatenate((self.won, ok))
+        self.rebuilt = np.concatenate((self.rebuilt, empty))
+
+
+def _renewal_trial(cfg: SimConfig, trial: int, p_cat, rebuild_copies, counters, intervals):
+    """One replication of an aux-rich or ``none`` chain; returns the delivery count.
+
+    A ready edge draws nothing and every other edge draws one load value per
+    slot, so the k-th delivery finds edge e ready after the load draws of its
+    own k-th successful attempt, counted from the end of its (k-1)-th.  The
+    interval is the largest of these offsets over the edges.  Deliveries are
+    settled a block at a time until their running sum passes ``max_slots``;
+    in the cut-off delivery each edge has used ``min(offset, slots left)``
+    draws, and its counters cover exactly the draws it used.
+    """
+    limit = cfg.max_slots
+    edges = [_EdgeRenewals(cfg, trial, e, p_cat, rebuild_copies) for e in range(cfg.n_edges)]
+    used = np.zeros(cfg.n_edges, np.int64)  # load draws used by settled deliveries
+    slot = 0
+    deliveries = 0
+    while True:
+        # An edge that runs out of draws is never ready again: limit + 1
+        # lies beyond every slot that is left.
+        ends = np.full((cfg.n_edges, _DELIVERY_BLOCK), limit + 1, np.int64)
+        for e, renewals in enumerate(edges):
+            ready = renewals.ready_draws(_DELIVERY_BLOCK)
+            ends[e, : ready.size] = ready
+        offsets = np.diff(ends, axis=1, prepend=used[:, None])
+        gaps = offsets.max(axis=0)
+        elapsed = slot + np.cumsum(gaps)
+        settled = int(np.searchsorted(elapsed, limit, side="right"))
+        intervals.append(gaps[:settled] * cfg.edge.cycle_time_s)
+        deliveries += settled
+        cut = settled < _DELIVERY_BLOCK
+        if settled:
+            used = ends[:, settled - 1]
+            slot = int(elapsed[settled - 1])
+        if cut:
+            used = used + np.minimum(offsets[:, settled], limit - slot)
+        for renewals, ctr, draws in zip(edges, counters, used.tolist()):
+            renewals.settle(draws, ctr)
+            if cut:
+                ctr.primary_attempts += draws
+                ctr.loading_slots += draws
+        if cut:
+            return deliveries
+
+
 @dataclass
 class _EdgeState:
+    stock: int
+    aux_pairs: list
+    aux_ticks: list
     pairs: int = 0
     ready: bool = False
-    stock: Optional[int] = None
-    aux_pairs: list = field(default_factory=list)
-    aux_ticks: list = field(default_factory=list)
 
 
-def _detailed_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, rebuild_copies, counters, intervals):
-    """Run one time-slotted replication; returns the delivery count.
+def _finite_aux_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, counters, intervals):
+    """One slot-by-slot replication of a finite-aux chain; returns the delivery count.
 
-    ``rebuild_copies`` is the number of primary pairs an edge with an empty
-    stock turns into a catalyst, or 0 where catalysts come from elsewhere.
+    Aux paths tick on the wall clock, so an edge that is ready keeps adding
+    stock until the delivery slot; that couples the edges, and this regime is
+    stepped one slot at a time.
     """
     edge = cfg.edge
     t0 = edge.cycle_time_s
     p0 = edge.herald_probability
     n = edge.copies
-
-    infinite_stock = cfg.aux.mode == AUX_RICH
-    paths = cfg.aux.paths if cfg.aux.mode == FINITE_AUX else ()
+    paths = cfg.aux.paths
 
     load_rngs = []
     attempt_rngs = []
@@ -224,13 +371,13 @@ def _detailed_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, rebuild_co
         aux_rngs.append([_trial_rng(cfg.seed, trial, e, 2 + i) for i in range(len(paths))])
         states.append(
             _EdgeState(
-                stock=None if infinite_stock else cfg.initial_stock,
+                stock=cfg.initial_stock,
                 aux_pairs=[0] * len(paths),
                 aux_ticks=[0] * len(paths),
             )
         )
 
-    deliveries = 0
+    gaps = []
     last_delivery_slot = 0
     for slot in range(1, cfg.max_slots + 1):
         t = slot * t0
@@ -238,38 +385,28 @@ def _detailed_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, rebuild_co
         for e in range(cfg.n_edges):
             st = states[e]
             ctr = counters[e]
-            # An empty stock without aux paths means loading n_cat extra pairs.
-            if not st.ready and (
-                st.pairs < n or (st.stock == 0 and st.pairs < n + rebuild_copies)
-            ):
+            if not st.ready and st.pairs < n:
                 ctr.primary_attempts += 1
                 ctr.loading_slots += 1
                 if load_rngs[e].random() < p0:
                     st.pairs += 1
-                    if st.pairs == n + (rebuild_copies if st.stock == 0 else 0):
+                    if st.pairs == n:
                         ctr.loads_completed += 1
-                        if st.pairs > n:
-                            # The extra pairs become a new catalyst.
-                            st.pairs = n
-                            st.stock = 1
-                            ctr.catalysts_produced += 1
             # Auxiliary paths tick on their own period, applied at the first
             # slot boundary at or after each completion; a full stock pauses
             # the path rather than discarding finished catalysts.
             for i, path in enumerate(paths):
                 while (st.aux_ticks[i] + 1) * path.gen_time_s <= t * (1.0 + _TICK_EPS):
                     st.aux_ticks[i] += 1
-                    if st.stock is not None and cfg.stock_capacity is not None:
-                        if st.stock >= cfg.stock_capacity:
-                            continue
+                    if cfg.stock_capacity is not None and st.stock >= cfg.stock_capacity:
+                        continue
                     if aux_rngs[e][i].random() < path.gen_probability:
                         st.aux_pairs[i] += 1
                         if st.aux_pairs[i] == copies_needed[i]:
                             st.aux_pairs[i] = 0
                             ctr.catalysts_produced += 1
-                            if st.stock is not None:
-                                st.stock += 1
-            if not st.ready and st.pairs == n and (st.stock is None or st.stock >= 1):
+                            st.stock += 1
+            if not st.ready and st.pairs == n and st.stock >= 1:
                 ctr.catalysis_attempts += 1
                 if attempt_rngs[e].random() < p_cat:
                     st.ready = True
@@ -278,19 +415,18 @@ def _detailed_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, rebuild_co
                 else:
                     ctr.catalysis_failures += 1
                     ctr.catalysts_consumed += 1
-                    if st.stock is not None:
-                        st.stock -= 1
+                    st.stock -= 1
                     st.pairs = 0
             if not st.ready:
                 all_ready = False
         if all_ready:
-            deliveries += 1
-            intervals.append((slot - last_delivery_slot) * t0)
+            gaps.append((slot - last_delivery_slot) * t0)
             last_delivery_slot = slot
             for st in states:
                 st.pairs = 0
                 st.ready = False
-    return deliveries
+    intervals.append(np.array(gaps))
+    return len(gaps)
 
 
 def _trial_rng(seed: int, trial: int, edge: int, stream: int) -> np.random.Generator:
@@ -311,6 +447,14 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     cost :func:`entcat.network.t_edge_cycle` charges.  A delivery happens
     when every edge holds a Bell pair, after which all edges restart loading
     while stocks persist.
+
+    With plentiful aux paths or none, a ready edge draws nothing while it
+    waits, so the slots each edge needs per delivery depend on its own seed
+    streams alone: the chain is a renewal process, computed per edge from
+    block draws with no per-slot loop.  Finite aux paths tick on the wall
+    clock and keep adding stock to ready edges until the delivery, which
+    couples the edges, so that regime is stepped slot by slot.  Both give the
+    results of stepping every slot, draw for draw.
     """
     if cfg.mode != DETAILED_MODE:
         raise InvalidInputError("config mode must be detailed")
@@ -328,12 +472,13 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
         copies_needed = [copies_for_catalyst(catalyst.spectrum, p.alpha) for p in paths]
         rebuild_copies = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha) if rebuild else 0
     counters = [EdgeCounters() for _ in range(cfg.n_edges)]
-    intervals: list[float] = []
+    intervals: list[np.ndarray] = []
     deliveries = 0
     for trial in range(cfg.trials):
-        deliveries += _detailed_trial(
-            cfg, trial, p_cat, copies_needed, rebuild_copies, counters, intervals
-        )
+        if paths:
+            deliveries += _finite_aux_trial(cfg, trial, p_cat, copies_needed, counters, intervals)
+        else:
+            deliveries += _renewal_trial(cfg, trial, p_cat, rebuild_copies, counters, intervals)
 
     total_time = cfg.trials * cfg.max_slots * cfg.edge.cycle_time_s
     if deliveries == 0:
@@ -346,7 +491,8 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
             timed_out=True,
             counters=tuple(counters),
         )
-    arr = np.asarray(intervals)
+    arr = np.concatenate(intervals)
+    del intervals  # hold the interval record once, not twice, while std runs
     mean = float(arr.mean())
     std_error = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return SimResult(

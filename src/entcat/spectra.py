@@ -139,18 +139,18 @@ def conversion_probabilities(initial: np.ndarray, final: np.ndarray) -> np.ndarr
     tails; the last entry, the whole mass, is set to exactly 1.  The minimum
     over monotones does not depend on their order, so nothing is reversed.
 
-    An index where the final monotone is at or below ``TOL`` is never binding
-    and is skipped.  An initial monotone that is exactly zero (a tail of zero
-    coefficients sums to exactly 0.0) against a final one above ``TOL``
-    forces the probability to zero; a small positive initial monotone enters
-    its ratio like any other.
+    Zero tails sum to exactly 0.0.  An index where the final monotone is
+    exactly zero is never binding and is skipped; an initial monotone that is
+    exactly zero against a positive final one forces the probability to zero.
+    Every other ratio enters the minimum, however small its monotones: a
+    final tail below ``TOL`` still binds when the initial tail is smaller.
     """
     e_i = np.cumsum(np.sort(initial, axis=1), axis=1)
     e_f = np.cumsum(np.sort(final, axis=1), axis=1)
     e_i[:, -1] = 1.0
     e_f[:, -1] = 1.0
     num_zero = e_i <= 0.0
-    den_zero = e_f <= TOL
+    den_zero = e_f <= 0.0
     valid = ~num_zero & ~den_zero
     p = np.min(np.where(valid, e_i / np.where(den_zero, 1.0, e_f), np.inf), axis=1)
     # The whole-mass ratio is identically 1, so p <= 1 up to rounding.  Snap

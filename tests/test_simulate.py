@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -196,6 +197,67 @@ class TestDetailed:
     def test_dispatch(self):
         cfg = abstract_config(trials=100)
         assert run_simulation(cfg) == simulate_abstract(cfg)
+
+
+REGIMES = {
+    "aux_rich": AuxConfig(AUX_RICH),
+    "none": AuxConfig(NO_AUX),
+    "finite": AuxConfig(FINITE_AUX, (AuxPath(0.8, 0.05, 2.5e-4), AuxPath(0.75, 0.3, 1e-3))),
+}
+
+
+def record_bytes(simulate, cfg):
+    return json.dumps(result_record(cfg, simulate(cfg)))
+
+
+class TestMatchesSlotStepper:
+    """The detailed simulator against the slot-by-slot reference, byte for byte."""
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("n_edges", [1, 4, 32])
+    @pytest.mark.parametrize("copies", [2, 3])
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("initial_stock", [0, 2])
+    @pytest.mark.parametrize("p_cat_override", [None, 0.3])
+    def test_record_bytes(self, regime, n_edges, copies, trials, initial_stock, p_cat_override):
+        edge = EdgeParams(alpha=0.8, copies=copies, length_km=25.0, fiber_speed_km_s=2.0e5,
+                          herald_probability=0.5)
+        # One slot times out; the others cut the last delivery short.
+        for max_slots in (1, 7, 150):
+            cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=edge, aux=REGIMES[regime],
+                            initial_stock=initial_stock, stock_capacity=3, max_slots=max_slots,
+                            trials=trials, seed=1000 * n_edges + max_slots,
+                            p_cat_override=p_cat_override)
+            new = record_bytes(simulate_detailed, cfg)
+            assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
+            assert json.loads(new)["timed_out"] or max_slots > 1
+
+    @pytest.mark.parametrize("regime", ["aux_rich", "none"])
+    def test_long_runs_cross_every_block(self, regime):
+        # Thousands of deliveries and tens of thousands of load draws per edge.
+        for n_edges, initial_stock in ((1, 0), (5, 3)):
+            cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=EDGE, aux=REGIMES[regime],
+                            initial_stock=initial_stock, max_slots=20_000, trials=2, seed=17)
+            new = record_bytes(simulate_detailed, cfg)
+            assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
+            assert json.loads(new)["deliveries"] > 2000
+
+    def test_working_memory_does_not_grow_with_slots(self):
+        # Ten million slots at N = 1 draw ten million load values; held at
+        # once they would take 80 MB.  Only the interval record, 8 bytes per
+        # delivery from which the mean and its error are computed, may grow.
+        sparse = EdgeParams(alpha=0.8, copies=2, length_km=25.0, fiber_speed_km_s=2.0e5,
+                            herald_probability=0.01)
+        for edge, max_slots in ((sparse, 10**7), (EDGE, 10**6)):
+            cfg = SimConfig(n_edges=1, mode="detailed", edge=edge, max_slots=max_slots, seed=4)
+            tracemalloc.start()
+            try:
+                res = simulate_detailed(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.deliveries > 0
+            assert peak <= 4 * 2**20 + 16 * res.deliveries
 
 
 class TestValidateWaitingFactor:

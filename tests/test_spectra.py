@@ -169,6 +169,23 @@ class TestConversionProbability:
         assert expected == pytest.approx(0.1)
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_small_final_monotone_binds(self):
+        # both tails are below TOL, the initial one smaller: their ratio binds
+        wi, wf = [0.6, 0.4 - 1e-13, 1e-13], [0.6, 0.4 - 5e-13, 5e-13]
+        got = conversion_probability(make_schmidt(wi), make_schmidt(wf))
+        expected = float(oracles.exact_conversion_probability(wi, wf))
+        assert expected == pytest.approx(0.2)
+        assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_small_tails_match_exact_oracle(self):
+        # dimensions 2-8, weights log-uniform down to 1e-13
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            wi, wf = (list(10.0 ** rng.uniform(-13, 0, rng.integers(2, 9))) for _ in range(2))
+            got = conversion_probability(make_schmidt(wi), make_schmidt(wf))
+            expected = float(oracles.exact_conversion_probability(wi, wf))
+            assert got == pytest.approx(expected, abs=1e-12), (wi, wf)
+
     @given(weight_lists, weight_lists)
     @settings(max_examples=300, deadline=None)
     def test_matches_exact_oracle(self, wi, wf):
