@@ -12,12 +12,14 @@ from .catalysis import (
     combined_supply_feasible,
     copies_for_catalyst,
     efficiency_ratio,
+    in_catalysis_window,
     initial_spectrum,
     intermediate_state,
     locc_probability,
     n_star,
     optimal_two_qubit_catalyst,
     search_catalyst,
+    search_catalysts,
     target_spectrum,
 )
 from .errors import (

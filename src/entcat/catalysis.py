@@ -32,8 +32,9 @@ from .spectra import (
     tensor_product,
 )
 
-# Cap on the dimension of any constructed spectrum.  Keeps memory bounded
-# while covering every case of interest (n <= ~20 copies, catalyst dim <= 4).
+# Cap on the dimension of any constructed spectrum, 2**n times the catalyst
+# dimension for a catalysed problem.  Keeps memory bounded while covering
+# every case of interest (n <= ~20 copies with a small catalyst).
 DIM_CAP = 2**20
 
 
@@ -119,9 +120,14 @@ def n_star(alpha: float) -> int:
     return m
 
 
+def in_catalysis_window(problem: ConcentrationProblem) -> bool:
+    """Whether a catalyst can help: ``2 <= n <= n_star(alpha) - 1``."""
+    return 2 <= problem.n <= n_star(problem.alpha) - 1
+
+
 def _require_window(problem: ConcentrationProblem) -> None:
-    top = n_star(problem.alpha) - 1
-    if not 2 <= problem.n <= top:
+    if not in_catalysis_window(problem):
+        top = n_star(problem.alpha) - 1
         raise CatalysisWindowError(
             f"catalysis unnecessary or unsupported for n={problem.n}: "
             f"the catalysis window at alpha={problem.alpha} is [2, {top}]"
@@ -182,7 +188,11 @@ def efficiency_ratio(problem: ConcentrationProblem, catalyst: SchmidtVector) -> 
 # catalyst at least as good as the centre it was taken at, so once the
 # ellipsoid's trace falls to _CERTIFIED_TRACE, every catalyst better than
 # the best evaluated centre lies within sqrt(_CERTIFIED_TRACE) = 1e-10 of the
-# ellipsoid's centre.
+# ellipsoid's centre.  At an optimum where one monotone binds on a whole
+# face (p then depends on fewer coordinates than the catalyst has), the
+# ellipsoid can instead go flat along the cut before its trace is small;
+# all it holds then lies on the cut's hyperplane, where no catalyst beats
+# the centre, and that certifies the best centre as well.
 # ---------------------------------------------------------------------------
 
 _CERTIFIED_TRACE = 1e-20
@@ -197,88 +207,176 @@ def _max_cuts(free: int) -> int:
     return 400 * free * (free + 1)
 
 
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, strictly left to right.
+
+    Each row's sum then rounds the same way whatever other rows the array
+    holds; a pairwise or BLAS reduction across a batch may not.
+    """
+    total = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        total = total + terms[..., i]
+    return total
+
+
+def _without(done: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """The rows of each array not flagged in ``done``."""
+    return tuple(a[~done] for a in arrays)
+
+
 def search_catalyst(problem: ConcentrationProblem, d_c: int) -> CatalystSpec:
     """Certified optimal catalyst spectrum of dimension ``d_c``.
 
-    Central-cut ellipsoid method on the ordered catalyst simplex.  A centre
-    outside the simplex is cut on the ordering row it breaks.  Otherwise the
-    probability p(c) is evaluated, and the cut is the supergradient of
-    N_k - p(c) L_k at the binding monotone k, which keeps every catalyst at
-    least as good.  Returns the best evaluated centre once the ellipsoid's
-    trace is at most 1e-20; raises :class:`NumericFailureError` if the cut
-    budget runs out first, so an uncertified point never returns.
+    The one-problem case of :func:`search_catalysts`, with the same result
+    bit for bit as that problem gets in any batch.
     """
+    return search_catalysts([problem], d_c)[0]
+
+
+def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
+    """Certified optimal catalyst spectra of dimension ``d_c``, one per problem.
+
+    Central-cut ellipsoid method on the ordered catalyst simplex, run for
+    every problem in lockstep.  A centre outside the simplex is cut on the
+    ordering row it breaks.  Otherwise the probability p(c) is evaluated,
+    and the cut is the supergradient of N_k - p(c) L_k at the binding
+    monotone k, which keeps every catalyst at least as good.  A problem
+    drops out, returning its best evaluated centre, once its ellipsoid's
+    trace is at most 1e-20, or once the ellipsoid is flat along a cut (the
+    cut's width rounds to zero), so that nothing left in it beats that
+    centre.  If the cut budget runs out first, :class:`NumericFailureError`
+    is raised, so an uncertified point never returns.
+
+    The problems must share one copy count.  Every operation acts on each
+    problem's row alone, and sums over the free coordinates run left to
+    right (no matrix product across the batch), so a problem's result is
+    bit for bit the same whatever else is in the batch.
+    """
+    problems = list(problems)
     if d_c < 2:
         raise InvalidInputError(f"catalyst dimension must be at least 2, got {d_c}")
-    _require_window(problem)
-    if 2**problem.n * d_c > DIM_CAP:
+    if not problems:
+        return []
+    n = problems[0].n
+    if any(problem.n != n for problem in problems):
+        raise InvalidInputError("the problems of one catalyst search must share the copy count")
+    for problem in problems:
+        _require_window(problem)
+    if 2**n * d_c > DIM_CAP:
         raise ResourceLimitError("combined dimension exceeds the cap")
 
-    psi = initial_spectrum(problem).coefficients
+    psi = np.array([initial_spectrum(problem).coefficients for problem in problems])
+    size = psi.shape[1] * d_c
     free = d_c - 1
-    # c = e1 + T x; the ordered simplex is D c >= 0, that is A x <= b.
+    # c = e1 + T x; the ordered simplex is D c >= 0, that is A x <= b, and
+    # a centre breaking row j of it is cut along A[j].
     to_c = np.vstack([-np.ones(free), np.eye(free)])
     diffs = np.eye(d_c) - np.eye(d_c, k=1)
-    rows, bounds = -diffs @ to_c, diffs[:, 0]
+    rows = -diffs @ to_c
     # Target monotones on the ordered simplex from the first nonzero one on:
     # L_(zeros + k)(c) = target[k] @ c.
-    zeros = psi.size * d_c - 2 * d_c
+    zeros = size - 2 * d_c
     target = np.zeros((2 * d_c, d_c))
     target[np.arange(2 * d_c), np.repeat(np.arange(d_c)[::-1], 2)] = 0.5
     target = np.cumsum(target, axis=0)
-    weight = np.repeat(psi, d_c)  # psi entry behind each entry of psi x c
-    column = np.tile(np.arange(d_c), psi.size)  # catalyst entry behind it
+    weight = np.repeat(psi, d_c, axis=1)  # psi entry behind each entry of psi x c
+    column = np.tile(np.arange(d_c), psi.shape[1])  # catalyst entry behind it
+    rank = np.arange(size)
 
     # Start from the ellipsoid through the corners of the box 0 <= c_i <= 1/i,
     # i = 2..d, which holds the ordered simplex.
     half = 0.5 / np.arange(2, d_c + 1)
-    x = half.copy()
-    factor = np.diag(math.sqrt(free) * half)  # P = factor @ factor.T
+    x = np.tile(half, (len(problems), 1))
+    factor = np.tile(np.diag(math.sqrt(free) * half), (len(problems), 1, 1))  # P = F F^T
     # Central-cut update of the factor: the cut direction shrinks by
     # free/(free+1), the others grow by `spread` (no others at free == 1).
     spread = free / math.sqrt(free * free - 1) if free > 1 else 1.0
     along = free / (free + 1) - spread
     # Until a centre inside the simplex is evaluated, every cut keeps the
     # whole simplex, so the trace cannot reach the certificate with no best.
-    best, best_p = None, -1.0
+    best = np.zeros((len(problems), d_c))
+    best_p = np.full(len(problems), -1.0)
+    certified = best.copy()
+    # Row r of the per-problem arrays belongs to problem active[r]; once a
+    # problem is certified, its best centre moves to `certified` and its
+    # rows are dropped.
+    active = np.arange(len(problems))
     for _ in range(_max_cuts(free)):
-        if np.sum(factor * factor) <= _CERTIFIED_TRACE:
-            break
-        slack = rows @ x - bounds
-        j = int(np.argmax(slack))
-        if slack[j] > 0.0:
-            cut = rows[j]
-        else:
-            c = np.concatenate([[1.0 - x.sum()], x])
-            joint = np.outer(psi, c).ravel()
-            order = np.argsort(joint)
-            e_i = np.cumsum(joint[order])[zeros:]
-            e_f = target @ c
-            ratios = np.divide(e_i, e_f, out=np.full(e_f.size, np.inf), where=e_f > 0.0)
-            k = int(np.argmin(ratios))
-            p = float(ratios[k])
-            if p > best_p:
-                best, best_p = c, p
-            smallest = order[: zeros + k + 1]
-            grad = np.bincount(column[smallest], weight[smallest], d_c) - p * target[k]
-            cut = -(grad @ to_c)
-        u = factor.T @ cut
-        u /= math.sqrt(u @ u)
-        step = factor @ u
+        done = _ordered_sum(_ordered_sum(factor * factor)) <= _CERTIFIED_TRACE
+        if done.any():
+            certified[active[done]] = best[done]
+            active, x, factor, psi, weight, best, best_p = _without(
+                done, active, x, factor, psi, weight, best, best_p
+            )
+            if active.size == 0:
+                break
+        rows_now = np.arange(active.size)
+        c = np.concatenate([1.0 - _ordered_sum(x)[:, None], x], axis=1)
+        # Slack of each ordering row, A x - b.
+        slack = np.concatenate([c[:, 1:] - c[:, :-1], -c[:, -1:]], axis=1)
+        j = np.argmax(slack, axis=1)
+        inside = slack[rows_now, j] <= 0.0
+        # p(c) at every centre; only those inside the simplex use it.  A
+        # centre outside still has e_f > 0 at the last monotone, which is 1.
+        joint = (psi[:, :, None] * c[:, None, :]).reshape(active.size, size)
+        order = np.argsort(joint, axis=1)
+        pick = order + size * rows_now[:, None]
+        e_i = np.cumsum(joint.ravel()[pick], axis=1)[:, zeros:]
+        e_f = 0.5 * np.cumsum(np.repeat(c[:, ::-1], 2, axis=1), axis=1)  # target @ c
+        ratios = np.divide(e_i, e_f, out=np.full(e_f.shape, np.inf), where=e_f > 0.0)
+        k = np.argmin(ratios, axis=1)
+        p = ratios[rows_now, k]
+        better = inside & (p > best_p)
+        best[better] = c[better]
+        best_p[better] = p[better]
+        # Supergradient of N_k: the psi weights of the zeros + k + 1
+        # smallest entries, summed per catalyst entry in rank order.
+        smallest = rank <= zeros + k[:, None]
+        gains = np.bincount(
+            (column[order] + d_c * rows_now[:, None])[smallest],
+            weight.ravel()[pick][smallest],
+            active.size * d_c,
+        ).reshape(active.size, d_c)
+        grad = gains - p[:, None] * target[k]
+        # -(grad @ to_c) inside the simplex, the broken row outside.
+        cut = np.where(inside[:, None], grad[:, :1] - grad[:, 1:], rows[j])
+        u = _ordered_sum(np.swapaxes(factor, 1, 2) * cut[:, None, :])  # F^T cut
+        width = _ordered_sum(u * u)  # cut' P cut
+        flat = width == 0.0
+        if flat.any():
+            # The ellipsoid lies in the cut's hyperplane through its centre.
+            # For a broken row, no point of it is in the simplex; for a
+            # supergradient, concavity of the binding monotone bounds p by
+            # the centre's on that hyperplane.  Either way nothing in it
+            # beats the best centre, which certifies that centre too.
+            certified[active[flat]] = best[flat]
+            active, x, factor, psi, weight, best, best_p, u, width = _without(
+                flat, active, x, factor, psi, weight, best, best_p, u, width
+            )
+            if active.size == 0:
+                break
+        u /= np.sqrt(width)[:, None]
+        step = _ordered_sum(factor * u[:, None, :])  # F u
         x = x - step / (free + 1)
-        factor = spread * factor + along * np.outer(step, u)
+        factor = spread * factor + along * (step[:, :, None] * u[:, None, :])
     else:
         raise NumericFailureError(
-            f"catalyst search did not certify within {_max_cuts(free)} cuts",
-            best=None if best is None else make_schmidt(best),
+            f"catalyst search for n={n}, alpha={problems[active[0]].alpha} did not "
+            f"certify within {_max_cuts(free)} cuts",
+            best=make_schmidt(best[0]) if best_p[0] >= 0.0 else None,
         )
 
-    spectrum = make_schmidt(best)
-    return CatalystSpec(
-        spectrum=spectrum,
-        dimension=d_c,
-        success_probability=catalysis_probability(problem, spectrum),
-    )
+    found = []
+    for problem, c in zip(problems, certified):
+        spectrum = make_schmidt(c)
+        found.append(
+            CatalystSpec(
+                spectrum=spectrum,
+                dimension=d_c,
+                success_probability=catalysis_probability(problem, spectrum),
+            )
+        )
+    return found
 
 
 # ---------------------------------------------------------------------------

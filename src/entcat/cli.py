@@ -183,6 +183,8 @@ def _cmd_catalyst(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise InvalidInputError(f"--steps must be a positive integer, got {args.steps}")
     alpha_grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     modes = [m.strip() for m in args.mode.split(",")]
     try:

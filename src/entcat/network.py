@@ -20,11 +20,13 @@ from .catalysis import (
     CatalystSpec,
     ConcentrationProblem,
     copies_for_catalyst,
+    in_catalysis_window,
     locc_probability,
     optimal_two_qubit_catalyst,
     search_catalyst,
+    search_catalysts,
 )
-from .errors import CatalysisWindowError, InvalidInputError, NumericFailureError
+from .errors import InvalidInputError, NumericFailureError
 from .spectra import SchmidtVector
 
 AUX_RICH = "aux_rich"
@@ -305,9 +307,11 @@ def _locc_side(edge: EdgeParams, n_edges: int) -> tuple:
     return p_locc, z_locc, 1.0 / (t_pri * z_locc)
 
 
-def _catalyst_side(edge: EdgeParams, n_edges: int) -> tuple:
-    """``(catalyst spectrum, p_cat, z_cat, n_cat)``, the same for every aux mode."""
-    catalyst = edge_catalyst(edge)
+def _catalyst_side(edge: EdgeParams, n_edges: int, catalyst: CatalystSpec) -> tuple:
+    """``(catalyst spectrum, p_cat, z_cat, n_cat)`` of the edge's optimal catalyst.
+
+    The same for every aux mode.
+    """
     p_cat = catalyst.success_probability
     n_cat = copies_for_catalyst(catalyst.spectrum, edge.alpha)
     return catalyst.spectrum, p_cat, waiting_factor(n_edges, p_cat), n_cat
@@ -342,7 +346,7 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> RateReport
     """
     if n_edges < 1:
         raise InvalidInputError(f"edge count must be positive, got {n_edges}")
-    catalytic = _catalyst_side(edge, n_edges)
+    catalytic = _catalyst_side(edge, n_edges, edge_catalyst(edge))
     return _rate_report(edge, aux, _locc_side(edge, n_edges), catalytic)
 
 
@@ -468,6 +472,11 @@ def sweep_rates(
     Each quantity is computed once, by the code :func:`rate_catalytic` uses:
     the plain-LOCC side once per alpha, the catalyst and its waiting factor
     once per (dimension, alpha), and only the edge-cycle time once per mode.
+    Above dimension 2, the catalysts of one dimension come from a single
+    lockstep :func:`~entcat.catalysis.search_catalysts` batch over the
+    in-window alphas.  That search treats each problem on its own rows,
+    with no reduction across the batch, so every row is bit for bit what
+    :func:`rate_catalytic` gives for that point alone.
     """
     auxes = [AuxConfig(mode, tuple(aux_paths) if mode == FINITE_AUX else ()) for mode in modes]
     edges = [
@@ -481,22 +490,26 @@ def sweep_rates(
         for alpha in sorted(alpha_grid)
     ]
     locc = [_locc_side(edge, n_edges) for edge in edges]
-    # (edge at this dimension, catalyst side), or None out of window.
+    problems = [ConcentrationProblem(copies, edge.alpha) for edge in edges]
+    inside = [i for i, problem in enumerate(problems) if in_catalysis_window(problem)]
+    batch = [problems[i] for i in inside]
+    # (edge at this dimension, catalyst side); absent out of window.
     catalytic = {}
     for dim in catalyst_dims:
-        for i, edge in enumerate(edges):
-            edge_d = replace(edge, catalyst_dim=dim)
-            try:
-                catalytic[dim, i] = (edge_d, _catalyst_side(edge_d, n_edges))
-            except CatalysisWindowError:
-                catalytic[dim, i] = None
+        edges_d = [replace(edge, catalyst_dim=dim) for edge in edges]
+        if dim == 2:
+            found = [optimal_two_qubit_catalyst(problem) for problem in batch]
+        else:
+            found = search_catalysts(batch, dim)
+        for i, catalyst in zip(inside, found):
+            catalytic[dim, i] = (edges_d[i], _catalyst_side(edges_d[i], n_edges, catalyst))
 
     rows = []
     for aux in auxes:
         for dim in catalyst_dims:
             for i, edge in enumerate(edges):
                 point = dict(alpha=edge.alpha, mode=aux.mode, catalyst_dim=dim)
-                if catalytic[dim, i] is None:
+                if (dim, i) not in catalytic:
                     p_locc, z_locc, rate_locc = locc[i]
                     rows.append(
                         SweepRow(**point, p_locc=p_locc, z_locc=z_locc,

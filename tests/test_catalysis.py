@@ -15,6 +15,7 @@ from entcat.catalysis import (
     n_star,
     optimal_two_qubit_catalyst,
     search_catalyst,
+    search_catalysts,
     target_spectrum,
 )
 from entcat import catalysis
@@ -299,6 +300,82 @@ class TestSearchCatalyst:
             for row, expected in zip(rows, batch):
                 scalar = catalysis_probability(problem, make_schmidt(row))
                 assert scalar == pytest.approx(float(expected), abs=1e-12)
+
+
+def _sweep_dim4_problems():
+    # the in-window alphas of `entcat sweep --n 3 --steps 200` over the
+    # default grid the benchmark's sweep-dim4 workload uses
+    grid = np.linspace(0.55, 1.0 - 1e-6, 200)
+    problems = [ConcentrationProblem(3, float(a)) for a in grid]
+    return [p for p in problems if 3 <= n_star(p.alpha) - 1]
+
+
+def _assert_same_as_one_at_a_time(problems, d_c):
+    batch = search_catalysts(problems, d_c)
+    assert len(batch) == len(problems)
+    for problem, found in zip(problems, batch):
+        alone = search_catalyst(problem, d_c)
+        assert np.array_equal(found.spectrum.coefficients, alone.spectrum.coefficients)
+        assert found.success_probability == alone.success_probability
+    return batch
+
+
+class TestSearchCatalysts:
+    def test_batch_is_bit_for_bit_one_at_a_time(self):
+        problems = _sweep_dim4_problems()
+        assert len(problems) == 92
+        batch = _assert_same_as_one_at_a_time(problems, 4)
+        final = target_spectrum(3).coefficients
+        for problem, found in zip(problems, batch):
+            c = found.spectrum.coefficients
+            initial = initial_spectrum(problem).coefficients
+            exact = oracles.exact_conversion_probability(
+                np.outer(initial, c).ravel().tolist(), np.outer(final, c).ravel().tolist()
+            )
+            assert abs(float(exact) - found.success_probability) <= 1e-12
+            closed = optimal_two_qubit_catalyst(problem).success_probability
+            assert found.success_probability >= closed
+
+    def test_shuffled_batch_gives_the_same_rows(self):
+        problems = _sweep_dim4_problems()
+        batch = search_catalysts(problems, 4)
+        perm = np.random.default_rng(9).permutation(len(problems))
+        shuffled = search_catalysts([problems[i] for i in perm], 4)
+        for i, found in zip(perm, shuffled):
+            assert np.array_equal(found.spectrum.coefficients, batch[i].spectrum.coefficients)
+            assert found.success_probability == batch[i].success_probability
+
+    @pytest.mark.parametrize("d_c, stride", [(3, 7), (6, 13)])
+    def test_subsets_at_other_dimensions(self, d_c, stride):
+        problems = _sweep_dim4_problems()[::stride]
+        assert len(problems) >= 7
+        _assert_same_as_one_at_a_time(problems, d_c)
+
+    def test_empty_batch(self):
+        assert search_catalysts([], 4) == []
+
+    def test_cut_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(catalysis, "_max_cuts", lambda free: 20)
+        problems = _sweep_dim4_problems()[::10]
+        with pytest.raises(NumericFailureError) as info:
+            search_catalysts(problems, 4)
+        assert info.value.best is not None
+        assert info.value.best.dimension == 4
+
+    def test_out_of_window_problem(self):
+        # n = 3 is in the window at alpha = 0.9 but not at 0.7
+        problems = [ConcentrationProblem(3, 0.9), ConcentrationProblem(3, 0.7)]
+        with pytest.raises(CatalysisWindowError):
+            search_catalysts(problems, 4)
+
+    def test_mixed_copy_counts(self):
+        problems = [ConcentrationProblem(2, 0.9), ConcentrationProblem(3, 0.9)]
+        with pytest.raises(InvalidInputError):
+            search_catalysts(problems, 4)
+
+    def test_rejects_bad_dimension(self):
+        with pytest.raises(InvalidInputError):
+            search_catalysts([ConcentrationProblem(2, 0.8)], 1)
 
 
 class TestIntermediateState:

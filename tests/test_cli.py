@@ -106,6 +106,14 @@ class TestSweep:
         assert err.startswith("error: ")
         assert out == ""
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one_is_an_input_error(self, capsys, steps):
+        code, out, err = run_cli(capsys, "sweep", "--steps", steps)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "--steps" in err
+        assert out == ""
+
     def test_dims_two_three_four(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "3", "--dim", "2,3,4", "--steps", "60")
         assert code == 0
