@@ -104,6 +104,8 @@ class AuxConfig:
         object.__setattr__(self, "paths", tuple(self.paths))
         if self.mode == FINITE_AUX and not self.paths:
             raise InvalidInputError("finite aux mode requires at least one path")
+        if self.mode != FINITE_AUX and self.paths:
+            raise InvalidInputError(f"aux mode {self.mode} takes no paths; use finite for explicit paths")
 
 
 @dataclass(frozen=True)

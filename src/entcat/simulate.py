@@ -4,8 +4,9 @@ Two simulators: an abstract per-edge geometric-cycle model matching the
 analytic rate composition exactly, and a slot-level discrete-event model
 with catalyst stock, recycling on success, loss on failure, and
 auxiliary-path replenishment.  The slot-level model is computed per edge
-from block draws where the edges renew at every delivery (plentiful or no
-aux paths) and stepped slot by slot where they do not (finite aux paths).
+from block draws: where the edges renew at every delivery (plentiful or no
+aux paths) a block of deliveries at a time, and where they do not (finite
+aux paths) one delivery at a time, each edge jumping from event to event.
 Trials are independently seeded so results are bit-identical however they
 are scheduled.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -22,7 +24,6 @@ from .catalysis import copies_for_catalyst
 from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
-    FINITE_AUX,
     NO_AUX,
     AuxConfig,
     EdgeParams,
@@ -37,7 +38,9 @@ DETAILED_MODE = "detailed"
 # Fixed batch size for the abstract simulator; each batch draws from its own
 # seed stream, so results do not depend on how batches are scheduled.
 _BATCH_TRIALS = 8192
-_TICK_EPS = 1e-9
+# Aux ticks are applied at the first slot boundary within this relative
+# tolerance of their completion time.
+_TICK_SCALE = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,8 @@ class SimConfig:
     ``stock_capacity=None`` means unlimited.  ``p_cat_override`` and
     ``cycle_time_override_s`` bypass the analytic pipeline, which is useful
     for validating the waiting-time composition at a forced success
-    probability; otherwise both derive from ``edge`` and ``aux``.
+    probability; otherwise both derive from ``edge`` and ``aux``.  The
+    cycle time is rejected in detailed mode, whose slots fix the time scale.
     """
 
     n_edges: int
@@ -77,8 +81,13 @@ class SimConfig:
             raise InvalidInputError("max_slots must be positive")
         if self.p_cat_override is not None and not 0.0 < self.p_cat_override <= 1.0:
             raise InvalidInputError("forced success probability must lie in (0, 1]")
-        if self.cycle_time_override_s is not None and self.cycle_time_override_s <= 0.0:
-            raise InvalidInputError("forced cycle time must be positive")
+        if self.cycle_time_override_s is not None:
+            if self.mode == DETAILED_MODE:
+                raise InvalidInputError(
+                    "a forced cycle time applies to abstract mode only; detailed mode counts slots"
+                )
+            if self.cycle_time_override_s <= 0.0:
+                raise InvalidInputError("forced cycle time must be positive")
 
 
 @dataclass
@@ -339,93 +348,235 @@ def _renewal_trial(cfg: SimConfig, trial: int, p_cat, rebuild_copies, counters, 
             return deliveries
 
 
-@dataclass
-class _EdgeState:
-    stock: int
-    aux_pairs: list
-    aux_ticks: list
-    pairs: int = 0
-    ready: bool = False
+# Where a stream runs out: the next completion never comes.
+_NEVER = (math.inf,)
+
+
+def _every_nth_success(rng: np.random.Generator, p: float, n: int, limit: int):
+    """Yield, a block of draws at a time, where the n-th, 2n-th, ... success falls.
+
+    A draw ``u`` succeeds when ``u < p``; draws are counted from 1 and at most
+    ``limit`` are taken, so each list holds the draws that complete a run of
+    n successes within one block.
+    """
+    drawn = found = 0
+    while drawn < limit:
+        size = min(_DRAW_BLOCK, limit - drawn)
+        hits = np.flatnonzero(rng.random(size) < p) + (drawn + 1)
+        ends = hits[(-found - 1) % n :: n]
+        drawn += size
+        found += hits.size
+        if ends.size:
+            yield ends.tolist()
+
+
+class _AuxPath:
+    """One auxiliary path of one edge: its ticks, draws and catalyst completions.
+
+    Tick k (counted from 1) is applied in the first slot s with
+    ``k T <= (s t0)(1 + eps)``, the slot stepper's own float test.  The path
+    draws one value per tick while the stock is below capacity, so its j-th
+    catalyst completes at the draw of the (j c)-th success of its stream.
+    While it runs, tick = draw + ``offset``; while the stock is full it draws
+    nothing and ``drawn`` holds the draws taken so far.
+    """
+
+    def __init__(self, path, rng, copies: int, t0: float, max_slots: int):
+        self.period = path.gen_time_s
+        self.t0 = t0
+        self.completions = _every_nth_success(
+            rng, path.gen_probability, copies, self.ticks_through(max_slots)
+        )
+        self.queue, self.taken = [], 0
+        self.offset = 0
+        self.drawn = 0
+        self.advance()
+
+    def ticks_through(self, slot: int) -> int:
+        """The ticks applied by the end of ``slot``."""
+        bound = slot * self.t0 * _TICK_SCALE
+        k = int(bound // self.period)
+        while k > 0 and k * self.period > bound:
+            k -= 1
+        while (k + 1) * self.period <= bound:
+            k += 1
+        return k
+
+    def slot_of(self, tick) -> float:
+        """The slot in which ``tick`` is applied."""
+        if tick == math.inf:
+            return math.inf
+        at = tick * self.period
+        slot = max(1, math.ceil(at / (self.t0 * _TICK_SCALE)))
+        while slot > 1 and at <= (slot - 1) * self.t0 * _TICK_SCALE:
+            slot -= 1
+        while at > slot * self.t0 * _TICK_SCALE:
+            slot += 1
+        return slot
+
+    def advance(self) -> None:
+        """Move to the next completion: its draw and, while running, its slot."""
+        if self.taken == len(self.queue):
+            self.queue, self.taken = next(self.completions, _NEVER), 0
+        self.draw = self.queue[self.taken]
+        self.taken += 1
+        self.slot = self.slot_of(self.draw + self.offset)
+
+
+class _AuxSupply:
+    """One edge's catalyst stock and the finite aux paths that refill it.
+
+    Only a failed attempt lowers the stock, so between failures it never
+    falls and the state is advanced (:meth:`sync`) only when an attempt might
+    find the stock empty, at a failure, and at the end of a trial.  Within a
+    slot the paths tick in index order, so a completion that fills the stock
+    stops the later paths' ticks in that slot.
+    """
+
+    def __init__(self, cfg: SimConfig, trial: int, edge: int, copies_needed):
+        t0 = cfg.edge.cycle_time_s
+        self.paths = [
+            _AuxPath(path, _trial_rng(cfg.seed, trial, edge, 2 + i), copies, t0, cfg.max_slots)
+            for i, (path, copies) in enumerate(zip(cfg.aux.paths, copies_needed))
+        ]
+        self.capacity = math.inf if cfg.stock_capacity is None else cfg.stock_capacity
+        self.stock = cfg.initial_stock
+        self.full = self.stock >= self.capacity
+        self.produced = 0
+
+    def sync(self, slot: int) -> None:
+        """Apply every tick through ``slot``."""
+        while not self.full:
+            path = min(self.paths, key=attrgetter("slot"))
+            if path.slot > slot:
+                return
+            self.stock += 1
+            self.produced += 1
+            if self.stock >= self.capacity:
+                self._pause(path)
+            path.advance()
+
+    def next_completion(self) -> float:
+        """The slot of the next completion, once synced to an empty stock."""
+        return math.inf if self.full else min(path.slot for path in self.paths)
+
+    def fail(self, slot: int) -> None:
+        """A failed attempt in ``slot`` spends one catalyst."""
+        self.sync(slot)
+        self.stock -= 1
+        if self.full:
+            # The paths draw again from the first tick after this slot.
+            self.full = False
+            for path in self.paths:
+                path.offset = path.ticks_through(slot) - path.drawn
+                path.slot = path.slot_of(path.draw + path.offset)
+
+    def _pause(self, filler: _AuxPath) -> None:
+        """Stop drawing: ``filler``'s completion has filled the stock."""
+        slot = filler.slot
+        self.full = True
+        before = True
+        for path in self.paths:
+            if path is filler:
+                path.drawn = path.draw
+                before = False
+            else:
+                path.drawn = path.ticks_through(slot if before else slot - 1) - path.offset
+
+
+def _finite_aux_edge(cfg: SimConfig, trial: int, edge: int, p_cat, copies_needed, ctr):
+    """One edge of a finite-aux chain, as a coroutine from delivery to delivery.
+
+    Sent the slot of the last delivery (0 at the start), it yields the slot
+    in which the edge is next ready, or ``max_slots + 1`` when it cannot be
+    ready within the run.  A load ends at the n-th success of the load
+    stream, one draw per loading slot.  The attempt follows in the same slot
+    if the stock holds a catalyst, and otherwise in the slot of the next aux
+    completion; a failure spends the catalyst and the pairs, and loading
+    restarts in the next slot.  Closing the coroutine counts the edge's
+    events through ``max_slots`` into ``ctr``.
+    """
+    limit = cfg.max_slots
+    supply = _AuxSupply(cfg, trial, edge, copies_needed)
+    load_ends = _every_nth_success(
+        _trial_rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability, cfg.edge.copies, limit
+    )
+    attempt_rng = _trial_rng(cfg.seed, trial, edge, 1)
+    ends, taken = [], 0
+    outcomes, tried = [], 0
+    loaded = 0  # load draws through the last completed load
+    unfinished = 0  # load draws of a load cut off by the end of the run
+    loads = attempts = successes = 0
+    slot = 0  # loading restarts in the slot after this one
+    try:
+        while True:
+            if taken == len(ends):
+                ends, taken = next(load_ends, _NEVER), 0
+            ready = slot + ends[taken] - loaded
+            if ready > limit:
+                unfinished = limit - slot
+                break
+            loaded = ends[taken]
+            taken += 1
+            loads += 1
+            if supply.stock < 1:
+                supply.sync(ready)
+                if supply.stock < 1:
+                    ready = supply.next_completion()
+                    if ready > limit:
+                        break
+                    supply.sync(ready)
+            if tried == len(outcomes):
+                outcomes, tried = (attempt_rng.random(_DRAW_BLOCK) < p_cat).tolist(), 0
+            attempts += 1
+            tried += 1
+            if outcomes[tried - 1]:
+                successes += 1
+                slot = yield ready
+            else:
+                supply.fail(ready)
+                slot = ready
+        yield limit + 1
+    finally:
+        supply.sync(limit)
+        ctr.primary_attempts += loaded + unfinished
+        ctr.loading_slots += loaded + unfinished
+        ctr.loads_completed += loads
+        ctr.catalysis_attempts += attempts
+        ctr.catalysis_successes += successes
+        ctr.catalysis_failures += attempts - successes
+        ctr.catalysts_consumed += attempts - successes
+        ctr.catalysts_produced += supply.produced
 
 
 def _finite_aux_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, counters, intervals):
-    """One slot-by-slot replication of a finite-aux chain; returns the delivery count.
+    """One replication of a finite-aux chain; returns the delivery count.
 
-    Aux paths tick on the wall clock, so an edge that is ready keeps adding
-    stock until the delivery slot; that couples the edges, and this regime is
-    stepped one slot at a time.
+    Aux paths tick on the wall clock, so a ready edge keeps gaining stock
+    until the delivery and the edges do not renew; but each edge's ready
+    slot after a delivery depends only on its own streams and that slot.
+    Each delivery is the latest of these, and the run ends when some edge
+    cannot be ready by ``max_slots``.
     """
-    edge = cfg.edge
-    t0 = edge.cycle_time_s
-    p0 = edge.herald_probability
-    n = edge.copies
-    paths = cfg.aux.paths
-
-    load_rngs = []
-    attempt_rngs = []
-    aux_rngs = []
-    states = []
-    for e in range(cfg.n_edges):
-        load_rngs.append(_trial_rng(cfg.seed, trial, e, 0))
-        attempt_rngs.append(_trial_rng(cfg.seed, trial, e, 1))
-        aux_rngs.append([_trial_rng(cfg.seed, trial, e, 2 + i) for i in range(len(paths))])
-        states.append(
-            _EdgeState(
-                stock=cfg.initial_stock,
-                aux_pairs=[0] * len(paths),
-                aux_ticks=[0] * len(paths),
-            )
-        )
-
+    limit = cfg.max_slots
+    edges = [
+        _finite_aux_edge(cfg, trial, e, p_cat, copies_needed, ctr)
+        for e, ctr in enumerate(counters)
+    ]
     gaps = []
-    last_delivery_slot = 0
-    for slot in range(1, cfg.max_slots + 1):
-        t = slot * t0
-        all_ready = True
-        for e in range(cfg.n_edges):
-            st = states[e]
-            ctr = counters[e]
-            if not st.ready and st.pairs < n:
-                ctr.primary_attempts += 1
-                ctr.loading_slots += 1
-                if load_rngs[e].random() < p0:
-                    st.pairs += 1
-                    if st.pairs == n:
-                        ctr.loads_completed += 1
-            # Auxiliary paths tick on their own period, applied at the first
-            # slot boundary at or after each completion; a full stock pauses
-            # the path rather than discarding finished catalysts.
-            for i, path in enumerate(paths):
-                while (st.aux_ticks[i] + 1) * path.gen_time_s <= t * (1.0 + _TICK_EPS):
-                    st.aux_ticks[i] += 1
-                    if cfg.stock_capacity is not None and st.stock >= cfg.stock_capacity:
-                        continue
-                    if aux_rngs[e][i].random() < path.gen_probability:
-                        st.aux_pairs[i] += 1
-                        if st.aux_pairs[i] == copies_needed[i]:
-                            st.aux_pairs[i] = 0
-                            ctr.catalysts_produced += 1
-                            st.stock += 1
-            if not st.ready and st.pairs == n and st.stock >= 1:
-                ctr.catalysis_attempts += 1
-                if attempt_rngs[e].random() < p_cat:
-                    st.ready = True
-                    ctr.catalysis_successes += 1
-                    # Success recycles the catalyst: stock is unchanged.
-                else:
-                    ctr.catalysis_failures += 1
-                    ctr.catalysts_consumed += 1
-                    st.stock -= 1
-                    st.pairs = 0
-            if not st.ready:
-                all_ready = False
-        if all_ready:
-            gaps.append((slot - last_delivery_slot) * t0)
-            last_delivery_slot = slot
-            for st in states:
-                st.pairs = 0
-                st.ready = False
-    intervals.append(np.array(gaps))
+    last = 0
+    try:
+        ready = [next(edge) for edge in edges]
+        while (slot := max(ready)) <= limit:
+            gaps.append(slot - last)
+            last = slot
+            ready = [edge.send(slot) for edge in edges]
+    finally:
+        for edge in edges:
+            edge.close()
+    record = np.array(gaps, np.float64)
+    record *= cfg.edge.cycle_time_s  # in place, so the gaps are held twice at most
+    intervals.append(record)
     return len(gaps)
 
 
@@ -452,15 +603,19 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     waits, so the slots each edge needs per delivery depend on its own seed
     streams alone: the chain is a renewal process, computed per edge from
     block draws with no per-slot loop.  Finite aux paths tick on the wall
-    clock and keep adding stock to ready edges until the delivery, which
-    couples the edges, so that regime is stepped slot by slot.  Both give the
-    results of stepping every slot, draw for draw.
+    clock and keep adding stock to ready edges until the delivery, so those
+    chains do not renew; but after a delivery each edge's next ready slot
+    still depends only on its own streams and that slot.  Each edge jumps
+    from load completion to attempt to aux completion, and advances its aux
+    paths only when an attempt might find the stock empty, at a failure and
+    at the end of the run.  Both give the results of stepping every slot,
+    draw for draw.
     """
     if cfg.mode != DETAILED_MODE:
         raise InvalidInputError("config mode must be detailed")
     if cfg.edge is None:
         raise InvalidInputError("detailed simulation requires edge parameters")
-    paths = cfg.aux.paths if cfg.aux.mode == FINITE_AUX else ()
+    paths = cfg.aux.paths
     rebuild = cfg.aux.mode == NO_AUX
     if cfg.p_cat_override is not None and not paths and not rebuild:
         p_cat = cfg.p_cat_override

@@ -239,18 +239,12 @@ def _detailed_trial(cfg, trial: int, p_cat, copies_needed, rebuild_copies, count
     return deliveries
 
 
-def _trial_rng(seed: int, trial: int, edge: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, trial, edge, stream)))
-    )
-
-
 def simulate_detailed_stepper(cfg):
     """Slot-by-slot reference for :func:`entcat.simulate.simulate_detailed`.
 
-    The library's slot stepper as it was before aux-rich and ``none`` chains
-    moved to per-edge block draws, kept whole for every aux regime so that
-    tests can require byte-identical records.
+    The library's slot stepper as it was before the detailed simulator moved
+    to per-edge block draws, kept whole for every aux regime so that tests
+    can require byte-identical records.
 
     Per edge and slot: one primary-source attempt while fewer than n pairs
     are held; auxiliary paths accumulate raw pairs toward catalysts on their

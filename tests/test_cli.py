@@ -234,6 +234,27 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error: config line 2: bad value for aux.1.alpha")
 
+    @pytest.mark.parametrize("aux_mode", ["", "aux_mode = aux_rich\n", "aux_mode = none\n"])
+    def test_aux_paths_outside_finite_mode_are_an_input_error(self, capsys, tmp_path, aux_mode):
+        conf = tmp_path / "sim.conf"
+        conf.write_text(
+            "mode = detailed\nalpha = 0.8\n" + aux_mode
+            + "aux.1.alpha = 0.8\naux.1.P = 0.9\naux.1.T_s = 2.5e-4\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: aux mode ")
+        assert "takes no paths" in err
+
+    def test_cycle_time_in_detailed_mode_is_an_input_error(self, capsys, tmp_path):
+        conf = tmp_path / "sim.conf"
+        conf.write_text("mode = detailed\nalpha = 0.8\np_cat = 0.5\nt_cycle_s = 1.0\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: a forced cycle time applies to abstract mode only")
+
     def test_missing_config_is_an_input_error(self, capsys, tmp_path):
         missing = tmp_path / "absent.conf"
         code, out, err = run_cli(capsys, "simulate", "--config", str(missing), "--out", "-")

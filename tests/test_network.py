@@ -103,6 +103,19 @@ class TestEdgeParams:
             assert EdgeParams(alpha=0.8, catalyst_dim=dim).catalyst_dim == dim
 
 
+class TestAuxConfig:
+    def test_finite_mode_needs_paths(self):
+        with pytest.raises(InvalidInputError):
+            AuxConfig(FINITE_AUX)
+
+    @pytest.mark.parametrize("mode", [AUX_RICH, NO_AUX])
+    def test_paths_only_in_finite_mode(self, mode):
+        # Only finite aux reads the paths, so elsewhere they would be ignored.
+        with pytest.raises(InvalidInputError):
+            AuxConfig(mode, (AuxPath(0.8, 0.9, 2.5e-4),))
+        assert AuxConfig(mode).paths == ()
+
+
 class TestTimings:
     def test_t_primary_reference(self):
         assert t_primary(2, 2.5e-4, 0.5) == pytest.approx(1e-3)

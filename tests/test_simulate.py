@@ -39,6 +39,12 @@ class TestConfigValidation:
             SimConfig(n_edges=1, mode="detailed", edge=EDGE, initial_stock=3,
                       stock_capacity=2)
 
+    def test_rejects_cycle_time_in_detailed_mode(self):
+        # Detailed runs count slots of the edge's own cycle time.
+        with pytest.raises(InvalidInputError):
+            SimConfig(n_edges=1, mode="detailed", edge=EDGE, cycle_time_override_s=1.0)
+        SimConfig(n_edges=1, mode="detailed", edge=EDGE, p_cat_override=0.5)
+
     def test_requires_edge_without_overrides(self):
         cfg = SimConfig(n_edges=1, mode="abstract", trials=10, seed=0)
         with pytest.raises(InvalidInputError):
@@ -206,6 +212,14 @@ REGIMES = {
 }
 
 
+# A period below one slot, periods that are not multiples of it, and P = 1.
+FINITE_PATHS = {
+    "fast": (AuxPath(0.8, 0.2, 1e-4),),
+    "off_slot": (AuxPath(0.8, 0.1, 3.3e-4), AuxPath(0.75, 0.4, 7.5e-4)),
+    "certain": (AuxPath(0.8, 1.0, 5e-4), AuxPath(0.9, 0.05, 2.5e-4)),
+}
+
+
 def record_bytes(simulate, cfg):
     return json.dumps(result_record(cfg, simulate(cfg)))
 
@@ -232,7 +246,7 @@ class TestMatchesSlotStepper:
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["timed_out"] or max_slots > 1
 
-    @pytest.mark.parametrize("regime", ["aux_rich", "none"])
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_long_runs_cross_every_block(self, regime):
         # Thousands of deliveries and tens of thousands of load draws per edge.
         for n_edges, initial_stock in ((1, 0), (5, 3)):
@@ -242,14 +256,50 @@ class TestMatchesSlotStepper:
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["deliveries"] > 2000
 
+    @pytest.mark.parametrize("paths", sorted(FINITE_PATHS))
+    @pytest.mark.parametrize("capacity", [None, 0, 1, 3])
+    @pytest.mark.parametrize("n_edges", [1, 4])
+    def test_finite_aux_paths(self, paths, capacity, n_edges):
+        aux = AuxConfig(FINITE_AUX, FINITE_PATHS[paths])
+        for initial_stock, p_cat_override in ((0, None), (int(capacity != 0), 0.3)):
+            cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=EDGE, aux=aux,
+                            initial_stock=initial_stock, stock_capacity=capacity,
+                            max_slots=3000, trials=2, seed=31 + initial_stock,
+                            p_cat_override=p_cat_override)
+            new = record_bytes(simulate_detailed, cfg)
+            assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
+            # An empty stock that may not grow never allows an attempt.
+            assert (json.loads(new)["deliveries"] == 0) == (capacity == 0 and initial_stock == 0)
+
+    def test_chain_that_starves(self):
+        # The path ticks once per 4000 slots and needs more than one tick per
+        # catalyst, so none is made: an edge that has spent its stock holds a
+        # load it cannot attempt until the run ends.
+        aux = AuxConfig(FINITE_AUX, (AuxPath(0.8, 1.0, 1.0),))
+        for initial_stock in (0, 2):
+            cfg = SimConfig(n_edges=3, mode="detailed", edge=EDGE, aux=aux,
+                            initial_stock=initial_stock, max_slots=5000, trials=2, seed=8,
+                            p_cat_override=0.5)
+            new = record_bytes(simulate_detailed, cfg)
+            assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
+            record = json.loads(new)
+            assert record["timed_out"] == (initial_stock == 0)
+            assert any(c["catalysis_failures"] == cfg.trials * initial_stock
+                       and c["loads_completed"] > c["catalysis_attempts"]
+                       for c in record["counters"])
+
     def test_working_memory_does_not_grow_with_slots(self):
         # Ten million slots at N = 1 draw ten million load values; held at
         # once they would take 80 MB.  Only the interval record, 8 bytes per
         # delivery from which the mean and its error are computed, may grow.
         sparse = EdgeParams(alpha=0.8, copies=2, length_km=25.0, fiber_speed_km_s=2.0e5,
                             herald_probability=0.01)
-        for edge, max_slots in ((sparse, 10**7), (EDGE, 10**6)):
-            cfg = SimConfig(n_edges=1, mode="detailed", edge=edge, max_slots=max_slots, seed=4)
+        # The finite-aux run also reads 1.25 million aux ticks.
+        finite = dict(aux=REGIMES["finite"], initial_stock=1, stock_capacity=2)
+        for edge, max_slots, extra in ((sparse, 10**7, {}), (EDGE, 10**6, {}),
+                                       (sparse, 10**6, finite)):
+            cfg = SimConfig(n_edges=1, mode="detailed", edge=edge, max_slots=max_slots, seed=4,
+                            **extra)
             tracemalloc.start()
             try:
                 res = simulate_detailed(cfg)
