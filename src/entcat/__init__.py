@@ -9,7 +9,6 @@ from .catalysis import (
     CatalystSpec,
     ConcentrationProblem,
     catalysis_probability,
-    combined_supply_feasible,
     copies_for_catalyst,
     efficiency_ratio,
     in_catalysis_window,

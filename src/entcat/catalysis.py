@@ -3,10 +3,12 @@
 The concentration task: turn n copies of a partially entangled two-qubit
 state into one Bell pair.  A shared catalyst state raises the optimal
 success probability without being consumed on success.  This module holds
-the closed-form optimal two-qubit catalyst, a numeric catalyst search for
-higher catalyst dimensions, supply accounting (how many copies of a state
-are needed to build a catalyst), and the intermediate state of the
-two-step conversion protocol.
+the copy thresholds (``n_star`` and the catalysis window), the closed-form
+optimal two-qubit catalyst, a certified numeric catalyst search for higher
+catalyst dimensions, the intermediate state of the two-step conversion
+protocol, and supply accounting: :func:`copies_for_catalyst`, the one answer
+to how many copies of a two-qubit supply state build a catalyst with
+certainty (by majorization, Nielsen 1999).
 """
 
 from __future__ import annotations
@@ -112,10 +114,19 @@ def n_star(alpha: float) -> int:
     """
     if not 0.5 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0.5, 1), got {alpha}")
-    m = max(1, math.ceil(-1.0 / math.log2(alpha)))
-    while m > 1 and alpha ** (m - 1) <= 0.5:
+    return _smallest_power_at_most(alpha, 0.5)
+
+
+def _smallest_power_at_most(alpha: float, c: float) -> int:
+    """Smallest m >= 1 with ``alpha**m <= c``, for alpha in (0, 1) and c in (0, 1].
+
+    Starts from the logarithmic estimate and steps to the first power that
+    passes the float test itself, so the estimate's rounding never shows.
+    """
+    m = max(1, math.ceil(math.log(c) / math.log(alpha)))
+    while m > 1 and alpha ** (m - 1) <= c:
         m -= 1
-    while alpha**m > 0.5:
+    while alpha**m > c:
         m += 1
     return m
 
@@ -455,41 +466,9 @@ def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float) -> int:
     """
     if not 0.5 < alpha_supply < 1.0:
         raise InvalidInputError(f"supply alpha must lie in (0.5, 1), got {alpha_supply}")
-    c_max = float(catalyst.coefficients[0])
-    m = max(1, math.ceil(math.log(c_max) / math.log(alpha_supply)))
-    while m > 1 and alpha_supply ** (m - 1) <= c_max:
-        m -= 1
-    while alpha_supply**m > c_max:
-        m += 1
+    m = _smallest_power_at_most(alpha_supply, float(catalyst.coefficients[0]))
     e_cat = monotones(catalyst).values[1:]
     while not np.all(1.0 - _power_top_partial_sums(alpha_supply, m, e_cat.size) >= e_cat - TOL):
         m += 1
     return m
 
-
-def combined_supply_feasible(supplies, c0: float) -> bool:
-    """Can a mixed bundle of supply states build the catalyst deterministically?
-
-    ``supplies`` is a sequence of ``(alpha_i, m_i)`` pairs meaning m_i copies
-    of a two-qubit state with larger coefficient alpha_i.  The target is
-    two-qubit, so majorization reduces to the bundle's largest coefficient
-    ``top = prod(alpha_i**m_i)`` against ``c0``: the one binding monotone
-    ratio is ``(1 - top) / (1 - c0)``, tested against the kernel's ``1 - TOL``.
-    """
-    supplies = list(supplies)
-    if not supplies:
-        raise InvalidInputError("at least one supply entry is required")
-    total_copies = 0
-    for alpha_i, m_i in supplies:
-        if not 0.5 < alpha_i < 1.0:
-            raise InvalidInputError(f"supply alpha must lie in (0.5, 1), got {alpha_i}")
-        if not isinstance(m_i, int) or m_i < 0:
-            raise InvalidInputError(f"copy counts must be non-negative integers, got {m_i}")
-        total_copies += m_i
-    if total_copies == 0:
-        raise InvalidInputError("at least one supply copy is required")
-    if not 0.5 < c0 < 1.0:
-        raise InvalidInputError(f"catalyst coefficient must lie in (0.5, 1), got {c0}")
-
-    top = math.prod(alpha_i**m_i for alpha_i, m_i in supplies)
-    return (1.0 - top) / (1.0 - c0) >= 1.0 - TOL

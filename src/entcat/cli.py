@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,9 +35,13 @@ def _parse_spectrum(text: str) -> spectra.SchmidtVector:
 def _open_out(path: str):
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as handle:
-            yield handle
+        return
+    try:
+        handle = open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from exc
+    with handle:
+        yield handle
 
 
 # ---------------------------------------------------------------------------
@@ -48,24 +53,30 @@ def _stock_capacity(value: str):
     return value if value == "unlimited" else int(value)
 
 
-_SCALAR_KEYS = {
-    "mode": str,
-    "n_edges": int,
-    "trials": int,
-    "seed": int,
-    "max_slots": int,
-    "initial_stock": int,
-    "stock_capacity": _stock_capacity,  # integer or the word "unlimited"
-    "L0_km": float,
-    "cf_km_s": float,
-    "P0": float,
-    "n": int,
-    "alpha": float,
-    "catalyst_dim": int,
-    "aux_mode": str,
-    "p_cat": float,
-    "t_cycle_s": float,
+# Where each config key goes: its cast, the object it sets (a SimConfig,
+# its EdgeParams or its AuxConfig) and the field there.  A key the file does
+# not set keeps that dataclass's default.
+_RUN, _EDGE, _AUX = "run", "edge", "aux"
+_CONFIG_KEYS = {
+    "mode": (str, _RUN, "mode"),
+    "n_edges": (int, _RUN, "n_edges"),
+    "trials": (int, _RUN, "trials"),
+    "seed": (int, _RUN, "seed"),
+    "max_slots": (int, _RUN, "max_slots"),
+    "initial_stock": (int, _RUN, "initial_stock"),
+    "stock_capacity": (_stock_capacity, _RUN, "stock_capacity"),  # integer or "unlimited"
+    "p_cat": (float, _RUN, "p_cat_override"),
+    "t_cycle_s": (float, _RUN, "cycle_time_override_s"),
+    "alpha": (float, _EDGE, "alpha"),
+    "n": (int, _EDGE, "copies"),
+    "L0_km": (float, _EDGE, "length_km"),
+    "cf_km_s": (float, _EDGE, "fiber_speed_km_s"),
+    "P0": (float, _EDGE, "herald_probability"),
+    "catalyst_dim": (int, _EDGE, "catalyst_dim"),
+    "aux_mode": (str, _AUX, "mode"),
 }
+# SimConfig has no defaults for these two.
+_RUN_DEFAULTS = {"mode": simulate.ABSTRACT_MODE, "n_edges": 1}
 
 _AUX_FIELD_KEYS = {"alpha": float, "P": float, "T_s": float}
 
@@ -78,7 +89,10 @@ def _cast(cast, value: str, key: str, lineno: int):
 
 
 def parse_config(text: str) -> dict:
-    """Parse the plain key = value format into a typed dictionary."""
+    """Parse the plain key = value format into a typed dictionary.
+
+    Holds only the keys the text sets, plus ``aux_paths`` for the aux groups.
+    """
     values: dict = {}
     aux_groups: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,9 +111,9 @@ def parse_config(text: str) -> dict:
             group = aux_groups.setdefault(int(parts[1]), {})
             group[parts[2]] = _cast(_AUX_FIELD_KEYS[parts[2]], value, key, lineno)
             continue
-        if key not in _SCALAR_KEYS:
+        if key not in _CONFIG_KEYS:
             raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _cast(_SCALAR_KEYS[key], value, key, lineno)
+        values[key] = _cast(_CONFIG_KEYS[key][0], value, key, lineno)
     if aux_groups:
         paths = []
         for index in sorted(aux_groups):
@@ -113,40 +127,30 @@ def parse_config(text: str) -> dict:
 
 
 def _sim_config_from(values: dict, args) -> simulate.SimConfig:
-    merged = dict(values)
+    fields = {_RUN: dict(_RUN_DEFAULTS), _EDGE: {}, _AUX: {}}
+    for key, value in values.items():
+        if key == "aux_paths":
+            fields[_AUX]["paths"] = value
+        else:
+            _, target, name = _CONFIG_KEYS[key]
+            fields[target][name] = value
     for key in ("trials", "seed"):
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
+            fields[_RUN][key] = flag
 
-    capacity = merged.get("stock_capacity")
-    if capacity == "unlimited":
-        capacity = None
-
-    edge = None
-    if "alpha" in merged:
-        edge = network.EdgeParams(
-            alpha=merged["alpha"],
-            copies=merged.get("n", 2),
-            length_km=merged.get("L0_km", 25.0),
-            fiber_speed_km_s=merged.get("cf_km_s", 2.0e5),
-            herald_probability=merged.get("P0", 0.5),
-            catalyst_dim=merged.get("catalyst_dim", 2),
-        )
-    aux = network.AuxConfig(merged.get("aux_mode", network.AUX_RICH), merged.get("aux_paths", ()))
-    return simulate.SimConfig(
-        n_edges=merged.get("n_edges", 1),
-        mode=merged.get("mode", simulate.ABSTRACT_MODE),
-        edge=edge,
-        aux=aux,
-        initial_stock=merged.get("initial_stock", 0),
-        stock_capacity=capacity,
-        max_slots=merged.get("max_slots", 100_000),
-        trials=merged.get("trials", 1),
-        seed=merged.get("seed", 0),
-        p_cat_override=merged.get("p_cat"),
-        cycle_time_override_s=merged.get("t_cycle_s"),
-    )
+    run, edge, aux = fields[_RUN], fields[_EDGE], fields[_AUX]
+    if run.get("stock_capacity") == "unlimited":
+        run["stock_capacity"] = None
+    if edge:
+        if "alpha" not in edge:
+            given = [key for key, (_, target, _) in _CONFIG_KEYS.items()
+                     if target == _EDGE and key in values]
+            raise InvalidInputError(f"edge keys {given} need alpha")
+        run["edge"] = network.EdgeParams(**edge)
+    if aux:
+        run["aux"] = replace(simulate.SimConfig.aux, **aux)
+    return simulate.SimConfig(**run)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +195,6 @@ def _cmd_sweep(args) -> int:
         dims = [int(d) for d in args.dim.split(",")]
     except ValueError as exc:
         raise InvalidInputError(f"could not parse --dim {args.dim!r}: {exc}") from exc
-    for mode in modes:
-        if mode == network.FINITE_AUX:
-            raise InvalidInputError(
-                "finite aux mode needs explicit paths; use the library API for that"
-            )
     rows = network.sweep_rates(
         args.n,
         args.edges,

@@ -59,8 +59,8 @@ class EdgeParams:
             raise InvalidInputError(f"alpha must lie in (0.5, 1), got {self.alpha}")
         if not isinstance(self.copies, int) or self.copies < 2:
             raise InvalidInputError(f"copies must be an integer >= 2, got {self.copies}")
-        if self.length_km <= 0 or self.fiber_speed_km_s <= 0:
-            raise InvalidInputError("length and fiber speed must be positive")
+        if not (0.0 < self.length_km < math.inf and 0.0 < self.fiber_speed_km_s < math.inf):
+            raise InvalidInputError("length and fiber speed must be positive and finite")
         if not 0.0 < self.herald_probability <= 1.0:
             raise InvalidInputError("herald probability must lie in (0, 1]")
         if not isinstance(self.catalyst_dim, int) or self.catalyst_dim < 2:
@@ -87,8 +87,8 @@ class AuxPath:
             raise InvalidInputError(f"aux path alpha must lie in (0.5, 1), got {self.alpha}")
         if not 0.0 < self.gen_probability <= 1.0:
             raise InvalidInputError("aux path probability must lie in (0, 1]")
-        if self.gen_time_s <= 0.0:
-            raise InvalidInputError("aux path generation time must be positive")
+        if not 0.0 < self.gen_time_s < math.inf:
+            raise InvalidInputError("aux path generation time must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .catalysis import copies_for_catalyst
 from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
+    FINITE_AUX,
     NO_AUX,
     AuxConfig,
     EdgeParams,
@@ -41,6 +42,7 @@ _BATCH_TRIALS = 8192
 # Aux ticks are applied at the first slot boundary within this relative
 # tolerance of their completion time.
 _TICK_SCALE = 1.0 + 1e-9
+_DEFAULT_MAX_SLOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,12 @@ class SimConfig:
     ``stock_capacity=None`` means unlimited.  ``p_cat_override`` and
     ``cycle_time_override_s`` bypass the analytic pipeline, which is useful
     for validating the waiting-time composition at a forced success
-    probability; otherwise both derive from ``edge`` and ``aux``.  The
-    cycle time is rejected in detailed mode, whose slots fix the time scale.
+    probability; otherwise both derive from ``edge`` and ``aux``.
+
+    A setting the run would not read is rejected rather than echoed: the
+    cycle time outside abstract mode, whose slots fix the time scale; the
+    stock capacity outside detailed finite-aux runs; an initial stock in
+    abstract and aux-rich runs; and ``max_slots`` in abstract runs.
     """
 
     n_edges: int
@@ -60,7 +66,7 @@ class SimConfig:
     aux: AuxConfig = AuxConfig(AUX_RICH)
     initial_stock: int = 0
     stock_capacity: Optional[int] = None
-    max_slots: int = 100_000
+    max_slots: int = _DEFAULT_MAX_SLOTS
     trials: int = 1
     seed: int = 0
     p_cat_override: Optional[float] = None
@@ -86,8 +92,19 @@ class SimConfig:
                 raise InvalidInputError(
                     "a forced cycle time applies to abstract mode only; detailed mode counts slots"
                 )
-            if self.cycle_time_override_s <= 0.0:
-                raise InvalidInputError("forced cycle time must be positive")
+            if not 0.0 < self.cycle_time_override_s < math.inf:
+                raise InvalidInputError("forced cycle time must be positive and finite")
+        detailed = self.mode == DETAILED_MODE
+        if self.stock_capacity is not None and not (detailed and self.aux.mode == FINITE_AUX):
+            raise InvalidInputError(
+                "a stock capacity applies to detailed runs with finite aux paths only"
+            )
+        if self.initial_stock > 0 and not (detailed and self.aux.mode != AUX_RICH):
+            raise InvalidInputError(
+                "an initial stock applies to detailed runs with aux mode none or finite only"
+            )
+        if self.max_slots != _DEFAULT_MAX_SLOTS and not detailed:
+            raise InvalidInputError("max_slots applies to detailed mode only")
 
 
 @dataclass
@@ -102,6 +119,21 @@ class EdgeCounters:
     catalysis_failures: int = 0
     catalysts_produced: int = 0
     catalysts_consumed: int = 0
+
+    def add_run(self, load_draws: int, loads: int, attempts: int, successes: int, produced: int):
+        """Count one detailed edge run.
+
+        Every load draw is one primary attempt in one loading slot, and every
+        failed attempt spends one catalyst.
+        """
+        self.primary_attempts += load_draws
+        self.loading_slots += load_draws
+        self.loads_completed += loads
+        self.catalysis_attempts += attempts
+        self.catalysis_successes += successes
+        self.catalysis_failures += attempts - successes
+        self.catalysts_consumed += attempts - successes
+        self.catalysts_produced += produced
 
 
 @dataclass(frozen=True)
@@ -141,8 +173,9 @@ def _resolved_parameters(cfg: SimConfig):
     return p_cat, t_cycle
 
 
-def _batch_rng(seed: int, batch: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, batch))))
+def _rng(*key: int) -> np.random.Generator:
+    """The Philox stream of ``key``, e.g. (seed, batch) or (seed, trial, edge, stream)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def _max_of_geometrics(p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
@@ -160,7 +193,7 @@ def _max_of_geometrics(p: float, n_edges: int, trials: int, seed: int, scale: fl
     batch = 0
     while done < trials:
         size = min(_BATCH_TRIALS, trials - done)
-        counts = _batch_rng(seed, batch).geometric(p, size=(size, n_edges))
+        counts = _rng(seed, batch).geometric(p, size=(size, n_edges))
         column_totals += counts.sum(axis=0)
         sample = counts.max(axis=1).astype(float) * scale
         total += float(sample.sum())
@@ -223,8 +256,8 @@ class _EdgeRenewals:
     """
 
     def __init__(self, cfg: SimConfig, trial: int, edge: int, p_cat, rebuild_copies):
-        self.load_rng = _trial_rng(cfg.seed, trial, edge, 0)
-        self.attempt_rng = _trial_rng(cfg.seed, trial, edge, 1)
+        self.load_rng = _rng(cfg.seed, trial, edge, 0)
+        self.attempt_rng = _rng(cfg.seed, trial, edge, 1)
         self.limit = cfg.max_slots
         self.n = cfg.edge.copies
         self.p0 = cfg.edge.herald_probability
@@ -233,6 +266,8 @@ class _EdgeRenewals:
         self.initial_stock = cfg.initial_stock
         self.drawn = 0  # load draws taken
         self.found = 0  # successes among them
+        # Settled loads, and the successes and rebuilt catalysts among them.
+        self.loads = self.successes = self.rebuilds = 0
         self.total = 0  # successes needed through the last queued load
         self.failures = 0
         self.last_failed = True  # so that a first load from an empty stock rebuilds
@@ -259,17 +294,13 @@ class _EdgeRenewals:
         at, won, _ = self.done = tuple(map(np.concatenate, zip(*blocks)))
         return at[won][:count]
 
-    def settle(self, used: int, ctr: EdgeCounters) -> None:
-        """Count into ``ctr`` the loads completed within the first ``used`` load draws."""
+    def settle(self, used: int) -> None:
+        """Tally the loads completed within the first ``used`` load draws."""
         at, won, rebuilt = self.done
         k = int(np.searchsorted(at, used, side="right"))
-        successes = int(np.count_nonzero(won[:k]))
-        ctr.loads_completed += k
-        ctr.catalysis_attempts += k
-        ctr.catalysis_successes += successes
-        ctr.catalysis_failures += k - successes
-        ctr.catalysts_consumed += k - successes
-        ctr.catalysts_produced += int(np.count_nonzero(rebuilt[:k]))
+        self.loads += k
+        self.successes += int(np.count_nonzero(won[:k]))
+        self.rebuilds += int(np.count_nonzero(rebuilt[:k]))
         self.done = at[k:], won[k:], rebuilt[k:]
 
     def _draw(self):
@@ -339,12 +370,12 @@ def _renewal_trial(cfg: SimConfig, trial: int, p_cat, rebuild_copies, counters, 
             slot = int(elapsed[settled - 1])
         if cut:
             used = used + np.minimum(offsets[:, settled], limit - slot)
-        for renewals, ctr, draws in zip(edges, counters, used.tolist()):
-            renewals.settle(draws, ctr)
-            if cut:
-                ctr.primary_attempts += draws
-                ctr.loading_slots += draws
+        for renewals, draws in zip(edges, used.tolist()):
+            renewals.settle(draws)
         if cut:
+            for r, ctr, draws in zip(edges, counters, used.tolist()):
+                # Each completed load is attempted in the slot it completes.
+                ctr.add_run(draws, r.loads, r.loads, r.successes, r.rebuilds)
             return deliveries
 
 
@@ -436,7 +467,7 @@ class _AuxSupply:
     def __init__(self, cfg: SimConfig, trial: int, edge: int, copies_needed):
         t0 = cfg.edge.cycle_time_s
         self.paths = [
-            _AuxPath(path, _trial_rng(cfg.seed, trial, edge, 2 + i), copies, t0, cfg.max_slots)
+            _AuxPath(path, _rng(cfg.seed, trial, edge, 2 + i), copies, t0, cfg.max_slots)
             for i, (path, copies) in enumerate(zip(cfg.aux.paths, copies_needed))
         ]
         self.capacity = math.inf if cfg.stock_capacity is None else cfg.stock_capacity
@@ -499,9 +530,9 @@ def _finite_aux_edge(cfg: SimConfig, trial: int, edge: int, p_cat, copies_needed
     limit = cfg.max_slots
     supply = _AuxSupply(cfg, trial, edge, copies_needed)
     load_ends = _every_nth_success(
-        _trial_rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability, cfg.edge.copies, limit
+        _rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability, cfg.edge.copies, limit
     )
-    attempt_rng = _trial_rng(cfg.seed, trial, edge, 1)
+    attempt_rng = _rng(cfg.seed, trial, edge, 1)
     ends, taken = [], 0
     outcomes, tried = [], 0
     loaded = 0  # load draws through the last completed load
@@ -539,14 +570,7 @@ def _finite_aux_edge(cfg: SimConfig, trial: int, edge: int, p_cat, copies_needed
         yield limit + 1
     finally:
         supply.sync(limit)
-        ctr.primary_attempts += loaded + unfinished
-        ctr.loading_slots += loaded + unfinished
-        ctr.loads_completed += loads
-        ctr.catalysis_attempts += attempts
-        ctr.catalysis_successes += successes
-        ctr.catalysis_failures += attempts - successes
-        ctr.catalysts_consumed += attempts - successes
-        ctr.catalysts_produced += supply.produced
+        ctr.add_run(loaded + unfinished, loads, attempts, successes, supply.produced)
 
 
 def _finite_aux_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, counters, intervals):
@@ -578,12 +602,6 @@ def _finite_aux_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, counters
     record *= cfg.edge.cycle_time_s  # in place, so the gaps are held twice at most
     intervals.append(record)
     return len(gaps)
-
-
-def _trial_rng(seed: int, trial: int, edge: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, trial, edge, stream)))
-    )
 
 
 def simulate_detailed(cfg: SimConfig) -> SimResult:

@@ -8,6 +8,7 @@ products, entanglement monotones, the deterministic-conversion
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,12 @@ class SchmidtVector:
             raise InvalidInputError("spectrum must be a non-empty 1-D sequence")
         if np.any(coeffs < 0.0):
             raise InvalidInputError("Schmidt coefficients must be non-negative")
+        # With no entry below zero, a NaN or inf entry makes the sum non-finite.
+        total = float(coeffs.sum())
+        if not math.isfinite(total):
+            raise InvalidInputError("Schmidt coefficients must be finite")
         if np.any(np.diff(coeffs) > TOL):
             raise InvalidInputError("Schmidt coefficients must be sorted non-increasing")
-        total = float(coeffs.sum())
         if abs(total - 1.0) > TOL:
             raise InvalidInputError(f"Schmidt coefficients must sum to 1, got {total}")
         coeffs = coeffs.copy()
@@ -99,6 +103,8 @@ def make_schmidt(weights) -> SchmidtVector:
     if np.any(w < 0.0):
         raise InvalidInputError("weights must be non-negative")
     total = float(w.sum())
+    if not math.isfinite(total):
+        raise InvalidInputError("weights must be finite")
     if total <= 0.0:
         raise InvalidInputError("weights must not all be zero")
     return SchmidtVector(np.sort(w / total)[::-1])

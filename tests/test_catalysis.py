@@ -6,7 +6,6 @@ import pytest
 from entcat.catalysis import (
     ConcentrationProblem,
     catalysis_probability,
-    combined_supply_feasible,
     copies_for_catalyst,
     efficiency_ratio,
     initial_spectrum,
@@ -463,38 +462,27 @@ class TestSupplyAccounting:
         assert not can_convert_deterministically(fewer, catalyst)  # minimal
         assert can_convert_deterministically(tensor_product(fewer, supply), catalyst)
 
-    def test_combined_supply_reference(self):
-        assert combined_supply_feasible([(0.8, 3)], C0_2_08)
-        assert not combined_supply_feasible([(0.8, 1)], C0_2_08)
-        assert combined_supply_feasible([(0.75, 1), (0.75, 1)], 0.6)
-
-    def test_combined_supply_consistent_with_copy_count(self):
-        m = copies_for_catalyst(two_qubit_state(C0_2_08), 0.8)
-        assert combined_supply_feasible([(0.8, m)], C0_2_08)
-        assert not combined_supply_feasible([(0.8, m - 1)], C0_2_08)
-
-    def test_combined_supply_matches_copy_count(self):
+    def test_two_qubit_copy_count_is_smallest_power(self):
+        # For a two-qubit catalyst, majorization reduces to the largest
+        # coefficients: m copies suffice exactly when alpha**m <= c0.  The
+        # 2**m supply spectrum is never built, so m far above 20 is cheap.
         rng = np.random.default_rng(11)
+        beyond_twenty = 0
         for _ in range(3000):
             alpha = float(rng.uniform(0.51, 0.999))
             c0 = float(rng.uniform(0.501, 0.999))
-            m = int(rng.integers(1, 60))
-            needed = copies_for_catalyst(two_qubit_state(c0), alpha)
-            assert combined_supply_feasible([(alpha, m)], c0) == (needed <= m)
+            m = 1
+            while alpha**m > c0:
+                m += 1
+            assert copies_for_catalyst(two_qubit_state(c0), alpha) == m
+            beyond_twenty += m > 20
+        assert beyond_twenty > 50
 
-    def test_combined_supply_beyond_twenty_copies(self):
-        # the 2**40 product spectrum is never built
-        assert combined_supply_feasible([(0.8, 40)], 0.6)
-        assert not combined_supply_feasible([(0.99, 40)], 0.6)
-        assert combined_supply_feasible([(0.99, 30), (0.9, 10)], 0.6)
-
-    def test_combined_supply_validation(self):
-        with pytest.raises(InvalidInputError):
-            combined_supply_feasible([], 0.6)
-        with pytest.raises(InvalidInputError):
-            combined_supply_feasible([(0.8, 0)], 0.6)
-        with pytest.raises(InvalidInputError):
-            combined_supply_feasible([(0.4, 2)], 0.6)
+    def test_n_star_is_copies_for_the_half_catalyst(self):
+        # Concentration is deterministic once the supply power reaches 1/2.
+        for alpha in np.linspace(0.501, 0.9999, 2000):
+            alpha = float(alpha)
+            assert n_star(alpha) == copies_for_catalyst(two_qubit_state(0.5), alpha)
 
 
 def test_monotone_values_match_spectrum_tail():

@@ -33,6 +33,12 @@ class TestMonotones:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("spectrum", ["1,inf", "nan,0.5"])
+    def test_non_finite_is_an_input_error(self, capsys, spectrum):
+        code, out, err = run_cli(capsys, "monotones", spectrum)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
 
 class TestProb:
     def test_concentration(self, capsys):
@@ -52,6 +58,11 @@ class TestProb:
                                "--final", "0.7,0.3")
         assert code == 0
         assert out.strip() == "1"
+
+    def test_non_finite_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "prob", "--initial", "0.5,nan", "--final", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
 
 class TestCatalyst:
@@ -113,6 +124,19 @@ class TestSweep:
         assert err.startswith("error: ")
         assert "--steps" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--l0-km", "--cf-km-s"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_edge_is_an_input_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "sweep", "--steps", "3", flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--steps", "3", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_dims_two_three_four(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "3", "--dim", "2,3,4", "--steps", "60")
@@ -254,6 +278,72 @@ class TestSimulateCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: a forced cycle time applies to abstract mode only")
+
+    @pytest.mark.parametrize("setting", [
+        "mode = detailed\nalpha = 0.8\nL0_km = nan\n",
+        "mode = detailed\nalpha = 0.8\ncf_km_s = inf\n",
+        "p_cat = 0.5\nt_cycle_s = nan\n",
+        "mode = detailed\nalpha = 0.8\naux_mode = finite\n"
+        "aux.1.alpha = 0.8\naux.1.P = 0.9\naux.1.T_s = nan\n",
+    ])
+    def test_non_finite_value_is_an_input_error(self, capsys, tmp_path, setting):
+        conf = tmp_path / "sim.conf"
+        conf.write_text(setting)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("setting", [
+        "mode = detailed\nalpha = 0.8\nstock_capacity = 3\n",
+        "mode = detailed\nalpha = 0.8\naux_mode = none\nstock_capacity = 3\n",
+        "mode = detailed\nalpha = 0.8\ninitial_stock = 1\n",
+        "alpha = 0.8\ninitial_stock = 1\n",
+        "alpha = 0.8\nmax_slots = 500\n",
+        "mode = detailed\nn = 3\nP0 = 0.4\n",
+    ])
+    def test_setting_the_run_ignores_is_an_input_error(self, capsys, tmp_path, setting):
+        conf = tmp_path / "sim.conf"
+        conf.write_text(setting)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_edge_keys_without_alpha_name_the_keys(self, capsys, tmp_path):
+        conf = tmp_path / "sim.conf"
+        conf.write_text("p_cat = 0.5\nt_cycle_s = 1.0\nn = 3\nP0 = 0.4\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 1
+        assert err == "error: edge keys ['n', 'P0'] need alpha\n"
+
+    @pytest.mark.parametrize("given", [
+        "alpha = 0.8\n",
+        "mode = detailed\nalpha = 0.8\naux_mode = finite\n"
+        "aux.1.alpha = 0.8\naux.1.P = 0.9\naux.1.T_s = 2.5e-4\n",
+    ])
+    def test_written_out_defaults_change_nothing(self, capsys, tmp_path, given):
+        defaults = (
+            "n_edges = 1\ntrials = 1\nseed = 0\nmax_slots = 100000\ninitial_stock = 0\n"
+            "stock_capacity = unlimited\nn = 2\nL0_km = 25\ncf_km_s = 2e5\nP0 = 0.5\n"
+            "catalyst_dim = 2\n"
+        )
+        if "mode = detailed" not in given:
+            defaults += "mode = abstract\naux_mode = aux_rich\n"
+        outputs = []
+        for name, text in (("short", given), ("long", given + defaults)):
+            conf = tmp_path / f"{name}.conf"
+            conf.write_text(text)
+            out = tmp_path / f"{name}.jsonl"
+            assert run_cli(capsys, "simulate", "--config", str(conf), "--out", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
+        conf = tmp_path / "sim.conf"
+        conf.write_text("p_cat = 0.5\nt_cycle_s = 1.0\n")
+        target = tmp_path / "absent" / "run.jsonl"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_missing_config_is_an_input_error(self, capsys, tmp_path):
         missing = tmp_path / "absent.conf"

@@ -97,6 +97,11 @@ class TestEdgeParams:
             EdgeParams(alpha=0.8, catalyst_dim=1)
         with pytest.raises(InvalidInputError):
             EdgeParams(alpha=0.8, herald_probability=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                EdgeParams(alpha=0.8, length_km=bad)
+            with pytest.raises(InvalidInputError):
+                EdgeParams(alpha=0.8, fiber_speed_km_s=bad)
 
     def test_any_catalyst_dimension_from_two(self):
         for dim in (2, 3, 4, 5):
@@ -114,6 +119,12 @@ class TestAuxConfig:
         with pytest.raises(InvalidInputError):
             AuxConfig(mode, (AuxPath(0.8, 0.9, 2.5e-4),))
         assert AuxConfig(mode).paths == ()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_path_period_must_be_finite(self, bad):
+        # An infinite period would give rate_catalytic a zero supply rate.
+        with pytest.raises(InvalidInputError):
+            AuxPath(0.8, 0.9, bad)
 
 
 class TestTimings:

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -44,6 +45,34 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             SimConfig(n_edges=1, mode="detailed", edge=EDGE, cycle_time_override_s=1.0)
         SimConfig(n_edges=1, mode="detailed", edge=EDGE, p_cat_override=0.5)
+
+    @pytest.mark.parametrize("mode,aux,setting", [
+        ("detailed", AuxConfig(AUX_RICH), dict(stock_capacity=3)),
+        ("detailed", AuxConfig(NO_AUX), dict(stock_capacity=3)),
+        ("detailed", AuxConfig(AUX_RICH), dict(initial_stock=1)),
+        ("abstract", AuxConfig(AUX_RICH), dict(initial_stock=1)),
+        ("abstract", AuxConfig(NO_AUX), dict(initial_stock=1)),
+        ("abstract", AuxConfig(AUX_RICH), dict(stock_capacity=3)),
+        ("abstract", AuxConfig(FINITE_AUX, (AuxPath(0.8, 0.9, 2.5e-4),)), dict(stock_capacity=3)),
+        ("abstract", AuxConfig(AUX_RICH), dict(max_slots=5000)),
+    ])
+    def test_rejects_settings_the_run_ignores(self, mode, aux, setting):
+        with pytest.raises(InvalidInputError):
+            SimConfig(n_edges=1, mode=mode, edge=EDGE, aux=aux, **setting)
+
+    def test_accepts_settings_the_run_reads(self):
+        finite = AuxConfig(FINITE_AUX, (AuxPath(0.8, 0.9, 2.5e-4),))
+        SimConfig(n_edges=1, mode="detailed", edge=EDGE, aux=finite, initial_stock=1,
+                  stock_capacity=3, max_slots=5000)
+        SimConfig(n_edges=1, mode="detailed", edge=EDGE, aux=AuxConfig(NO_AUX), initial_stock=1)
+        # The defaults themselves are never an ignored setting.
+        SimConfig(n_edges=1, mode="abstract", edge=EDGE, initial_stock=0, stock_capacity=None,
+                  max_slots=100_000)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_cycle_time(self, value):
+        with pytest.raises(InvalidInputError):
+            SimConfig(n_edges=1, mode="abstract", p_cat_override=0.5, cycle_time_override_s=value)
 
     def test_requires_edge_without_overrides(self):
         cfg = SimConfig(n_edges=1, mode="abstract", trials=10, seed=0)
@@ -212,6 +241,16 @@ REGIMES = {
 }
 
 
+def stock_settings(regime, initial_stock, stock_capacity=None):
+    """The stock settings a detailed run of ``regime`` reads: none with plentiful
+    aux paths, the initial stock without aux paths, both with finite ones."""
+    if regime == "aux_rich":
+        return {}
+    if regime == "none":
+        return dict(initial_stock=initial_stock)
+    return dict(initial_stock=initial_stock, stock_capacity=stock_capacity)
+
+
 # A period below one slot, periods that are not multiples of it, and P = 1.
 FINITE_PATHS = {
     "fast": (AuxPath(0.8, 0.2, 1e-4),),
@@ -239,9 +278,9 @@ class TestMatchesSlotStepper:
         # One slot times out; the others cut the last delivery short.
         for max_slots in (1, 7, 150):
             cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=edge, aux=REGIMES[regime],
-                            initial_stock=initial_stock, stock_capacity=3, max_slots=max_slots,
-                            trials=trials, seed=1000 * n_edges + max_slots,
-                            p_cat_override=p_cat_override)
+                            max_slots=max_slots, trials=trials, seed=1000 * n_edges + max_slots,
+                            p_cat_override=p_cat_override,
+                            **stock_settings(regime, initial_stock, 3))
             new = record_bytes(simulate_detailed, cfg)
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["timed_out"] or max_slots > 1
@@ -251,7 +290,8 @@ class TestMatchesSlotStepper:
         # Thousands of deliveries and tens of thousands of load draws per edge.
         for n_edges, initial_stock in ((1, 0), (5, 3)):
             cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=EDGE, aux=REGIMES[regime],
-                            initial_stock=initial_stock, max_slots=20_000, trials=2, seed=17)
+                            max_slots=20_000, trials=2, seed=17,
+                            **stock_settings(regime, initial_stock))
             new = record_bytes(simulate_detailed, cfg)
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["deliveries"] > 2000

@@ -49,7 +49,8 @@ class TestMakeSchmidt:
         assert s.dimension == 3
         np.testing.assert_allclose(s.coefficients, [0.5, 0.5, 0.0])
 
-    @pytest.mark.parametrize("bad", [[], [-0.1, 0.5], [0.0, 0.0]])
+    # NaN passes every comparison-based check, and inf normalizes to NaN.
+    @pytest.mark.parametrize("bad", [[], [-0.1, 0.5], [0.0, 0.0], [0.5, math.nan], [1.0, math.inf]])
     def test_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             make_schmidt(bad)
@@ -61,6 +62,11 @@ class TestMakeSchmidt:
     def test_constructor_rejects_unnormalized(self):
         with pytest.raises(InvalidInputError):
             SchmidtVector(np.array([0.7, 0.2]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_constructor_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidInputError):
+            SchmidtVector(np.array([1.0, bad]))
 
 
 class TestTwoQubitState:
