@@ -462,10 +462,23 @@ class TestSupplyAccounting:
         assert not can_convert_deterministically(fewer, catalyst)  # minimal
         assert can_convert_deterministically(tensor_product(fewer, supply), catalyst)
 
-    def test_two_qubit_copy_count_is_smallest_power(self):
+    def test_combined_supply_matches_copy_count(self):
         # For a two-qubit catalyst, majorization reduces to the largest
-        # coefficients: m copies suffice exactly when alpha**m <= c0.  The
-        # 2**m supply spectrum is never built, so m far above 20 is cheap.
+        # coefficients: m copies suffice exactly when alpha**m <= c0.
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            alpha = float(rng.uniform(0.51, 0.999))
+            c0 = float(rng.uniform(0.501, 0.999))
+            m = int(rng.integers(1, 60))
+            needed = copies_for_catalyst(two_qubit_state(c0), alpha)
+            assert (needed <= m) == (alpha**m <= c0)
+            assert alpha**needed <= c0
+            assert needed == 1 or alpha ** (needed - 1) > c0
+
+    def test_combined_supply_beyond_twenty_copies(self):
+        # the 2**m supply spectrum is never built, so m far above 20 is cheap
+        assert copies_for_catalyst(two_qubit_state(0.6), 0.8) <= 40
+        assert copies_for_catalyst(two_qubit_state(0.6), 0.99) == 51
         rng = np.random.default_rng(11)
         beyond_twenty = 0
         for _ in range(3000):
