@@ -36,9 +36,15 @@ from .network import (
 ABSTRACT_MODE = "abstract"
 DETAILED_MODE = "detailed"
 
-# Fixed batch size for the abstract simulator; each batch draws from its own
-# seed stream, so results do not depend on how batches are scheduled.
+# Fixed batch size of the max-of-geometrics sampler; each batch draws from its
+# own seed stream, so results do not depend on how batches are scheduled.
 _BATCH_TRIALS = 8192
+# Smallest success probability the sampler takes.  numpy's standard
+# exponential never exceeds 45 (its ziggurat tail is r - log1p(-U), U < 1 on a
+# 2**-53 grid), so from 1e-10 up a count stays below 2**39 and a batch of
+# counts sums exactly in doubles; much below it the counts themselves pass
+# 2**53, where doubles no longer hold every integer.
+_MIN_GEOMETRIC_P = 1e-10
 # Aux ticks are applied at the first slot boundary within this relative
 # tolerance of their completion time.
 _TICK_SCALE = 1.0 + 1e-9
@@ -57,7 +63,8 @@ class SimConfig:
     A setting the run would not read is rejected rather than echoed: the
     cycle time outside abstract mode, whose slots fix the time scale; the
     stock capacity outside detailed finite-aux runs; an initial stock in
-    abstract and aux-rich runs; and ``max_slots`` in abstract runs.
+    abstract and aux-rich runs; ``max_slots`` in abstract runs; and the edge
+    and aux mode when both overrides are given.
     """
 
     n_edges: int
@@ -105,6 +112,12 @@ class SimConfig:
             )
         if self.max_slots != _DEFAULT_MAX_SLOTS and not detailed:
             raise InvalidInputError("max_slots applies to detailed mode only")
+        forced = self.p_cat_override is not None and self.cycle_time_override_s is not None
+        if forced and (self.edge is not None or self.aux != SimConfig.aux):
+            raise InvalidInputError(
+                "a run given both the success probability and the cycle time reads no edge"
+                " parameters or aux mode"
+            )
 
 
 @dataclass
@@ -178,32 +191,60 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def _max_of_geometrics(p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
-    """Sample ``scale`` times the maximum of N independent geometric(p) counts.
+class _MaxOfGeometrics:
+    """``scale`` times the largest of N independent geometric(p) counts, per trial.
 
-    Rows are drawn in batches of ``_BATCH_TRIALS``, batch b from the Philox
-    stream ``(seed, b)``, so results do not depend on how batches are
-    scheduled.  Returns the sample mean, its standard error and the total
-    count drawn in each of the N columns.
+    A geometric(p) count is ``ceil(E / lam)`` with ``E ~ Exp(1)`` and
+    ``lam = -log(1 - p)`` (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, X.2).  The map does not decrease in E, so a trial's largest count is
+    the count of its largest exponential, and only the row maxima are
+    inverted.  Below p = 1/3 the counts are the ones ``Generator.geometric``
+    returns from the same stream, which inverts the same exponentials.
+
+    Iterating draws the trials in batches of ``_BATCH_TRIALS``, batch b from
+    the Philox stream ``(seed, b)``, into one reused (size, N) buffer.  Each
+    block of exponentials is yielded after its row maxima are added to the
+    running sums, so a caller reduces from a block only what it needs, before
+    the next block overwrites it.
     """
-    total = 0.0
-    total_sq = 0.0
-    column_totals = np.zeros(n_edges, dtype=np.int64)
-    done = 0
-    batch = 0
-    while done < trials:
-        size = min(_BATCH_TRIALS, trials - done)
-        counts = _rng(seed, batch).geometric(p, size=(size, n_edges))
-        column_totals += counts.sum(axis=0)
-        sample = counts.max(axis=1).astype(float) * scale
-        total += float(sample.sum())
-        total_sq += float((sample**2).sum())
-        del counts  # so that only one batch is held while the next is drawn
-        done += size
-        batch += 1
-    mean = total / trials
-    var = max(0.0, (total_sq - trials * mean * mean) / max(trials - 1, 1))
-    return mean, math.sqrt(var / trials), column_totals
+
+    def __init__(self, p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
+        if not _MIN_GEOMETRIC_P <= p <= 1.0:
+            raise InvalidInputError(
+                f"the geometric sampler needs p in [{_MIN_GEOMETRIC_P:g}, 1], got {p}"
+            )
+        # At p = 1, E / lam is 0 and every count is raised to 1.
+        self.lam = math.inf if p == 1.0 else -math.log1p(-p)
+        self.n_edges = n_edges
+        self.trials = trials
+        self.seed = seed
+        self.scale = scale
+        self.total = 0.0
+        self.total_sq = 0.0
+
+    def __iter__(self):
+        block = np.empty((min(_BATCH_TRIALS, self.trials), self.n_edges))
+        for batch, done in enumerate(range(0, self.trials, _BATCH_TRIALS)):
+            draws = block[: self.trials - done]
+            _rng(self.seed, batch).standard_exponential(out=draws)
+            sample = self.counts(draws.max(axis=1)) * self.scale
+            self.total += float(sample.sum())
+            self.total_sq += float((sample**2).sum())
+            yield draws
+
+    def counts(self, draws: np.ndarray) -> np.ndarray:
+        """The geometric counts of exponential ``draws``, written over them.
+
+        A count is at least 1 even where a draw is exactly 0.0.
+        """
+        np.ceil(np.divide(draws, self.lam, out=draws), out=draws)
+        return np.maximum(draws, 1.0, out=draws)
+
+    def mean_and_error(self):
+        """The sample mean over every trial drawn, and its standard error."""
+        mean = self.total / self.trials
+        var = max(0.0, (self.total_sq - self.trials * mean * mean) / max(self.trials - 1, 1))
+        return mean, math.sqrt(var / self.trials)
 
 
 def simulate_abstract(cfg: SimConfig) -> SimResult:
@@ -216,12 +257,17 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
     if cfg.mode != ABSTRACT_MODE:
         raise InvalidInputError("config mode must be abstract")
     p_cat, t_cycle = _resolved_parameters(cfg)
-    mean, std_error, attempts = _max_of_geometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
+    sampler = _MaxOfGeometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
+    # Python integers, which a long run at a small p cannot overflow.
+    attempts = [0] * cfg.n_edges
+    for draws in sampler:
+        attempts = [a + int(c) for a, c in zip(attempts, sampler.counts(draws).sum(axis=0))]
+    mean, std_error = sampler.mean_and_error()
     counters = [
         EdgeCounters(
-            catalysis_attempts=int(a),
+            catalysis_attempts=a,
             catalysis_successes=cfg.trials,
-            catalysis_failures=int(a) - cfg.trials,
+            catalysis_failures=a - cfg.trials,
         )
         for a in attempts
     ]
@@ -701,12 +747,23 @@ class WaitingFactorCheck:
 
 
 def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> WaitingFactorCheck:
-    """Monte Carlo check of the waiting factor at three standard errors."""
+    """Monte Carlo check of the waiting factor at three standard errors.
+
+    The sampler takes p from ``_MIN_GEOMETRIC_P`` up, where every count and
+    sum it forms is an exact double.
+    """
     if trials < 2:
         raise InvalidInputError("need at least two trials for a standard error")
     analytic = waiting_factor(n_edges, p)
-    mean, std_error, _ = _max_of_geometrics(p, n_edges, trials, seed)
-    deviation = abs(mean - analytic) / std_error if std_error > 0 else 0.0
+    sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
+    for _ in sampler:
+        pass
+    mean, std_error = sampler.mean_and_error()
+    if std_error > 0.0:
+        deviation = abs(mean - analytic) / std_error
+    else:
+        # Every trial drew the same maximum: it passes only if it is exact.
+        deviation = 0.0 if mean == analytic else math.inf
     return WaitingFactorCheck(
         n_edges=n_edges,
         p=p,

@@ -38,10 +38,12 @@ class SchmidtVector:
             raise InvalidInputError("spectrum must be a non-empty 1-D sequence")
         if np.any(coeffs < 0.0):
             raise InvalidInputError("Schmidt coefficients must be non-negative")
-        # With no entry below zero, a NaN or inf entry makes the sum non-finite.
-        total = float(coeffs.sum())
+        # With no entry below zero, a NaN or inf entry makes the sum non-finite,
+        # and so does a sum of finite entries that overflows.
+        with np.errstate(over="ignore"):
+            total = float(coeffs.sum())
         if not math.isfinite(total):
-            raise InvalidInputError("Schmidt coefficients must be finite")
+            raise InvalidInputError("Schmidt coefficients must be finite, and so must their sum")
         if np.any(np.diff(coeffs) > TOL):
             raise InvalidInputError("Schmidt coefficients must be sorted non-increasing")
         if abs(total - 1.0) > TOL:
@@ -102,9 +104,10 @@ def make_schmidt(weights) -> SchmidtVector:
         raise InvalidInputError("at least one weight is required")
     if np.any(w < 0.0):
         raise InvalidInputError("weights must be non-negative")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
     if not math.isfinite(total):
-        raise InvalidInputError("weights must be finite")
+        raise InvalidInputError("weights must be finite, and so must their sum")
     if total <= 0.0:
         raise InvalidInputError("weights must not all be zero")
     return SchmidtVector(np.sort(w / total)[::-1])

@@ -3,8 +3,10 @@
 These deliberately avoid the library's own code paths: exact rational
 arithmetic for the monotone-ratio minimum, a positive-term series and a
 high-precision inclusion-exclusion sum for the waiting factor, a Markov
-survival recursion for the slot-level chain model, and the slot-by-slot
-stepper that the detailed simulator must match byte for byte.
+survival recursion for the slot-level chain model, the slot-by-slot
+stepper that the detailed simulator must match byte for byte, and the
+per-edge geometric sampler that the abstract simulator and the waiting-factor
+check must match below p = 1/3.
 """
 
 import math
@@ -18,7 +20,13 @@ import numpy as np
 from entcat.catalysis import copies_for_catalyst
 from entcat.errors import InvalidInputError
 from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, edge_catalyst
-from entcat.simulate import DETAILED_MODE, EdgeCounters, SimResult
+from entcat.simulate import (
+    ABSTRACT_MODE,
+    DETAILED_MODE,
+    EdgeCounters,
+    SimResult,
+    _resolved_parameters,
+)
 
 
 def exact_conversion_probability(initial_weights, final_weights) -> Fraction:
@@ -298,6 +306,68 @@ def simulate_detailed_stepper(cfg):
         std_error_s=std_error,
         rate_hz=deliveries / total_time,
         deliveries=deliveries,
+        trials_completed=cfg.trials,
+        timed_out=False,
+        counters=tuple(counters),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Max-of-geometrics sampler, one numpy geometric draw per edge
+# ---------------------------------------------------------------------------
+
+_BATCH_TRIALS = 8192
+
+
+def max_of_geometrics(p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
+    """Reference for the library's max-of-geometrics sampler.
+
+    The sampler as it was before it drew exponential blocks and inverted only
+    each trial's maximum.  ``Generator.geometric`` inverts the same
+    exponentials below p = 1/3 and searches with uniforms from 1/3 up, so the
+    two agree byte for byte below 1/3 only.  Returns the mean and standard
+    error of ``scale`` times the per-trial maximum, and each column's total.
+    """
+    total = 0.0
+    total_sq = 0.0
+    column_totals = np.zeros(n_edges, dtype=np.int64)
+    done = 0
+    batch = 0
+    while done < trials:
+        size = min(_BATCH_TRIALS, trials - done)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, batch))))
+        counts = rng.geometric(p, size=(size, n_edges))
+        column_totals += counts.sum(axis=0)
+        sample = counts.max(axis=1).astype(float) * scale
+        total += float(sample.sum())
+        total_sq += float((sample**2).sum())
+        del counts
+        done += size
+        batch += 1
+    mean = total / trials
+    var = max(0.0, (total_sq - trials * mean * mean) / max(trials - 1, 1))
+    return mean, math.sqrt(var / trials), column_totals
+
+
+def simulate_abstract_geometric(cfg):
+    """Reference for :func:`entcat.simulate.simulate_abstract` on :func:`max_of_geometrics`."""
+    if cfg.mode != ABSTRACT_MODE:
+        raise InvalidInputError("config mode must be abstract")
+    p_cat, t_cycle = _resolved_parameters(cfg)
+    mean, std_error, attempts = max_of_geometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
+    counters = [
+        EdgeCounters(
+            catalysis_attempts=int(a),
+            catalysis_successes=cfg.trials,
+            catalysis_failures=int(a) - cfg.trials,
+        )
+        for a in attempts
+    ]
+    return SimResult(
+        mean_completion_s=mean,
+        std_error_s=std_error,
+        rate_hz=1.0 / mean,
+        deliveries=cfg.trials,
         trials_completed=cfg.trials,
         timed_out=False,
         counters=tuple(counters),

@@ -39,6 +39,12 @@ class TestMonotones:
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_is_an_input_error_without_a_warning(self, capsys):
+        code, out, err = run_cli(capsys, "monotones", "1e308,1e308")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
 
 class TestProb:
     def test_concentration(self, capsys):
@@ -300,6 +306,9 @@ class TestSimulateCommand:
         "alpha = 0.8\ninitial_stock = 1\n",
         "alpha = 0.8\nmax_slots = 500\n",
         "mode = detailed\nn = 3\nP0 = 0.4\n",
+        # Both overrides given: the run reads no edge and no aux mode.
+        "p_cat = 0.5\nt_cycle_s = 1.0\nalpha = 0.8\nn = 3\naux_mode = none\n",
+        "p_cat = 0.5\nt_cycle_s = 1.0\naux_mode = none\n",
     ])
     def test_setting_the_run_ignores_is_an_input_error(self, capsys, tmp_path, setting):
         conf = tmp_path / "sim.conf"
@@ -361,6 +370,24 @@ class TestValidateZ:
         record = json.loads(out)
         assert record["passed"] is True
         assert record["analytic"] == pytest.approx(8.0 / 3.0, abs=1e-12)
+
+    def test_output_bytes_are_pinned(self, capsys):
+        # Below p = 1/3 the counts are those of one numpy geometric draw per edge.
+        code, out, _ = run_cli(capsys, "validate-z", "--edges", "32", "--p", "0.1",
+                               "--trials", "500000", "--seed", "7")
+        assert code == 0
+        assert out == (
+            '{"n_edges": 32, "p": 0.1, "trials": 500000, "empirical_mean": 39.025078, '
+            '"analytic": 39.02007718543327, "std_error": 0.017065379475481497, '
+            '"deviation_sigmas": 0.2930385798869933, "passed": true}\n'
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_p_it_cannot_sample_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "validate-z", "--edges", "4", "--p", "1e-300",
+                                 "--trials", "1000", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
 
 class TestConfigParsing:

@@ -1,13 +1,18 @@
 import json
 import math
 import tracemalloc
+import warnings
 
+import mpmath
+import numpy as np
 import pytest
 
 from entcat.errors import InvalidInputError
 from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, AuxConfig, AuxPath, EdgeParams
 from entcat.simulate import (
+    _BATCH_TRIALS,
     SimConfig,
+    _MaxOfGeometrics,
     result_record,
     run_simulation,
     simulate_abstract,
@@ -73,6 +78,21 @@ class TestConfigValidation:
     def test_rejects_non_finite_cycle_time(self, value):
         with pytest.raises(InvalidInputError):
             SimConfig(n_edges=1, mode="abstract", p_cat_override=0.5, cycle_time_override_s=value)
+
+    @pytest.mark.parametrize("setting", [
+        dict(edge=EDGE),
+        dict(aux=AuxConfig(NO_AUX)),
+        dict(edge=EDGE, aux=AuxConfig(NO_AUX)),
+    ])
+    def test_rejects_edge_and_aux_with_both_overrides(self, setting):
+        # Both overrides fix the run; it would read neither the edge nor the aux mode.
+        with pytest.raises(InvalidInputError):
+            abstract_config(**setting)
+        # With one override left out, the run reads the edge and the aux mode.
+        abstract_config(**{**setting, "edge": EDGE, "p_cat_override": None})
+        abstract_config(**{**setting, "edge": EDGE, "cycle_time_override_s": None})
+        # The default aux mode, written out, is not an ignored setting.
+        abstract_config(aux=AuxConfig(AUX_RICH))
 
     def test_requires_edge_without_overrides(self):
         cfg = SimConfig(n_edges=1, mode="abstract", trials=10, seed=0)
@@ -369,3 +389,126 @@ class TestValidateWaitingFactor:
     def test_needs_two_trials(self):
         with pytest.raises(InvalidInputError):
             validate_waiting_factor(2, 0.5, 1, 0)
+
+
+def sampled_maxima(p, n_edges, trials, seed):
+    """Each trial's largest geometric count, as the sampler draws it."""
+    sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
+    return np.concatenate([sampler.counts(draws.max(axis=1)) for draws in sampler])
+
+
+def pooled(observed, expected, least=20.0):
+    """Merge neighbouring bins, from the left, until each expects ``least`` hits."""
+    bins = []
+    o, e = 0, 0.0
+    for oi, ei in zip(observed, expected):
+        o, e = o + oi, e + ei
+        if e >= least:
+            bins.append([o, e])
+            o, e = 0, 0.0
+    bins[-1][0] += o
+    bins[-1][1] += e
+    return bins
+
+
+# Numpy's geometric inverts the same exponentials below p = 1/3; the largest
+# double below 1/3 is the last p where it does.
+BELOW_A_THIRD = (0.02, 0.3, math.nextafter(1.0 / 3.0, 0.0))
+TRIAL_COUNTS = [2, _BATCH_TRIALS - 1, _BATCH_TRIALS, _BATCH_TRIALS + 1, 50_000]
+
+
+class TestMaxOfGeometrics:
+    """The sampler against per-edge geometric draws and against the exact law."""
+
+    @pytest.mark.parametrize("n_edges", [1, 8, 32])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_waiting_factor_check_matches_geometric_draws(self, n_edges, trials):
+        for p in BELOW_A_THIRD:
+            check = validate_waiting_factor(n_edges, p, trials, trials + n_edges)
+            mean, std_error, _ = oracles.max_of_geometrics(p, n_edges, trials, trials + n_edges)
+            assert (check.empirical_mean, check.std_error) == (mean, std_error)
+
+    @pytest.mark.parametrize("n_edges", [1, 8, 32])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    @pytest.mark.parametrize("t_cycle", [1.0, 3.7e-4])
+    def test_abstract_record_matches_geometric_draws(self, n_edges, trials, t_cycle):
+        # The record holds the mean, its error and every edge's attempt total.
+        for p in BELOW_A_THIRD:
+            cfg = abstract_config(n_edges=n_edges, trials=trials, seed=trials + n_edges,
+                                  p_cat_override=p, cycle_time_override_s=t_cycle)
+            new = record_bytes(simulate_abstract, cfg)
+            assert new == record_bytes(oracles.simulate_abstract_geometric, cfg)
+
+    @pytest.mark.parametrize("n_edges", [1, 8, 32])
+    @pytest.mark.parametrize("p", [1.0 / 3.0, 0.5, 0.9])
+    def test_maxima_follow_the_exact_law(self, n_edges, p):
+        # From p = 1/3 up the draws differ from numpy's geometric, so the
+        # maxima are tested against P(max <= k) = (1 - q**k)**N with
+        # Pearson's chi-square.
+        trials = 100_000
+        maxima = sampled_maxima(p, n_edges, trials, 500 + n_edges)
+        assert maxima.min() >= 1.0
+        top = int(maxima.max())
+        cdf = (1.0 - (1.0 - p) ** np.arange(top)) ** n_edges  # P(max <= k), k = 0 .. top-1
+        expected = trials * np.diff(np.append(cdf, 1.0))  # the last bin holds max >= top
+        observed = np.bincount(maxima.astype(np.int64), minlength=top + 1)[1:]
+        bins = pooled(observed, expected)
+        stat = sum((o - e) ** 2 / e for o, e in bins)
+        p_value = float(mpmath.gammainc((len(bins) - 1) / 2, stat / 2, mpmath.inf,
+                                        regularized=True))
+        assert len(bins) >= 3
+        assert p_value > 1e-3, (stat, len(bins))
+
+    def test_certain_success_counts_one(self):
+        sampler = _MaxOfGeometrics(1.0, 4, 10, 3, 0.25)
+        for draws in sampler:
+            assert np.all(sampler.counts(draws) == 1.0)
+        assert sampler.mean_and_error() == (0.25, 0.0)
+        check = validate_waiting_factor(4, 1.0, 10, 3)
+        assert (check.empirical_mean, check.analytic, check.std_error) == (1.0, 1.0, 0.0)
+        assert check.deviation_sigmas == 0.0 and check.passed
+        res = simulate_abstract(abstract_config(n_edges=3, trials=9000, p_cat_override=1.0))
+        assert [c.catalysis_attempts for c in res.counters] == [9000] * 3
+
+    def test_count_is_never_zero(self):
+        # An exponential draw can be exactly 0.0.
+        sampler = _MaxOfGeometrics(0.1, 1, 2, 0)
+        assert sampler.counts(np.array([0.0, 5e-324, 0.1])).tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("p", [1e-300, 9.9e-11])
+    def test_rejects_p_below_the_floor(self, p):
+        # At 1e-300 the counts passed INT64_MAX and the check reported a pass.
+        with pytest.raises(InvalidInputError):
+            validate_waiting_factor(4, p, 1000, 1)
+        with pytest.raises(InvalidInputError):
+            simulate_abstract(abstract_config(p_cat_override=p))
+
+    def test_floor_statistics_are_finite_and_exact(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = validate_waiting_factor(32, 1e-10, 20_000, 1)
+            cfg = abstract_config(n_edges=32, trials=20_000, p_cat_override=1e-10)
+            new = record_bytes(simulate_abstract, cfg)
+        assert check.passed
+        mean, std_error, _ = oracles.max_of_geometrics(1e-10, 32, 20_000, 1)
+        assert (check.empirical_mean, check.std_error) == (mean, std_error)
+        assert new == record_bytes(oracles.simulate_abstract_geometric, cfg)
+
+    def test_zero_spread_passes_only_when_exact(self):
+        # Each count exceeds 1 with probability 1e-6, so both trials count 1
+        # and the error is 0, while the analytic mean is 1 / p.
+        check = validate_waiting_factor(1, 1.0 - 1e-6, 2, 5)
+        assert (check.empirical_mean, check.std_error) == (1.0, 0.0)
+        assert check.analytic > 1.0
+        assert check.deviation_sigmas == math.inf
+        assert not check.passed
+
+    def test_memory_stays_within_two_batches(self):
+        batch_bytes = _BATCH_TRIALS * 32 * 8
+        tracemalloc.start()
+        try:
+            validate_waiting_factor(32, 0.1, 10**6, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * batch_bytes

@@ -49,8 +49,11 @@ class TestMakeSchmidt:
         assert s.dimension == 3
         np.testing.assert_allclose(s.coefficients, [0.5, 0.5, 0.0])
 
-    # NaN passes every comparison-based check, and inf normalizes to NaN.
-    @pytest.mark.parametrize("bad", [[], [-0.1, 0.5], [0.0, 0.0], [0.5, math.nan], [1.0, math.inf]])
+    # NaN passes every comparison-based check, and inf normalizes to NaN.  The
+    # sum of the last overflows; no warning may come before the error.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [[], [-0.1, 0.5], [0.0, 0.0], [0.5, math.nan], [1.0, math.inf],
+                                     [1e308, 1e308]])
     def test_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             make_schmidt(bad)
@@ -67,6 +70,11 @@ class TestMakeSchmidt:
     def test_constructor_rejects_non_finite(self, bad):
         with pytest.raises(InvalidInputError):
             SchmidtVector(np.array([1.0, bad]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_constructor_rejects_overflowing_sum(self):
+        with pytest.raises(InvalidInputError):
+            SchmidtVector(np.array([1e308, 1e308]))
 
 
 class TestTwoQubitState:
