@@ -39,11 +39,14 @@ DETAILED_MODE = "detailed"
 # Fixed batch size of the max-of-geometrics sampler; each batch draws from its
 # own seed stream, so results do not depend on how batches are scheduled.
 _BATCH_TRIALS = 8192
-# Smallest success probability the sampler takes.  numpy's standard
-# exponential never exceeds 45 (its ziggurat tail is r - log1p(-U), U < 1 on a
-# 2**-53 grid), so from 1e-10 up a count stays below 2**39 and a batch of
-# counts sums exactly in doubles; much below it the counts themselves pass
-# 2**53, where doubles no longer hold every integer.
+# Smallest success probability the sampler takes, where lam ~ 1e-10 and a
+# count below 2**39 needs E < 2**39 * lam ~ 54.98.  The abstract simulator's
+# exponentials never exceed 45 (numpy's ziggurat tail is r - log1p(-U), U < 1
+# on a 2**-53 grid).  validate-z's largest exponential, inverted from the
+# largest uniform 1 - 2**-53, is -log(-expm1(log1p(-2**-53) / N)) ~ 36.74 +
+# ln N: 45.05 at N = 4096, and below 54.98 for N up to ~8.3e7.  There a
+# batch of 8192 counts sums exactly in doubles; much below 1e-10 the counts
+# themselves pass 2**53, where doubles no longer hold every integer.
 _MIN_GEOMETRIC_P = 1e-10
 # Aux ticks are applied at the first slot boundary within this relative
 # tolerance of their completion time.
@@ -197,15 +200,13 @@ class _MaxOfGeometrics:
     A geometric(p) count is ``ceil(E / lam)`` with ``E ~ Exp(1)`` and
     ``lam = -log(1 - p)`` (Devroye, *Non-Uniform Random Variate Generation*,
     1986, X.2).  The map does not decrease in E, so a trial's largest count is
-    the count of its largest exponential, and only the row maxima are
-    inverted.  Below p = 1/3 the counts are the ones ``Generator.geometric``
-    returns from the same stream, which inverts the same exponentials.
+    the count of its largest exponential, and only that maximum is inverted.
 
-    Iterating draws the trials in batches of ``_BATCH_TRIALS``, batch b from
-    the Philox stream ``(seed, b)``, into one reused (size, N) buffer.  Each
-    block of exponentials is yielded after its row maxima are added to the
-    running sums, so a caller reduces from a block only what it needs, before
-    the next block overwrites it.
+    Iterating yields each batch of ``_BATCH_TRIALS`` trials as its size and
+    the Philox stream ``(seed, b)`` of batch b.  The caller draws each trial's
+    largest exponential from the stream, drawing all N exponentials or
+    inverting one uniform (``largest_exponentials``), and passes them to
+    ``add``.
     """
 
     def __init__(self, p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
@@ -223,14 +224,8 @@ class _MaxOfGeometrics:
         self.total_sq = 0.0
 
     def __iter__(self):
-        block = np.empty((min(_BATCH_TRIALS, self.trials), self.n_edges))
         for batch, done in enumerate(range(0, self.trials, _BATCH_TRIALS)):
-            draws = block[: self.trials - done]
-            _rng(self.seed, batch).standard_exponential(out=draws)
-            sample = self.counts(draws.max(axis=1)) * self.scale
-            self.total += float(sample.sum())
-            self.total_sq += float((sample**2).sum())
-            yield draws
+            yield min(_BATCH_TRIALS, self.trials - done), _rng(self.seed, batch)
 
     def counts(self, draws: np.ndarray) -> np.ndarray:
         """The geometric counts of exponential ``draws``, written over them.
@@ -240,8 +235,27 @@ class _MaxOfGeometrics:
         np.ceil(np.divide(draws, self.lam, out=draws), out=draws)
         return np.maximum(draws, 1.0, out=draws)
 
+    def largest_exponentials(self, uniforms: np.ndarray) -> np.ndarray:
+        """The largest of N Exp(1) draws, one per uniform, written over them.
+
+        The largest of N uniforms is ``U**(1/N)`` (Devroye 1986, V), so the
+        largest of N exponentials, whose law is ``(1 - exp(-x))**N``, is
+        ``-log(-expm1(log(U) / N))``.  A uniform of exactly 0.0 gives 0.0.
+        """
+        with np.errstate(divide="ignore"):  # log(0.0) is -inf, and the chain then gives 0.0
+            np.log(uniforms, out=uniforms)
+        np.divide(uniforms, self.n_edges, out=uniforms)
+        np.negative(np.expm1(uniforms, out=uniforms), out=uniforms)
+        return np.negative(np.log(uniforms, out=uniforms), out=uniforms)
+
+    def add(self, largest: np.ndarray) -> None:
+        """Add the trials whose largest exponentials are ``largest``, overwriting them."""
+        sample = np.multiply(self.counts(largest), self.scale, out=largest)
+        self.total += float(sample.sum())
+        self.total_sq += float(np.square(sample, out=sample).sum())
+
     def mean_and_error(self):
-        """The sample mean over every trial drawn, and its standard error."""
+        """The sample mean over every trial added, and its standard error."""
         mean = self.total / self.trials
         var = max(0.0, (self.total_sq - self.trials * mean * mean) / max(self.trials - 1, 1))
         return mean, math.sqrt(var / self.trials)
@@ -258,9 +272,16 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
         raise InvalidInputError("config mode must be abstract")
     p_cat, t_cycle = _resolved_parameters(cfg)
     sampler = _MaxOfGeometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
+    # Every edge's count is needed for its attempt total, so each batch draws
+    # all N exponentials of each trial into one reused block.  Below p = 1/3
+    # their counts are the ones Generator.geometric returns from the same
+    # stream, which inverts the same exponentials.
+    block = np.empty((min(_BATCH_TRIALS, cfg.trials), cfg.n_edges))
     # Python integers, which a long run at a small p cannot overflow.
     attempts = [0] * cfg.n_edges
-    for draws in sampler:
+    for size, rng in sampler:
+        draws = rng.standard_exponential(out=block[:size])
+        sampler.add(draws.max(axis=1))
         attempts = [a + int(c) for a, c in zip(attempts, sampler.counts(draws).sum(axis=0))]
     mean, std_error = sampler.mean_and_error()
     counters = [
@@ -749,15 +770,18 @@ class WaitingFactorCheck:
 def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> WaitingFactorCheck:
     """Monte Carlo check of the waiting factor at three standard errors.
 
-    The sampler takes p from ``_MIN_GEOMETRIC_P`` up, where every count and
-    sum it forms is an exact double.
+    Each trial inverts one uniform to the largest of its N exponentials, so a
+    trial costs one draw whatever N is.  The sampler takes p from
+    ``_MIN_GEOMETRIC_P`` up, where every count and batch sum it forms is an
+    exact double for N up to ~8.3e7.
     """
     if trials < 2:
         raise InvalidInputError("need at least two trials for a standard error")
     analytic = waiting_factor(n_edges, p)
     sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
-    for _ in sampler:
-        pass
+    uniforms = np.empty(min(_BATCH_TRIALS, trials))
+    for size, rng in sampler:
+        sampler.add(sampler.largest_exponentials(rng.random(out=uniforms[:size])))
     mean, std_error = sampler.mean_and_error()
     if std_error > 0.0:
         deviation = abs(mean - analytic) / std_error

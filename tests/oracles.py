@@ -313,7 +313,8 @@ def simulate_detailed_stepper(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Max-of-geometrics sampler, one numpy geometric draw per edge
+# Max-of-geometrics sampler: one numpy geometric draw per edge (the abstract
+# simulator), and one inverted uniform per trial (validate-z)
 # ---------------------------------------------------------------------------
 
 _BATCH_TRIALS = 8192
@@ -347,6 +348,33 @@ def max_of_geometrics(p: float, n_edges: int, trials: int, seed: int, scale: flo
     mean = total / trials
     var = max(0.0, (total_sq - trials * mean * mean) / max(trials - 1, 1))
     return mean, math.sqrt(var / trials), column_totals
+
+
+def max_of_inverted_uniforms(p: float, n_edges: int, trials: int, seed: int):
+    """Reference for :func:`entcat.simulate.validate_waiting_factor`, one scalar at a time.
+
+    It reads the same Philox uniforms, one per trial from the stream
+    ``(seed, batch)``, and turns each into the trial's largest count with
+    ``math``: the largest of N uniforms is ``u ** (1/N)``, so the largest of N
+    exponentials is ``-log(-expm1(log(u) / N))`` (0.0 at u = 0.0), and its
+    count is ``max(ceil(E / lam), 1)``.  Each batch's counts are summed as the
+    library sums them.  Returns the mean and the standard error.
+    """
+    lam = math.inf if p == 1.0 else -math.log1p(-p)
+    total = 0.0
+    total_sq = 0.0
+    for batch, done in enumerate(range(0, trials, _BATCH_TRIALS)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, batch))))
+        counts = []
+        for u in rng.random(min(_BATCH_TRIALS, trials - done)).tolist():
+            largest = 0.0 if u == 0.0 else -math.log(-math.expm1(math.log(u) / n_edges))
+            counts.append(float(max(math.ceil(largest / lam), 1)))
+        sample = np.array(counts)
+        total += float(sample.sum())
+        total_sq += float((sample**2).sum())
+    mean = total / trials
+    var = max(0.0, (total_sq - trials * mean * mean) / max(trials - 1, 1))
+    return mean, math.sqrt(var / trials)
 
 
 def simulate_abstract_geometric(cfg):

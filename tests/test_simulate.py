@@ -391,10 +391,30 @@ class TestValidateWaitingFactor:
             validate_waiting_factor(2, 0.5, 1, 0)
 
 
-def sampled_maxima(p, n_edges, trials, seed):
-    """Each trial's largest geometric count, as the sampler draws it."""
+def sampled_maxima(p, n_edges, trials, seed, inverted):
+    """Each trial's largest geometric count, drawn as validate-z draws it (one
+    inverted uniform) or as the abstract simulator draws it (N exponentials)."""
     sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
-    return np.concatenate([sampler.counts(draws.max(axis=1)) for draws in sampler])
+
+    def largest(size, rng):
+        if inverted:
+            return sampler.largest_exponentials(rng.random(size))
+        return rng.standard_exponential((size, n_edges)).max(axis=1)
+
+    return np.concatenate([sampler.counts(largest(size, rng)) for size, rng in sampler])
+
+
+def exact_law_p_value(maxima, p, n_edges):
+    """Pearson's chi-square p-value of the maxima against P(max <= k) = (1 - q**k)**N."""
+    assert maxima.min() >= 1.0
+    top = int(maxima.max())
+    cdf = (1.0 - (1.0 - p) ** np.arange(top)) ** n_edges  # P(max <= k), k = 0 .. top-1
+    expected = maxima.size * np.diff(np.append(cdf, 1.0))  # the last bin holds max >= top
+    observed = np.bincount(maxima.astype(np.int64), minlength=top + 1)[1:]
+    bins = pooled(observed, expected)
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    assert len(bins) >= 3
+    return float(mpmath.gammainc((len(bins) - 1) / 2, stat / 2, mpmath.inf, regularized=True))
 
 
 def pooled(observed, expected, least=20.0):
@@ -418,15 +438,17 @@ TRIAL_COUNTS = [2, _BATCH_TRIALS - 1, _BATCH_TRIALS, _BATCH_TRIALS + 1, 50_000]
 
 
 class TestMaxOfGeometrics:
-    """The sampler against per-edge geometric draws and against the exact law."""
+    """The sampler against scalar references and against the exact law."""
 
     @pytest.mark.parametrize("n_edges", [1, 8, 32])
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_waiting_factor_check_matches_geometric_draws(self, n_edges, trials):
-        for p in BELOW_A_THIRD:
+        # validate-z's largest count per trial, against the same uniforms
+        # inverted one at a time with math.log, math.expm1 and math.ceil.
+        for p in (*BELOW_A_THIRD, 1.0 / 3.0, 0.5, 0.9, 1.0):
             check = validate_waiting_factor(n_edges, p, trials, trials + n_edges)
-            mean, std_error, _ = oracles.max_of_geometrics(p, n_edges, trials, trials + n_edges)
-            assert (check.empirical_mean, check.std_error) == (mean, std_error)
+            reference = oracles.max_of_inverted_uniforms(p, n_edges, trials, trials + n_edges)
+            assert (check.empirical_mean, check.std_error) == reference
 
     @pytest.mark.parametrize("n_edges", [1, 8, 32])
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
@@ -439,30 +461,26 @@ class TestMaxOfGeometrics:
             new = record_bytes(simulate_abstract, cfg)
             assert new == record_bytes(oracles.simulate_abstract_geometric, cfg)
 
+    @pytest.mark.parametrize("n_edges", [1, 8, 32, 4096])
+    @pytest.mark.parametrize("p", [*BELOW_A_THIRD, 1.0 / 3.0, 0.5, 0.9])
+    def test_maxima_follow_the_exact_law(self, n_edges, p):
+        # validate-z's inverted maxima follow the exact law at every p.
+        maxima = sampled_maxima(p, n_edges, 100_000, 500 + n_edges, inverted=True)
+        assert exact_law_p_value(maxima, p, n_edges) > 1e-3
+
     @pytest.mark.parametrize("n_edges", [1, 8, 32])
     @pytest.mark.parametrize("p", [1.0 / 3.0, 0.5, 0.9])
-    def test_maxima_follow_the_exact_law(self, n_edges, p):
-        # From p = 1/3 up the draws differ from numpy's geometric, so the
-        # maxima are tested against P(max <= k) = (1 - q**k)**N with
-        # Pearson's chi-square.
-        trials = 100_000
-        maxima = sampled_maxima(p, n_edges, trials, 500 + n_edges)
-        assert maxima.min() >= 1.0
-        top = int(maxima.max())
-        cdf = (1.0 - (1.0 - p) ** np.arange(top)) ** n_edges  # P(max <= k), k = 0 .. top-1
-        expected = trials * np.diff(np.append(cdf, 1.0))  # the last bin holds max >= top
-        observed = np.bincount(maxima.astype(np.int64), minlength=top + 1)[1:]
-        bins = pooled(observed, expected)
-        stat = sum((o - e) ** 2 / e for o, e in bins)
-        p_value = float(mpmath.gammainc((len(bins) - 1) / 2, stat / 2, mpmath.inf,
-                                        regularized=True))
-        assert len(bins) >= 3
-        assert p_value > 1e-3, (stat, len(bins))
+    def test_block_maxima_follow_the_exact_law(self, n_edges, p):
+        # From p = 1/3 up the abstract simulator's draws differ from numpy's
+        # geometric, so its maxima are tested against the exact law instead.
+        maxima = sampled_maxima(p, n_edges, 100_000, 500 + n_edges, inverted=False)
+        assert exact_law_p_value(maxima, p, n_edges) > 1e-3
 
     def test_certain_success_counts_one(self):
         sampler = _MaxOfGeometrics(1.0, 4, 10, 3, 0.25)
-        for draws in sampler:
-            assert np.all(sampler.counts(draws) == 1.0)
+        for size, rng in sampler:
+            assert np.all(sampler.counts(rng.standard_exponential((size, 4))) == 1.0)
+            sampler.add(sampler.largest_exponentials(rng.random(size)))
         assert sampler.mean_and_error() == (0.25, 0.0)
         check = validate_waiting_factor(4, 1.0, 10, 3)
         assert (check.empirical_mean, check.analytic, check.std_error) == (1.0, 1.0, 0.0)
@@ -475,6 +493,16 @@ class TestMaxOfGeometrics:
         sampler = _MaxOfGeometrics(0.1, 1, 2, 0)
         assert sampler.counts(np.array([0.0, 5e-324, 0.1])).tolist() == [1.0, 1.0, 1.0]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_edges", [1, 32, 4096])
+    def test_zero_uniform_counts_one_without_a_warning(self, n_edges):
+        # Generator.random can return exactly 0.0, whose log is -inf.
+        sampler = _MaxOfGeometrics(0.1, n_edges, 2, 0)
+        largest = sampler.largest_exponentials(np.array([0.0, 2.0**-53]))
+        assert largest[0] == 0.0
+        assert largest[1] == pytest.approx(-math.log1p(-(2.0**-53) ** (1.0 / n_edges)), rel=1e-12)
+        assert sampler.counts(largest)[0] == 1.0
+
     @pytest.mark.parametrize("p", [1e-300, 9.9e-11])
     def test_rejects_p_below_the_floor(self, p):
         # At 1e-300 the counts passed INT64_MAX and the check reported a pass.
@@ -486,12 +514,19 @@ class TestMaxOfGeometrics:
     def test_floor_statistics_are_finite_and_exact(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            check = validate_waiting_factor(32, 1e-10, 20_000, 1)
+            checks = {n: validate_waiting_factor(n, 1e-10, 20_000, 1) for n in (32, 4096)}
             cfg = abstract_config(n_edges=32, trials=20_000, p_cat_override=1e-10)
             new = record_bytes(simulate_abstract, cfg)
-        assert check.passed
-        mean, std_error, _ = oracles.max_of_geometrics(1e-10, 32, 20_000, 1)
-        assert (check.empirical_mean, check.std_error) == (mean, std_error)
+        for n_edges, check in checks.items():
+            assert check.passed
+            reference = oracles.max_of_inverted_uniforms(1e-10, n_edges, 20_000, 1)
+            assert (check.empirical_mean, check.std_error) == reference
+            # The largest uniform below 1 gives the largest count, ~ (36.74 + ln N) / lam,
+            # and below 2**39 a batch of counts sums exactly.
+            sampler = _MaxOfGeometrics(1e-10, n_edges, 1, 0)
+            top = sampler.counts(sampler.largest_exponentials(np.array([1.0 - 2.0**-53])))[0]
+            assert top == pytest.approx((36.7368 + math.log(n_edges)) / sampler.lam, rel=1e-5)
+            assert top < 2**39
         assert new == record_bytes(oracles.simulate_abstract_geometric, cfg)
 
     def test_zero_spread_passes_only_when_exact(self):
@@ -504,11 +539,12 @@ class TestMaxOfGeometrics:
         assert not check.passed
 
     def test_memory_stays_within_two_batches(self):
-        batch_bytes = _BATCH_TRIALS * 32 * 8
+        # One uniform per trial whatever N is; a block of all N exponentials
+        # would take _BATCH_TRIALS * 4096 * 8 bytes, 268 MB.
         tracemalloc.start()
         try:
-            validate_waiting_factor(32, 0.1, 10**6, 9)
+            validate_waiting_factor(4096, 0.1, 10**6, 9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * batch_bytes
+        assert peak <= 2 * _BATCH_TRIALS * 8 + 16 * 1024
