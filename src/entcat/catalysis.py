@@ -28,6 +28,7 @@ from .spectra import (
     TOL,
     SchmidtVector,
     can_convert_deterministically,
+    conversion_probabilities,
     conversion_probability,
     make_schmidt,
     monotones,
@@ -276,7 +277,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     if 2**n * d_c > DIM_CAP:
         raise ResourceLimitError("combined dimension exceeds the cap")
 
-    psi = np.array([initial_spectrum(problem).coefficients for problem in problems])
+    psi = psi_all = np.array([initial_spectrum(problem).coefficients for problem in problems])
     size = psi.shape[1] * d_c
     free = d_c - 1
     # c = e1 + T x; the ordered simplex is D c >= 0, that is A x <= b, and
@@ -377,17 +378,17 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
             best=make_schmidt(best[0]) if best_p[0] >= 0.0 else None,
         )
 
-    found = []
-    for problem, c in zip(problems, certified):
-        spectrum = make_schmidt(c)
-        found.append(
-            CatalystSpec(
-                spectrum=spectrum,
-                dimension=d_c,
-                success_probability=catalysis_probability(problem, spectrum),
-            )
-        )
-    return found
+    # Each catalyst's success probability, as catalysis_probability gives
+    # it, from one kernel call over the tensored rows of the whole batch.
+    found = [make_schmidt(c) for c in certified]
+    cat = np.array([spectrum.coefficients for spectrum in found])[:, None, :]
+    initial = (psi_all[:, :, None] * cat).reshape(len(problems), size)
+    final = (target_spectrum(n).coefficients[None, :, None] * cat).reshape(len(problems), size)
+    p_cat = conversion_probabilities(initial, final)
+    return [
+        CatalystSpec(spectrum=spectrum, dimension=d_c, success_probability=float(p))
+        for spectrum, p in zip(found, p_cat)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +459,18 @@ def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float) -> int:
     m copies of ``(alpha, 1-alpha)`` reach the catalyst with certainty when
     their spectrum majorizes it.  The largest supply coefficient ``alpha**m``
     must not exceed the largest catalyst coefficient, so the count starts at
-    the smallest such m and steps up until every monotone of the supply power
-    dominates the catalyst's.  For a two-qubit catalyst that first condition
-    is the whole test.  Only the first few monotones of the power can bind,
-    because the catalyst's vanish beyond its own dimension, so the test stays
-    cheap for any copy count.
+    the smallest such m.  For a two-qubit catalyst that first condition is
+    the whole test (its only other partial sum is the whole mass), and that m
+    is returned.  Above, m steps up until every monotone of the supply power
+    dominates the catalyst's.  Only the first few monotones of the power can
+    bind, because the catalyst's vanish beyond its own dimension, so the test
+    stays cheap for any copy count.
     """
     if not 0.5 < alpha_supply < 1.0:
         raise InvalidInputError(f"supply alpha must lie in (0.5, 1), got {alpha_supply}")
     m = _smallest_power_at_most(alpha_supply, float(catalyst.coefficients[0]))
+    if catalyst.dimension <= 2:
+        return m
     e_cat = monotones(catalyst).values[1:]
     while not np.all(1.0 - _power_top_partial_sums(alpha_supply, m, e_cat.size) >= e_cat - TOL):
         m += 1

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -229,20 +229,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate_z(args) -> int:
     check = simulate.validate_waiting_factor(args.edges, args.p, args.trials, args.seed)
-    print(
-        json.dumps(
-            {
-                "n_edges": check.n_edges,
-                "p": check.p,
-                "trials": check.trials,
-                "empirical_mean": check.empirical_mean,
-                "analytic": check.analytic,
-                "std_error": check.std_error,
-                "deviation_sigmas": check.deviation_sigmas,
-                "passed": check.passed,
-            }
-        )
-    )
+    print(json.dumps(asdict(check)))
     return 0
 
 

@@ -9,9 +9,9 @@ an N-edge chain.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,14 +119,6 @@ class TimingBreakdown:
 
 
 @dataclass(frozen=True)
-class CatalystSupplyTiming:
-    """Mean catalyst production time and the copies each path needs."""
-
-    time_s: float
-    copies_per_path: tuple
-
-
-@dataclass(frozen=True)
 class RateReport:
     """Everything entering the catalytic and plain-LOCC chain rates."""
 
@@ -190,26 +182,24 @@ def t_primary(n: int, t0_s: float, p0: float) -> float:
     return n * t0_s / p0
 
 
-def t_catalyst(paths: Sequence[AuxPath], catalyst: SchmidtVector) -> CatalystSupplyTiming:
-    """Mean time for the auxiliary paths to produce one catalyst.
+def t_catalyst(paths: Sequence[AuxPath], copies: Sequence[int]) -> float:
+    """Mean time, in seconds, for the auxiliary paths to produce one catalyst.
 
-    Path i needs ``copies_for_catalyst(catalyst, alpha_i)`` copies, and its
-    supply rate is that copy requirement times ``P_i / T_i``, exactly as the
-    timing model states it; the paths' rates add.
+    Path i needs ``copies[i]`` copies (see
+    :func:`~entcat.catalysis.copies_for_catalyst`), and its supply rate is
+    that copy requirement times ``P_i / T_i``, exactly as the timing model
+    states it; the paths' rates add.
     """
-    paths = list(paths)
-    if not paths:
-        raise InvalidInputError("at least one auxiliary path is required")
-    copies = tuple(copies_for_catalyst(catalyst, p.alpha) for p in paths)
-    total = sum(m * p.gen_probability / p.gen_time_s for p, m in zip(paths, copies))
-    return CatalystSupplyTiming(time_s=1.0 / total, copies_per_path=copies)
+    if not paths or len(copies) != len(paths):
+        raise InvalidInputError("need at least one auxiliary path and one copy count per path")
+    return 1.0 / sum(m * p.gen_probability / p.gen_time_s for p, m in zip(paths, copies))
 
 
 def t_edge_cycle(
     p_cat: float,
     edge: EdgeParams,
     aux: AuxConfig,
-    catalyst: SchmidtVector,
+    copies: Sequence[int],
 ) -> TimingBreakdown:
     """Mean temporal cost of one catalysis attempt over the edge.
 
@@ -217,6 +207,9 @@ def t_edge_cycle(
     catalyst: nothing extra when auxiliary paths are plentiful, the larger of
     the two generation times with a finite path list, and an additive copy
     overhead out of the primary source when no auxiliary paths exist.
+    ``copies`` is what one catalyst takes from each supply (see
+    :func:`~entcat.catalysis.copies_for_catalyst`): one count per path of a
+    finite list, in order, else the edge's own count; plentiful paths use none.
     """
     if not 0.0 < p_cat <= 1.0:
         raise InvalidInputError("catalysis probability must lie in (0, 1]")
@@ -226,10 +219,10 @@ def t_edge_cycle(
         t_cat = None
         t_both = t_pri
     elif aux.mode == FINITE_AUX:
-        t_cat = t_catalyst(aux.paths, catalyst).time_s
+        t_cat = t_catalyst(aux.paths, copies)
         t_both = max(t_pri, t_cat)
     else:
-        n_cat = copies_for_catalyst(catalyst, edge.alpha)
+        (n_cat,) = copies
         t_cat = n_cat * t0 / edge.herald_probability
         t_both = (edge.copies + n_cat) * t0 / edge.herald_probability
     t_cycle = p_cat * t_pri + (1.0 - p_cat) * t_both
@@ -253,7 +246,9 @@ def waiting_factor(n_edges: int, p: float) -> float:
     - ``p <= 1e-2`` and ``N >= 8``: the harmonic asymptotic ``H_N / lam + 1/2``
       (Szpankowski & Rego 1990); its Euler-Maclaurin corrections start at
       order ``lam**N`` and its periodic part at ``exp(-2 pi**2 / lam)``, both
-      below double resolution there;
+      below double resolution there.  ``H_N`` is summed up to N = 1024 and
+      taken from its own Euler-Maclaurin expansion above, within an ulp or
+      two of the sum, so this branch costs the same at any N;
     - ``p <= 1e-2`` and ``N < 8``: inclusion-exclusion, whose binomials are at
       most 35, so its alternating terms barely cancel.
 
@@ -269,7 +264,13 @@ def waiting_factor(n_edges: int, p: float) -> float:
     lam = -math.log1p(-p)
     if p > 1e-2:
         m = np.arange(1, math.ceil((math.log(n_edges) + 40.0) / lam))
-        return 1.0 + math.fsum(-np.expm1(n_edges * np.log1p(-np.exp(-lam * m))))
+        return 1.0 + math.fsum((-np.expm1(n_edges * np.log1p(-np.exp(-lam * m)))).tolist())
+    if n_edges > 1024:
+        # H_N to 1 / N**4 plus Euler's constant; the next term, 1 / (252 N**6),
+        # is below 1e-20.
+        inv2 = 1.0 / (n_edges * n_edges)
+        tail = 0.5 / n_edges - inv2 * (1.0 / 12.0 - inv2 / 120.0)
+        return (math.log(n_edges) + 0.5772156649015329 + tail) / lam + 0.5
     if n_edges >= 8:
         return math.fsum(1.0 / k for k in range(1, n_edges + 1)) / lam + 0.5
     return math.fsum(
@@ -301,42 +302,39 @@ def edge_catalyst(edge: EdgeParams) -> CatalystSpec:
     return search_catalyst(problem, edge.catalyst_dim)
 
 
-def _locc_side(edge: EdgeParams, n_edges: int) -> tuple:
+def _locc_side(problem: ConcentrationProblem, t_pri: float, n_edges: int) -> tuple:
     """``(p_locc, z_locc, rate_locc_hz)`` of the plain-LOCC chain."""
-    p_locc = locc_probability(ConcentrationProblem(edge.copies, edge.alpha))
+    p_locc = locc_probability(problem)
     z_locc = waiting_factor(n_edges, p_locc)
-    t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
     return p_locc, z_locc, 1.0 / (t_pri * z_locc)
 
 
-def _catalyst_side(edge: EdgeParams, n_edges: int, catalyst: CatalystSpec) -> tuple:
-    """``(catalyst spectrum, p_cat, z_cat, n_cat)`` of the edge's optimal catalyst.
+def _catalyst_side(alpha: float, n_edges: int, catalyst: CatalystSpec) -> tuple:
+    """``(catalyst spectrum, c0, p_cat, z_cat, n_cat)`` of the edge's optimal catalyst.
 
-    The same for every aux mode.
+    The same for every aux mode; ``n_cat`` counts the edge's own pairs (larger
+    coefficient ``alpha``) one catalyst takes.
     """
-    p_cat = catalyst.success_probability
-    n_cat = copies_for_catalyst(catalyst.spectrum, edge.alpha)
-    return catalyst.spectrum, p_cat, waiting_factor(n_edges, p_cat), n_cat
+    spectrum, p_cat = catalyst.spectrum, catalyst.success_probability
+    n_cat = copies_for_catalyst(spectrum, alpha)
+    return spectrum, float(spectrum.coefficients[0]), p_cat, waiting_factor(n_edges, p_cat), n_cat
 
 
-def _rate_report(edge: EdgeParams, aux: AuxConfig, locc: tuple, catalytic: tuple) -> RateReport:
-    p_locc, z_locc, rate_locc = locc
-    spectrum, p_cat, z_cat, n_cat = catalytic
-    timing = t_edge_cycle(p_cat, edge, aux, spectrum)
+def _supply_copies(aux: AuxConfig, catalyst: SchmidtVector, n_cat: int) -> tuple:
+    """The ``copies`` argument of :func:`t_edge_cycle`, given the edge's own count.
+
+    Only a finite aux list has paths; every other mode gets ``(n_cat,)``.
+    """
+    return tuple(copies_for_catalyst(catalyst, path.alpha) for path in aux.paths) or (n_cat,)
+
+
+def _mode_side(edge: EdgeParams, aux: AuxConfig, locc: tuple, catalytic: tuple) -> tuple:
+    """``(timing, rate_cat_hz, eta_p, eta_r)`` of the catalytic chain in one aux mode."""
+    p_locc, _, rate_locc = locc
+    spectrum, _, p_cat, z_cat, n_cat = catalytic
+    timing = t_edge_cycle(p_cat, edge, aux, _supply_copies(aux, spectrum, n_cat))
     rate_cat = 1.0 / (timing.t_edge_cycle_s * z_cat)
-    return RateReport(
-        p_locc=p_locc,
-        p_cat=p_cat,
-        c0=float(spectrum.coefficients[0]),
-        n_cat=n_cat,
-        eta_p=p_cat / p_locc,
-        z_locc=z_locc,
-        z_cat=z_cat,
-        timing=timing,
-        rate_locc_hz=rate_locc,
-        rate_cat_hz=rate_cat,
-        eta_r=rate_cat / rate_locc,
-    )
+    return timing, rate_cat, p_cat / p_locc, rate_cat / rate_locc
 
 
 def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> RateReport:
@@ -348,8 +346,16 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> RateReport
     """
     if n_edges < 1:
         raise InvalidInputError(f"edge count must be positive, got {n_edges}")
-    catalytic = _catalyst_side(edge, n_edges, edge_catalyst(edge))
-    return _rate_report(edge, aux, _locc_side(edge, n_edges), catalytic)
+    t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
+    locc = _locc_side(ConcentrationProblem(edge.copies, edge.alpha), t_pri, n_edges)
+    catalytic = _catalyst_side(edge.alpha, n_edges, edge_catalyst(edge))
+    p_locc, z_locc, rate_locc = locc
+    _, c0, p_cat, z_cat, n_cat = catalytic
+    timing, rate_cat, eta_p, eta_r = _mode_side(edge, aux, locc, catalytic)
+    return RateReport(
+        p_locc=p_locc, p_cat=p_cat, c0=c0, n_cat=n_cat, eta_p=eta_p, z_locc=z_locc,
+        z_cat=z_cat, timing=timing, rate_locc_hz=rate_locc, rate_cat_hz=rate_cat, eta_r=eta_r,
+    )
 
 
 # Relative size, against the running sum, of the geometric tail left off
@@ -449,7 +455,6 @@ class SweepRow:
 
 _SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
 SWEEP_CSV_HEADER = ",".join(_SWEEP_FIELDS)
-_REPORT_FIELDS = tuple(f.name for f in fields(RateReport) if f.name in _SWEEP_FIELDS)
 
 
 def sweep_rates(
@@ -466,84 +471,85 @@ def sweep_rates(
 ) -> list[SweepRow]:
     """Rate ratios on a grid of primary-state asymmetries.
 
-    One row per (mode, catalyst dimension, alpha), sorted in that order.
-    Grid points where the copy count falls outside the catalysis window are
-    flagged and carry only the plain-LOCC quantities instead of erroring, so
-    sweeps can span the whole asymmetry range.
+    One row per (mode, catalyst dimension, alpha), sorted in that order; a
+    repeated mode or dimension is an error.  Grid points where the copy count
+    falls outside the catalysis window are flagged and carry only the
+    plain-LOCC quantities instead of erroring, so sweeps can span the whole
+    asymmetry range.
 
-    Each quantity is computed once, by the code :func:`rate_catalytic` uses:
-    the plain-LOCC side once per alpha, the catalyst and its waiting factor
-    once per (dimension, alpha), and only the edge-cycle time once per mode.
-    Above dimension 2, the catalysts of one dimension come from a single
-    lockstep :func:`~entcat.catalysis.search_catalysts` batch over the
-    in-window alphas.  That search treats each problem on its own rows,
-    with no reduction across the batch, so every row is bit for bit what
+    Each quantity is computed once, by the helpers :func:`rate_catalytic`
+    uses: the inputs are validated once, the plain-LOCC side once per alpha,
+    the catalyst, its waiting factor and its copy count ``n_cat`` once per
+    (dimension, alpha), and only the edge-cycle time once per mode.  Above
+    dimension 2, the catalysts of one dimension come from a single lockstep
+    :func:`~entcat.catalysis.search_catalysts` batch over the in-window
+    alphas.  That search treats each problem on its own rows, with no
+    reduction across the batch, so every row is bit for bit what
     :func:`rate_catalytic` gives for that point alone.
     """
-    auxes = [AuxConfig(mode, tuple(aux_paths) if mode == FINITE_AUX else ()) for mode in modes]
-    edges = [
-        EdgeParams(
-            alpha=alpha,
-            copies=copies,
-            length_km=length_km,
-            fiber_speed_km_s=fiber_speed_km_s,
-            herald_probability=herald_probability,
+    if len(set(modes)) < len(modes) or len(set(catalyst_dims)) < len(catalyst_dims):
+        raise InvalidInputError(
+            f"sweep modes and catalyst dimensions must not repeat, got {list(modes)} "
+            f"and {list(catalyst_dims)}"
         )
-        for alpha in sorted(alpha_grid)
-    ]
-    locc = [_locc_side(edge, n_edges) for edge in edges]
-    problems = [ConcentrationProblem(copies, edge.alpha) for edge in edges]
+    auxes = [AuxConfig(mode, tuple(aux_paths) if mode == FINITE_AUX else ()) for mode in modes]
+    problems = [ConcentrationProblem(copies, alpha) for alpha in sorted(alpha_grid)]
+    if not (problems and catalyst_dims):
+        return []
+    # One edge per dimension validates the timing parameters; no timing
+    # depends on alpha, so every row of a dimension shares it.
+    edges = {dim: EdgeParams(problems[0].alpha, copies, length_km, fiber_speed_km_s,
+                             herald_probability, dim) for dim in catalyst_dims}
+    t_pri = t_primary(copies, edges[catalyst_dims[0]].cycle_time_s, herald_probability)
+    locc = [_locc_side(problem, t_pri, n_edges) for problem in problems]
     inside = [i for i, problem in enumerate(problems) if in_catalysis_window(problem)]
     batch = [problems[i] for i in inside]
-    # (edge at this dimension, catalyst side); absent out of window.
-    catalytic = {}
+    catalytic = {}  # catalyst side per (dimension, alpha index); absent out of window
     for dim in catalyst_dims:
-        edges_d = [replace(edge, catalyst_dim=dim) for edge in edges]
         if dim == 2:
             found = [optimal_two_qubit_catalyst(problem) for problem in batch]
         else:
             found = search_catalysts(batch, dim)
         for i, catalyst in zip(inside, found):
-            catalytic[dim, i] = (edges_d[i], _catalyst_side(edges_d[i], n_edges, catalyst))
+            catalytic[dim, i] = _catalyst_side(problems[i].alpha, n_edges, catalyst)
 
     rows = []
     for aux in auxes:
         for dim in catalyst_dims:
-            for i, edge in enumerate(edges):
-                point = dict(alpha=edge.alpha, mode=aux.mode, catalyst_dim=dim)
+            for i, problem in enumerate(problems):
+                point = dict(alpha=problem.alpha, mode=aux.mode, catalyst_dim=dim)
+                p_locc, z_locc, rate_locc = locc[i]
                 if (dim, i) not in catalytic:
-                    p_locc, z_locc, rate_locc = locc[i]
-                    rows.append(
-                        SweepRow(**point, p_locc=p_locc, z_locc=z_locc,
-                                 rate_locc_hz=rate_locc, window_flag=WINDOW_OUT)
-                    )
+                    rows.append(SweepRow(**point, p_locc=p_locc, z_locc=z_locc,
+                                         rate_locc_hz=rate_locc, window_flag=WINDOW_OUT))
                     continue
-                edge_d, cat = catalytic[dim, i]
-                report = _rate_report(edge_d, aux, locc[i], cat)
-                rows.append(
-                    SweepRow(
-                        **point,
-                        **{name: getattr(report, name) for name in _REPORT_FIELDS},
-                        t_edge_cycle_s=report.timing.t_edge_cycle_s,
-                        window_flag=WINDOW_OK,
-                    )
-                )
+                side = catalytic[dim, i]
+                _, c0, p_cat, z_cat, n_cat = side
+                timing, rate_cat, eta_p, eta_r = _mode_side(edges[dim], aux, locc[i], side)
+                rows.append(SweepRow(
+                    **point, p_locc=p_locc, p_cat=p_cat, c0=c0, n_cat=n_cat, eta_p=eta_p,
+                    z_locc=z_locc, z_cat=z_cat, t_edge_cycle_s=timing.t_edge_cycle_s,
+                    rate_locc_hz=rate_locc, rate_cat_hz=rate_cat, eta_r=eta_r,
+                    window_flag=WINDOW_OK,
+                ))
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
+_row_values = attrgetter(*_SWEEP_FIELDS)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], stream) -> None:
-    """Write sweep rows with the fixed header, 12 significant digits."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(_SWEEP_FIELDS)
+    """Write sweep rows with the fixed header, floats to 12 significant digits.
+
+    Each cell is formatted straight from its value: empty for None, as is for
+    a string, ``str`` for an integer and ``.12g`` for the rest.  No cell needs
+    CSV quoting, since the only strings are the fixed mode and window words.
+    """
+    stream.write(SWEEP_CSV_HEADER + "\n")
     for r in rows:
-        writer.writerow([_cell(getattr(r, name)) for name in _SWEEP_FIELDS])
+        cells = [
+            "" if v is None else v if isinstance(v, str) else str(v) if isinstance(v, int)
+            else f"{v:.12g}"
+            for v in _row_values(r)
+        ]
+        stream.write(",".join(cells) + "\n")

@@ -28,6 +28,7 @@ from .network import (
     NO_AUX,
     AuxConfig,
     EdgeParams,
+    _supply_copies,
     edge_catalyst,
     t_edge_cycle,
     waiting_factor,
@@ -185,7 +186,9 @@ def _resolved_parameters(cfg: SimConfig):
     if p_cat is None:
         p_cat = catalyst.success_probability
     if t_cycle is None:
-        t_cycle = t_edge_cycle(p_cat, cfg.edge, cfg.aux, catalyst.spectrum).t_edge_cycle_s
+        n_cat = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha)
+        copies = _supply_copies(cfg.aux, catalyst.spectrum, n_cat)
+        t_cycle = t_edge_cycle(p_cat, cfg.edge, cfg.aux, copies).t_edge_cycle_s
     return p_cat, t_cycle
 
 

@@ -36,7 +36,7 @@ class SchmidtVector:
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise InvalidInputError("spectrum must be a non-empty 1-D sequence")
-        if np.any(coeffs < 0.0):
+        if (coeffs < 0.0).any():
             raise InvalidInputError("Schmidt coefficients must be non-negative")
         # With no entry below zero, a NaN or inf entry makes the sum non-finite,
         # and so does a sum of finite entries that overflows.
@@ -44,7 +44,7 @@ class SchmidtVector:
             total = float(coeffs.sum())
         if not math.isfinite(total):
             raise InvalidInputError("Schmidt coefficients must be finite, and so must their sum")
-        if np.any(np.diff(coeffs) > TOL):
+        if (coeffs[1:] - coeffs[:-1] > TOL).any():
             raise InvalidInputError("Schmidt coefficients must be sorted non-increasing")
         if abs(total - 1.0) > TOL:
             raise InvalidInputError(f"Schmidt coefficients must sum to 1, got {total}")

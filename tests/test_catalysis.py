@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from entcat.errors import (
     ResourceLimitError,
 )
 from entcat.spectra import (
+    TOL,
+    SchmidtVector,
     can_convert_deterministically,
     conversion_probabilities,
     conversion_probability,
@@ -332,6 +335,8 @@ class TestSearchCatalysts:
                 np.outer(initial, c).ravel().tolist(), np.outer(final, c).ravel().tolist()
             )
             assert abs(float(exact) - found.success_probability) <= 1e-12
+            # one kernel call for the batch gives each catalyst's own bits
+            assert found.success_probability == catalysis_probability(problem, found.spectrum)
             closed = optimal_two_qubit_catalyst(problem).success_probability
             assert found.success_probability >= closed
 
@@ -490,6 +495,34 @@ class TestSupplyAccounting:
             assert copies_for_catalyst(two_qubit_state(c0), alpha) == m
             beyond_twenty += m > 20
         assert beyond_twenty > 50
+
+    def test_two_qubit_count_is_the_exact_majorization_answer(self):
+        # m copies majorize a two-qubit catalyst exactly when alpha**m <= c0,
+        # decided here in rationals; the catalysts come from the closed form,
+        # two_qubit_state and make_schmidt, and some sum to 1 only within TOL.
+        def exact(c0, alpha):
+            power, bound, m = Fraction(alpha), Fraction(c0), 1
+            while power > bound:
+                power *= Fraction(alpha)
+                m += 1
+            return m
+
+        rng = np.random.default_rng(14)
+        catalysts = []
+        for _ in range(200):
+            n = int(rng.integers(2, 4))
+            alpha = float(rng.uniform(0.5 ** (1.0 / (n + 1)), 0.999))
+            catalysts.append(optimal_two_qubit_catalyst(ConcentrationProblem(n, alpha)).spectrum)
+            catalysts.append(two_qubit_state(float(rng.uniform(0.5, 1.0))))
+            catalysts.append(make_schmidt(rng.random(2) + 1e-3))
+            c0 = float(rng.uniform(0.5, 0.999))
+            off = float(rng.uniform(-TOL, TOL))
+            catalysts.append(SchmidtVector(np.array([c0, 1.0 - c0 + off])))
+        for catalyst in catalysts:
+            c0 = float(catalyst.coefficients[0])
+            for alpha in rng.uniform(0.501, 0.999, 5):
+                alpha = float(alpha)
+                assert copies_for_catalyst(catalyst, alpha) == exact(c0, alpha)
 
     def test_n_star_is_copies_for_the_half_catalyst(self):
         # Concentration is deterministic once the supply power reaches 1/2.

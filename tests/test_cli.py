@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,29 @@ class TestSweep:
         assert p_cat
         for by_dim in p_cat.values():
             assert by_dim[2] <= by_dim[3] <= by_dim[4]
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--mode", "aux_rich,aux_rich"), ("--dim", "2,2"), ("--dim", "4,4")]
+    )
+    def test_repeated_mode_or_dim_is_an_input_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "sweep", "--steps", "3", flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "repeat" in err
+
+    @pytest.mark.parametrize(
+        "copies,digest",
+        [
+            ("2", "bab6983b3f835ffa6cb8b9741986eb30d21036bc76d9a4ebdc7f0a4fb2825534"),
+            ("3", "6b9b48e701b065fab95b7c62538215d701ab42af3e2a065271998ff40ded7563"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, copies, digest):
+        # Every mode and dimension in one call: the rows share each catalyst,
+        # copy count and waiting factor, and must still print the same bytes.
+        code, out, _ = run_cli(capsys, "sweep", "--n", copies, "--dim", "2,3,4",
+                               "--mode", "aux_rich,none", "--steps", "60")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stdout_equals_file(self, capsys, tmp_path):
         out_file = tmp_path / "s.csv"

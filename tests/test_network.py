@@ -1,4 +1,7 @@
+import hashlib
 import io
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -134,20 +137,25 @@ class TestTimings:
         assert t_primary(4, 1.0, 0.25) == pytest.approx(16.0)
 
     def test_t_catalyst_single_path(self):
-        timing = t_catalyst([AuxPath(0.8, 0.5, 1e-3)], two_qubit_state(0.5919671916850177))
-        assert timing.copies_per_path == (3,)
-        assert timing.time_s == pytest.approx(1.0 / (3 * 0.5 / 1e-3))
+        copies = copies_for_catalyst(two_qubit_state(0.5919671916850177), 0.8)
+        assert copies == 3
+        time_s = t_catalyst([AuxPath(0.8, 0.5, 1e-3)], (copies,))
+        assert time_s == pytest.approx(1.0 / (3 * 0.5 / 1e-3))
 
     def test_t_catalyst_two_identical_paths_halves(self):
         path = AuxPath(0.8, 0.5, 1e-3)
-        one = t_catalyst([path], two_qubit_state(0.59196)).time_s
-        two = t_catalyst([path, path], two_qubit_state(0.59196)).time_s
+        one = t_catalyst([path], (3,))
+        two = t_catalyst([path, path], (3, 3))
         assert two == pytest.approx(one / 2)
+
+    @pytest.mark.parametrize("copies", [(), (3, 3)])
+    def test_t_catalyst_needs_one_count_per_path(self, copies):
+        with pytest.raises(InvalidInputError):
+            t_catalyst([AuxPath(0.8, 0.5, 1e-3)], copies)
 
     def test_edge_cycle_aux_rich(self):
         edge = EdgeParams(alpha=0.8, copies=2, herald_probability=0.5)
-        catalyst = optimal_two_qubit_catalyst(ConcentrationProblem(2, 0.8))
-        tb = t_edge_cycle(0.8822819946431774, edge, AuxConfig(AUX_RICH), catalyst.spectrum)
+        tb = t_edge_cycle(0.8822819946431774, edge, AuxConfig(AUX_RICH), ())
         assert tb.t_catalyst_s is None
         assert tb.t_edge_cycle_s == tb.t_primary_s
 
@@ -158,7 +166,7 @@ class TestTimings:
         assert edge.cycle_time_s == pytest.approx(5e-4)
         catalyst = optimal_two_qubit_catalyst(ConcentrationProblem(2, 0.8))
         p_cat = catalyst.success_probability
-        tb = t_edge_cycle(p_cat, edge, AuxConfig(NO_AUX), catalyst.spectrum)
+        tb = t_edge_cycle(p_cat, edge, AuxConfig(NO_AUX), (3,))
         assert tb.t_primary_s == pytest.approx(1e-3)
         assert tb.t_primary_plus_catalyst_s == pytest.approx(2.5e-3)
         expected = p_cat * 1e-3 + (1 - p_cat) * 2.5e-3
@@ -167,27 +175,25 @@ class TestTimings:
 
     def test_edge_cycle_certain_success(self):
         edge = EdgeParams(alpha=0.8, copies=2)
-        catalyst = optimal_two_qubit_catalyst(ConcentrationProblem(2, 0.8))
         for aux in (AuxConfig(AUX_RICH), AuxConfig(NO_AUX)):
-            tb = t_edge_cycle(1.0, edge, aux, catalyst.spectrum)
+            tb = t_edge_cycle(1.0, edge, aux, (3,))
             assert tb.t_edge_cycle_s == pytest.approx(tb.t_primary_s)
 
     def test_edge_cycle_finite_aux_matches_supply_timing(self):
         edge = EdgeParams(alpha=0.8, copies=2, herald_probability=0.5)
         catalyst = optimal_two_qubit_catalyst(ConcentrationProblem(2, 0.8))
         paths = (AuxPath(0.8, 0.01, 1.0), AuxPath(0.9, 0.05, 0.3))
-        tb = t_edge_cycle(0.88, edge, AuxConfig(FINITE_AUX, paths), catalyst.spectrum)
-        direct = t_catalyst(paths, catalyst.spectrum)
-        assert tb.t_catalyst_s == pytest.approx(direct.time_s, rel=1e-12)
+        copies = tuple(copies_for_catalyst(catalyst.spectrum, path.alpha) for path in paths)
+        tb = t_edge_cycle(0.88, edge, AuxConfig(FINITE_AUX, paths), copies)
+        assert tb.t_catalyst_s == t_catalyst(paths, copies)
 
     def test_edge_cycle_finite_aux_takes_max(self):
         edge = EdgeParams(alpha=0.8, copies=2, herald_probability=0.5)
-        catalyst = optimal_two_qubit_catalyst(ConcentrationProblem(2, 0.8))
         slow = AuxConfig(FINITE_AUX, (AuxPath(0.8, 0.01, 1.0),))
-        tb = t_edge_cycle(0.88, edge, slow, catalyst.spectrum)
+        tb = t_edge_cycle(0.88, edge, slow, (3,))
         assert tb.t_primary_plus_catalyst_s == pytest.approx(tb.t_catalyst_s)
         fast = AuxConfig(FINITE_AUX, (AuxPath(0.8, 1.0, 1e-9),))
-        tb = t_edge_cycle(0.88, edge, fast, catalyst.spectrum)
+        tb = t_edge_cycle(0.88, edge, fast, (3,))
         assert tb.t_primary_plus_catalyst_s == pytest.approx(tb.t_primary_s)
 
 
@@ -225,6 +231,18 @@ class TestWaitingFactor:
     def test_matches_mpmath_oracle(self, n_edges, p):
         exact = oracles.waiting_factor_mp(n_edges, p)
         assert waiting_factor(n_edges, p) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n_edges", [10**5, 10**7])
+    def test_harmonic_branch_far_beyond_the_oracle(self, n_edges):
+        # Above N = 1024, H_N comes from its Euler-Maclaurin expansion; the
+        # reference sums every 1/k, in blocks so no list of N floats is built.
+        lam = -math.log1p(-1e-3)
+        terms = itertools.chain.from_iterable(
+            (1.0 / np.arange(start, min(start + 2**16, n_edges + 1))).tolist()
+            for start in range(1, n_edges + 1, 2**16)
+        )
+        expected = math.fsum(terms) / lam + 0.5
+        assert waiting_factor(n_edges, 1e-3) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_import_leaves_mpmath_unloaded(self):
         code = "import sys, entcat; print('mpmath' in sys.modules)"
@@ -379,9 +397,11 @@ class TestSweep:
         # the sweep shares work across modes and dimensions; every row must
         # still equal what rate_catalytic computes for that point alone
         grid = [0.6, 0.75, 0.8, 0.9]
-        rows = sweep_rates(2, 8, grid, [AUX_RICH, NO_AUX], [2, 4], herald_probability=0.4)
+        paths = (AuxPath(0.8, 0.05, 2.5e-4), AuxPath(0.75, 0.3, 1.0e-3))
+        modes = (AUX_RICH, NO_AUX, FINITE_AUX)
+        rows = sweep_rates(2, 8, grid, modes, [2, 4], herald_probability=0.4, aux_paths=paths)
         expected = []
-        for mode in (AUX_RICH, NO_AUX):
+        for mode in modes:
             for dim in (2, 4):
                 for alpha in grid:
                     edge = EdgeParams(alpha=alpha, copies=2, herald_probability=0.4,
@@ -394,7 +414,8 @@ class TestSweep:
                         expected.append(SweepRow(**point, z_locc=z_locc, rate_locc_hz=rate_locc,
                                                  window_flag="out_of_window"))
                         continue
-                    r = rate_catalytic(edge, AuxConfig(mode), 8)
+                    aux = AuxConfig(mode, paths if mode == FINITE_AUX else ())
+                    r = rate_catalytic(edge, aux, 8)
                     expected.append(SweepRow(
                         **point, p_cat=r.p_cat, c0=r.c0, n_cat=r.n_cat, eta_p=r.eta_p,
                         z_locc=r.z_locc, z_cat=r.z_cat, t_edge_cycle_s=r.timing.t_edge_cycle_s,
@@ -406,6 +427,23 @@ class TestSweep:
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidInputError):
             sweep_rates(2, 4, [0.5], [AUX_RICH], [2])
+
+    @pytest.mark.parametrize("modes,dims", [([AUX_RICH, AUX_RICH], [2]), ([NO_AUX], [4, 4])])
+    def test_rejects_repeated_mode_or_dimension(self, modes, dims):
+        with pytest.raises(InvalidInputError):
+            sweep_rates(2, 4, [0.8], modes, dims)
+
+    def test_finite_output_bytes_are_pinned(self):
+        # A finite path list counts each path's copies once per catalyst.
+        paths = (AuxPath(0.8, 0.05, 2.5e-4), AuxPath(0.75, 0.3, 1.0e-3))
+        grid = [float(a) for a in np.linspace(0.55, 0.999, 40)]
+        rows = sweep_rates(2, 8, grid, [FINITE_AUX, AUX_RICH], [2, 4], herald_probability=0.4,
+                           aux_paths=paths)
+        buf = io.StringIO()
+        write_sweep_csv(rows, buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        expected = "a022f54e62508d413ca9e5a4a998a918a2d1f719ba8bf6755f2358b77a684aac"
+        assert digest == expected
 
 
 class TestSweepCsv:
