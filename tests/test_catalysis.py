@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -322,7 +323,35 @@ def _assert_same_as_one_at_a_time(problems, d_c):
     return batch
 
 
+def _search_digest(results):
+    digest = hashlib.sha256()
+    for found in results:
+        digest.update(found.spectrum.coefficients.tobytes())
+        digest.update(float.hex(found.success_probability).encode())
+    return digest.hexdigest()
+
+
 class TestSearchCatalysts:
+    # sha256 over each catalyst's coefficient bytes and its probability in
+    # hex, taken from the search before its cut loop was rewritten for speed,
+    # so any change to the search's arithmetic shows here.  At d_c = 6 the
+    # optimum is a face and the point returned depends on where the cuts stop.
+    @pytest.mark.parametrize(
+        "stride, d_c, expected",
+        [
+            (1, 4, "a4e0fa573cf574bd23367047ecaaba06d052a65340b889943cc40acf0def0383"),
+            (13, 6, "39f3b1456ff7ef89df02ffd990a557cb0b1104e10038ea6505862b59d9790c88"),
+        ],
+    )
+    def test_results_are_pinned(self, stride, d_c, expected):
+        found = search_catalysts(_sweep_dim4_problems()[::stride], d_c)
+        assert _search_digest(found) == expected
+
+    def test_single_problem_result_is_pinned(self):
+        found = search_catalyst(ConcentrationProblem(2, 0.8), 6)
+        expected = "4c77d54b7de3d475ec4935428b3ecfd17a0eac96725fdb0c8f9501ff71cdc312"
+        assert _search_digest([found]) == expected
+
     def test_batch_is_bit_for_bit_one_at_a_time(self):
         problems = _sweep_dim4_problems()
         assert len(problems) == 92
