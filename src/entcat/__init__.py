@@ -16,6 +16,7 @@ from .catalysis import (
     intermediate_state,
     locc_probability,
     n_star,
+    optimal_catalyst,
     optimal_two_qubit_catalyst,
     search_catalyst,
     search_catalysts,

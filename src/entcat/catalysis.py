@@ -82,13 +82,18 @@ def initial_spectrum(problem: ConcentrationProblem) -> SchmidtVector:
     Values ``alpha**k * (1-alpha)**(n-k)`` appear with binomial multiplicity,
     already in non-increasing order for ``alpha > 0.5``.  Dimension ``2**n``.
     """
+    return SchmidtVector(_initial_coefficients(problem))
+
+
+def _initial_coefficients(problem: ConcentrationProblem) -> np.ndarray:
+    """The coefficients of :func:`initial_spectrum`, without building a spectrum."""
     n, alpha = problem.n, problem.alpha
     if 2**n > DIM_CAP:
         raise ResourceLimitError(f"2**{n} exceeds the dimension cap {DIM_CAP}")
     ks = np.arange(n, -1, -1)
     values = alpha**ks * (1.0 - alpha) ** (n - ks)
     counts = [math.comb(n, int(k)) for k in ks]
-    return SchmidtVector(np.repeat(values, counts))
+    return np.repeat(values, counts)
 
 
 def target_spectrum(n: int) -> SchmidtVector:
@@ -219,21 +224,26 @@ def _max_cuts(free: int) -> int:
     return 400 * free * (free + 1)
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, strictly left to right.
+def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum over one axis, strictly in index order (a running sum's last entry).
 
     Each row's sum then rounds the same way whatever other rows the array
     holds; a pairwise or BLAS reduction across a batch may not.
     """
-    total = terms[..., 0]
-    for i in range(1, terms.shape[-1]):
-        total = total + terms[..., i]
-    return total
+    running = np.add.accumulate(terms, axis=axis)
+    return running[(slice(None),) * (axis % terms.ndim) + (-1,)]
 
 
 def _without(done: np.ndarray, *arrays: np.ndarray) -> tuple:
     """The rows of each array not flagged in ``done``."""
     return tuple(a[~done] for a in arrays)
+
+
+def optimal_catalyst(problem: ConcentrationProblem, d_c: int) -> CatalystSpec:
+    """Optimal catalyst of dimension ``d_c``: closed form at 2, certified search above."""
+    if d_c == 2:
+        return optimal_two_qubit_catalyst(problem)
+    return search_catalyst(problem, d_c)
 
 
 def search_catalyst(problem: ConcentrationProblem, d_c: int) -> CatalystSpec:
@@ -277,8 +287,9 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     if 2**n * d_c > DIM_CAP:
         raise ResourceLimitError("combined dimension exceeds the cap")
 
-    psi = psi_all = np.array([initial_spectrum(problem).coefficients for problem in problems])
-    size = psi.shape[1] * d_c
+    psi = np.array([_initial_coefficients(problem) for problem in problems])
+    spins = psi.shape[1]
+    size = spins * d_c
     free = d_c - 1
     # c = e1 + T x; the ordered simplex is D c >= 0, that is A x <= b, and
     # a centre breaking row j of it is cut along A[j].
@@ -291,19 +302,34 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     target = np.zeros((2 * d_c, d_c))
     target[np.arange(2 * d_c), np.repeat(np.arange(d_c)[::-1], 2)] = 0.5
     target = np.cumsum(target, axis=0)
+    # Within catalyst column b the entries psi_a c_b rank as psi ascending
+    # (c_b >= 0 inside the simplex), so the column's share of the zeros + k + 1
+    # smallest entries is its smallest psi values.  gain[:, m] sums all but
+    # the m largest, smallest first, as a rank-ordered sum of the weights does.
+    gain = np.zeros((len(problems), spins + 1))
+    gain[:, :spins] = np.add.accumulate(psi[:, ::-1], axis=1)[:, ::-1]
     weight = np.repeat(psi, d_c, axis=1)  # psi entry behind each entry of psi x c
-    column = np.tile(np.arange(d_c), psi.shape[1])  # catalyst entry behind it
-    rank = np.arange(size)
+    column = np.tile(np.arange(d_c), spins)  # catalyst entry behind it
+    reversed_twice = np.repeat(np.arange(d_c)[::-1], 2)
+    # Rank zeros + 1 + i of a centre's entries is above the N_k sum when i >= k.
+    above = np.arange(2 * d_c - 1)
 
     # Start from the ellipsoid through the corners of the box 0 <= c_i <= 1/i,
-    # i = 2..d, which holds the ordered simplex.
+    # i = 2..d, which holds the ordered simplex.  The centre sits in a row
+    # (c1, x, 0), so the ordering slacks are one difference of neighbours.
     half = 0.5 / np.arange(2, d_c + 1)
-    x = np.tile(half, (len(problems), 1))
-    factor = np.tile(np.diag(math.sqrt(free) * half), (len(problems), 1, 1))  # P = F F^T
+    centre = np.zeros((len(problems), d_c + 1))
+    centre[:, 1:d_c] = half
+    # P = F F^T, kept as F^T: each diagonal here.
+    factor = np.tile(np.diag(math.sqrt(free) * half), (len(problems), 1, 1))
     # Central-cut update of the factor: the cut direction shrinks by
     # free/(free+1), the others grow by `spread` (no others at free == 1).
     spread = free / math.sqrt(free * free - 1) if free > 1 else 1.0
     along = free / (free + 1) - spread
+    # So no cut shrinks the trace of P by more than `shrink`, and a check of
+    # the certificate that cannot pass yet is skipped.
+    shrink = math.log((free / (free + 1)) ** 2)
+    next_check = 0
     # Until a centre inside the simplex is evaluated, every cut keeps the
     # whole simplex, so the trace cannot reach the certificate with no best.
     best = np.zeros((len(problems), d_c))
@@ -311,48 +337,62 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     certified = best.copy()
     # Row r of the per-problem arrays belongs to problem active[r]; once a
     # problem is certified, its best centre moves to `certified` and its
-    # rows are dropped.
+    # rows are dropped, and the index tables below are rebuilt.
     active = np.arange(len(problems))
-    for _ in range(_max_cuts(free)):
-        done = _ordered_sum(_ordered_sum(factor * factor)) <= _CERTIFIED_TRACE
-        if done.any():
-            certified[active[done]] = best[done]
-            active, x, factor, psi, weight, best, best_p = _without(
-                done, active, x, factor, psi, weight, best, best_p
-            )
-            if active.size == 0:
-                break
-        rows_now = np.arange(active.size)
-        c = np.concatenate([1.0 - _ordered_sum(x)[:, None], x], axis=1)
+    count = 0
+    for cut_index in range(_max_cuts(free)):
+        if cut_index == next_check:
+            trace = _ordered_sum(_ordered_sum(factor * factor, axis=1))
+            done = trace <= _CERTIFIED_TRACE
+            if done.any():
+                certified[active[done]] = best[done]
+                active, centre, factor, weight, gain, best, best_p, trace = _without(
+                    done, active, centre, factor, weight, gain, best, best_p, trace
+                )
+                if active.size == 0:
+                    break
+            # Rounding is far inside the factor of 2.
+            skip = math.log(2.0 * _CERTIFIED_TRACE / trace.min()) / shrink
+            next_check = cut_index + 1 + max(0, math.floor(skip))
+        if active.size != count:
+            count = active.size
+            row = np.arange(count)
+            offsets = size * row[:, None]  # start of each row of `joint`, flattened
+            # flat index into `joint` -> row * d_c + catalyst column, and one
+            # last bin for the ranks below the cut
+            bins = (d_c * row[:, None] + column).ravel()
+            below = count * d_c
+            gain_rows = (spins + 1) * row[:, None]
+            gain_flat = gain.ravel()
+            ratios = np.empty((count, 2 * d_c))
+        np.subtract(1.0, _ordered_sum(centre[:, 1:d_c]), out=centre[:, 0])
+        c = centre[:, :d_c]
         # Slack of each ordering row, A x - b.
-        slack = np.concatenate([c[:, 1:] - c[:, :-1], -c[:, -1:]], axis=1)
-        j = np.argmax(slack, axis=1)
-        inside = slack[rows_now, j] <= 0.0
+        slack = centre[:, 1:] - centre[:, :-1]
+        j = slack.argmax(axis=1)
+        inside = slack[row, j] <= 0.0
         # p(c) at every centre; only those inside the simplex use it.  A
         # centre outside still has e_f > 0 at the last monotone, which is 1.
-        joint = (psi[:, :, None] * c[:, None, :]).reshape(active.size, size)
-        order = np.argsort(joint, axis=1)
-        pick = order + size * rows_now[:, None]
-        e_i = np.cumsum(joint.ravel()[pick], axis=1)[:, zeros:]
-        e_f = 0.5 * np.cumsum(np.repeat(c[:, ::-1], 2, axis=1), axis=1)  # target @ c
-        ratios = np.divide(e_i, e_f, out=np.full(e_f.shape, np.inf), where=e_f > 0.0)
-        k = np.argmin(ratios, axis=1)
-        p = ratios[rows_now, k]
+        joint = weight * c.take(column, axis=1)
+        order = joint.argsort(axis=1)
+        order += offsets
+        e_i = np.add.accumulate(joint.ravel()[order], axis=1)[:, zeros:]
+        e_f = 0.5 * np.add.accumulate(c.take(reversed_twice, axis=1), axis=1)  # target @ c
+        ratios.fill(np.inf)
+        np.divide(e_i, e_f, out=ratios, where=e_f > 0.0)
+        k = ratios.argmin(axis=1)
+        p = ratios[row, k]
         better = inside & (p > best_p)
-        best[better] = c[better]
-        best_p[better] = p[better]
-        # Supergradient of N_k: the psi weights of the zeros + k + 1
-        # smallest entries, summed per catalyst entry in rank order.
-        smallest = rank <= zeros + k[:, None]
-        gains = np.bincount(
-            (column[order] + d_c * rows_now[:, None])[smallest],
-            weight.ravel()[pick][smallest],
-            active.size * d_c,
-        ).reshape(active.size, d_c)
-        grad = gains - p[:, None] * target[k]
+        np.copyto(best, c, where=better[:, None])
+        np.copyto(best_p, p, where=better)
+        # Supergradient of N_k: per catalyst column, the psi weights of its
+        # entries among the zeros + k + 1 smallest, from how many rank above.
+        ranked = np.where(above < k[:, None], below, bins[order[:, zeros + 1 :]])
+        counts = np.bincount(ranked.ravel(), minlength=below + 1)[:below].reshape(count, d_c)
+        grad = gain_flat[counts + gain_rows] - p[:, None] * target[k]
         # -(grad @ to_c) inside the simplex, the broken row outside.
         cut = np.where(inside[:, None], grad[:, :1] - grad[:, 1:], rows[j])
-        u = _ordered_sum(np.swapaxes(factor, 1, 2) * cut[:, None, :])  # F^T cut
+        u = _ordered_sum(factor * cut[:, None, :])  # F^T cut
         width = _ordered_sum(u * u)  # cut' P cut
         flat = width == 0.0
         if flat.any():
@@ -362,15 +402,16 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
             # the centre's on that hyperplane.  Either way nothing in it
             # beats the best centre, which certifies that centre too.
             certified[active[flat]] = best[flat]
-            active, x, factor, psi, weight, best, best_p, u, width = _without(
-                flat, active, x, factor, psi, weight, best, best_p, u, width
+            active, centre, factor, weight, gain, best, best_p, u, width = _without(
+                flat, active, centre, factor, weight, gain, best, best_p, u, width
             )
             if active.size == 0:
                 break
         u /= np.sqrt(width)[:, None]
-        step = _ordered_sum(factor * u[:, None, :])  # F u
-        x = x - step / (free + 1)
-        factor = spread * factor + along * (step[:, :, None] * u[:, None, :])
+        step = _ordered_sum(factor * u[:, :, None], axis=1)  # F u
+        centre[:, 1:d_c] -= step / (free + 1)
+        factor *= spread
+        factor += along * (u[:, :, None] * step[:, None, :])
     else:
         raise NumericFailureError(
             f"catalyst search for n={n}, alpha={problems[active[0]].alpha} did not "
@@ -382,7 +423,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     # it, from one kernel call over the tensored rows of the whole batch.
     found = [make_schmidt(c) for c in certified]
     cat = np.array([spectrum.coefficients for spectrum in found])[:, None, :]
-    initial = (psi_all[:, :, None] * cat).reshape(len(problems), size)
+    initial = (psi[:, :, None] * cat).reshape(len(problems), size)
     final = (target_spectrum(n).coefficients[None, :, None] * cat).reshape(len(problems), size)
     p_cat = conversion_probabilities(initial, final)
     return [

@@ -176,11 +176,7 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_catalyst(args) -> int:
-    problem = catalysis.ConcentrationProblem(args.n, args.alpha)
-    if args.dim == 2:
-        spec = catalysis.optimal_two_qubit_catalyst(problem)
-    else:
-        spec = catalysis.search_catalyst(problem, args.dim)
+    spec = catalysis.optimal_catalyst(catalysis.ConcentrationProblem(args.n, args.alpha), args.dim)
     coeffs = ",".join(_fmt(c) for c in spec.spectrum.coefficients)
     print(f"{coeffs}  p={_fmt(spec.success_probability)}")
     return 0

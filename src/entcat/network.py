@@ -10,9 +10,8 @@ an N-edge chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,8 +21,8 @@ from .catalysis import (
     copies_for_catalyst,
     in_catalysis_window,
     locc_probability,
+    optimal_catalyst,
     optimal_two_qubit_catalyst,
-    search_catalyst,
     search_catalysts,
 )
 from .errors import InvalidInputError, NumericFailureError
@@ -295,11 +294,8 @@ def waiting_factor_small_p(n_edges: int, p: float) -> float:
 
 
 def edge_catalyst(edge: EdgeParams) -> CatalystSpec:
-    """Optimal catalyst for an edge: closed form at dim 2, searched above."""
-    problem = ConcentrationProblem(edge.copies, edge.alpha)
-    if edge.catalyst_dim == 2:
-        return optimal_two_qubit_catalyst(problem)
-    return search_catalyst(problem, edge.catalyst_dim)
+    """Optimal catalyst for an edge (see :func:`~entcat.catalysis.optimal_catalyst`)."""
+    return optimal_catalyst(ConcentrationProblem(edge.copies, edge.alpha), edge.catalyst_dim)
 
 
 def _locc_side(problem: ConcentrationProblem, t_pri: float, n_edges: int) -> tuple:
@@ -432,29 +428,42 @@ def rate_slotted(edge: EdgeParams, n_edges: int) -> float:
 # Rate-ratio sweep over the primary-state asymmetry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, kw_only=True)
-class SweepRow:
-    """One sweep sample; catalyst-dependent fields are None out of window."""
-
+class _SweepFields(NamedTuple):
     alpha: float
     mode: str
     catalyst_dim: int
     p_locc: float
-    p_cat: Optional[float] = None
-    c0: Optional[float] = None
-    n_cat: Optional[int] = None
-    eta_p: Optional[float] = None
+    p_cat: Optional[float]
+    c0: Optional[float]
+    n_cat: Optional[int]
+    eta_p: Optional[float]
     z_locc: float
-    z_cat: Optional[float] = None
-    t_edge_cycle_s: Optional[float] = None
+    z_cat: Optional[float]
+    t_edge_cycle_s: Optional[float]
     rate_locc_hz: float
-    rate_cat_hz: Optional[float] = None
-    eta_r: Optional[float] = None
+    rate_cat_hz: Optional[float]
+    eta_r: Optional[float]
     window_flag: str
 
 
-_SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
-SWEEP_CSV_HEADER = ",".join(_SWEEP_FIELDS)
+class SweepRow(_SweepFields):
+    """One sweep sample; catalyst-dependent fields are None out of window.
+
+    An immutable tuple of its fields in CSV column order, built by keyword.
+    Building it is one tuple allocation, not one attribute set per field.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *, alpha, mode, catalyst_dim, p_locc, p_cat=None, c0=None, n_cat=None,
+                eta_p=None, z_locc, z_cat=None, t_edge_cycle_s=None, rate_locc_hz,
+                rate_cat_hz=None, eta_r=None, window_flag):
+        return tuple.__new__(cls, (alpha, mode, catalyst_dim, p_locc, p_cat, c0, n_cat, eta_p,
+                                   z_locc, z_cat, t_edge_cycle_s, rate_locc_hz, rate_cat_hz,
+                                   eta_r, window_flag))
+
+
+SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def sweep_rates(
@@ -535,8 +544,6 @@ def sweep_rates(
     return rows
 
 
-_row_values = attrgetter(*_SWEEP_FIELDS)
-
 
 def write_sweep_csv(rows: Sequence[SweepRow], stream) -> None:
     """Write sweep rows with the fixed header, floats to 12 significant digits.
@@ -550,6 +557,6 @@ def write_sweep_csv(rows: Sequence[SweepRow], stream) -> None:
         cells = [
             "" if v is None else v if isinstance(v, str) else str(v) if isinstance(v, int)
             else f"{v:.12g}"
-            for v in _row_values(r)
+            for v in r
         ]
         stream.write(",".join(cells) + "\n")

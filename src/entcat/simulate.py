@@ -706,20 +706,19 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     paths = cfg.aux.paths
     rebuild = cfg.aux.mode == NO_AUX
     if cfg.p_cat_override is not None and not paths and not rebuild:
-        p_cat = cfg.p_cat_override
-        copies_needed = []
-        rebuild_copies = 0
+        p_cat, copies = cfg.p_cat_override, (0,)
     else:
         catalyst = edge_catalyst(cfg.edge)
         p_cat = cfg.p_cat_override or catalyst.success_probability
-        copies_needed = [copies_for_catalyst(catalyst.spectrum, p.alpha) for p in paths]
-        rebuild_copies = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha) if rebuild else 0
+        n_cat = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha)
+        copies = _supply_copies(cfg.aux, catalyst.spectrum, n_cat)
+    rebuild_copies = copies[0] if rebuild else 0
     counters = [EdgeCounters() for _ in range(cfg.n_edges)]
     intervals: list[np.ndarray] = []
     deliveries = 0
     for trial in range(cfg.trials):
         if paths:
-            deliveries += _finite_aux_trial(cfg, trial, p_cat, copies_needed, counters, intervals)
+            deliveries += _finite_aux_trial(cfg, trial, p_cat, copies, counters, intervals)
         else:
             deliveries += _renewal_trial(cfg, trial, p_cat, rebuild_copies, counters, intervals)
 
