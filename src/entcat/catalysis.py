@@ -224,14 +224,16 @@ def _max_cuts(free: int) -> int:
     return 400 * free * (free + 1)
 
 
-def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum over one axis, strictly in index order (a running sum's last entry).
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, strictly in index order.
 
-    Each row's sum then rounds the same way whatever other rows the array
-    holds; a pairwise or BLAS reduction across a batch may not.
+    Each problem's sum then rounds the same way whatever other problems the
+    array holds; a pairwise or BLAS reduction across a batch may not.
     """
-    running = np.add.accumulate(terms, axis=axis)
-    return running[(slice(None),) * (axis % terms.ndim) + (-1,)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def _without(done: np.ndarray, *arrays: np.ndarray) -> tuple:
@@ -302,97 +304,102 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     target = np.zeros((2 * d_c, d_c))
     target[np.arange(2 * d_c), np.repeat(np.arange(d_c)[::-1], 2)] = 0.5
     target = np.cumsum(target, axis=0)
-    # Within catalyst column b the entries psi_a c_b rank as psi ascending
-    # (c_b >= 0 inside the simplex), so the column's share of the zeros + k + 1
-    # smallest entries is its smallest psi values.  gain[:, m] sums all but
-    # the m largest, smallest first, as a rank-ordered sum of the weights does.
-    gain = np.zeros((len(problems), spins + 1))
-    gain[:, :spins] = np.add.accumulate(psi[:, ::-1], axis=1)[:, ::-1]
+    reversed_twice = np.repeat(np.arange(d_c)[::-1], 2)  # target @ c as a running sum
     weight = np.repeat(psi, d_c, axis=1)  # psi entry behind each entry of psi x c
     column = np.tile(np.arange(d_c), spins)  # catalyst entry behind it
-    reversed_twice = np.repeat(np.arange(d_c)[::-1], 2)
-    # Rank zeros + 1 + i of a centre's entries is above the N_k sum when i >= k.
+    # The supergradient of N_k gives catalyst entry b the psi weights of its
+    # entries among the zeros + k + 1 smallest of psi x c.  Inside the simplex
+    # c_b >= 0, so column b ranks as psi ascending and those weights are its
+    # smallest psi values, summed smallest first as a rank-ordered sum does.
+    # With m of the column's entries ranked above them, that sum is
+    # gain[:, m].  Only the top 2 d_c - 1 ranks can lie above: rank
+    # zeros + 1 + i does so when i >= k.
+    gain = np.zeros((len(problems), spins + 1))
+    gain[:, :spins] = np.add.accumulate(psi[:, ::-1], axis=1)[:, ::-1]
     above = np.arange(2 * d_c - 1)
 
     # Start from the ellipsoid through the corners of the box 0 <= c_i <= 1/i,
-    # i = 2..d, which holds the ordered simplex.  The centre sits in a row
-    # (c1, x, 0), so the ordering slacks are one difference of neighbours.
+    # i = 2..d, which holds the ordered simplex.  Each centre is a row
+    # (c1, x, 0), so its ordering slacks are one difference of neighbours.
     half = 0.5 / np.arange(2, d_c + 1)
     centre = np.zeros((len(problems), d_c + 1))
     centre[:, 1:d_c] = half
-    # P = F F^T, kept as F^T: each diagonal here.
-    factor = np.tile(np.diag(math.sqrt(free) * half), (len(problems), 1, 1))
+    # P = F F^T for problem r, kept as factor[j, i, r] = F[i, j] so that each
+    # sum over the free coordinates adds whole (free, K) slabs.
+    factor = np.tile(np.diag(math.sqrt(free) * half)[:, :, None], (1, 1, len(problems)))
     # Central-cut update of the factor: the cut direction shrinks by
     # free/(free+1), the others grow by `spread` (no others at free == 1).
     spread = free / math.sqrt(free * free - 1) if free > 1 else 1.0
     along = free / (free + 1) - spread
-    # So no cut shrinks the trace of P by more than `shrink`, and a check of
-    # the certificate that cannot pass yet is skipped.
-    shrink = math.log((free / (free + 1)) ** 2)
+    # The smallest singular value of that update is free/(free+1), so no cut
+    # shrinks the trace of P by more than its square.  After a trace T, the
+    # next floor(log(2e-20 / T) / log_shrink) checks of the certificate
+    # cannot pass (the factor 2 is far beyond the trace's rounding) and are
+    # skipped; the batch checks once any of its problems can pass.  A check
+    # changes no value, so every problem stops at the cut it would anyway.
+    log_shrink = 2.0 * math.log(free / (free + 1))
     next_check = 0
     # Until a centre inside the simplex is evaluated, every cut keeps the
     # whole simplex, so the trace cannot reach the certificate with no best.
     best = np.zeros((len(problems), d_c))
     best_p = np.full(len(problems), -1.0)
     certified = best.copy()
-    # Row r of the per-problem arrays belongs to problem active[r]; once a
-    # problem is certified, its best centre moves to `certified` and its
-    # rows are dropped, and the index tables below are rebuilt.
+    # Row r of the per-problem arrays (column r of `factor`) belongs to
+    # problem active[r]; once a problem is certified, its best centre moves
+    # to `certified`, its rows are dropped and the index tables rebuilt.
     active = np.arange(len(problems))
     count = 0
     for cut_index in range(_max_cuts(free)):
         if cut_index == next_check:
-            trace = _ordered_sum(_ordered_sum(factor * factor, axis=1))
+            trace = _ordered_sum(_ordered_sum(factor * factor))
             done = trace <= _CERTIFIED_TRACE
             if done.any():
                 certified[active[done]] = best[done]
-                active, centre, factor, weight, gain, best, best_p, trace = _without(
-                    done, active, centre, factor, weight, gain, best, best_p, trace
+                active, centre, weight, gain, best, best_p, trace = _without(
+                    done, active, centre, weight, gain, best, best_p, trace
                 )
+                factor = factor[..., ~done]
                 if active.size == 0:
                     break
-            # Rounding is far inside the factor of 2.
-            skip = math.log(2.0 * _CERTIFIED_TRACE / trace.min()) / shrink
+            skip = math.log(2.0 * _CERTIFIED_TRACE / trace.min()) / log_shrink
             next_check = cut_index + 1 + max(0, math.floor(skip))
         if active.size != count:
             count = active.size
-            row = np.arange(count)
-            offsets = size * row[:, None]  # start of each row of `joint`, flattened
-            # flat index into `joint` -> row * d_c + catalyst column, and one
-            # last bin for the ranks below the cut
-            bins = (d_c * row[:, None] + column).ravel()
+            rows_now = np.arange(count)
+            offsets = size * rows_now[:, None]  # where each row of `joint` starts, flattened
+            # Flat index into `joint` -> row * d_c + its catalyst entry; the
+            # bin after the last collects the ranks below the cut.
+            bins = (d_c * rows_now[:, None] + column).ravel()
             below = count * d_c
-            gain_rows = (spins + 1) * row[:, None]
             gain_flat = gain.ravel()
+            gain_rows = (spins + 1) * rows_now[:, None]
             ratios = np.empty((count, 2 * d_c))
-        np.subtract(1.0, _ordered_sum(centre[:, 1:d_c]), out=centre[:, 0])
+        np.subtract(1.0, _ordered_sum(centre[:, 1:d_c].T), out=centre[:, 0])
         c = centre[:, :d_c]
         # Slack of each ordering row, A x - b.
         slack = centre[:, 1:] - centre[:, :-1]
         j = slack.argmax(axis=1)
-        inside = slack[row, j] <= 0.0
+        inside = slack[rows_now, j] <= 0.0
         # p(c) at every centre; only those inside the simplex use it.  A
         # centre outside still has e_f > 0 at the last monotone, which is 1.
         joint = weight * c.take(column, axis=1)
         order = joint.argsort(axis=1)
         order += offsets
-        e_i = np.add.accumulate(joint.ravel()[order], axis=1)[:, zeros:]
-        e_f = 0.5 * np.add.accumulate(c.take(reversed_twice, axis=1), axis=1)  # target @ c
+        e_i = np.add.accumulate(joint.take(order), axis=1)[:, zeros:]
+        e_f = 0.5 * np.add.accumulate(c.take(reversed_twice, axis=1), axis=1)
         ratios.fill(np.inf)
         np.divide(e_i, e_f, out=ratios, where=e_f > 0.0)
         k = ratios.argmin(axis=1)
-        p = ratios[row, k]
+        p = ratios[rows_now, k]
         better = inside & (p > best_p)
         np.copyto(best, c, where=better[:, None])
         np.copyto(best_p, p, where=better)
-        # Supergradient of N_k: per catalyst column, the psi weights of its
-        # entries among the zeros + k + 1 smallest, from how many rank above.
         ranked = np.where(above < k[:, None], below, bins[order[:, zeros + 1 :]])
         counts = np.bincount(ranked.ravel(), minlength=below + 1)[:below].reshape(count, d_c)
         grad = gain_flat[counts + gain_rows] - p[:, None] * target[k]
         # -(grad @ to_c) inside the simplex, the broken row outside.
         cut = np.where(inside[:, None], grad[:, :1] - grad[:, 1:], rows[j])
-        u = _ordered_sum(factor * cut[:, None, :])  # F^T cut
+        u = _ordered_sum((factor * cut.T).swapaxes(0, 1))  # F^T cut
         width = _ordered_sum(u * u)  # cut' P cut
         flat = width == 0.0
         if flat.any():
@@ -402,16 +409,17 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
             # the centre's on that hyperplane.  Either way nothing in it
             # beats the best centre, which certifies that centre too.
             certified[active[flat]] = best[flat]
-            active, centre, factor, weight, gain, best, best_p, u, width = _without(
-                flat, active, centre, factor, weight, gain, best, best_p, u, width
+            active, centre, weight, gain, best, best_p, width = _without(
+                flat, active, centre, weight, gain, best, best_p, width
             )
+            factor, u = factor[..., ~flat], u[:, ~flat]
             if active.size == 0:
                 break
-        u /= np.sqrt(width)[:, None]
-        step = _ordered_sum(factor * u[:, :, None], axis=1)  # F u
-        centre[:, 1:d_c] -= step / (free + 1)
+        u /= np.sqrt(width)
+        step = _ordered_sum(factor * u[:, None, :])  # F u
+        centre[:, 1:d_c] -= step.T / (free + 1)
         factor *= spread
-        factor += along * (u[:, :, None] * step[:, None, :])
+        factor += along * (u[:, None, :] * step)
     else:
         raise NumericFailureError(
             f"catalyst search for n={n}, alpha={problems[active[0]].alpha} did not "

@@ -544,7 +544,6 @@ def sweep_rates(
     return rows
 
 
-
 def write_sweep_csv(rows: Sequence[SweepRow], stream) -> None:
     """Write sweep rows with the fixed header, floats to 12 significant digits.
 

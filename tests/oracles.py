@@ -4,9 +4,10 @@ These deliberately avoid the library's own code paths: exact rational
 arithmetic for the monotone-ratio minimum, a positive-term series and a
 high-precision inclusion-exclusion sum for the waiting factor, a Markov
 survival recursion for the slot-level chain model, the slot-by-slot
-stepper that the detailed simulator must match byte for byte, and the
+stepper that the detailed simulator must match byte for byte, the
 per-edge geometric sampler that the abstract simulator and the waiting-factor
-check must match below p = 1/3.
+check must match below p = 1/3, and the lockstep catalyst search as first
+written, which checks its certificate at every cut.
 """
 
 import math
@@ -17,9 +18,15 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from entcat.catalysis import copies_for_catalyst
+from entcat.catalysis import (
+    _CERTIFIED_TRACE,
+    catalysis_probability,
+    copies_for_catalyst,
+    initial_spectrum,
+)
 from entcat.errors import InvalidInputError
 from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, edge_catalyst
+from entcat.spectra import make_schmidt
 from entcat.simulate import (
     ABSTRACT_MODE,
     DETAILED_MODE,
@@ -400,3 +407,102 @@ def simulate_abstract_geometric(cfg):
         timed_out=False,
         counters=tuple(counters),
     )
+
+
+def _ordered_row_sum(terms):
+    total = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        total = total + terms[..., i]
+    return total
+
+
+def lockstep_search(problems, d_c: int, max_cuts: int):
+    """The certified ellipsoid catalyst search, checking the certificate every cut.
+
+    The library's batch search as it was first written: the supergradient
+    sums the psi weights of the ranked entries with a weighted bincount, and
+    the trace is tested before every cut.  Returns each problem's
+    ``(coefficients, success probability)`` and the index of the cut at which
+    the last problem was certified, or raises ``RuntimeError`` if the budget
+    of ``max_cuts`` runs out first.
+    """
+    psi = np.array([initial_spectrum(problem).coefficients for problem in problems])
+    size = psi.shape[1] * d_c
+    free = d_c - 1
+    to_c = np.vstack([-np.ones(free), np.eye(free)])
+    diffs = np.eye(d_c) - np.eye(d_c, k=1)
+    rows = -diffs @ to_c
+    zeros = size - 2 * d_c
+    target = np.zeros((2 * d_c, d_c))
+    target[np.arange(2 * d_c), np.repeat(np.arange(d_c)[::-1], 2)] = 0.5
+    target = np.cumsum(target, axis=0)
+    weight = np.repeat(psi, d_c, axis=1)
+    column = np.tile(np.arange(d_c), psi.shape[1])
+    rank = np.arange(size)
+    half = 0.5 / np.arange(2, d_c + 1)
+    x = np.tile(half, (len(problems), 1))
+    factor = np.tile(np.diag(math.sqrt(free) * half), (len(problems), 1, 1))
+    spread = free / math.sqrt(free * free - 1) if free > 1 else 1.0
+    along = free / (free + 1) - spread
+    best = np.zeros((len(problems), d_c))
+    best_p = np.full(len(problems), -1.0)
+    certified = best.copy()
+    active = np.arange(len(problems))
+
+    def keep(mask, *arrays):
+        return tuple(a[~mask] for a in arrays)
+
+    for cut_index in range(max_cuts):
+        done = _ordered_row_sum(_ordered_row_sum(factor * factor)) <= _CERTIFIED_TRACE
+        if done.any():
+            certified[active[done]] = best[done]
+            active, x, factor, psi, weight, best, best_p = keep(
+                done, active, x, factor, psi, weight, best, best_p
+            )
+            if active.size == 0:
+                break
+        rows_now = np.arange(active.size)
+        c = np.concatenate([1.0 - _ordered_row_sum(x)[:, None], x], axis=1)
+        slack = np.concatenate([c[:, 1:] - c[:, :-1], -c[:, -1:]], axis=1)
+        j = np.argmax(slack, axis=1)
+        inside = slack[rows_now, j] <= 0.0
+        joint = (psi[:, :, None] * c[:, None, :]).reshape(active.size, size)
+        order = np.argsort(joint, axis=1)
+        pick = order + size * rows_now[:, None]
+        e_i = np.cumsum(joint.ravel()[pick], axis=1)[:, zeros:]
+        e_f = 0.5 * np.cumsum(np.repeat(c[:, ::-1], 2, axis=1), axis=1)
+        ratios = np.divide(e_i, e_f, out=np.full(e_f.shape, np.inf), where=e_f > 0.0)
+        k = np.argmin(ratios, axis=1)
+        p = ratios[rows_now, k]
+        better = inside & (p > best_p)
+        best[better] = c[better]
+        best_p[better] = p[better]
+        smallest = rank <= zeros + k[:, None]
+        gains = np.bincount(
+            (column[order] + d_c * rows_now[:, None])[smallest],
+            weight.ravel()[pick][smallest],
+            active.size * d_c,
+        ).reshape(active.size, d_c)
+        grad = gains - p[:, None] * target[k]
+        cut = np.where(inside[:, None], grad[:, :1] - grad[:, 1:], rows[j])
+        u = _ordered_row_sum(np.swapaxes(factor, 1, 2) * cut[:, None, :])
+        width = _ordered_row_sum(u * u)
+        flat = width == 0.0
+        if flat.any():
+            certified[active[flat]] = best[flat]
+            active, x, factor, psi, weight, best, best_p, u, width = keep(
+                flat, active, x, factor, psi, weight, best, best_p, u, width
+            )
+            if active.size == 0:
+                break
+        u /= np.sqrt(width)[:, None]
+        step = _ordered_row_sum(factor * u[:, None, :])
+        x = x - step / (free + 1)
+        factor = spread * factor + along * (step[:, :, None] * u[:, None, :])
+    else:
+        raise RuntimeError(f"not certified within {max_cuts} cuts")
+    found = [make_schmidt(c) for c in certified]
+    return [
+        (spectrum.coefficients, catalysis_probability(problem, spectrum))
+        for problem, spectrum in zip(problems, found)
+    ], cut_index

@@ -352,6 +352,39 @@ class TestSearchCatalysts:
         expected = "4c77d54b7de3d475ec4935428b3ecfd17a0eac96725fdb0c8f9501ff71cdc312"
         assert _search_digest([found]) == expected
 
+    @pytest.mark.parametrize(
+        "n, d_c, alphas",
+        [
+            (2, 2, [0.75]),  # exact ties across catalyst entries at the first centre
+            (2, 3, [0.75, 0.8, 0.9]),
+            (2, 5, [0.8, 0.95]),
+            (3, 4, [0.875] + [p.alpha for p in _sweep_dim4_problems()[::9]]),
+            (3, 6, [0.9]),
+            (4, 3, [0.9, 0.95]),
+        ],
+        ids=["n2-d2-ties", "n2-d3", "n2-d5", "n3-d4", "n3-d6", "n4-d3"],
+    )
+    def test_matches_the_search_that_checks_every_cut(self, monkeypatch, n, d_c, alphas):
+        # The reference tests the certificate before every cut and sums the
+        # supergradient's weights rank by rank.  The search must return the
+        # same bits and certify its last problem at the same cut: with that
+        # many cuts it succeeds, with one fewer it runs out.
+        problems = [ConcentrationProblem(n, alpha) for alpha in alphas]
+        expected, last_cut = oracles.lockstep_search(problems, d_c, catalysis._max_cuts(d_c - 1))
+
+        def assert_expected(found):
+            assert len(found) == len(expected)
+            for (coefficients, probability), spec in zip(expected, found):
+                assert np.array_equal(spec.spectrum.coefficients, coefficients)
+                assert spec.success_probability == probability
+
+        assert_expected(search_catalysts(problems, d_c))
+        monkeypatch.setattr(catalysis, "_max_cuts", lambda free: last_cut + 1)
+        assert_expected(search_catalysts(problems, d_c))
+        monkeypatch.setattr(catalysis, "_max_cuts", lambda free: last_cut)
+        with pytest.raises(NumericFailureError):
+            search_catalysts(problems, d_c)
+
     def test_batch_is_bit_for_bit_one_at_a_time(self):
         problems = _sweep_dim4_problems()
         assert len(problems) == 92
