@@ -301,10 +301,10 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     # Target monotones on the ordered simplex from the first nonzero one on:
     # L_(zeros + k)(c) = target[k] @ c.
     zeros = size - 2 * d_c
+    reversed_twice = np.repeat(np.arange(d_c)[::-1], 2)
     target = np.zeros((2 * d_c, d_c))
-    target[np.arange(2 * d_c), np.repeat(np.arange(d_c)[::-1], 2)] = 0.5
+    target[np.arange(2 * d_c), reversed_twice] = 0.5
     target = np.cumsum(target, axis=0)
-    reversed_twice = np.repeat(np.arange(d_c)[::-1], 2)  # target @ c as a running sum
     weight = np.repeat(psi, d_c, axis=1)  # psi entry behind each entry of psi x c
     column = np.tile(np.arange(d_c), spins)  # catalyst entry behind it
     # The supergradient of N_k gives catalyst entry b the psi weights of its
@@ -386,7 +386,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
         order = joint.argsort(axis=1)
         order += offsets
         e_i = np.add.accumulate(joint.take(order), axis=1)[:, zeros:]
-        e_f = 0.5 * np.add.accumulate(c.take(reversed_twice, axis=1), axis=1)
+        e_f = 0.5 * np.add.accumulate(c.take(reversed_twice, axis=1), axis=1)  # target @ c
         ratios.fill(np.inf)
         np.divide(e_i, e_f, out=ratios, where=e_f > 0.0)
         k = ratios.argmin(axis=1)
