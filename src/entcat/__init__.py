@@ -38,13 +38,10 @@ from .network import (
     RateReport,
     SweepRow,
     TimingBreakdown,
-    alpha_from_fidelity,
     alpha_from_transmittivities,
     edge_catalyst,
-    fidelity_from_alpha,
     rate_catalytic,
     rate_slotted,
-    swap_decay_scaling,
     sweep_rates,
     t_catalyst,
     t_edge_cycle,

@@ -146,34 +146,6 @@ def alpha_from_transmittivities(t_left: float, t_right: float) -> float:
     return max(a, 1.0 - a)
 
 
-def fidelity_from_alpha(alpha: float) -> float:
-    """Overlap of the asymmetric pair with the ideal Bell state."""
-    if not 0.5 <= alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie in [0.5, 1), got {alpha}")
-    return 0.5 + math.sqrt(alpha * (1.0 - alpha))
-
-
-def alpha_from_fidelity(fidelity: float) -> float:
-    """Inverse of :func:`fidelity_from_alpha` on the alpha >= 0.5 branch."""
-    if not 0.5 < fidelity <= 1.0:
-        raise InvalidInputError(f"fidelity must lie in (0.5, 1], got {fidelity}")
-    x = fidelity - 0.5
-    return 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * x * x))
-
-
-def swap_decay_scaling(alpha: float, n_edges: int) -> float:
-    """Scaling of the end-to-end fidelity excess after N swaps.
-
-    Proportionality factor ``(alpha (1-alpha))**(N/2)``; the constant of
-    proportionality is not pinned down, only the exponential decay.
-    """
-    if n_edges < 1:
-        raise InvalidInputError(f"edge count must be positive, got {n_edges}")
-    if not 0.5 <= alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie in [0.5, 1), got {alpha}")
-    return (alpha * (1.0 - alpha)) ** (n_edges / 2.0)
-
-
 def t_primary(n: int, t0_s: float, p0: float) -> float:
     """Mean time to assemble n primary pairs, one geometric attempt each."""
     if n < 1 or t0_s <= 0.0 or not 0.0 < p0 <= 1.0:

@@ -3,12 +3,13 @@
 Two simulators: an abstract per-edge geometric-cycle model matching the
 analytic rate composition exactly, and a slot-level discrete-event model
 with catalyst stock, recycling on success, loss on failure, and
-auxiliary-path replenishment.  The slot-level model is computed per edge
-from block draws: where the edges renew at every delivery (plentiful or no
-aux paths) a block of deliveries at a time, and where they do not (finite
-aux paths) one delivery at a time, each edge jumping from event to event.
-Trials are independently seeded so results are bit-identical however they
-are scheduled.
+replenishment from the edge's own pairs or from auxiliary paths.  The
+slot-level model is computed per edge from block draws: with plentiful aux
+paths an edge holds no stock and renews at every delivery, so a block of
+deliveries is settled at a time; an edge that holds a stock (no aux paths,
+or finite ones) advances one delivery at a time, jumping from event to
+event.  Trials are independently seeded so results are bit-identical
+however they are scheduled.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
     FINITE_AUX,
-    NO_AUX,
     AuxConfig,
     EdgeParams,
     _supply_copies,
@@ -172,6 +172,18 @@ class SimResult:
     counters: tuple
 
 
+def _catalyst_supply(cfg: SimConfig):
+    """Catalysis probability, honoring its override, and the copies one catalyst takes.
+
+    The copies are one count per finite aux path, or the edge's own ``n_cat``
+    in the other modes, as :func:`entcat.network.t_edge_cycle` takes them.
+    """
+    catalyst = edge_catalyst(cfg.edge)
+    n_cat = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha)
+    p_cat = cfg.p_cat_override or catalyst.success_probability
+    return p_cat, _supply_copies(cfg.aux, catalyst.spectrum, n_cat)
+
+
 def _resolved_parameters(cfg: SimConfig):
     """Catalysis probability and mean edge-cycle time, honoring overrides."""
     p_cat = cfg.p_cat_override
@@ -182,12 +194,8 @@ def _resolved_parameters(cfg: SimConfig):
         raise InvalidInputError(
             "edge parameters are required unless both overrides are given"
         )
-    catalyst = edge_catalyst(cfg.edge)
-    if p_cat is None:
-        p_cat = catalyst.success_probability
+    p_cat, copies = _catalyst_supply(cfg)
     if t_cycle is None:
-        n_cat = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha)
-        copies = _supply_copies(cfg.aux, catalyst.spectrum, n_cat)
         t_cycle = t_edge_cycle(p_cat, cfg.edge, cfg.aux, copies).t_edge_cycle_s
     return p_cat, t_cycle
 
@@ -313,100 +321,54 @@ _DELIVERY_BLOCK = 1 << 8
 
 
 class _EdgeRenewals:
-    """One edge's loads and catalysis attempts, read a block of draws at a time.
+    """One aux-rich edge's loads and catalysis attempts, read a block of draws at a time.
 
     The edge draws one load value per loading slot and one attempt value per
     completed load, and nothing while it waits ready, so the load draws at
     which its catalysis attempts succeed depend on its own two streams only.
-    With ``rebuild_copies`` > 0 (no aux paths) a load needs n + n_cat
-    successes when the stock is empty, which is when the failures so far have
-    used up the initial stock and the last attempt failed; otherwise every
-    load needs n.  No edge uses more load values than there are slots, so
-    at most ``max_slots`` are drawn.
+    Every load ends at the n-th success after the last.  No edge uses more
+    load values than there are slots, so at most ``max_slots`` are drawn.
     """
 
-    def __init__(self, cfg: SimConfig, trial: int, edge: int, p_cat, rebuild_copies):
-        self.load_rng = _rng(cfg.seed, trial, edge, 0)
+    def __init__(self, cfg: SimConfig, trial: int, edge: int, p_cat):
+        self.load_ends = _every_nth_success(
+            _rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability, cfg.edge.copies,
+            cfg.max_slots,
+        )
         self.attempt_rng = _rng(cfg.seed, trial, edge, 1)
-        self.limit = cfg.max_slots
-        self.n = cfg.edge.copies
-        self.p0 = cfg.edge.herald_probability
         self.p_cat = p_cat
-        self.rebuild_copies = rebuild_copies
-        self.initial_stock = cfg.initial_stock
-        self.drawn = 0  # load draws taken
-        self.found = 0  # successes among them
-        # Settled loads, and the successes and rebuilt catalysts among them.
-        self.loads = self.successes = self.rebuilds = 0
-        self.total = 0  # successes needed through the last queued load
-        self.failures = 0
-        self.last_failed = True  # so that a first load from an empty stock rebuilds
-        # Loads queued from the attempt stream but not yet completed: the
-        # successes needed through each (cumulative), its attempt outcome, and
-        # whether it rebuilds the catalyst.
-        self.need = np.empty(0, np.int64)
-        self.won = np.empty(0, bool)
-        self.rebuilt = np.empty(0, bool)
+        self.loads = self.successes = 0  # settled loads, and the successes among them
         # Completed loads not yet counted: the load draw that completes each
-        # (counted from 1), its attempt outcome, and whether it rebuilt.
-        self.done = (np.empty(0, np.int64), np.empty(0, bool), np.empty(0, bool))
+        # (counted from 1) and its attempt outcome.
+        self.done = (np.empty(0, np.int64), np.empty(0, bool))
 
     def ready_draws(self, count: int) -> np.ndarray:
         """Load draws of the next ``count`` successful attempts not yet counted.
 
-        Fewer come back when the edge reaches ``limit`` draws first.
+        Fewer come back when the edge reaches ``max_slots`` draws first.
         """
         blocks = [self.done]
         have = np.count_nonzero(self.done[1])
-        while have < count and self.drawn < self.limit:
-            blocks.append(self._draw())
+        while have < count:
+            ends = next(self.load_ends, None)
+            if ends is None:
+                break
+            blocks.append((ends, self.attempt_rng.random(ends.size) < self.p_cat))
             have += np.count_nonzero(blocks[-1][1])
-        at, won, _ = self.done = tuple(map(np.concatenate, zip(*blocks)))
+        at, won = self.done = tuple(map(np.concatenate, zip(*blocks)))
         return at[won][:count]
 
     def settle(self, used: int) -> None:
         """Tally the loads completed within the first ``used`` load draws."""
-        at, won, rebuilt = self.done
+        at, won = self.done
         k = int(np.searchsorted(at, used, side="right"))
         self.loads += k
         self.successes += int(np.count_nonzero(won[:k]))
-        self.rebuilds += int(np.count_nonzero(rebuilt[:k]))
-        self.done = at[k:], won[k:], rebuilt[k:]
-
-    def _draw(self):
-        """The loads completed in the next block of load draws."""
-        size = min(_DRAW_BLOCK, self.limit - self.drawn)
-        hits = np.flatnonzero(self.load_rng.random(size) < self.p0) + (self.drawn + 1)
-        self.drawn += size
-        found = self.found + hits.size
-        if found > self.total:
-            # Every load needs at least n successes, so this many cover the block.
-            self._queue((found - self.total) // self.n + 1)
-        k = int(np.searchsorted(self.need, found, side="right"))
-        block = hits[self.need[:k] - self.found - 1], self.won[:k], self.rebuilt[:k]
-        self.need, self.won, self.rebuilt = self.need[k:], self.won[k:], self.rebuilt[k:]
-        self.found = found
-        return block
-
-    def _queue(self, count: int) -> None:
-        """Queue the next ``count`` loads with their attempt outcomes."""
-        ok = self.attempt_rng.random(count) < self.p_cat
-        empty = np.zeros(count, bool)
-        if self.rebuild_copies:
-            failed = ~ok
-            before = self.failures + np.cumsum(failed) - failed
-            empty = (before >= self.initial_stock) & np.concatenate(([self.last_failed], failed[:-1]))
-            self.failures += int(failed.sum())
-            self.last_failed = bool(failed[-1])
-        needs = self.total + np.cumsum(self.n + self.rebuild_copies * empty)
-        self.total = int(needs[-1])
-        self.need = np.concatenate((self.need, needs))
-        self.won = np.concatenate((self.won, ok))
-        self.rebuilt = np.concatenate((self.rebuilt, empty))
+        self.done = at[k:], won[k:]
 
 
-def _renewal_trial(cfg: SimConfig, trial: int, p_cat, rebuild_copies, counters, intervals):
-    """One replication of an aux-rich or ``none`` chain; returns the delivery count.
+def _renewal_trial(cfg: SimConfig, trial: int, p_cat, counters, intervals):
+    """One replication of an aux-rich chain; returns the delivery count.
 
     A ready edge draws nothing and every other edge draws one load value per
     slot, so the k-th delivery finds edge e ready after the load draws of its
@@ -417,7 +379,7 @@ def _renewal_trial(cfg: SimConfig, trial: int, p_cat, rebuild_copies, counters, 
     draws, and its counters cover exactly the draws it used.
     """
     limit = cfg.max_slots
-    edges = [_EdgeRenewals(cfg, trial, e, p_cat, rebuild_copies) for e in range(cfg.n_edges)]
+    edges = [_EdgeRenewals(cfg, trial, e, p_cat) for e in range(cfg.n_edges)]
     used = np.zeros(cfg.n_edges, np.int64)  # load draws used by settled deliveries
     slot = 0
     deliveries = 0
@@ -445,19 +407,19 @@ def _renewal_trial(cfg: SimConfig, trial: int, p_cat, rebuild_copies, counters, 
         if cut:
             for r, ctr, draws in zip(edges, counters, used.tolist()):
                 # Each completed load is attempted in the slot it completes.
-                ctr.add_run(draws, r.loads, r.loads, r.successes, r.rebuilds)
+                ctr.add_run(draws, r.loads, r.loads, r.successes, 0)
             return deliveries
 
 
 # Where a stream runs out: the next completion never comes.
-_NEVER = (math.inf,)
+_NEVER = np.array([math.inf])
 
 
 def _every_nth_success(rng: np.random.Generator, p: float, n: int, limit: int):
     """Yield, a block of draws at a time, where the n-th, 2n-th, ... success falls.
 
     A draw ``u`` succeeds when ``u < p``; draws are counted from 1 and at most
-    ``limit`` are taken, so each list holds the draws that complete a run of
+    ``limit`` are taken, so each array holds the draws that complete a run of
     n successes within one block.
     """
     drawn = found = 0
@@ -468,7 +430,7 @@ def _every_nth_success(rng: np.random.Generator, p: float, n: int, limit: int):
         drawn += size
         found += hits.size
         if ends.size:
-            yield ends.tolist()
+            yield ends
 
 
 class _AuxPath:
@@ -518,20 +480,21 @@ class _AuxPath:
     def advance(self) -> None:
         """Move to the next completion: its draw and, while running, its slot."""
         if self.taken == len(self.queue):
-            self.queue, self.taken = next(self.completions, _NEVER), 0
+            self.queue, self.taken = next(self.completions, _NEVER).tolist(), 0
         self.draw = self.queue[self.taken]
         self.taken += 1
         self.slot = self.slot_of(self.draw + self.offset)
 
 
-class _AuxSupply:
-    """One edge's catalyst stock and the finite aux paths that refill it.
+class _Stock:
+    """One edge's catalyst stock and the finite aux paths, if any, that refill it.
 
     Only a failed attempt lowers the stock, so between failures it never
     falls and the state is advanced (:meth:`sync`) only when an attempt might
     find the stock empty, at a failure, and at the end of a trial.  Within a
     slot the paths tick in index order, so a completion that fills the stock
-    stops the later paths' ticks in that slot.
+    stops the later paths' ticks in that slot.  Without paths nothing refills
+    the stock but the edge's own loads.
     """
 
     def __init__(self, cfg: SimConfig, trial: int, edge: int, copies_needed):
@@ -547,7 +510,7 @@ class _AuxSupply:
 
     def sync(self, slot: int) -> None:
         """Apply every tick through ``slot``."""
-        while not self.full:
+        while self.paths and not self.full:
             path = min(self.paths, key=attrgetter("slot"))
             if path.slot > slot:
                 return
@@ -585,25 +548,36 @@ class _AuxSupply:
                 path.drawn = path.ticks_through(slot if before else slot - 1) - path.offset
 
 
-def _finite_aux_edge(cfg: SimConfig, trial: int, edge: int, p_cat, copies_needed, ctr):
-    """One edge of a finite-aux chain, as a coroutine from delivery to delivery.
+def _stock_edge(cfg: SimConfig, trial: int, edge: int, p_cat, copies, ctr):
+    """One edge that holds a catalyst stock, as a coroutine from delivery to delivery.
 
     Sent the slot of the last delivery (0 at the start), it yields the slot
     in which the edge is next ready, or ``max_slots + 1`` when it cannot be
-    ready within the run.  A load ends at the n-th success of the load
-    stream, one draw per loading slot.  The attempt follows in the same slot
-    if the stock holds a catalyst, and otherwise in the slot of the next aux
-    completion; a failure spends the catalyst and the pairs, and loading
-    restarts in the next slot.  Closing the coroutine counts the edge's
-    events through ``max_slots`` into ``ctr``.
+    ready within the run.  A load takes n successes of the load stream, one
+    draw per loading slot; without aux paths, a load that starts from an
+    empty stock takes n + n_cat and turns n_cat of its pairs into a catalyst.
+    The attempt follows in the same slot if the stock holds a catalyst, and
+    otherwise in the slot of the next aux completion; a failure spends the
+    catalyst and the pairs, and loading restarts in the next slot.  Closing
+    the coroutine counts the edge's events through ``max_slots`` into ``ctr``.
     """
     limit = cfg.max_slots
-    supply = _AuxSupply(cfg, trial, edge, copies_needed)
+    n = cfg.edge.copies
+    supply = _Stock(cfg, trial, edge, copies)
+    # Without aux paths a load from an empty stock takes n_cat more successes,
+    # so the load stream is read one success at a time; with them, n at a time.
+    rebuild = 0 if cfg.aux.paths else copies[0]
+    unit = 1 if rebuild else n
+    step = n // unit  # load-stream entries per load
     load_ends = _every_nth_success(
-        _rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability, cfg.edge.copies, limit
+        _rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability, unit, limit
     )
     attempt_rng = _rng(cfg.seed, trial, edge, 1)
-    ends, taken = [], 0
+    # The entry of ``ends`` that ended the last load; a load from an empty
+    # stock skips ``rebuild`` more, added when the stock empties.
+    ends, taken = [], -1
+    if supply.stock < 1:
+        taken += rebuild
     outcomes, tried = [], 0
     loaded = 0  # load draws through the last completed load
     unfinished = 0  # load draws of a load cut off by the end of the run
@@ -611,22 +585,29 @@ def _finite_aux_edge(cfg: SimConfig, trial: int, edge: int, p_cat, copies_needed
     slot = 0  # loading restarts in the slot after this one
     try:
         while True:
-            if taken == len(ends):
-                ends, taken = next(load_ends, _NEVER), 0
-            ready = slot + ends[taken] - loaded
+            taken += step
+            while taken >= len(ends):
+                taken -= len(ends)
+                ends = next(load_ends, _NEVER).tolist()
+            end = ends[taken]
+            ready = slot + end - loaded
             if ready > limit:
                 unfinished = limit - slot
                 break
-            loaded = ends[taken]
-            taken += 1
+            loaded = end
             loads += 1
             if supply.stock < 1:
-                supply.sync(ready)
-                if supply.stock < 1:
-                    ready = supply.next_completion()
-                    if ready > limit:
-                        break
+                if rebuild:
+                    # The load's n_cat extra pairs become a catalyst.
+                    supply.stock += 1
+                    supply.produced += 1
+                else:
                     supply.sync(ready)
+                    if supply.stock < 1:
+                        ready = supply.next_completion()
+                        if ready > limit:
+                            break
+                        supply.sync(ready)
             if tried == len(outcomes):
                 outcomes, tried = (attempt_rng.random(_DRAW_BLOCK) < p_cat).tolist(), 0
             attempts += 1
@@ -637,26 +618,26 @@ def _finite_aux_edge(cfg: SimConfig, trial: int, edge: int, p_cat, copies_needed
             else:
                 supply.fail(ready)
                 slot = ready
+                if supply.stock < 1:
+                    taken += rebuild
         yield limit + 1
     finally:
         supply.sync(limit)
         ctr.add_run(loaded + unfinished, loads, attempts, successes, supply.produced)
 
 
-def _finite_aux_trial(cfg: SimConfig, trial: int, p_cat, copies_needed, counters, intervals):
-    """One replication of a finite-aux chain; returns the delivery count.
+def _stock_trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
+    """One replication of a chain whose edges hold a stock; returns the delivery count.
 
-    Aux paths tick on the wall clock, so a ready edge keeps gaining stock
-    until the delivery and the edges do not renew; but each edge's ready
-    slot after a delivery depends only on its own streams and that slot.
+    Finite aux paths tick on the wall clock, so a ready edge keeps gaining
+    stock until the delivery and the edges do not renew; but each edge's
+    ready slot after a delivery depends only on its own streams, its stock
+    and that slot.
     Each delivery is the latest of these, and the run ends when some edge
     cannot be ready by ``max_slots``.
     """
     limit = cfg.max_slots
-    edges = [
-        _finite_aux_edge(cfg, trial, e, p_cat, copies_needed, ctr)
-        for e, ctr in enumerate(counters)
-    ]
+    edges = [_stock_edge(cfg, trial, e, p_cat, copies, ctr) for e, ctr in enumerate(counters)]
     gaps = []
     last = 0
     try:
@@ -687,40 +668,37 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     when every edge holds a Bell pair, after which all edges restart loading
     while stocks persist.
 
-    With plentiful aux paths or none, a ready edge draws nothing while it
-    waits, so the slots each edge needs per delivery depend on its own seed
-    streams alone: the chain is a renewal process, computed per edge from
-    block draws with no per-slot loop.  Finite aux paths tick on the wall
-    clock and keep adding stock to ready edges until the delivery, so those
-    chains do not renew; but after a delivery each edge's next ready slot
-    still depends only on its own streams and that slot.  Each edge jumps
-    from load completion to attempt to aux completion, and advances its aux
-    paths only when an attempt might find the stock empty, at a failure and
-    at the end of the run.  Both give the results of stepping every slot,
-    draw for draw.
+    With plentiful aux paths an edge holds no stock and draws nothing while
+    it waits ready, so the slots each edge needs per delivery depend on its
+    own seed streams alone: the chain is a renewal process, computed per
+    edge from block draws with no per-slot loop.  Without aux paths or with
+    finite ones an edge holds a stock, and finite paths tick on the wall
+    clock and keep adding stock to ready edges until the delivery; but after
+    a delivery each edge's next ready slot still depends only on its own
+    streams and that slot.  Each such edge jumps from load completion to
+    attempt to aux completion, and advances its aux paths only when an
+    attempt might find the stock empty, at a failure and at the end of the
+    run.  Both engines give the results of stepping every slot, draw for
+    draw.
     """
     if cfg.mode != DETAILED_MODE:
         raise InvalidInputError("config mode must be detailed")
     if cfg.edge is None:
         raise InvalidInputError("detailed simulation requires edge parameters")
-    paths = cfg.aux.paths
-    rebuild = cfg.aux.mode == NO_AUX
-    if cfg.p_cat_override is not None and not paths and not rebuild:
-        p_cat, copies = cfg.p_cat_override, (0,)
+    renews = cfg.aux.mode == AUX_RICH
+    if renews and cfg.p_cat_override is not None:
+        # Plentiful aux paths hold no stock, so a forced probability needs no catalyst.
+        p_cat, copies = cfg.p_cat_override, ()
     else:
-        catalyst = edge_catalyst(cfg.edge)
-        p_cat = cfg.p_cat_override or catalyst.success_probability
-        n_cat = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha)
-        copies = _supply_copies(cfg.aux, catalyst.spectrum, n_cat)
-    rebuild_copies = copies[0] if rebuild else 0
+        p_cat, copies = _catalyst_supply(cfg)
     counters = [EdgeCounters() for _ in range(cfg.n_edges)]
     intervals: list[np.ndarray] = []
     deliveries = 0
     for trial in range(cfg.trials):
-        if paths:
-            deliveries += _finite_aux_trial(cfg, trial, p_cat, copies, counters, intervals)
+        if renews:
+            deliveries += _renewal_trial(cfg, trial, p_cat, counters, intervals)
         else:
-            deliveries += _renewal_trial(cfg, trial, p_cat, rebuild_copies, counters, intervals)
+            deliveries += _stock_trial(cfg, trial, p_cat, copies, counters, intervals)
 
     total_time = cfg.trials * cfg.max_slots * cfg.edge.cycle_time_s
     if deliveries == 0:

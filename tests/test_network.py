@@ -27,13 +27,10 @@ from entcat.network import (
     SweepRow,
     AuxPath,
     EdgeParams,
-    alpha_from_fidelity,
     alpha_from_transmittivities,
     edge_catalyst,
-    fidelity_from_alpha,
     rate_catalytic,
     rate_slotted,
-    swap_decay_scaling,
     sweep_rates,
     t_catalyst,
     t_edge_cycle,
@@ -62,28 +59,6 @@ class TestPhysicalLayer:
             alpha_from_transmittivities(0.0, 0.5)
         with pytest.raises(InvalidInputError):
             alpha_from_transmittivities(0.5, 1.0)
-
-    def test_fidelity_bell(self):
-        assert fidelity_from_alpha(0.5) == 1.0
-
-    def test_fidelity_generic(self):
-        assert fidelity_from_alpha(0.8) == pytest.approx(0.9)
-
-    def test_fidelity_product_limit(self):
-        assert fidelity_from_alpha(1.0 - 1e-9) == pytest.approx(0.5, abs=1e-4)
-
-    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.77, 0.95, 0.999])
-    def test_fidelity_roundtrip(self, alpha):
-        assert alpha_from_fidelity(fidelity_from_alpha(alpha)) == pytest.approx(
-            alpha, abs=1e-12
-        )
-
-    def test_swap_decay_values(self):
-        assert swap_decay_scaling(0.5, 2) == pytest.approx(0.25)
-        assert swap_decay_scaling(0.8, 4) == pytest.approx(0.0256)
-
-    def test_swap_decay_vanishes(self):
-        assert swap_decay_scaling(0.8, 400) < 1e-150
 
 
 class TestEdgeParams:

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from entcat.errors import InvalidInputError
+from entcat.errors import CatalysisWindowError, InvalidInputError
 from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, AuxConfig, AuxPath, EdgeParams
 from entcat.simulate import (
     _BATCH_TRIALS,
@@ -279,6 +279,11 @@ FINITE_PATHS = {
 }
 
 
+# Near alpha = 1 at a small P0: n_cat = 11 copies rebuild the catalyst.
+SLOW_REBUILD = EdgeParams(alpha=0.99, copies=2, length_km=25.0, fiber_speed_km_s=2.0e5,
+                          herald_probability=0.002)
+
+
 def record_bytes(simulate, cfg):
     return json.dumps(result_record(cfg, simulate(cfg)))
 
@@ -305,16 +310,38 @@ class TestMatchesSlotStepper:
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["timed_out"] or max_slots > 1
 
-    @pytest.mark.parametrize("regime", sorted(REGIMES))
-    def test_long_runs_cross_every_block(self, regime):
+    @pytest.mark.parametrize("regime,edge,runs,max_slots,seed,more_than", [
         # Thousands of deliveries and tens of thousands of load draws per edge.
-        for n_edges, initial_stock in ((1, 0), (5, 3)):
-            cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=EDGE, aux=REGIMES[regime],
-                            max_slots=20_000, trials=2, seed=17,
+        *(pytest.param(regime, EDGE, ((1, 0), (5, 3)), 20_000, 17, 2000, id=regime)
+          for regime in sorted(REGIMES)),
+        # A load that rebuilds the catalyst takes n + n_cat = 13 successes,
+        # against about 4 per block of load draws, so it spans several blocks.
+        pytest.param("none", SLOW_REBUILD, ((2, 1),), 300_000, 5, 10, id="none-slow-rebuild"),
+    ])
+    def test_long_runs_cross_every_block(self, regime, edge, runs, max_slots, seed, more_than):
+        for n_edges, initial_stock in runs:
+            cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=edge, aux=REGIMES[regime],
+                            max_slots=max_slots, trials=2, seed=seed,
                             **stock_settings(regime, initial_stock))
             new = record_bytes(simulate_detailed, cfg)
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
-            assert json.loads(new)["deliveries"] > 2000
+            assert json.loads(new)["deliveries"] > more_than
+
+    def test_forced_probability_needs_no_catalyst_with_plentiful_aux(self):
+        # alpha = 0.6 at n = 2 lies outside the catalysis window, so the edge
+        # has no catalyst.  Plentiful aux paths never read one; without aux
+        # paths the edge still needs n_cat to rebuild its stock.
+        edge = EdgeParams(alpha=0.6, copies=2, length_km=25.0, fiber_speed_km_s=2.0e5,
+                          herald_probability=0.5)
+        cfg = SimConfig(n_edges=3, mode="detailed", edge=edge, max_slots=500, seed=2,
+                        p_cat_override=0.5)
+        new = record_bytes(simulate_detailed, cfg)
+        assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
+        assert json.loads(new)["deliveries"] == 37
+        with pytest.raises(CatalysisWindowError):
+            simulate_detailed(SimConfig(n_edges=3, mode="detailed", edge=edge,
+                                        aux=AuxConfig(NO_AUX), max_slots=500, seed=2,
+                                        p_cat_override=0.5))
 
     @pytest.mark.parametrize("paths", sorted(FINITE_PATHS))
     @pytest.mark.parametrize("capacity", [None, 0, 1, 3])
