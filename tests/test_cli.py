@@ -370,6 +370,50 @@ class TestSimulateCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("setting,digest", [
+        pytest.param(
+            "mode = detailed\nn_edges = 4\nalpha = 0.8\nmax_slots = 20000\ntrials = 2\nseed = 3\n",
+            "a9ed776404f07fdf373cf634e04277efbb52656e60ce1f231c40eb8ce9a919f1",
+            id="detailed-aux-rich"),
+        pytest.param(
+            "mode = detailed\nn_edges = 4\nalpha = 0.8\naux_mode = none\n"
+            "max_slots = 20000\ntrials = 2\nseed = 3\n",
+            "0253585e2786025f2f2db90090e930036be9beb550ba51bc59ee3283f1d84c8b",
+            id="detailed-none-stock-0"),
+        pytest.param(
+            "mode = detailed\nn_edges = 4\nalpha = 0.8\naux_mode = none\ninitial_stock = 1\n"
+            "max_slots = 20000\ntrials = 2\nseed = 3\n",
+            "019a489dd690710d275f9119107cb620d5d64960be8e1c0400be7aea0f081bf6",
+            id="detailed-none-stock-1"),
+        pytest.param(
+            "mode = detailed\nn_edges = 4\nalpha = 0.8\naux_mode = finite\n"
+            "aux.1.alpha = 0.8\naux.1.P = 0.9\naux.1.T_s = 1e-3\n"
+            "aux.2.alpha = 0.75\naux.2.P = 0.3\naux.2.T_s = 3.3e-4\n"
+            "initial_stock = 1\nstock_capacity = 2\nmax_slots = 20000\ntrials = 2\nseed = 3\n",
+            "66d6cc230ed36a174a7563ea7443be8814b31653ea5acf85b73e6f1fdef50ddb",
+            id="detailed-finite-capacity-2"),
+        pytest.param(
+            "mode = detailed\nn_edges = 4\nalpha = 0.8\nmax_slots = 1\ntrials = 2\nseed = 3\n",
+            "1ded78c650ece0422d0738fe7618f6aaa468bff7b0adac09259a5e005eebb3b7",
+            id="detailed-timed-out"),
+        pytest.param(
+            "n_edges = 8\nalpha = 0.8\nn = 2\nP0 = 0.5\ntrials = 20000\nseed = 3\n",
+            "0176dc3c560f1ca6bddaac8f1c4244bdb678e94a846bee29564f38eb88337acf",
+            id="abstract-from-edge"),
+        pytest.param(
+            "n_edges = 8\np_cat = 0.5\nt_cycle_s = 1e-3\ntrials = 20000\nseed = 3\n",
+            "9ea9a1b07161f05cebc989f443dca73cc8ad029dd21f97d52a82b83e3e682309",
+            id="abstract-forced"),
+    ])
+    def test_output_bytes_are_pinned(self, capsys, tmp_path, setting, digest):
+        # The whole JSONL line: the config echo, the statistics, their key
+        # order and the counters of every edge.
+        conf = tmp_path / "sim.conf"
+        conf.write_text(setting)
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
         conf = tmp_path / "sim.conf"
         conf.write_text("p_cat = 0.5\nt_cycle_s = 1.0\n")
