@@ -68,7 +68,8 @@ class SimConfig:
     cycle time outside abstract mode, whose slots fix the time scale; the
     stock capacity outside detailed finite-aux runs; an initial stock in
     abstract and aux-rich runs; ``max_slots`` in abstract runs; and the edge
-    and aux mode when both overrides are given.
+    and aux mode when both overrides are given.  Every field is echoed in the
+    run's record (:func:`result_record`).
     """
 
     n_edges: int
@@ -160,15 +161,20 @@ class SimResult:
     ``mean_completion_s`` is the average chain completion (abstract) or
     inter-delivery (detailed) time; ``rate_hz`` the long-run delivery rate.
     A detailed run that ends with zero deliveries is flagged ``timed_out``
-    and carries null statistics rather than failing.
+    and carries a null mean and standard error and a zero rate rather than
+    failing.
+
+    :func:`result_record` writes every field, in declaration order, after the
+    config echo: a field added here is a new key in every JSONL record, so
+    anything a run reports beyond these statistics belongs elsewhere.
     """
 
-    mean_completion_s: Optional[float]
-    std_error_s: Optional[float]
-    rate_hz: Optional[float]
     deliveries: int
     trials_completed: int
     timed_out: bool
+    mean_completion_s: Optional[float]
+    std_error_s: Optional[float]
+    rate_hz: float
     counters: tuple
 
 
@@ -177,7 +183,11 @@ def _catalyst_supply(cfg: SimConfig):
 
     The copies are one count per finite aux path, or the edge's own ``n_cat``
     in the other modes, as :func:`entcat.network.t_edge_cycle` takes them.
+    Plentiful aux paths refill no stock, so there a forced probability reads
+    no catalyst and no copies, and ``alpha`` may lie outside the window.
     """
+    if cfg.aux.mode == AUX_RICH and cfg.p_cat_override is not None:
+        return cfg.p_cat_override, ()
     catalyst = edge_catalyst(cfg.edge)
     n_cat = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha)
     p_cat = cfg.p_cat_override or catalyst.success_probability
@@ -685,43 +695,29 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
         raise InvalidInputError("config mode must be detailed")
     if cfg.edge is None:
         raise InvalidInputError("detailed simulation requires edge parameters")
-    renews = cfg.aux.mode == AUX_RICH
-    if renews and cfg.p_cat_override is not None:
-        # Plentiful aux paths hold no stock, so a forced probability needs no catalyst.
-        p_cat, copies = cfg.p_cat_override, ()
-    else:
-        p_cat, copies = _catalyst_supply(cfg)
+    p_cat, copies = _catalyst_supply(cfg)
     counters = [EdgeCounters() for _ in range(cfg.n_edges)]
     intervals: list[np.ndarray] = []
     deliveries = 0
     for trial in range(cfg.trials):
-        if renews:
+        if cfg.aux.mode == AUX_RICH:
             deliveries += _renewal_trial(cfg, trial, p_cat, counters, intervals)
         else:
             deliveries += _stock_trial(cfg, trial, p_cat, copies, counters, intervals)
 
-    total_time = cfg.trials * cfg.max_slots * cfg.edge.cycle_time_s
-    if deliveries == 0:
-        return SimResult(
-            mean_completion_s=None,
-            std_error_s=None,
-            rate_hz=0.0,
-            deliveries=0,
-            trials_completed=cfg.trials,
-            timed_out=True,
-            counters=tuple(counters),
-        )
-    arr = np.concatenate(intervals)
-    del intervals  # hold the interval record once, not twice, while std runs
-    mean = float(arr.mean())
-    std_error = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    mean = std_error = None
+    if deliveries:
+        arr = np.concatenate(intervals)
+        del intervals  # hold the interval record once, not twice, while std runs
+        mean = float(arr.mean())
+        std_error = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return SimResult(
-        mean_completion_s=mean,
-        std_error_s=std_error,
-        rate_hz=deliveries / total_time,
         deliveries=deliveries,
         trials_completed=cfg.trials,
-        timed_out=False,
+        timed_out=deliveries == 0,
+        mean_completion_s=mean,
+        std_error_s=std_error,
+        rate_hz=deliveries / (cfg.trials * cfg.max_slots * cfg.edge.cycle_time_s),
         counters=tuple(counters),
     )
 
@@ -781,28 +777,6 @@ def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> W
 
 
 def result_record(cfg: SimConfig, result: SimResult) -> dict:
-    """JSON-serializable record of a run: config echo plus statistics."""
-    edge = asdict(cfg.edge) if cfg.edge is not None else None
-    aux = {"mode": cfg.aux.mode, "paths": [asdict(p) for p in cfg.aux.paths]}
-    return {
-        "config": {
-            "n_edges": cfg.n_edges,
-            "mode": cfg.mode,
-            "edge": edge,
-            "aux": aux,
-            "initial_stock": cfg.initial_stock,
-            "stock_capacity": cfg.stock_capacity,
-            "max_slots": cfg.max_slots,
-            "trials": cfg.trials,
-            "p_cat_override": cfg.p_cat_override,
-            "cycle_time_override_s": cfg.cycle_time_override_s,
-        },
-        "seed": cfg.seed,
-        "deliveries": result.deliveries,
-        "trials_completed": result.trials_completed,
-        "timed_out": result.timed_out,
-        "mean_completion_s": result.mean_completion_s,
-        "std_error_s": result.std_error_s,
-        "rate_hz": result.rate_hz,
-        "counters": [asdict(c) for c in result.counters],
-    }
+    """JSON-serializable record of a run: config echo, seed, then every statistic."""
+    config = asdict(cfg)
+    return {"config": config, "seed": config.pop("seed"), **asdict(result)}

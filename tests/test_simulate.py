@@ -19,7 +19,7 @@ from entcat.simulate import (
     simulate_detailed,
     validate_waiting_factor,
 )
-from entcat.network import rate_catalytic, waiting_factor
+from entcat.network import rate_catalytic, t_primary, waiting_factor
 
 import oracles
 
@@ -329,8 +329,9 @@ class TestMatchesSlotStepper:
 
     def test_forced_probability_needs_no_catalyst_with_plentiful_aux(self):
         # alpha = 0.6 at n = 2 lies outside the catalysis window, so the edge
-        # has no catalyst.  Plentiful aux paths never read one; without aux
-        # paths the edge still needs n_cat to rebuild its stock.
+        # has no catalyst.  Plentiful aux paths never read one, in either
+        # mode; without aux paths the edge still needs n_cat to rebuild its
+        # stock.
         edge = EdgeParams(alpha=0.6, copies=2, length_km=25.0, fiber_speed_km_s=2.0e5,
                           herald_probability=0.5)
         cfg = SimConfig(n_edges=3, mode="detailed", edge=edge, max_slots=500, seed=2,
@@ -338,10 +339,16 @@ class TestMatchesSlotStepper:
         new = record_bytes(simulate_detailed, cfg)
         assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
         assert json.loads(new)["deliveries"] == 37
-        with pytest.raises(CatalysisWindowError):
-            simulate_detailed(SimConfig(n_edges=3, mode="detailed", edge=edge,
-                                        aux=AuxConfig(NO_AUX), max_slots=500, seed=2,
-                                        p_cat_override=0.5))
+        # The abstract edge cycle is the primary assembly time alone.
+        abstract = dict(n_edges=3, mode="abstract", trials=2000, seed=2, p_cat_override=0.5)
+        t_pri = t_primary(2, edge.cycle_time_s, 0.5)
+        assert simulate_abstract(SimConfig(edge=edge, **abstract)) == simulate_abstract(
+            SimConfig(cycle_time_override_s=t_pri, **abstract)
+        )
+        for mode, extra in (("detailed", dict(max_slots=500)), ("abstract", dict(trials=2000))):
+            with pytest.raises(CatalysisWindowError):
+                run_simulation(SimConfig(n_edges=3, mode=mode, edge=edge, aux=AuxConfig(NO_AUX),
+                                         seed=2, p_cat_override=0.5, **extra))
 
     @pytest.mark.parametrize("paths", sorted(FINITE_PATHS))
     @pytest.mark.parametrize("capacity", [None, 0, 1, 3])
