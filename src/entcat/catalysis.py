@@ -144,10 +144,11 @@ def in_catalysis_window(problem: ConcentrationProblem) -> bool:
 
 def _require_window(problem: ConcentrationProblem) -> None:
     if not in_catalysis_window(problem):
-        top = n_star(problem.alpha) - 1
+        star = n_star(problem.alpha)
+        window = f"[2, {star - 1}]" if star > 2 else f"empty, as n_star(alpha) = {star}"
         raise CatalysisWindowError(
             f"catalysis unnecessary or unsupported for n={problem.n}: "
-            f"the catalysis window at alpha={problem.alpha} is [2, {top}]"
+            f"the catalysis window at alpha={problem.alpha} is {window}"
         )
 
 

@@ -95,6 +95,7 @@ def parse_config(text: str) -> dict:
     """
     values: dict = {}
     aux_groups: dict = {}
+    set_on: dict = {}  # the line that set each key, a group field under its integer index
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,12 +109,20 @@ def parse_config(text: str) -> dict:
             parts = key.split(".")
             if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in _AUX_FIELD_KEYS:
                 raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
-            group = aux_groups.setdefault(int(parts[1]), {})
-            group[parts[2]] = _cast(_AUX_FIELD_KEYS[parts[2]], value, key, lineno)
-            continue
-        if key not in _CONFIG_KEYS:
+            slot = int(parts[1]), parts[2]
+            target, name = aux_groups.setdefault(slot[0], {}), parts[2]
+            cast = _AUX_FIELD_KEYS[name]
+        elif key in _CONFIG_KEYS:
+            slot = name = key
+            target, cast = values, _CONFIG_KEYS[key][0]
+        else:
             raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _cast(_CONFIG_KEYS[key][0], value, key, lineno)
+        if slot in set_on:
+            raise InvalidInputError(
+                f"config line {lineno}: {key} repeats the key set on line {set_on[slot]}"
+            )
+        set_on[slot] = lineno
+        target[name] = _cast(cast, value, key, lineno)
     if aux_groups:
         paths = []
         for index in sorted(aux_groups):

@@ -89,9 +89,15 @@ class TestCatalyst:
         assert float(out.split()[1][2:]) >= 0.88227
 
     def test_outside_window_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "catalyst", "--n", "5", "--alpha", "0.8")
-        assert code == 1
-        assert "window" in err
+        # n_star(0.6) = 2, so at alpha = 0.6 no copy count lies in [2, n_star - 1].
+        for n, alpha, window in (("5", "0.8", "[2, 3]"),
+                                 ("2", "0.6", "empty, as n_star(alpha) = 2")):
+            code, out, err = run_cli(capsys, "catalyst", "--n", n, "--alpha", alpha)
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: catalysis unnecessary or unsupported for n={n}: "
+                f"the catalysis window at alpha={alpha} is {window}\n"
+            )
 
 
 class TestSweep:
@@ -479,6 +485,19 @@ class TestConfigParsing:
     def test_incomplete_aux_group_rejected(self):
         with pytest.raises(InvalidInputError):
             parse_config("aux.1.alpha = 0.8\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("seed = 1\nseed = 2\n", "config line 2: seed repeats the key set on line 1"),
+        # aux.01 and aux.1 are the same group, so the second path would vanish.
+        ("aux.1.alpha = 0.8\naux.1.P = 0.5\naux.01.alpha = 0.9\n",
+         "config line 3: aux.01.alpha repeats the key set on line 1"),
+        ("aux.2.T_s = 1e-3\naux.2.T_s = 5e-4\n",
+         "config line 2: aux.2.T_s repeats the key set on line 1"),
+    ])
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(InvalidInputError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
     def test_unlimited_capacity(self):
         values = parse_config("stock_capacity = unlimited\n")
