@@ -46,7 +46,8 @@ def _open_out(path: str):
 
 # ---------------------------------------------------------------------------
 # Config files: one `key = value` per line, `#` comments, auxiliary paths as
-# numbered groups (aux.1.alpha, aux.1.P, aux.1.T_s).  Unknown keys reject.
+# numbered groups (aux.1.alpha, aux.1.P, aux.1.T_s).  Unknown and repeated
+# keys reject.
 # ---------------------------------------------------------------------------
 
 def _stock_capacity(value: str):
