@@ -160,15 +160,30 @@ def optimal_two_qubit_catalyst(problem: ConcentrationProblem) -> CatalystSpec:
     Schmidt coefficient, so a window error is raised instead.
     """
     _require_window(problem)
-    an = problem.alpha**problem.n
-    b = 1.0 + 3.0 * an
-    c0 = (b - math.sqrt(b * b - 16.0 * an * an)) / (4.0 * an)
-    p_cat = (1.0 - an) / (1.0 - c0)
+    c0, p_cat = _two_qubit_closed_form(problem)
     return CatalystSpec(
         spectrum=SchmidtVector(np.array([c0, 1.0 - c0])),
         dimension=2,
         success_probability=p_cat,
     )
+
+
+def _two_qubit_closed_form(problem: ConcentrationProblem) -> tuple:
+    """``(c0, p_cat)`` of the optimal two-qubit catalyst, for a problem in the window.
+
+    The window check is the caller's.  This keeps only the check that the
+    spectrum ``(c0, 1 - c0)`` would make: ``c0`` must be finite and lie in
+    ``[1/2 - TOL, 1]``, or :class:`NumericFailureError` is raised.
+    """
+    an = problem.alpha**problem.n
+    b = 1.0 + 3.0 * an
+    c0 = (b - math.sqrt(b * b - 16.0 * an * an)) / (4.0 * an)
+    if not 0.5 - TOL <= c0 <= 1.0:  # false for NaN too
+        raise NumericFailureError(
+            f"closed-form catalyst coefficient {c0} for n={problem.n}, "
+            f"alpha={problem.alpha} is not a larger Schmidt coefficient"
+        )
+    return c0, (1.0 - an) / (1.0 - c0)
 
 
 def catalysis_probability(problem: ConcentrationProblem, catalyst: SchmidtVector) -> float:
@@ -430,8 +445,8 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
 
     # Each catalyst's success probability, as catalysis_probability gives
     # it, from one kernel call over the tensored rows of the whole batch.
-    found = [make_schmidt(c) for c in certified]
-    cat = np.array([spectrum.coefficients for spectrum in found])[:, None, :]
+    cat, found = _ordered_spectra(certified)
+    cat = cat[:, None, :]
     initial = (psi[:, :, None] * cat).reshape(len(problems), size)
     final = (target_spectrum(n).coefficients[None, :, None] * cat).reshape(len(problems), size)
     p_cat = conversion_probabilities(initial, final)
@@ -439,6 +454,20 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
         CatalystSpec(spectrum=spectrum, dimension=d_c, success_probability=float(p))
         for spectrum, p in zip(found, p_cat)
     ]
+
+
+def _ordered_spectra(rows: np.ndarray) -> tuple:
+    """Each row over its own sum, as an array and as one spectrum per row.
+
+    :func:`make_schmidt` for rows already in non-increasing order, such as
+    centres inside the ordered simplex, with the sort left out: dividing by a
+    positive sum keeps the order.  Each :class:`SchmidtVector` still checks
+    its row, so a row that is not a spectrum (a negative or unordered entry,
+    or all zeros, whose quotient is NaN) raises :class:`InvalidInputError`.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = rows / rows.sum(axis=1, keepdims=True)
+    return normalized, [SchmidtVector(row) for row in normalized]
 
 
 # ---------------------------------------------------------------------------

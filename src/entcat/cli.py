@@ -2,13 +2,15 @@
 
 Subcommands: ``monotones``, ``prob``, ``catalyst``, ``sweep``, ``simulate``
 and ``validate-z``.  Exit codes: 0 on success, 1 for invalid input or domain
-errors, 2 for numeric failures.  ``--out -`` writes to stdout.
+errors or a reader that closed stdout early, 2 for numeric failures.
+``--out -`` writes to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -303,13 +305,20 @@ def main(argv=None) -> int:
         # failures here, so fold parse problems into the invalid-input code.
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early.  What is left in its buffer goes to
+        # the null device, so the interpreter's flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .catalysis import (
     CatalystSpec,
     ConcentrationProblem,
+    _smallest_power_at_most,
+    _two_qubit_closed_form,
     copies_for_catalyst,
     in_catalysis_window,
     locc_probability,
     optimal_catalyst,
-    optimal_two_qubit_catalyst,
     search_catalysts,
 )
 from .errors import InvalidInputError, NumericFailureError
-from .spectra import SchmidtVector
 
 AUX_RICH = "aux_rich"
 NO_AUX = "none"
@@ -277,30 +278,39 @@ def _locc_side(problem: ConcentrationProblem, t_pri: float, n_edges: int) -> tup
     return p_locc, z_locc, 1.0 / (t_pri * z_locc)
 
 
-def _catalyst_side(alpha: float, n_edges: int, catalyst: CatalystSpec) -> tuple:
-    """``(catalyst spectrum, c0, p_cat, z_cat, n_cat)`` of the edge's optimal catalyst.
+def _catalyst_side(
+    alpha: float, n_edges: int, c0: float, p_cat: float, copies: Callable[[float], int]
+) -> tuple:
+    """``(copies, c0, p_cat, z_cat, n_cat)`` of the edge's optimal catalyst.
 
-    The same for every aux mode; ``n_cat`` counts the edge's own pairs (larger
-    coefficient ``alpha``) one catalyst takes.
+    The same for every aux mode.  ``copies`` maps a supply state's larger
+    coefficient to the copies of it one catalyst takes, and ``n_cat`` counts
+    the edge's own pairs (larger coefficient ``alpha``).
     """
-    spectrum, p_cat = catalyst.spectrum, catalyst.success_probability
-    n_cat = copies_for_catalyst(spectrum, alpha)
-    return spectrum, float(spectrum.coefficients[0]), p_cat, waiting_factor(n_edges, p_cat), n_cat
+    return copies, c0, p_cat, waiting_factor(n_edges, p_cat), copies(alpha)
 
 
-def _supply_copies(aux: AuxConfig, catalyst: SchmidtVector, n_cat: int) -> tuple:
+def _spectrum_side(alpha: float, n_edges: int, catalyst: CatalystSpec) -> tuple:
+    """:func:`_catalyst_side` of a catalyst spectrum, counted by ``copies_for_catalyst``."""
+    spectrum = catalyst.spectrum
+    return _catalyst_side(alpha, n_edges, float(spectrum.coefficients[0]),
+                          catalyst.success_probability, partial(copies_for_catalyst, spectrum))
+
+
+def _supply_copies(aux: AuxConfig, copies: Callable[[float], int], n_cat: int) -> tuple:
     """The ``copies`` argument of :func:`t_edge_cycle`, given the edge's own count.
 
-    Only a finite aux list has paths; every other mode gets ``(n_cat,)``.
+    Only a finite aux list has paths, each counted by ``copies``; every other
+    mode gets ``(n_cat,)``.
     """
-    return tuple(copies_for_catalyst(catalyst, path.alpha) for path in aux.paths) or (n_cat,)
+    return tuple(copies(path.alpha) for path in aux.paths) or (n_cat,)
 
 
 def _mode_side(edge: EdgeParams, aux: AuxConfig, locc: tuple, catalytic: tuple) -> tuple:
     """``(timing, rate_cat_hz, eta_p, eta_r)`` of the catalytic chain in one aux mode."""
     p_locc, _, rate_locc = locc
-    spectrum, _, p_cat, z_cat, n_cat = catalytic
-    timing = t_edge_cycle(p_cat, edge, aux, _supply_copies(aux, spectrum, n_cat))
+    copies, _, p_cat, z_cat, n_cat = catalytic
+    timing = t_edge_cycle(p_cat, edge, aux, _supply_copies(aux, copies, n_cat))
     rate_cat = 1.0 / (timing.t_edge_cycle_s * z_cat)
     return timing, rate_cat, p_cat / p_locc, rate_cat / rate_locc
 
@@ -316,7 +326,7 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> RateReport
         raise InvalidInputError(f"edge count must be positive, got {n_edges}")
     t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
     locc = _locc_side(ConcentrationProblem(edge.copies, edge.alpha), t_pri, n_edges)
-    catalytic = _catalyst_side(edge.alpha, n_edges, edge_catalyst(edge))
+    catalytic = _spectrum_side(edge.alpha, n_edges, edge_catalyst(edge))
     p_locc, z_locc, rate_locc = locc
     _, c0, p_cat, z_cat, n_cat = catalytic
     timing, rate_cat, eta_p, eta_r = _mode_side(edge, aux, locc, catalytic)
@@ -461,8 +471,11 @@ def sweep_rates(
     Each quantity is computed once, by the helpers :func:`rate_catalytic`
     uses: the inputs are validated once, the plain-LOCC side once per alpha,
     the catalyst, its waiting factor and its copy count ``n_cat`` once per
-    (dimension, alpha), and only the edge-cycle time once per mode.  Above
-    dimension 2, the catalysts of one dimension come from a single lockstep
+    (dimension, alpha), and only the edge-cycle time once per mode.  At
+    dimension 2, each in-window alpha takes ``(c0, p_cat)`` from the closed
+    form of :func:`~entcat.catalysis.optimal_two_qubit_catalyst` and its copy
+    counts from ``c0``, with no spectrum and no second window check.  Above,
+    the catalysts of one dimension come from a single lockstep
     :func:`~entcat.catalysis.search_catalysts` batch over the in-window
     alphas.  That search treats each problem on its own rows, with no
     reduction across the batch, so every row is bit for bit what
@@ -488,11 +501,14 @@ def sweep_rates(
     catalytic = {}  # catalyst side per (dimension, alpha index); absent out of window
     for dim in catalyst_dims:
         if dim == 2:
-            found = [optimal_two_qubit_catalyst(problem) for problem in batch]
+            # copies_for_catalyst's two-qubit rule, read from c0 alone.
+            for i in inside:
+                c0, p_cat = _two_qubit_closed_form(problems[i])
+                copies = partial(_smallest_power_at_most, c=c0)
+                catalytic[dim, i] = _catalyst_side(problems[i].alpha, n_edges, c0, p_cat, copies)
         else:
-            found = search_catalysts(batch, dim)
-        for i, catalyst in zip(inside, found):
-            catalytic[dim, i] = _catalyst_side(problems[i].alpha, n_edges, catalyst)
+            for i, catalyst in zip(inside, search_catalysts(batch, dim)):
+                catalytic[dim, i] = _spectrum_side(problems[i].alpha, n_edges, catalyst)
 
     rows = []
     for aux in auxes:
@@ -516,18 +532,21 @@ def sweep_rates(
     return rows
 
 
+# One format per row kind.  An out-of-window row prints its None cells with
+# ``%.0s``, as nothing.
+_CSV_ROW_OK = ",".join(["%.12g", "%s", "%d", "%.12g", "%.12g", "%.12g", "%d", "%.12g",
+                        "%.12g", "%.12g", "%.12g", "%.12g", "%.12g", "%.12g", "%s"]) + "\n"
+_CSV_ROW_OUT = ",".join(["%.12g", "%s", "%d", "%.12g", "%.0s", "%.0s", "%.0s", "%.0s",
+                         "%.12g", "%.0s", "%.0s", "%.12g", "%.0s", "%.0s", "%s"]) + "\n"
+
+
 def write_sweep_csv(rows: Sequence[SweepRow], stream) -> None:
     """Write sweep rows with the fixed header, floats to 12 significant digits.
 
-    Each cell is formatted straight from its value: empty for None, as is for
-    a string, ``str`` for an integer and ``.12g`` for the rest.  No cell needs
-    CSV quoting, since the only strings are the fixed mode and window words.
+    Each row is one ``%`` format of its kind: ``%.12g`` for a float, ``%d``
+    for ``catalyst_dim`` and ``n_cat``, the mode and window words as they
+    are, and empty catalyst cells out of window.  No cell needs CSV quoting.
     """
     stream.write(SWEEP_CSV_HEADER + "\n")
     for r in rows:
-        cells = [
-            "" if v is None else v if isinstance(v, str) else str(v) if isinstance(v, int)
-            else f"{v:.12g}"
-            for v in r
-        ]
-        stream.write(",".join(cells) + "\n")
+        stream.write((_CSV_ROW_OK if r.window_flag == WINDOW_OK else _CSV_ROW_OUT) % r)

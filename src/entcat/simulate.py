@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Optional
 
@@ -189,9 +190,9 @@ def _catalyst_supply(cfg: SimConfig):
     if cfg.aux.mode == AUX_RICH and cfg.p_cat_override is not None:
         return cfg.p_cat_override, ()
     catalyst = edge_catalyst(cfg.edge)
-    n_cat = copies_for_catalyst(catalyst.spectrum, cfg.edge.alpha)
+    copies = partial(copies_for_catalyst, catalyst.spectrum)
     p_cat = cfg.p_cat_override or catalyst.success_probability
-    return p_cat, _supply_copies(cfg.aux, catalyst.spectrum, n_cat)
+    return p_cat, _supply_copies(cfg.aux, copies, copies(cfg.edge.alpha))
 
 
 def _resolved_parameters(cfg: SimConfig):

@@ -6,8 +6,9 @@ high-precision inclusion-exclusion sum for the waiting factor, a Markov
 survival recursion for the slot-level chain model, the slot-by-slot
 stepper that the detailed simulator must match byte for byte, the
 per-edge geometric sampler that the abstract simulator and the waiting-factor
-check must match below p = 1/3, and the lockstep catalyst search as first
-written, which checks its certificate at every cut.
+check must match below p = 1/3, the lockstep catalyst search as first
+written, which checks its certificate at every cut, and the sweep CSV writer
+that formats each cell by its type.
 """
 
 import math
@@ -25,7 +26,7 @@ from entcat.catalysis import (
     initial_spectrum,
 )
 from entcat.errors import InvalidInputError
-from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, edge_catalyst
+from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, SWEEP_CSV_HEADER, edge_catalyst
 from entcat.spectra import make_schmidt
 from entcat.simulate import (
     ABSTRACT_MODE,
@@ -506,3 +507,25 @@ def lockstep_search(problems, d_c: int, max_cuts: int):
         (spectrum.coefficients, catalysis_probability(problem, spectrum))
         for problem, spectrum in zip(problems, found)
     ], cut_index
+
+
+# ---------------------------------------------------------------------------
+# Sweep CSV writer that dispatches on each cell's type
+# ---------------------------------------------------------------------------
+
+
+def write_sweep_csv(rows, stream) -> None:
+    """Write sweep rows with the fixed header, floats to 12 significant digits.
+
+    Each cell is formatted straight from its value: empty for None, as is for
+    a string, ``str`` for an integer and ``.12g`` for the rest.  No cell needs
+    CSV quoting, since the only strings are the fixed mode and window words.
+    """
+    stream.write(SWEEP_CSV_HEADER + "\n")
+    for r in rows:
+        cells = [
+            "" if v is None else v if isinstance(v, str) else str(v) if isinstance(v, int)
+            else f"{v:.12g}"
+            for v in r
+        ]
+        stream.write(",".join(cells) + "\n")

@@ -136,6 +136,20 @@ class TestOptimalTwoQubitCatalyst:
         with pytest.raises(CatalysisWindowError):
             optimal_two_qubit_catalyst(ConcentrationProblem(n, 0.8))
 
+    @pytest.mark.parametrize("n,alpha", [(2, 0.7072), (2, 0.8), (3, 0.9), (2, 0.999999)])
+    def test_closed_form_helper_gives_the_same_bits(self, n, alpha):
+        problem = ConcentrationProblem(n, alpha)
+        spec = optimal_two_qubit_catalyst(problem)
+        c0, p_cat = catalysis._two_qubit_closed_form(problem)
+        assert (c0, 1.0 - c0) == tuple(spec.spectrum.coefficients)
+        assert p_cat == spec.success_probability
+
+    def test_closed_form_helper_checks_its_coefficient(self):
+        # Outside the window (n_star(0.8) = 4) the closed form drops below
+        # 1/2, which the helper rejects as the spectrum would have.
+        with pytest.raises(NumericFailureError, match="not a larger Schmidt coefficient"):
+            catalysis._two_qubit_closed_form(ConcentrationProblem(5, 0.8))
+
     def test_near_unity_asymptotics(self):
         # 1 - c0 approaches sqrt(n (1-alpha) / 2)
         for n in (2, 3):
@@ -351,6 +365,25 @@ class TestSearchCatalysts:
         found = search_catalyst(ConcentrationProblem(2, 0.8), 6)
         expected = "4c77d54b7de3d475ec4935428b3ecfd17a0eac96725fdb0c8f9501ff71cdc312"
         assert _search_digest([found]) == expected
+
+    def test_ordered_rows_normalize_as_make_schmidt_does(self):
+        rng = np.random.default_rng(3)
+        rows = -np.sort(-rng.random((20, 6)), axis=1)
+        rows[0, 3:] = 0.0  # a zero tail
+        rows[1] = 1.0  # all ties
+        normalized, spectra = catalysis._ordered_spectra(rows)
+        for row, norm, spectrum in zip(rows, normalized, spectra):
+            expected = make_schmidt(row).coefficients
+            assert np.array_equal(norm, expected)
+            assert np.array_equal(spectrum.coefficients, expected)
+
+    @pytest.mark.parametrize(
+        "row", [[0.0, 0.0, 0.0], [0.6, 0.5, -0.1], [0.2, 0.3, 0.5], [0.5, np.nan, 0.1]],
+        ids=["zeros", "negative", "unordered", "nan"],
+    )
+    def test_row_that_is_not_a_spectrum_raises(self, row):
+        with pytest.raises(InvalidInputError):
+            catalysis._ordered_spectra(np.array([[0.5, 0.3, 0.2], row]))
 
     @pytest.mark.parametrize(
         "n, d_c, alphas",

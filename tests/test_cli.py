@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entcat
 from entcat.cli import main, parse_config
 from entcat.errors import InvalidInputError
 
@@ -175,19 +180,55 @@ class TestSweep:
         assert err.startswith("error: ") and "repeat" in err
 
     @pytest.mark.parametrize(
-        "copies,digest",
+        "argv,digest",
         [
-            ("2", "bab6983b3f835ffa6cb8b9741986eb30d21036bc76d9a4ebdc7f0a4fb2825534"),
-            ("3", "6b9b48e701b065fab95b7c62538215d701ab42af3e2a065271998ff40ded7563"),
+            # Every mode and dimension in one call: the rows share each
+            # catalyst, copy count and waiting factor, and must still print
+            # the same bytes.
+            pytest.param(
+                "--n 2 --dim 2,3,4 --mode aux_rich,none --steps 60",
+                "bab6983b3f835ffa6cb8b9741986eb30d21036bc76d9a4ebdc7f0a4fb2825534",
+                id="2-bab6983b3f835ffa6cb8b9741986eb30d21036bc76d9a4ebdc7f0a4fb2825534",
+            ),
+            pytest.param(
+                "--n 3 --dim 2,3,4 --mode aux_rich,none --steps 60",
+                "6b9b48e701b065fab95b7c62538215d701ab42af3e2a065271998ff40ded7563",
+                id="3-6b9b48e701b065fab95b7c62538215d701ab42af3e2a065271998ff40ded7563",
+            ),
+            # The long chain at dimension 2 up to alpha = 1 - 1e-6, where
+            # n_cat runs to 1001.
+            pytest.param(
+                "--n 2 --edges 256 --mode aux_rich,none --dim 2 --steps 200",
+                "6926712aca2fa5521f26cdb828f476a6fb7e9c080a83839d5957e901fa365600",
+                id="long-chain",
+            ),
+            # N = 4096 takes H_N from its Euler-Maclaurin expansion once
+            # p <= 1e-2.
+            pytest.param(
+                "--edges 4096 --steps 40",
+                "e4f2566d6af8516ff8a6dcadefdd60a50e83393d9ac5d3d78c1c3330b4224379",
+                id="edges-4096",
+            ),
         ],
     )
-    def test_output_bytes_are_pinned(self, capsys, copies, digest):
-        # Every mode and dimension in one call: the rows share each catalyst,
-        # copy count and waiting factor, and must still print the same bytes.
-        code, out, _ = run_cli(capsys, "sweep", "--n", copies, "--dim", "2,3,4",
-                               "--mode", "aux_rich,none", "--steps", "60")
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "sweep", *argv.split(), "--out", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_reader_closing_stdout_early_exits_1_quietly(self):
+        # The rows fill the pipe many times over, so the writer is still
+        # writing when the reader leaves after the header line.
+        env = {**os.environ, "PYTHONPATH": str(Path(entcat.__file__).parents[1])}
+        argv = [sys.executable, "-m", "entcat.cli", "sweep", "--steps", "3000",
+                "--mode", "aux_rich,none", "--out", "-"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline().startswith(b"alpha,mode,catalyst_dim,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (1, b"")
 
     def test_stdout_equals_file(self, capsys, tmp_path):
         out_file = tmp_path / "s.csv"

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entcat
 from entcat.catalysis import (
@@ -23,6 +25,8 @@ from entcat.network import (
     FINITE_AUX,
     NO_AUX,
     SWEEP_CSV_HEADER,
+    WINDOW_OK,
+    WINDOW_OUT,
     AuxConfig,
     SweepRow,
     AuxPath,
@@ -371,7 +375,9 @@ class TestSweep:
     def test_rows_match_rate_catalytic_per_point(self):
         # the sweep shares work across modes and dimensions; every row must
         # still equal what rate_catalytic computes for that point alone
-        grid = [0.6, 0.75, 0.8, 0.9]
+        # 0.7072 lies just inside the n = 2 window; at 0.999999, n_cat is 1001
+        # and p_cat ~2e-3, so z_cat takes the harmonic branch.
+        grid = [0.6, 0.7072, 0.75, 0.8, 0.9, 0.999999]
         paths = (AuxPath(0.8, 0.05, 2.5e-4), AuxPath(0.75, 0.3, 1.0e-3))
         modes = (AUX_RICH, NO_AUX, FINITE_AUX)
         rows = sweep_rates(2, 8, grid, modes, [2, 4], herald_probability=0.4, aux_paths=paths)
@@ -433,6 +439,43 @@ class TestSweepCsv:
         assert out_row[0] == "0.6"
         assert out_row[-1] == "out_of_window"
         assert out_row[4] == ""  # no catalytic probability out of window
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_the_writer_that_dispatches_on_type(self, data):
+        # Rows of the types sweep_rates builds: floats anywhere from 1e-300 to
+        # 1e300 in size, signed zeros and integral floats among them, integer
+        # dimensions and copy counts, and an alpha that may be a numpy float.
+        floats = st.one_of(
+            st.floats(min_value=1e-300, max_value=1e300),
+            st.floats(min_value=-1e300, max_value=-1e-300),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e12, 1e15, 123456789012.0]),
+            st.integers(-10**15, 10**15).map(float),
+        )
+        rows = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            alpha = data.draw(floats)
+            point = dict(
+                alpha=data.draw(st.sampled_from([alpha, np.float64(alpha)])),
+                mode=data.draw(st.sampled_from([AUX_RICH, NO_AUX, FINITE_AUX])),
+                catalyst_dim=data.draw(st.integers(2, 64)),
+                p_locc=data.draw(floats), z_locc=data.draw(floats),
+                rate_locc_hz=data.draw(floats),
+            )
+            if data.draw(st.booleans()):
+                rows.append(SweepRow(
+                    **point, p_cat=data.draw(floats), c0=data.draw(floats),
+                    n_cat=data.draw(st.integers(1, 10**7)), eta_p=data.draw(floats),
+                    z_cat=data.draw(floats), t_edge_cycle_s=data.draw(floats),
+                    rate_cat_hz=data.draw(floats), eta_r=data.draw(floats),
+                    window_flag=WINDOW_OK,
+                ))
+            else:
+                rows.append(SweepRow(**point, window_flag=WINDOW_OUT))
+        new, reference = io.StringIO(), io.StringIO()
+        write_sweep_csv(rows, new)
+        oracles.write_sweep_csv(rows, reference)
+        assert new.getvalue() == reference.getvalue()
 
     def test_deterministic_bytes(self):
         rows = sweep_rates(2, 4, list(np.linspace(0.72, 0.9, 7)), [AUX_RICH, NO_AUX], [2])
