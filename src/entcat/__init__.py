@@ -35,7 +35,6 @@ from .network import (
     AuxConfig,
     AuxPath,
     EdgeParams,
-    RateReport,
     SweepRow,
     TimingBreakdown,
     alpha_from_transmittivities,
@@ -59,7 +58,6 @@ from .simulate import (
     validate_waiting_factor,
 )
 from .spectra import (
-    MonotoneVector,
     SchmidtVector,
     can_convert_deterministically,
     conversion_probability,

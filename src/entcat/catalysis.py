@@ -60,12 +60,9 @@ class CatalystSpec:
     """A catalyst spectrum together with the success probability it achieves."""
 
     spectrum: SchmidtVector
-    dimension: int
     success_probability: float
 
     def __post_init__(self):
-        if self.dimension != self.spectrum.dimension:
-            raise InvalidInputError("catalyst dimension must match its spectrum")
         if self.dimension == 2:
             c = float(self.spectrum.coefficients[0])
             if not 0.5 < c < 1.0:
@@ -74,6 +71,10 @@ class CatalystSpec:
                 )
         if not 0.0 <= self.success_probability <= 1.0:
             raise InvalidInputError("success probability must lie in [0, 1]")
+
+    @property
+    def dimension(self) -> int:
+        return self.spectrum.dimension
 
 
 def initial_spectrum(problem: ConcentrationProblem) -> SchmidtVector:
@@ -163,7 +164,6 @@ def optimal_two_qubit_catalyst(problem: ConcentrationProblem) -> CatalystSpec:
     c0, p_cat = _two_qubit_closed_form(problem)
     return CatalystSpec(
         spectrum=SchmidtVector(np.array([c0, 1.0 - c0])),
-        dimension=2,
         success_probability=p_cat,
     )
 
@@ -451,7 +451,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     final = (target_spectrum(n).coefficients[None, :, None] * cat).reshape(len(problems), size)
     p_cat = conversion_probabilities(initial, final)
     return [
-        CatalystSpec(spectrum=spectrum, dimension=d_c, success_probability=float(p))
+        CatalystSpec(spectrum=spectrum, success_probability=float(p))
         for spectrum, p in zip(found, p_cat)
     ]
 
@@ -494,7 +494,7 @@ def intermediate_state(initial: SchmidtVector, final: SchmidtVector) -> SchmidtV
     initial = initial.padded(d)
     final = final.padded(d)
     p = conversion_probability(initial, final)
-    e_f = monotones(final).values
+    e_f = monotones(final)
 
     # Every monotone ratio is at least p, so the candidate monotone vector is
     # the final state's scaled by p, with the first entry reset to 1.  With
@@ -550,7 +550,7 @@ def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float) -> int:
     m = _smallest_power_at_most(alpha_supply, float(catalyst.coefficients[0]))
     if catalyst.dimension <= 2:
         return m
-    e_cat = monotones(catalyst).values[1:]
+    e_cat = monotones(catalyst)[1:]
     while not np.all(1.0 - _power_top_partial_sums(alpha_supply, m, e_cat.size) >= e_cat - TOL):
         m += 1
     return m

@@ -171,8 +171,8 @@ def _sim_config_from(values: dict, args) -> simulate.SimConfig:
 
 
 def _cmd_monotones(args) -> int:
-    vec = spectra.monotones(_parse_spectrum(args.spectrum))
-    print(",".join(_fmt(v) for v in vec.values))
+    values = spectra.monotones(_parse_spectrum(args.spectrum))
+    print(",".join(_fmt(v) for v in values))
     return 0
 
 

@@ -118,23 +118,6 @@ class TimingBreakdown:
     t_edge_cycle_s: float
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Everything entering the catalytic and plain-LOCC chain rates."""
-
-    p_locc: float
-    p_cat: float
-    c0: float
-    n_cat: int
-    eta_p: float
-    z_locc: float
-    z_cat: float
-    timing: TimingBreakdown
-    rate_locc_hz: float
-    rate_cat_hz: float
-    eta_r: float
-
-
 def alpha_from_transmittivities(t_left: float, t_right: float) -> float:
     """Larger Schmidt coefficient from the two channels' transmittivities.
 
@@ -271,32 +254,6 @@ def edge_catalyst(edge: EdgeParams) -> CatalystSpec:
     return optimal_catalyst(ConcentrationProblem(edge.copies, edge.alpha), edge.catalyst_dim)
 
 
-def _locc_side(problem: ConcentrationProblem, t_pri: float, n_edges: int) -> tuple:
-    """``(p_locc, z_locc, rate_locc_hz)`` of the plain-LOCC chain."""
-    p_locc = locc_probability(problem)
-    z_locc = waiting_factor(n_edges, p_locc)
-    return p_locc, z_locc, 1.0 / (t_pri * z_locc)
-
-
-def _catalyst_side(
-    alpha: float, n_edges: int, c0: float, p_cat: float, copies: Callable[[float], int]
-) -> tuple:
-    """``(copies, c0, p_cat, z_cat, n_cat)`` of the edge's optimal catalyst.
-
-    The same for every aux mode.  ``copies`` maps a supply state's larger
-    coefficient to the copies of it one catalyst takes, and ``n_cat`` counts
-    the edge's own pairs (larger coefficient ``alpha``).
-    """
-    return copies, c0, p_cat, waiting_factor(n_edges, p_cat), copies(alpha)
-
-
-def _spectrum_side(alpha: float, n_edges: int, catalyst: CatalystSpec) -> tuple:
-    """:func:`_catalyst_side` of a catalyst spectrum, counted by ``copies_for_catalyst``."""
-    spectrum = catalyst.spectrum
-    return _catalyst_side(alpha, n_edges, float(spectrum.coefficients[0]),
-                          catalyst.success_probability, partial(copies_for_catalyst, spectrum))
-
-
 def _supply_copies(aux: AuxConfig, copies: Callable[[float], int], n_cat: int) -> tuple:
     """The ``copies`` argument of :func:`t_edge_cycle`, given the edge's own count.
 
@@ -304,36 +261,6 @@ def _supply_copies(aux: AuxConfig, copies: Callable[[float], int], n_cat: int) -
     mode gets ``(n_cat,)``.
     """
     return tuple(copies(path.alpha) for path in aux.paths) or (n_cat,)
-
-
-def _mode_side(edge: EdgeParams, aux: AuxConfig, locc: tuple, catalytic: tuple) -> tuple:
-    """``(timing, rate_cat_hz, eta_p, eta_r)`` of the catalytic chain in one aux mode."""
-    p_locc, _, rate_locc = locc
-    copies, _, p_cat, z_cat, n_cat = catalytic
-    timing = t_edge_cycle(p_cat, edge, aux, _supply_copies(aux, copies, n_cat))
-    rate_cat = 1.0 / (timing.t_edge_cycle_s * z_cat)
-    return timing, rate_cat, p_cat / p_locc, rate_cat / rate_locc
-
-
-def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> RateReport:
-    """End-to-end distribution rates with and without catalysis for an N-edge chain.
-
-    The catalytic rate pays the edge-cycle time and waits for all edges at the
-    catalytic success probability; the comparator pays only the primary
-    assembly time at the plain LOCC probability.
-    """
-    if n_edges < 1:
-        raise InvalidInputError(f"edge count must be positive, got {n_edges}")
-    t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
-    locc = _locc_side(ConcentrationProblem(edge.copies, edge.alpha), t_pri, n_edges)
-    catalytic = _spectrum_side(edge.alpha, n_edges, edge_catalyst(edge))
-    p_locc, z_locc, rate_locc = locc
-    _, c0, p_cat, z_cat, n_cat = catalytic
-    timing, rate_cat, eta_p, eta_r = _mode_side(edge, aux, locc, catalytic)
-    return RateReport(
-        p_locc=p_locc, p_cat=p_cat, c0=c0, n_cat=n_cat, eta_p=eta_p, z_locc=z_locc,
-        z_cat=z_cat, timing=timing, rate_locc_hz=rate_locc, rate_cat_hz=rate_cat, eta_r=eta_r,
-    )
 
 
 # Relative size, against the running sum, of the geometric tail left off
@@ -407,7 +334,7 @@ def rate_slotted(edge: EdgeParams, n_edges: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Rate-ratio sweep over the primary-state asymmetry
+# Chain rates at one point and on a sweep over the primary-state asymmetry
 # ---------------------------------------------------------------------------
 
 class _SweepFields(NamedTuple):
@@ -429,7 +356,7 @@ class _SweepFields(NamedTuple):
 
 
 class SweepRow(_SweepFields):
-    """One sweep sample; catalyst-dependent fields are None out of window.
+    """The rates of one point; catalyst-dependent fields are None out of window.
 
     An immutable tuple of its fields in CSV column order, built by keyword.
     Building it is one tuple allocation, not one attribute set per field.
@@ -446,6 +373,81 @@ class SweepRow(_SweepFields):
 
 
 SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
+
+
+def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
+               auxes: Sequence[AuxConfig], edges: dict, n_edges: int) -> list[SweepRow]:
+    """Catalytic and plain-LOCC chain rates, one row per (aux, dimension, problem).
+
+    ``catalysts`` maps (dimension, problem index) to ``(c0, p_cat, copies)``,
+    where ``copies`` maps a supply state's larger coefficient to the copies
+    of it one catalyst takes; a point out of window has no entry.  ``edges``
+    holds one edge per dimension, all with the same timing parameters.
+
+    The catalytic rate pays the edge-cycle time and waits for all edges at
+    the catalytic success probability; the comparator pays only the primary
+    assembly time at the plain LOCC probability.  Each quantity is computed
+    once: the plain-LOCC side per problem, ``z_cat`` and the edge's own copy
+    count ``n_cat`` per (dimension, problem), and only the edge-cycle time
+    per aux mode.
+    """
+    first = next(iter(edges.values()))
+    t_pri = t_primary(first.copies, first.cycle_time_s, first.herald_probability)
+    locc = []
+    for problem in problems:
+        p_locc = locc_probability(problem)
+        z_locc = waiting_factor(n_edges, p_locc)
+        locc.append((p_locc, z_locc, 1.0 / (t_pri * z_locc)))
+    waits = {key: (waiting_factor(n_edges, p_cat), copies(problems[key[1]].alpha))
+             for key, (_, p_cat, copies) in catalysts.items()}
+    rows = []
+    for aux in auxes:
+        for dim, edge in edges.items():
+            for i, problem in enumerate(problems):
+                p_locc, z_locc, rate_locc = locc[i]
+                point = dict(alpha=problem.alpha, mode=aux.mode, catalyst_dim=dim,
+                             p_locc=p_locc, z_locc=z_locc, rate_locc_hz=rate_locc)
+                if (dim, i) not in catalysts:
+                    rows.append(SweepRow(**point, window_flag=WINDOW_OUT))
+                    continue
+                c0, p_cat, copies = catalysts[dim, i]
+                z_cat, n_cat = waits[dim, i]
+                supply = _supply_copies(aux, copies, n_cat)
+                t_cycle = t_edge_cycle(p_cat, edge, aux, supply).t_edge_cycle_s
+                rate_cat = 1.0 / (t_cycle * z_cat)
+                rows.append(SweepRow(
+                    **point, p_cat=p_cat, c0=c0, n_cat=n_cat, eta_p=p_cat / p_locc, z_cat=z_cat,
+                    t_edge_cycle_s=t_cycle, rate_cat_hz=rate_cat, eta_r=rate_cat / rate_locc,
+                    window_flag=WINDOW_OK,
+                ))
+    return rows
+
+
+def _spectrum_catalyst(catalyst: CatalystSpec) -> tuple:
+    """``(c0, p_cat, copies)`` of :func:`_rate_rows` for a catalyst spectrum.
+
+    Its copies are counted by :func:`~entcat.catalysis.copies_for_catalyst`.
+    """
+    spectrum = catalyst.spectrum
+    return (float(spectrum.coefficients[0]), catalyst.success_probability,
+            partial(copies_for_catalyst, spectrum))
+
+
+def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> SweepRow:
+    """End-to-end distribution rates with and without catalysis for an N-edge chain.
+
+    The row :func:`sweep_rates` gives for this point, built by the same
+    composition from the edge's optimal catalyst (:func:`edge_catalyst`,
+    which raises :class:`~entcat.errors.CatalysisWindowError` out of window).
+    The edge-cycle breakdown behind ``t_edge_cycle_s`` is
+    :func:`t_edge_cycle`.
+    """
+    if n_edges < 1:
+        raise InvalidInputError(f"edge count must be positive, got {n_edges}")
+    catalysts = {(edge.catalyst_dim, 0): _spectrum_catalyst(edge_catalyst(edge))}
+    problem = ConcentrationProblem(edge.copies, edge.alpha)
+    (row,) = _rate_rows([problem], catalysts, [aux], {edge.catalyst_dim: edge}, n_edges)
+    return row
 
 
 def sweep_rates(
@@ -468,10 +470,9 @@ def sweep_rates(
     plain-LOCC quantities instead of erroring, so sweeps can span the whole
     asymmetry range.
 
-    Each quantity is computed once, by the helpers :func:`rate_catalytic`
-    uses: the inputs are validated once, the plain-LOCC side once per alpha,
-    the catalyst, its waiting factor and its copy count ``n_cat`` once per
-    (dimension, alpha), and only the edge-cycle time once per mode.  At
+    The inputs are validated once and the catalyst found once per
+    (dimension, alpha); the rows come from the composition
+    :func:`rate_catalytic` uses, which computes each quantity once.  At
     dimension 2, each in-window alpha takes ``(c0, p_cat)`` from the closed
     form of :func:`~entcat.catalysis.optimal_two_qubit_catalyst` and its copy
     counts from ``c0``, with no spectrum and no second window check.  Above,
@@ -494,42 +495,19 @@ def sweep_rates(
     # depends on alpha, so every row of a dimension shares it.
     edges = {dim: EdgeParams(problems[0].alpha, copies, length_km, fiber_speed_km_s,
                              herald_probability, dim) for dim in catalyst_dims}
-    t_pri = t_primary(copies, edges[catalyst_dims[0]].cycle_time_s, herald_probability)
-    locc = [_locc_side(problem, t_pri, n_edges) for problem in problems]
     inside = [i for i, problem in enumerate(problems) if in_catalysis_window(problem)]
     batch = [problems[i] for i in inside]
-    catalytic = {}  # catalyst side per (dimension, alpha index); absent out of window
+    catalysts = {}  # (c0, p_cat, copies) per (dimension, alpha index); absent out of window
     for dim in catalyst_dims:
         if dim == 2:
             # copies_for_catalyst's two-qubit rule, read from c0 alone.
             for i in inside:
                 c0, p_cat = _two_qubit_closed_form(problems[i])
-                copies = partial(_smallest_power_at_most, c=c0)
-                catalytic[dim, i] = _catalyst_side(problems[i].alpha, n_edges, c0, p_cat, copies)
+                catalysts[dim, i] = (c0, p_cat, partial(_smallest_power_at_most, c=c0))
         else:
             for i, catalyst in zip(inside, search_catalysts(batch, dim)):
-                catalytic[dim, i] = _spectrum_side(problems[i].alpha, n_edges, catalyst)
-
-    rows = []
-    for aux in auxes:
-        for dim in catalyst_dims:
-            for i, problem in enumerate(problems):
-                point = dict(alpha=problem.alpha, mode=aux.mode, catalyst_dim=dim)
-                p_locc, z_locc, rate_locc = locc[i]
-                if (dim, i) not in catalytic:
-                    rows.append(SweepRow(**point, p_locc=p_locc, z_locc=z_locc,
-                                         rate_locc_hz=rate_locc, window_flag=WINDOW_OUT))
-                    continue
-                side = catalytic[dim, i]
-                _, c0, p_cat, z_cat, n_cat = side
-                timing, rate_cat, eta_p, eta_r = _mode_side(edges[dim], aux, locc[i], side)
-                rows.append(SweepRow(
-                    **point, p_locc=p_locc, p_cat=p_cat, c0=c0, n_cat=n_cat, eta_p=eta_p,
-                    z_locc=z_locc, z_cat=z_cat, t_edge_cycle_s=timing.t_edge_cycle_s,
-                    rate_locc_hz=rate_locc, rate_cat_hz=rate_cat, eta_r=eta_r,
-                    window_flag=WINDOW_OK,
-                ))
-    return rows
+                catalysts[dim, i] = _spectrum_catalyst(catalyst)
+    return _rate_rows(problems, catalysts, auxes, edges, n_edges)
 
 
 # One format per row kind.  An out-of-window row prints its None cells with

@@ -92,6 +92,8 @@ class SimConfig:
             raise InvalidInputError(f"mode must be abstract or detailed, got {self.mode!r}")
         if self.trials < 1:
             raise InvalidInputError("trials must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
         if self.initial_stock < 0:
             raise InvalidInputError("initial stock must be non-negative")
         if self.stock_capacity is not None and self.stock_capacity < self.initial_stock:
@@ -754,6 +756,8 @@ def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> W
     """
     if trials < 2:
         raise InvalidInputError("need at least two trials for a standard error")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     analytic = waiting_factor(n_edges, p)
     sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
     uniforms = np.empty(min(_BATCH_TRIALS, trials))

@@ -70,30 +70,6 @@ class SchmidtVector:
         return f"SchmidtVector([{body}])"
 
 
-@dataclass(frozen=True, eq=False)
-class MonotoneVector:
-    """Vector of LOCC monotones derived from a Schmidt spectrum.
-
-    Entry k (1-based) is one minus the sum of the k-1 largest coefficients.
-    The first entry is exactly 1, the sequence is non-increasing, and
-    consecutive differences reproduce the sorted coefficients.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise InvalidInputError("monotone vector must be a non-empty 1-D sequence")
-        if vals[0] != 1.0:
-            raise InvalidInputError("first monotone must equal 1")
-        if np.any(np.diff(vals) > TOL):
-            raise InvalidInputError("monotones must be non-increasing")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-
 def make_schmidt(weights) -> SchmidtVector:
     """Normalize and sort non-negative weights into a Schmidt spectrum.
 
@@ -120,16 +96,19 @@ def two_qubit_state(p: float) -> SchmidtVector:
     return SchmidtVector(np.array([p, 1.0 - p]))
 
 
-def monotones(s: SchmidtVector) -> MonotoneVector:
-    """Monotone vector of ``s``: entry k is 1 minus the k-1 largest coefficients.
+def monotones(s: SchmidtVector) -> np.ndarray:
+    """LOCC monotones of ``s`` as a read-only array.
 
+    Entry k, counted from 0, is 1 minus the sum of the k largest coefficients.
     Computed as suffix sums of the smallest coefficients, never as a
     difference from 1, so small tail monotones keep their full relative
-    precision; entry 0 is set to exactly 1.
+    precision; entry 0 is set to exactly 1.  The entries never increase, and
+    consecutive differences give back the coefficients.
     """
     values = np.cumsum(s.coefficients[::-1])[::-1]
     values[0] = 1.0
-    return MonotoneVector(values)
+    values.flags.writeable = False
+    return values
 
 
 def tensor_product(a: SchmidtVector, b: SchmidtVector) -> SchmidtVector:

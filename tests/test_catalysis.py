@@ -629,5 +629,5 @@ class TestSupplyAccounting:
 def test_monotone_values_match_spectrum_tail():
     # the last monotone is the smallest coefficient
     s = make_schmidt([5, 3, 2, 1])
-    e = monotones(s).values
+    e = monotones(s)
     assert e[-1] == pytest.approx(s.coefficients[-1], abs=1e-15)

@@ -388,6 +388,14 @@ class TestSimulateCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("mode", ["abstract", "detailed"])
+    def test_negative_seed_is_an_input_error(self, capsys, tmp_path, mode):
+        conf = tmp_path / "sim.conf"
+        conf.write_text(f"mode = {mode}\nalpha = 0.8\nseed = -3\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be non-negative, got -3\n"
+
     def test_edge_keys_without_alpha_name_the_keys(self, capsys, tmp_path):
         conf = tmp_path / "sim.conf"
         conf.write_text("p_cat = 0.5\nt_cycle_s = 1.0\nn = 3\nP0 = 0.4\n")
@@ -503,6 +511,12 @@ class TestValidateZ:
                                  "--trials", "1000", "--seed", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "validate-z", "--edges", "4", "--p", "0.5",
+                                 "--trials", "10", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be non-negative, got -1\n"
 
 
 class TestConfigParsing:

@@ -19,7 +19,7 @@ from entcat.catalysis import (
     locc_probability,
     optimal_two_qubit_catalyst,
 )
-from entcat.errors import InvalidInputError
+from entcat.errors import CatalysisWindowError, InvalidInputError
 from entcat.network import (
     AUX_RICH,
     FINITE_AUX,
@@ -323,6 +323,29 @@ class TestRates:
         two_qubit = copies_for_catalyst(two_qubit_state(0.59196 + 7.2e-6), 0.8)
         assert two_qubit == 3
 
+    def test_point_fields_are_pinned(self):
+        # float.hex of the ten rate fields over alpha x catalyst dimension x
+        # aux mode x chain length; the finite paths are the sim-finite-aux ones.
+        paths = (AuxPath(0.8, 0.05, 2.5e-4), AuxPath(0.75, 0.3, 1.0e-3))
+        auxes = (AuxConfig(AUX_RICH), AuxConfig(NO_AUX), AuxConfig(FINITE_AUX, paths))
+        fields = ("p_locc", "p_cat", "c0", "n_cat", "eta_p", "z_locc", "z_cat",
+                  "rate_locc_hz", "rate_cat_hz", "eta_r")
+        digest = hashlib.sha256()
+        grid = itertools.product((0.7072, 0.75, 0.8, 0.9, 0.95), (2, 3, 4), auxes, (1, 16))
+        for alpha, dim, aux, n_edges in grid:
+            r = rate_catalytic(EdgeParams(alpha=alpha, copies=2, catalyst_dim=dim), aux, n_edges)
+            digest.update(",".join(float(getattr(r, f)).hex() for f in fields).encode() + b"\n")
+        expected = "266312c39d815b0c300e4fd3f5ef6f411af0bac45707e0a79a4ea1c02f26e8c2"
+        assert digest.hexdigest() == expected
+
+    def test_out_of_window_point_names_the_window(self):
+        with pytest.raises(CatalysisWindowError, match=r"catalysis window at alpha=0\.6 is empty"):
+            rate_catalytic(EdgeParams(alpha=0.6, copies=2), AuxConfig(AUX_RICH), 4)
+
+    def test_rejects_empty_chain(self):
+        with pytest.raises(InvalidInputError):
+            rate_catalytic(EdgeParams(alpha=0.8, copies=2), AuxConfig(AUX_RICH), 0)
+
 
 class TestRateSlotted:
     @pytest.mark.parametrize("n_edges", [1, 4, 32])
@@ -387,22 +410,16 @@ class TestSweep:
                 for alpha in grid:
                     edge = EdgeParams(alpha=alpha, copies=2, herald_probability=0.4,
                                       catalyst_dim=dim)
-                    p_locc = locc_probability(ConcentrationProblem(2, alpha))
-                    point = dict(alpha=alpha, mode=mode, catalyst_dim=dim, p_locc=p_locc)
                     if alpha == 0.6:  # n = 2 is outside the catalysis window
+                        p_locc = locc_probability(ConcentrationProblem(2, alpha))
+                        point = dict(alpha=alpha, mode=mode, catalyst_dim=dim, p_locc=p_locc)
                         z_locc = waiting_factor(8, p_locc)
                         rate_locc = 1.0 / (t_primary(2, edge.cycle_time_s, 0.4) * z_locc)
                         expected.append(SweepRow(**point, z_locc=z_locc, rate_locc_hz=rate_locc,
                                                  window_flag="out_of_window"))
                         continue
                     aux = AuxConfig(mode, paths if mode == FINITE_AUX else ())
-                    r = rate_catalytic(edge, aux, 8)
-                    expected.append(SweepRow(
-                        **point, p_cat=r.p_cat, c0=r.c0, n_cat=r.n_cat, eta_p=r.eta_p,
-                        z_locc=r.z_locc, z_cat=r.z_cat, t_edge_cycle_s=r.timing.t_edge_cycle_s,
-                        rate_locc_hz=r.rate_locc_hz, rate_cat_hz=r.rate_cat_hz, eta_r=r.eta_r,
-                        window_flag="ok",
-                    ))
+                    expected.append(rate_catalytic(edge, aux, 8))
         assert rows == expected
 
     def test_rejects_bad_grid(self):

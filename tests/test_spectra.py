@@ -95,29 +95,34 @@ class TestTwoQubitState:
 
 class TestMonotones:
     def test_bell(self):
-        np.testing.assert_allclose(monotones(vec(0.5, 0.5)).values, [1.0, 0.5])
+        np.testing.assert_allclose(monotones(vec(0.5, 0.5)), [1.0, 0.5])
 
     def test_uniform(self):
         np.testing.assert_allclose(
-            monotones(vec(0.25, 0.25, 0.25, 0.25)).values, [1.0, 0.75, 0.5, 0.25]
+            monotones(vec(0.25, 0.25, 0.25, 0.25)), [1.0, 0.75, 0.5, 0.25]
         )
 
     def test_two_copy_spectrum(self):
         # partial sums of (0.64, 0.16, 0.16, 0.04)
         np.testing.assert_allclose(
-            monotones(vec(0.64, 0.16, 0.16, 0.04)).values,
+            monotones(vec(0.64, 0.16, 0.16, 0.04)),
             [1.0, 0.36, 0.20, 0.04],
             atol=1e-15,
         )
 
     def test_first_entry_exact(self):
-        assert monotones(vec(3, 2, 1)).values[0] == 1.0
+        assert monotones(vec(3, 2, 1))[0] == 1.0
+
+    def test_returns_a_read_only_array(self):
+        e = monotones(vec(3, 2, 1))
+        with pytest.raises(ValueError):
+            e[1] = 0.0
 
     @given(weight_lists)
     @settings(max_examples=200, deadline=None)
     def test_differencing_recovers_coefficients(self, weights):
         s = make_schmidt(weights)
-        e = monotones(s).values
+        e = monotones(s)
         recovered = np.diff(np.concatenate([e, [0.0]])) * -1.0
         np.testing.assert_allclose(recovered, s.coefficients, atol=1e-12)
 
