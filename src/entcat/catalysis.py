@@ -63,12 +63,6 @@ class CatalystSpec:
     success_probability: float
 
     def __post_init__(self):
-        if self.dimension == 2:
-            c = float(self.spectrum.coefficients[0])
-            if not 0.5 < c < 1.0:
-                raise InvalidInputError(
-                    f"two-qubit catalyst coefficient must lie in (0.5, 1), got {c}"
-                )
         if not 0.0 <= self.success_probability <= 1.0:
             raise InvalidInputError("success probability must lie in [0, 1]")
 
@@ -158,7 +152,10 @@ def optimal_two_qubit_catalyst(problem: ConcentrationProblem) -> CatalystSpec:
 
     Valid for ``2 <= n <= n_star(alpha) - 1``; outside that window the closed
     form emits coefficients at or below 1/2, which are meaningless as a larger
-    Schmidt coefficient, so a window error is raised instead.
+    Schmidt coefficient, so a window error is raised instead.  At the window's
+    lower edge, where ``alpha**n`` lies just above 1/2, the coefficient may
+    round to 1/2 itself: the catalyst is then ``(1/2, 1/2)``, whose success
+    probability equals :func:`locc_probability`.
     """
     _require_window(problem)
     c0, p_cat = _two_qubit_closed_form(problem)

@@ -427,6 +427,7 @@ def _spectrum_catalyst(catalyst: CatalystSpec) -> tuple:
     """``(c0, p_cat, copies)`` of :func:`_rate_rows` for a catalyst spectrum.
 
     Its copies are counted by :func:`~entcat.catalysis.copies_for_catalyst`.
+    The simulators take their copy counter from here too.
     """
     spectrum = catalyst.spectrum
     return (float(spectrum.coefficients[0]), catalyst.success_probability,
@@ -468,7 +469,8 @@ def sweep_rates(
     repeated mode or dimension is an error.  Grid points where the copy count
     falls outside the catalysis window are flagged and carry only the
     plain-LOCC quantities instead of erroring, so sweeps can span the whole
-    asymmetry range.
+    asymmetry range.  Only the finite mode reads ``aux_paths``, so paths
+    given without it are an error.
 
     The inputs are validated once and the catalyst found once per
     (dimension, alpha); the rows come from the composition
@@ -487,6 +489,8 @@ def sweep_rates(
             f"sweep modes and catalyst dimensions must not repeat, got {list(modes)} "
             f"and {list(catalyst_dims)}"
         )
+    if aux_paths and FINITE_AUX not in modes:
+        raise InvalidInputError(f"aux paths apply to the finite mode only, got modes {list(modes)}")
     auxes = [AuxConfig(mode, tuple(aux_paths) if mode == FINITE_AUX else ()) for mode in modes]
     problems = [ConcentrationProblem(copies, alpha) for alpha in sorted(alpha_grid)]
     if not (problems and catalyst_dims):

@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
-from .catalysis import copies_for_catalyst
 from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
     FINITE_AUX,
     AuxConfig,
     EdgeParams,
+    _spectrum_catalyst,
     _supply_copies,
     edge_catalyst,
     t_edge_cycle,
@@ -70,7 +69,8 @@ class SimConfig:
     stock capacity outside detailed finite-aux runs; an initial stock in
     abstract and aux-rich runs; ``max_slots`` in abstract runs; and the edge
     and aux mode when both overrides are given.  Every field is echoed in the
-    run's record (:func:`result_record`).
+    run's record (:func:`result_record`).  Only an abstract run given both
+    overrides reads no edge, so every other run without one is rejected.
     """
 
     n_edges: int
@@ -125,6 +125,11 @@ class SimConfig:
             raise InvalidInputError(
                 "a run given both the success probability and the cycle time reads no edge"
                 " parameters or aux mode"
+            )
+        if not forced and self.edge is None:
+            raise InvalidInputError(
+                "edge parameters are required unless an abstract run is given both"
+                " p_cat_override and cycle_time_override_s"
             )
 
 
@@ -191,10 +196,8 @@ def _catalyst_supply(cfg: SimConfig):
     """
     if cfg.aux.mode == AUX_RICH and cfg.p_cat_override is not None:
         return cfg.p_cat_override, ()
-    catalyst = edge_catalyst(cfg.edge)
-    copies = partial(copies_for_catalyst, catalyst.spectrum)
-    p_cat = cfg.p_cat_override or catalyst.success_probability
-    return p_cat, _supply_copies(cfg.aux, copies, copies(cfg.edge.alpha))
+    _, p_cat, copies = _spectrum_catalyst(edge_catalyst(cfg.edge))
+    return cfg.p_cat_override or p_cat, _supply_copies(cfg.aux, copies, copies(cfg.edge.alpha))
 
 
 def _resolved_parameters(cfg: SimConfig):
@@ -203,10 +206,6 @@ def _resolved_parameters(cfg: SimConfig):
     t_cycle = cfg.cycle_time_override_s
     if p_cat is not None and t_cycle is not None:
         return p_cat, t_cycle
-    if cfg.edge is None:
-        raise InvalidInputError(
-            "edge parameters are required unless both overrides are given"
-        )
     p_cat, copies = _catalyst_supply(cfg)
     if t_cycle is None:
         t_cycle = t_edge_cycle(p_cat, cfg.edge, cfg.aux, copies).t_edge_cycle_s
@@ -696,8 +695,6 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     """
     if cfg.mode != DETAILED_MODE:
         raise InvalidInputError("config mode must be detailed")
-    if cfg.edge is None:
-        raise InvalidInputError("detailed simulation requires edge parameters")
     p_cat, copies = _catalyst_supply(cfg)
     counters = [EdgeCounters() for _ in range(cfg.n_edges)]
     intervals: list[np.ndarray] = []

@@ -93,6 +93,12 @@ class TestCatalyst:
         assert code == 0
         assert float(out.split()[1][2:]) >= 0.88227
 
+    def test_window_lower_edge(self, capsys):
+        # 0.7071067811865476**2 rounds to just above 1/2: n = 2 is the
+        # window's last copy count, where the closed-form c0 is 1/2 itself.
+        code, out, _ = run_cli(capsys, "catalyst", "--n", "2", "--alpha", "0.7071067811865476")
+        assert (code, out) == (0, "0.5,0.5  p=1\n")
+
     def test_outside_window_exit_code(self, capsys):
         # n_star(0.6) = 2, so at alpha = 0.6 no copy count lies in [2, n_star - 1].
         for n, alpha, window in (("5", "0.8", "[2, 3]"),
@@ -395,6 +401,27 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
         assert (code, out) == (1, "")
         assert err == "error: seed must be non-negative, got -3\n"
+
+    def test_detailed_run_at_the_window_lower_edge(self, capsys, tmp_path):
+        # The catalyst there is (1/2, 1/2), which the edge rebuilds from its own pairs.
+        conf = tmp_path / "sim.conf"
+        conf.write_text(
+            "mode = detailed\nn_edges = 2\nalpha = 0.7071067811865476\nn = 2\nP0 = 0.5\n"
+            "aux_mode = none\nmax_slots = 4000\nseed = 3\n"
+        )
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 0
+        assert json.loads(out)["deliveries"] > 0
+
+    def test_config_without_edge_keys_is_an_input_error(self, capsys, tmp_path):
+        conf = tmp_path / "sim.conf"
+        conf.write_text("mode = detailed\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: edge parameters are required unless an abstract run is given both"
+            " p_cat_override and cycle_time_override_s\n"
+        )
 
     def test_edge_keys_without_alpha_name_the_keys(self, capsys, tmp_path):
         conf = tmp_path / "sim.conf"

@@ -398,9 +398,11 @@ class TestSweep:
     def test_rows_match_rate_catalytic_per_point(self):
         # the sweep shares work across modes and dimensions; every row must
         # still equal what rate_catalytic computes for that point alone
-        # 0.7072 lies just inside the n = 2 window; at 0.999999, n_cat is 1001
-        # and p_cat ~2e-3, so z_cat takes the harmonic branch.
-        grid = [0.6, 0.7072, 0.75, 0.8, 0.9, 0.999999]
+        # 0.7072 lies just inside the n = 2 window, and at 0.7071067811865476,
+        # whose square rounds to just above 1/2, the closed-form c0 is 1/2
+        # itself; at 0.999999, n_cat is 1001 and p_cat ~2e-3, so z_cat takes
+        # the harmonic branch.
+        grid = [0.6, 0.7071067811865476, 0.7072, 0.75, 0.8, 0.9, 0.999999]
         paths = (AuxPath(0.8, 0.05, 2.5e-4), AuxPath(0.75, 0.3, 1.0e-3))
         modes = (AUX_RICH, NO_AUX, FINITE_AUX)
         rows = sweep_rates(2, 8, grid, modes, [2, 4], herald_probability=0.4, aux_paths=paths)
@@ -422,9 +424,31 @@ class TestSweep:
                     expected.append(rate_catalytic(edge, aux, 8))
         assert rows == expected
 
+    @pytest.mark.parametrize("n,alpha", [
+        (3, 0.7937005259840998), (7, 0.9057236642639067), (9, 0.9258747122872905),
+    ])
+    def test_window_lower_edge_point_equals_its_row(self, n, alpha):
+        # alpha**n rounds to just above 1/2, so n is the window's last copy
+        # count and the closed-form catalyst is (1/2, 1/2): a point computes
+        # there as its sweep row does.
+        edge = EdgeParams(alpha=alpha, copies=n)
+        for mode in (AUX_RICH, NO_AUX):
+            (row,) = sweep_rates(n, 8, [alpha], [mode], [2])
+            assert (row.window_flag, row.c0, row.p_cat) == (WINDOW_OK, 0.5, row.p_locc)
+            assert rate_catalytic(edge, AuxConfig(mode), 8) == row
+        (row,) = sweep_rates(n, 1, [alpha], [AUX_RICH], [2])
+        assert rate_slotted(edge, 1) == pytest.approx(row.rate_cat_hz, rel=1e-12)
+
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidInputError):
             sweep_rates(2, 4, [0.5], [AUX_RICH], [2])
+
+    def test_rejects_aux_paths_without_finite_mode(self):
+        # Only the finite mode reads the paths; given without it, they would be ignored.
+        paths = (AuxPath(0.8, 0.05, 2.5e-4),)
+        with pytest.raises(InvalidInputError, match="finite mode only"):
+            sweep_rates(2, 4, [0.8], [AUX_RICH, NO_AUX], [2], aux_paths=paths)
+        sweep_rates(2, 4, [0.8], [AUX_RICH, FINITE_AUX], [2], aux_paths=paths)
 
     @pytest.mark.parametrize("modes,dims", [([AUX_RICH, AUX_RICH], [2]), ([NO_AUX], [4, 4])])
     def test_rejects_repeated_mode_or_dimension(self, modes, dims):

@@ -95,9 +95,22 @@ class TestConfigValidation:
         abstract_config(aux=AuxConfig(AUX_RICH))
 
     def test_requires_edge_without_overrides(self):
-        cfg = SimConfig(n_edges=1, mode="abstract", trials=10, seed=0)
         with pytest.raises(InvalidInputError):
-            simulate_abstract(cfg)
+            SimConfig(n_edges=1, mode="abstract", trials=10, seed=0)
+
+    @pytest.mark.parametrize("setting", [
+        dict(mode="detailed"),
+        dict(mode="detailed", p_cat_override=0.5),
+        dict(mode="abstract", p_cat_override=0.5),
+        dict(mode="abstract", cycle_time_override_s=1.0),
+    ])
+    def test_requires_edge_unless_both_overrides_fix_an_abstract_run(self, setting):
+        # The one run that reads no edge is an abstract run given both overrides.
+        message = ("edge parameters are required unless an abstract run is given both"
+                   " p_cat_override and cycle_time_override_s")
+        with pytest.raises(InvalidInputError, match=message):
+            SimConfig(n_edges=1, **setting)
+        SimConfig(n_edges=1, edge=EDGE, **setting)
 
 
 class TestAbstract:
