@@ -192,7 +192,7 @@ def catalysis_probability(problem: ConcentrationProblem, catalyst: SchmidtVector
     """
     if 2**problem.n * catalyst.dimension > DIM_CAP:
         raise ResourceLimitError(
-            f"combined dimension 2**{problem.n} * {catalyst.dimension} exceeds {DIM_CAP}"
+            f"combined dimension 2**{problem.n} * {catalyst.dimension} exceeds the cap {DIM_CAP}"
         )
     initial = tensor_product(initial_spectrum(problem), catalyst)
     final = tensor_product(target_spectrum(problem.n), catalyst)
@@ -237,21 +237,20 @@ def _max_cuts(free: int) -> int:
     return 400 * free * (free + 1)
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, strictly in index order.
+def _ordered_sum(terms, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``terms``, a list or an array's first axis, strictly in order.
 
-    Each problem's sum then rounds the same way whatever other problems the
-    array holds; a pairwise or BLAS reduction across a batch may not.
+    The sum goes into ``out`` if one is given.  Each problem's sum then
+    rounds the same way whatever other problems the array holds.
+    ``np.add.reduce`` does not: with one problem left, the summed axis
+    becomes numpy's inner loop and is summed pairwise, as ``a0 + (a1 + a2)``.
     """
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
+    if len(terms) == 1:
+        return np.positive(terms[0], out)
+    total = np.add(terms[0], terms[1], out)
+    for term in terms[2:]:
+        np.add(total, term, total)
     return total
-
-
-def _without(done: np.ndarray, *arrays: np.ndarray) -> tuple:
-    """The rows of each array not flagged in ``done``."""
-    return tuple(a[~done] for a in arrays)
 
 
 def optimal_catalyst(problem: ConcentrationProblem, d_c: int) -> CatalystSpec:
@@ -285,7 +284,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     is raised, so an uncertified point never returns.
 
     The problems must share one copy count.  Every operation acts on each
-    problem's row alone, and sums over the free coordinates run left to
+    problem's own values, and sums over the free coordinates run left to
     right (no matrix product across the batch), so a problem's result is
     bit for bit the same whatever else is in the batch.
     """
@@ -300,24 +299,25 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     for problem in problems:
         _require_window(problem)
     if 2**n * d_c > DIM_CAP:
-        raise ResourceLimitError("combined dimension exceeds the cap")
+        raise ResourceLimitError(f"combined dimension 2**{n} * {d_c} exceeds the cap {DIM_CAP}")
 
     psi = np.array([_initial_coefficients(problem) for problem in problems])
     spins = psi.shape[1]
     size = spins * d_c
     free = d_c - 1
-    # c = e1 + T x; the ordered simplex is D c >= 0, that is A x <= b, and
-    # a centre breaking row j of it is cut along A[j].
+    # c = e1 + T x; the ordered simplex is D c >= 0, that is A x <= b, and a
+    # centre breaking row j of it is cut along A[j], column j + 1 of `broken`.
     to_c = np.vstack([-np.ones(free), np.eye(free)])
     diffs = np.eye(d_c) - np.eye(d_c, k=1)
-    rows = -diffs @ to_c
+    broken = np.zeros((free, d_c + 1))
+    broken[:, 1:] = (-diffs @ to_c).T
     # Target monotones on the ordered simplex from the first nonzero one on:
-    # L_(zeros + k)(c) = target[k] @ c.
+    # L_(zeros + k)(c) = target[:, k] @ c.
     zeros = size - 2 * d_c
     reversed_twice = np.repeat(np.arange(d_c)[::-1], 2)
-    target = np.zeros((2 * d_c, d_c))
-    target[np.arange(2 * d_c), reversed_twice] = 0.5
-    target = np.cumsum(target, axis=0)
+    target = np.zeros((d_c, 2 * d_c))
+    target[reversed_twice, np.arange(2 * d_c)] = 0.5
+    target = np.cumsum(target, axis=1)
     weight = np.repeat(psi, d_c, axis=1)  # psi entry behind each entry of psi x c
     column = np.tile(np.arange(d_c), spins)  # catalyst entry behind it
     # The supergradient of N_k gives catalyst entry b the psi weights of its
@@ -325,18 +325,28 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     # c_b >= 0, so column b ranks as psi ascending and those weights are its
     # smallest psi values, summed smallest first as a rank-ordered sum does.
     # With m of the column's entries ranked above them, that sum is
-    # gain[:, m].  Only the top 2 d_c - 1 ranks can lie above: rank
-    # zeros + 1 + i does so when i >= k.
+    # gain[r, m] for problem r.  Only the top 2 d_c - 1 ranks can lie above:
+    # rank zeros + 1 + i does so when i >= k, that is unless excluded[i, k].
     gain = np.zeros((len(problems), spins + 1))
     gain[:, :spins] = np.add.accumulate(psi[:, ::-1], axis=1)[:, ::-1]
-    above = np.arange(2 * d_c - 1)
+    excluded = np.arange(2 * d_c - 1)[:, None] < np.arange(2 * d_c)
 
+    # Layout: the K problems of the batch lie along the last axis of every
+    # per-problem array, so each step acts on whole rows of K values and each
+    # sum over the free coordinates adds whole (free, K) slabs.  Three tables
+    # keep one row per problem instead: `joint`, whose rows argsort(axis=1)
+    # orders (its tie order picks the supergradient at exact cross-column
+    # ties), and `weight` and `gain`, which a row offset reaches.  Column or
+    # row r belongs to problem active[r]; once a problem is certified, its
+    # best centre moves to `certified`, it is dropped from every array, and
+    # the index tables and scratch buffers are rebuilt for the smaller batch.
     # Start from the ellipsoid through the corners of the box 0 <= c_i <= 1/i,
-    # i = 2..d, which holds the ordered simplex.  Each centre is a row
-    # (c1, x, 0), so its ordering slacks are one difference of neighbours.
+    # i = 2..d, which holds the ordered simplex.  The rows of `centre` are
+    # c1, x, a zero, so that its ordering slacks are one difference of
+    # neighbours, and the centre's probability p; `best` has the same rows.
     half = 0.5 / np.arange(2, d_c + 1)
-    centre = np.zeros((len(problems), d_c + 1))
-    centre[:, 1:d_c] = half
+    centre = np.zeros((d_c + 2, len(problems)))
+    centre[1:d_c] = half[:, None]
     # P = F F^T for problem r, kept as factor[j, i, r] = F[i, j] so that each
     # sum over the free coordinates adds whole (free, K) slabs.
     factor = np.tile(np.diag(math.sqrt(free) * half)[:, :, None], (1, 1, len(problems)))
@@ -354,90 +364,109 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     next_check = 0
     # Until a centre inside the simplex is evaluated, every cut keeps the
     # whole simplex, so the trace cannot reach the certificate with no best.
-    best = np.zeros((len(problems), d_c))
-    best_p = np.full(len(problems), -1.0)
-    certified = best.copy()
-    # Row r of the per-problem arrays (column r of `factor`) belongs to
-    # problem active[r]; once a problem is certified, its best centre moves
-    # to `certified`, its rows are dropped and the index tables rebuilt.
+    best = np.zeros_like(centre)
+    best[-1] = -1.0
+    certified = np.zeros((len(problems), d_c))
     active = np.arange(len(problems))
     count = 0
+    flat = None
     for cut_index in range(_max_cuts(free)):
+        # Problems whose ellipsoid went flat in the last cut and, at a check,
+        # those whose trace passed drop out here with their best centres.
+        done = flat
+        flat = None
         if cut_index == next_check:
             trace = _ordered_sum(_ordered_sum(factor * factor))
-            done = trace <= _CERTIFIED_TRACE
-            if done.any():
-                certified[active[done]] = best[done]
-                active, centre, weight, gain, best, best_p, trace = _without(
-                    done, active, centre, weight, gain, best, best_p, trace
-                )
-                factor = factor[..., ~done]
-                if active.size == 0:
-                    break
-            skip = math.log(2.0 * _CERTIFIED_TRACE / trace.min()) / log_shrink
-            next_check = cut_index + 1 + max(0, math.floor(skip))
+            passed = trace <= _CERTIFIED_TRACE
+            done = passed if done is None else done | passed
+            if not done.all():
+                skip = math.log(2.0 * _CERTIFIED_TRACE / trace[~done].min()) / log_shrink
+                next_check = cut_index + 1 + max(0, math.floor(skip))
+        if done is not None and done.any():
+            certified[active[done]] = best[:d_c, done].T
+            keep = ~done
+            active, centre, best, factor = (a[..., keep] for a in (active, centre, best, factor))
+            weight, gain = weight[keep], gain[keep]
+            if active.size == 0:
+                break
         if active.size != count:
+            # Index tables, scratch buffers and the views the cuts use, made
+            # once for each batch size.
             count = active.size
             rows_now = np.arange(count)
             offsets = size * rows_now[:, None]  # where each row of `joint` starts, flattened
-            # Flat index into `joint` -> row * d_c + its catalyst entry; the
-            # bin after the last collects the ranks below the cut.
-            bins = (d_c * rows_now[:, None] + column).ravel()
+            # Flat index into `joint` -> flat index b * count + r of counts[b, r];
+            # the bin after the last collects the ranks below the cut.
+            bins = (count * column + rows_now[:, None]).ravel()
             below = count * d_c
-            gain_flat = gain.ravel()
-            gain_rows = (spins + 1) * rows_now[:, None]
-            ratios = np.empty((count, 2 * d_c))
-        np.subtract(1.0, _ordered_sum(centre[:, 1:d_c].T), out=centre[:, 0])
-        c = centre[:, :d_c]
-        # Slack of each ordering row, A x - b.
-        slack = centre[:, 1:] - centre[:, :-1]
-        j = slack.argmax(axis=1)
-        inside = slack[rows_now, j] <= 0.0
+            gain_rows = (spins + 1) * rows_now
+            c, c1, x, p, best_p = centre[:d_c], centre[0], centre[1:d_c], centre[-1], best[-1]
+            x_rows = list(x)
+            joint = np.empty((count, size))
+            slack = np.zeros((d_c + 1, count))  # row 0 stays zero
+            ratios = np.empty((2 * d_c, count))
+            products = np.empty((free, free, count))
+            by_i, by_j = list(products.swapaxes(0, 1)), list(products)
+            u, squares, step = np.empty((3, free, count))
+            u_col, square_rows = u[:, None, :], list(squares)
+            width = np.empty(count)
+        np.subtract(1.0, _ordered_sum(x_rows, c1), c1)
+        # Slack of each ordering row, A x - b, after a zero: the first maximum
+        # is that zero exactly when the centre breaks no row.
+        np.subtract(centre[1 : d_c + 1], c, slack[1:])
+        j = slack.argmax(axis=0)
+        inside = j == 0
         # p(c) at every centre; only those inside the simplex use it.  A
         # centre outside still has e_f > 0 at the last monotone, which is 1.
-        joint = weight * c.take(column, axis=1)
+        np.multiply(weight, c.take(column, axis=0).T, joint)
         order = joint.argsort(axis=1)
         order += offsets
-        e_i = np.add.accumulate(joint.take(order), axis=1)[:, zeros:]
-        e_f = 0.5 * np.add.accumulate(c.take(reversed_twice, axis=1), axis=1)  # target @ c
+        ranks = order.T  # flat index of each rank's product, rank-major
+        e_i = np.add.accumulate(joint.take(ranks), axis=0)[zeros:]
+        e_f = np.add.accumulate(c.take(reversed_twice, axis=0), axis=0)
+        e_f *= 0.5  # target.T @ c
         ratios.fill(np.inf)
         np.divide(e_i, e_f, out=ratios, where=e_f > 0.0)
-        k = ratios.argmin(axis=1)
-        p = ratios[rows_now, k]
+        k = ratios.argmin(axis=0)
+        ratios.min(axis=0, out=p)
         better = inside & (p > best_p)
-        np.copyto(best, c, where=better[:, None])
-        np.copyto(best_p, p, where=better)
-        ranked = np.where(above < k[:, None], below, bins[order[:, zeros + 1 :]])
-        counts = np.bincount(ranked.ravel(), minlength=below + 1)[:below].reshape(count, d_c)
-        grad = gain_flat[counts + gain_rows] - p[:, None] * target[k]
-        # -(grad @ to_c) inside the simplex, the broken row outside.
-        cut = np.where(inside[:, None], grad[:, :1] - grad[:, 1:], rows[j])
-        u = _ordered_sum((factor * cut.T).swapaxes(0, 1))  # F^T cut
-        width = _ordered_sum(u * u)  # cut' P cut
-        flat = width == 0.0
-        if flat.any():
+        np.copyto(best, centre, where=better)
+        ranked = bins.take(ranks[zeros + 1 :])
+        np.putmask(ranked, excluded.take(k, axis=1), below)
+        counts = np.bincount(ranked.ravel(), minlength=below + 1)[:below].reshape(d_c, count)
+        grad = gain.take(counts + gain_rows) - p * target.take(k, axis=1)
+        # -(to_c.T @ grad) inside the simplex, the broken row outside.
+        cut = np.where(inside, grad[0] - grad[1:], broken.take(j, axis=1))
+        np.multiply(factor, cut, products)
+        _ordered_sum(by_i, u)  # F^T cut
+        np.multiply(u, u, squares)
+        _ordered_sum(square_rows, width)  # cut' P cut
+        if np.count_nonzero(width) < count:
             # The ellipsoid lies in the cut's hyperplane through its centre.
             # For a broken row, no point of it is in the simplex; for a
             # supergradient, concavity of the binding monotone bounds p by
             # the centre's on that hyperplane.  Either way nothing in it
             # beats the best centre, which certifies that centre too.
-            certified[active[flat]] = best[flat]
-            active, centre, weight, gain, best, best_p, width = _without(
-                flat, active, centre, weight, gain, best, best_p, width
-            )
-            factor, u = factor[..., ~flat], u[:, ~flat]
-            if active.size == 0:
+            flat = width == 0.0
+            if flat.all():
+                certified[active] = best[:d_c].T
                 break
-        u /= np.sqrt(width)
-        step = _ordered_sum(factor * u[:, None, :])  # F u
-        centre[:, 1:d_c] -= step.T / (free + 1)
+            width[flat] = 1.0  # their columns finish this cut unused
+        np.sqrt(width, width)
+        u /= width
+        np.multiply(factor, u_col, products)
+        _ordered_sum(by_j, step)  # F u
+        x -= step / (free + 1)
         factor *= spread
-        factor += along * (u[:, None, :] * step)
+        np.multiply(u_col, step, products)
+        products *= along
+        factor += products
     else:
+        first = 0 if flat is None else int(flat.argmin())  # first problem not certified
         raise NumericFailureError(
-            f"catalyst search for n={n}, alpha={problems[active[0]].alpha} did not "
+            f"catalyst search for n={n}, alpha={problems[active[first]].alpha} did not "
             f"certify within {_max_cuts(free)} cuts",
-            best=make_schmidt(best[0]) if best_p[0] >= 0.0 else None,
+            best=make_schmidt(best[:d_c, first]) if best[-1, first] >= 0.0 else None,
         )
 
     # Each catalyst's success probability, as catalysis_probability gives

@@ -393,9 +393,12 @@ class TestSearchCatalysts:
             (2, 5, [0.8, 0.95]),
             (3, 4, [0.875] + [p.alpha for p in _sweep_dim4_problems()[::9]]),
             (3, 6, [0.9]),
+            # problems go flat while others are still searched (at 7, 6 and
+            # 5 left), so their columns drop out in the middle of the batch
+            (3, 6, [p.alpha for p in _sweep_dim4_problems()[::13]]),
             (4, 3, [0.9, 0.95]),
         ],
-        ids=["n2-d2-ties", "n2-d3", "n2-d5", "n3-d4", "n3-d6", "n4-d3"],
+        ids=["n2-d2-ties", "n2-d3", "n2-d5", "n3-d4", "n3-d6", "n3-d6-batch", "n4-d3"],
     )
     def test_matches_the_search_that_checks_every_cut(self, monkeypatch, n, d_c, alphas):
         # The reference tests the certificate before every cut and sums the

@@ -110,6 +110,13 @@ class TestCatalyst:
                 f"the catalysis window at alpha={alpha} is {window}\n"
             )
 
+    def test_dimension_cap_names_the_sizes(self, capsys):
+        # n = 25 is in the window at alpha = 0.99, but 2**25 * 4 entries
+        # are past the cap, so the search refuses before building anything.
+        code, out, err = run_cli(capsys, "catalyst", "--n", "25", "--alpha", "0.99", "--dim", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: combined dimension 2**25 * 4 exceeds the cap 1048576\n"
+
 
 class TestSweep:
     def test_default_row_count_header(self, capsys, tmp_path):
