@@ -10,7 +10,6 @@ from .catalysis import (
     ConcentrationProblem,
     catalysis_probability,
     copies_for_catalyst,
-    efficiency_ratio,
     in_catalysis_window,
     initial_spectrum,
     intermediate_state,
@@ -47,6 +46,7 @@ from .network import (
     t_primary,
     waiting_factor,
     waiting_factor_small_p,
+    waiting_factors,
     write_sweep_csv,
 )
 from .simulate import (

@@ -199,11 +199,6 @@ def catalysis_probability(problem: ConcentrationProblem, catalyst: SchmidtVector
     return conversion_probability(initial, final)
 
 
-def efficiency_ratio(problem: ConcentrationProblem, catalyst: SchmidtVector) -> float:
-    """Catalytic success probability relative to the plain LOCC optimum."""
-    return catalysis_probability(problem, catalyst) / locc_probability(problem)
-
-
 # ---------------------------------------------------------------------------
 # Numeric catalyst search
 #

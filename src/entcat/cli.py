@@ -9,6 +9,7 @@ errors or a reader that closed stdout early, 2 for numeric failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,6 +242,9 @@ def _cmd_validate_z(args) -> int:
     return 0
 
 
+# Built once per process: parsing leaves the parser as it was, so in-process
+# callers (tests, notebooks, benchmark rounds) share one.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entcat",

@@ -9,6 +9,7 @@ an N-edge chain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -166,6 +167,15 @@ def t_edge_cycle(
     :func:`~entcat.catalysis.copies_for_catalyst`): one count per path of a
     finite list, in order, else the edge's own count; plentiful paths use none.
     """
+    return TimingBreakdown(*_edge_cycle_times(p_cat, edge, aux, copies))
+
+
+def _edge_cycle_times(p_cat: float, edge: EdgeParams, aux: AuxConfig,
+                      copies: Sequence[int]) -> tuple:
+    """The fields of :func:`t_edge_cycle`'s breakdown, in order, as a plain tuple.
+
+    A sweep row reads only the last, so it builds no breakdown.
+    """
     if not 0.0 < p_cat <= 1.0:
         raise InvalidInputError("catalysis probability must lie in (0, 1]")
     t0 = edge.cycle_time_s
@@ -180,20 +190,20 @@ def t_edge_cycle(
         (n_cat,) = copies
         t_cat = n_cat * t0 / edge.herald_probability
         t_both = (edge.copies + n_cat) * t0 / edge.herald_probability
-    t_cycle = p_cat * t_pri + (1.0 - p_cat) * t_both
-    return TimingBreakdown(
-        t_primary_s=t_pri,
-        t_catalyst_s=t_cat,
-        t_primary_plus_catalyst_s=t_both,
-        t_edge_cycle_s=t_cycle,
-    )
+    return t_pri, t_cat, t_both, p_cat * t_pri + (1.0 - p_cat) * t_both
 
 
-def waiting_factor(n_edges: int, p: float) -> float:
-    """Expected cycles until all N edges have succeeded at least once.
+# Series terms :func:`waiting_factors` evaluates in one numpy pass.  A p's
+# terms are never split, so a pass holds more only when one p needs more.
+_SERIES_PASS_TERMS = 8192
+
+
+def waiting_factors(n_edges: int, ps: Sequence[float]) -> list[float]:
+    """Expected cycles until all N edges have succeeded at least once, per p.
 
     The expected maximum of N independent geometric waits, in doubles.  With
-    ``lam = -log(1 - p)`` it takes the one form that is exact on each region:
+    ``lam = -log(1 - p)`` each p takes the one form that is exact on its
+    region:
 
     - ``p > 1e-2``: the positive series ``1 + sum_m P(max > m)``, each term
       ``-expm1(N log1p(-exp(-lam m)))``, cut where ``N exp(-lam m) < e**-40``
@@ -209,29 +219,78 @@ def waiting_factor(n_edges: int, p: float) -> float:
 
     Against a high-precision inclusion-exclusion sum the relative error is
     below 1e-15 for N up to 4096 and p down to 1e-6.
+
+    The series terms of all p's come from flat numpy passes over their
+    concatenated ``m`` ranges, whole p's at a time, at most 8 192 terms per
+    pass or one p's terms if it has more.  ``H_N`` is found once per call.
+    Each p still gets ``1 + fsum`` of exactly its own terms, with its own
+    cut, so its factor is bit for bit the one it gets alone.
     """
     if n_edges < 1:
         raise InvalidInputError(f"edge count must be positive, got {n_edges}")
-    if not 0.0 < p <= 1.0:
-        raise InvalidInputError(f"success probability must lie in (0, 1], got {p}")
-    if p == 1.0:
-        return 1.0
-    lam = -math.log1p(-p)
-    if p > 1e-2:
-        m = np.arange(1, math.ceil((math.log(n_edges) + 40.0) / lam))
-        return 1.0 + math.fsum((-np.expm1(n_edges * np.log1p(-np.exp(-lam * m)))).tolist())
-    if n_edges > 1024:
-        # H_N to 1 / N**4 plus Euler's constant; the next term, 1 / (252 N**6),
+    zs = [1.0] * len(ps)
+    series = []  # (index, lam, term count) of each series p, in list order
+    cut = math.log(n_edges) + 40.0  # the series stops where N exp(-lam m) < e**-40
+    harmonic = None
+    for i, p in enumerate(ps):
+        if not 0.0 < p <= 1.0:
+            raise InvalidInputError(f"success probability must lie in (0, 1], got {p}")
+        if p == 1.0:
+            continue
+        lam = -math.log1p(-p)
+        if p > 1e-2:
+            series.append((i, lam, math.ceil(cut / lam) - 1))
+        elif n_edges >= 8:
+            if harmonic is None:
+                harmonic = _harmonic_number(n_edges)
+            zs[i] = harmonic / lam + 0.5
+        else:
+            zs[i] = math.fsum(
+                (-1) ** (j + 1) * math.comb(n_edges, j) / -math.expm1(-j * lam)
+                for j in range(1, n_edges + 1)
+            )
+    start = 0
+    while start < len(series):
+        stop = start + 1
+        total = series[start][2]
+        while stop < len(series) and total + series[stop][2] <= _SERIES_PASS_TERMS:
+            total += series[stop][2]
+            stop += 1
+        chunk = series[start:stop]
+        if len(chunk) == 1:  # such as the one-point call's: no repeats, no slices
+            ((i, lam, count),) = chunk
+            zs[i] = 1.0 + math.fsum(_series_terms(n_edges, lam, np.arange(1, count + 1)))
+        else:
+            counts = [count for _, _, count in chunk]
+            firsts = list(itertools.accumulate(counts, initial=0))
+            # Each p's lam beside its own m = 1, 2, ..., count.
+            terms = _series_terms(n_edges, np.repeat([lam for _, lam, _ in chunk], counts),
+                                  np.arange(1, total + 1) - np.repeat(firsts[:-1], counts))
+            for (i, _, _), first, end in zip(chunk, firsts, firsts[1:]):
+                zs[i] = 1.0 + math.fsum(terms[first:end])
+        start = stop
+    return zs
+
+
+def _series_terms(n_edges: int, lam, m: np.ndarray) -> list:
+    """The series terms ``P(max > m) = -expm1(N log1p(-exp(-lam m)))``, elementwise."""
+    return (-np.expm1(n_edges * np.log1p(-np.exp(-lam * m)))).tolist()
+
+
+def _harmonic_number(n: int) -> float:
+    """H_N, summed up to N = 1024 and from its Euler-Maclaurin expansion above."""
+    if n > 1024:
+        # To 1 / N**4 plus Euler's constant; the next term, 1 / (252 N**6),
         # is below 1e-20.
-        inv2 = 1.0 / (n_edges * n_edges)
-        tail = 0.5 / n_edges - inv2 * (1.0 / 12.0 - inv2 / 120.0)
-        return (math.log(n_edges) + 0.5772156649015329 + tail) / lam + 0.5
-    if n_edges >= 8:
-        return math.fsum(1.0 / k for k in range(1, n_edges + 1)) / lam + 0.5
-    return math.fsum(
-        (-1) ** (j + 1) * math.comb(n_edges, j) / -math.expm1(-j * lam)
-        for j in range(1, n_edges + 1)
-    )
+        inv2 = 1.0 / (n * n)
+        return math.log(n) + 0.5772156649015329 + (0.5 / n - inv2 * (1.0 / 12.0 - inv2 / 120.0))
+    return math.fsum(1.0 / k for k in range(1, n + 1))
+
+
+def waiting_factor(n_edges: int, p: float) -> float:
+    """The waiting factor of one p: the one-element call of :func:`waiting_factors`."""
+    (z,) = waiting_factors(n_edges, (p,))
+    return z
 
 
 def waiting_factor_small_p(n_edges: int, p: float) -> float:
@@ -376,13 +435,16 @@ SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
-               auxes: Sequence[AuxConfig], edges: dict, n_edges: int) -> list[SweepRow]:
+               auxes: Sequence[AuxConfig], edges: dict, n_edges: int,
+               waits: Callable[[int, list], list] = waiting_factors) -> list[SweepRow]:
     """Catalytic and plain-LOCC chain rates, one row per (aux, dimension, problem).
 
     ``catalysts`` maps (dimension, problem index) to ``(c0, p_cat, copies)``,
     where ``copies`` maps a supply state's larger coefficient to the copies
     of it one catalyst takes; a point out of window has no entry.  ``edges``
     holds one edge per dimension, all with the same timing parameters.
+    ``waits`` gives the waiting factors of a list of probabilities, every
+    LOCC and catalytic one of the call at once.
 
     The catalytic rate pays the edge-cycle time and waits for all edges at
     the catalytic success probability; the comparator pays only the primary
@@ -393,13 +455,11 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
     """
     first = next(iter(edges.values()))
     t_pri = t_primary(first.copies, first.cycle_time_s, first.herald_probability)
-    locc = []
-    for problem in problems:
-        p_locc = locc_probability(problem)
-        z_locc = waiting_factor(n_edges, p_locc)
-        locc.append((p_locc, z_locc, 1.0 / (t_pri * z_locc)))
-    waits = {key: (waiting_factor(n_edges, p_cat), copies(problems[key[1]].alpha))
-             for key, (_, p_cat, copies) in catalysts.items()}
+    p_loccs = [locc_probability(problem) for problem in problems]
+    zs = waits(n_edges, p_loccs + [p_cat for _, p_cat, _ in catalysts.values()])
+    locc = [(p_locc, z_locc, 1.0 / (t_pri * z_locc)) for p_locc, z_locc in zip(p_loccs, zs)]
+    cat = {key: (z_cat, copies(problems[key[1]].alpha))
+           for (key, (_, _, copies)), z_cat in zip(catalysts.items(), zs[len(problems):])}
     rows = []
     for aux in auxes:
         for dim, edge in edges.items():
@@ -411,9 +471,9 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
                     rows.append(SweepRow(**point, window_flag=WINDOW_OUT))
                     continue
                 c0, p_cat, copies = catalysts[dim, i]
-                z_cat, n_cat = waits[dim, i]
+                z_cat, n_cat = cat[dim, i]
                 supply = _supply_copies(aux, copies, n_cat)
-                t_cycle = t_edge_cycle(p_cat, edge, aux, supply).t_edge_cycle_s
+                t_cycle = _edge_cycle_times(p_cat, edge, aux, supply)[3]
                 rate_cat = 1.0 / (t_cycle * z_cat)
                 rows.append(SweepRow(
                     **point, p_cat=p_cat, c0=c0, n_cat=n_cat, eta_p=p_cat / p_locc, z_cat=z_cat,
@@ -447,7 +507,10 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> SweepRow:
         raise InvalidInputError(f"edge count must be positive, got {n_edges}")
     catalysts = {(edge.catalyst_dim, 0): _spectrum_catalyst(edge_catalyst(edge))}
     problem = ConcentrationProblem(edge.copies, edge.alpha)
-    (row,) = _rate_rows([problem], catalysts, [aux], {edge.catalyst_dim: edge}, n_edges)
+    # The point's two factors, one waiting_factor call each, so perfbench's
+    # tracer books them; a sweep takes all of its factors in one call.
+    (row,) = _rate_rows([problem], catalysts, [aux], {edge.catalyst_dim: edge}, n_edges,
+                        lambda n, ps: [waiting_factor(n, p) for p in ps])
     return row
 
 

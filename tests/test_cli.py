@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import entcat
+from entcat import cli
 from entcat.cli import main, parse_config
 from entcat.errors import InvalidInputError
 
@@ -599,3 +600,19 @@ class TestConfigParsing:
     def test_help_exit_code(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_errors_and_other_runs_leave_it_as_it_was(self, capsys):
+        sweep = ["sweep", "--n", "3", "--dim", "2,3", "--mode", "aux_rich,none", "--steps", "9"]
+        code, first, _ = run_cli(capsys, *sweep)
+        assert code == 0
+        assert run_cli(capsys, "sweep", "--no-such-flag")[0] == 1
+        assert run_cli(capsys, "--help")[0] == 0
+        # Other values for the same flags, which must not stay behind.
+        assert run_cli(capsys, "sweep", "--mode", "none", "--dim", "4", "--steps", "2")[0] == 0
+        code, again, _ = run_cli(capsys, *sweep)
+        assert (code, again) == (0, first)

@@ -41,8 +41,10 @@ from entcat.network import (
     t_primary,
     waiting_factor,
     waiting_factor_small_p,
+    waiting_factors,
     write_sweep_csv,
 )
+from entcat import network
 from entcat.spectra import two_qubit_state
 
 import oracles
@@ -246,6 +248,62 @@ class TestWaitingFactor:
                 assert z > previous
                 previous = z
         assert waiting_factor(1, 0.25) == pytest.approx(4.0)
+
+
+class TestWaitingFactors:
+    """The batch gives every p the factor it gets alone, bit for bit."""
+
+    # One p per branch: certain success, the series (and just above its
+    # edge), and p <= 1e-2, which is harmonic at 8 <= N <= 1024, asymptotic
+    # above and inclusion-exclusion below.
+    PS = [1.0, 0.9, 0.5, 0.0101, 0.01, 1e-3, 1e-6]
+
+    @staticmethod
+    def series_alone(n_edges, p):
+        """The series of one p in a numpy pass of its own."""
+        lam = -math.log1p(-p)
+        m = np.arange(1, math.ceil((math.log(n_edges) + 40.0) / lam))
+        return 1.0 + math.fsum((-np.expm1(n_edges * np.log1p(-np.exp(-lam * m)))).tolist())
+
+    @pytest.mark.parametrize("n_edges", [1, 3, 7, 8, 256, 1024, 1025, 4096])
+    def test_every_branch_matches_the_one_point_call(self, n_edges):
+        assert waiting_factors(n_edges, self.PS) == [waiting_factor(n_edges, p) for p in self.PS]
+
+    @pytest.mark.parametrize("n_edges", [1, 7, 256, 4096])
+    def test_series_matches_its_own_pass(self, n_edges):
+        series = [p for p in self.PS if 1e-2 < p < 1.0]
+        assert waiting_factors(n_edges, series) == [self.series_alone(n_edges, p) for p in series]
+
+    def test_mixed_order_and_repeats(self):
+        ps = [0.3, 1e-3, 0.3, 1.0, 0.05, 1e-3, 0.9, 0.3, 0.011]
+        for order in (ps, ps[::-1], sorted(ps)):
+            assert waiting_factors(32, order) == [waiting_factor(32, p) for p in order]
+
+    def test_terms_spanning_several_passes(self, monkeypatch):
+        ps = [float(p) for p in np.linspace(0.0101, 0.3, 40)]
+        counts = [math.ceil((math.log(256) + 40.0) / -math.log1p(-p)) - 1 for p in ps]
+        assert sum(counts) > 2 * network._SERIES_PASS_TERMS
+        expected = [waiting_factor(256, p) for p in ps]
+        assert waiting_factors(256, ps) == expected
+        # Passes smaller than one p's terms hold that p alone.
+        for size in (1, 100, max(counts)):
+            monkeypatch.setattr(network, "_SERIES_PASS_TERMS", size)
+            assert waiting_factors(256, ps) == expected
+
+    def test_empty_list(self):
+        assert waiting_factors(32, []) == []
+
+    @pytest.mark.parametrize("n_edges,ps", [
+        (0, [0.5]), (0, []), (-3, [1.0]),
+        (4, [0.5, 0.0]), (4, [1.5]), (4, [0.3, -0.1]), (4, [float("nan")]),
+    ])
+    def test_rejects_what_the_one_point_call_rejects(self, n_edges, ps):
+        with pytest.raises(InvalidInputError):
+            waiting_factors(n_edges, ps)
+        for p in ps or [0.5]:
+            if n_edges < 1 or not 0.0 < p <= 1.0:
+                with pytest.raises(InvalidInputError):
+                    waiting_factor(n_edges, p)
 
 
 class TestWaitingFactorFootnote:
