@@ -109,9 +109,12 @@ class AuxConfig:
             raise InvalidInputError(f"aux mode {self.mode} takes no paths; use finite for explicit paths")
 
 
-@dataclass(frozen=True)
-class TimingBreakdown:
-    """Mean times entering one catalysis attempt over an edge (seconds)."""
+class TimingBreakdown(NamedTuple):
+    """Mean times entering one catalysis attempt over an edge (seconds).
+
+    An immutable tuple, so a sweep row that reads only ``t_edge_cycle_s``
+    pays one tuple allocation for it.
+    """
 
     t_primary_s: float
     t_catalyst_s: Optional[float]
@@ -167,15 +170,6 @@ def t_edge_cycle(
     :func:`~entcat.catalysis.copies_for_catalyst`): one count per path of a
     finite list, in order, else the edge's own count; plentiful paths use none.
     """
-    return TimingBreakdown(*_edge_cycle_times(p_cat, edge, aux, copies))
-
-
-def _edge_cycle_times(p_cat: float, edge: EdgeParams, aux: AuxConfig,
-                      copies: Sequence[int]) -> tuple:
-    """The fields of :func:`t_edge_cycle`'s breakdown, in order, as a plain tuple.
-
-    A sweep row reads only the last, so it builds no breakdown.
-    """
     if not 0.0 < p_cat <= 1.0:
         raise InvalidInputError("catalysis probability must lie in (0, 1]")
     t0 = edge.cycle_time_s
@@ -190,7 +184,12 @@ def _edge_cycle_times(p_cat: float, edge: EdgeParams, aux: AuxConfig,
         (n_cat,) = copies
         t_cat = n_cat * t0 / edge.herald_probability
         t_both = (edge.copies + n_cat) * t0 / edge.herald_probability
-    return t_pri, t_cat, t_both, p_cat * t_pri + (1.0 - p_cat) * t_both
+    return TimingBreakdown(
+        t_primary_s=t_pri,
+        t_catalyst_s=t_cat,
+        t_primary_plus_catalyst_s=t_both,
+        t_edge_cycle_s=p_cat * t_pri + (1.0 - p_cat) * t_both,
+    )
 
 
 # Series terms :func:`waiting_factors` evaluates in one numpy pass.  A p's
@@ -257,24 +256,16 @@ def waiting_factors(n_edges: int, ps: Sequence[float]) -> list[float]:
             total += series[stop][2]
             stop += 1
         chunk = series[start:stop]
-        if len(chunk) == 1:  # such as the one-point call's: no repeats, no slices
-            ((i, lam, count),) = chunk
-            zs[i] = 1.0 + math.fsum(_series_terms(n_edges, lam, np.arange(1, count + 1)))
-        else:
-            counts = [count for _, _, count in chunk]
-            firsts = list(itertools.accumulate(counts, initial=0))
-            # Each p's lam beside its own m = 1, 2, ..., count.
-            terms = _series_terms(n_edges, np.repeat([lam for _, lam, _ in chunk], counts),
-                                  np.arange(1, total + 1) - np.repeat(firsts[:-1], counts))
-            for (i, _, _), first, end in zip(chunk, firsts, firsts[1:]):
-                zs[i] = 1.0 + math.fsum(terms[first:end])
+        counts = [count for _, _, count in chunk]
+        firsts = list(itertools.accumulate(counts, initial=0))
+        # Each p's lam beside its own m = 1, 2, ..., count.
+        lams = np.array([lam for _, lam, _ in chunk]).repeat(counts)
+        m = np.arange(1, total + 1) - np.array(firsts[:-1]).repeat(counts)
+        terms = (-np.expm1(n_edges * np.log1p(-np.exp(-lams * m)))).tolist()
+        for (i, _, _), first, end in zip(chunk, firsts, firsts[1:]):
+            zs[i] = 1.0 + math.fsum(terms[first:end])
         start = stop
     return zs
-
-
-def _series_terms(n_edges: int, lam, m: np.ndarray) -> list:
-    """The series terms ``P(max > m) = -expm1(N log1p(-exp(-lam m)))``, elementwise."""
-    return (-np.expm1(n_edges * np.log1p(-np.exp(-lam * m)))).tolist()
 
 
 def _harmonic_number(n: int) -> float:
@@ -473,7 +464,7 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
                 c0, p_cat, copies = catalysts[dim, i]
                 z_cat, n_cat = cat[dim, i]
                 supply = _supply_copies(aux, copies, n_cat)
-                t_cycle = _edge_cycle_times(p_cat, edge, aux, supply)[3]
+                t_cycle = t_edge_cycle(p_cat, edge, aux, supply).t_edge_cycle_s
                 rate_cat = 1.0 / (t_cycle * z_cat)
                 rows.append(SweepRow(
                     **point, p_cat=p_cat, c0=c0, n_cat=n_cat, eta_p=p_cat / p_locc, z_cat=z_cat,
