@@ -64,7 +64,6 @@ from .spectra import (
     make_schmidt,
     monotones,
     tensor_product,
-    two_qubit_state,
 )
 
 __version__ = "0.1.0"

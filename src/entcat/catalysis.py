@@ -32,7 +32,6 @@ from .spectra import (
     conversion_probability,
     make_schmidt,
     monotones,
-    tensor_product,
 )
 
 # Cap on the dimension of any constructed spectrum, 2**n times the catalyst
@@ -72,23 +71,32 @@ class CatalystSpec:
 
 
 def initial_spectrum(problem: ConcentrationProblem) -> SchmidtVector:
-    """Spectrum of n copies of the primary state.
+    """Spectrum of n copies of the primary state, dimension ``2**n``."""
+    return SchmidtVector(_power_coefficients(problem.alpha, problem.n))
 
-    Values ``alpha**k * (1-alpha)**(n-k)`` appear with binomial multiplicity,
-    already in non-increasing order for ``alpha > 0.5``.  Dimension ``2**n``.
+
+def _power_coefficients(alpha: float, m: int, count: int | None = None) -> np.ndarray:
+    """The ``count`` largest coefficients of m copies of ``(alpha, 1-alpha)``.
+
+    The spectrum is layered: value ``alpha**k * (1-alpha)**(m-k)`` with
+    binomial multiplicity, strictly decreasing as k falls from m for
+    ``alpha > 0.5``, so the top entries come from the first layers.  Entries
+    beyond ``2**m`` are zeros.  With no ``count``, all ``2**m`` entries are
+    returned, and ``2**m`` must not exceed ``DIM_CAP``.
     """
-    return SchmidtVector(_initial_coefficients(problem))
-
-
-def _initial_coefficients(problem: ConcentrationProblem) -> np.ndarray:
-    """The coefficients of :func:`initial_spectrum`, without building a spectrum."""
-    n, alpha = problem.n, problem.alpha
-    if 2**n > DIM_CAP:
-        raise ResourceLimitError(f"2**{n} exceeds the dimension cap {DIM_CAP}")
-    ks = np.arange(n, -1, -1)
-    values = alpha**ks * (1.0 - alpha) ** (n - ks)
-    counts = [math.comb(n, int(k)) for k in ks]
-    return np.repeat(values, counts)
+    if count is None:
+        if 2**m > DIM_CAP:
+            raise ResourceLimitError(f"2**{m} exceeds the dimension cap {DIM_CAP}")
+        count = 2**m
+    repeats = []  # entries taken from each layer, from the top
+    left = count
+    while left and len(repeats) <= m:
+        repeats.append(min(math.comb(m, len(repeats)), left))
+        left -= repeats[-1]
+    ks = np.arange(m, m - len(repeats), -1)
+    top = np.zeros(count)
+    top[: count - left] = np.repeat(alpha**ks * (1.0 - alpha) ** (m - ks), repeats)
+    return top
 
 
 def target_spectrum(n: int) -> SchmidtVector:
@@ -194,9 +202,22 @@ def catalysis_probability(problem: ConcentrationProblem, catalyst: SchmidtVector
         raise ResourceLimitError(
             f"combined dimension 2**{problem.n} * {catalyst.dimension} exceeds the cap {DIM_CAP}"
         )
-    initial = tensor_product(initial_spectrum(problem), catalyst)
-    final = tensor_product(target_spectrum(problem.n), catalyst)
-    return conversion_probability(initial, final)
+    psi = _power_coefficients(problem.alpha, problem.n)[None, :]
+    return float(_catalysed_probabilities(psi, problem.n, catalyst.coefficients[None, :])[0])
+
+
+def _catalysed_probabilities(psi: np.ndarray, n: int, catalysts: np.ndarray) -> np.ndarray:
+    """Optimal probability of ``psi ⊗ c -> target ⊗ c`` for each row pair.
+
+    Row r of ``psi`` holds the ``2**n`` coefficients of n copies of a primary
+    state, and row r of ``catalysts`` those of catalyst c.  One kernel call
+    over the tensored rows; the kernel sorts each row, so the products are
+    left unsorted.
+    """
+    cat = catalysts[:, None, :]
+    initial = (psi[:, :, None] * cat).reshape(len(catalysts), -1)
+    final = (target_spectrum(n).coefficients[None, :, None] * cat).reshape(len(catalysts), -1)
+    return conversion_probabilities(initial, final)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +317,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     if 2**n * d_c > DIM_CAP:
         raise ResourceLimitError(f"combined dimension 2**{n} * {d_c} exceeds the cap {DIM_CAP}")
 
-    psi = np.array([_initial_coefficients(problem) for problem in problems])
+    psi = np.array([_power_coefficients(problem.alpha, n) for problem in problems])
     spins = psi.shape[1]
     size = spins * d_c
     free = d_c - 1
@@ -467,10 +488,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     # Each catalyst's success probability, as catalysis_probability gives
     # it, from one kernel call over the tensored rows of the whole batch.
     cat, found = _ordered_spectra(certified)
-    cat = cat[:, None, :]
-    initial = (psi[:, :, None] * cat).reshape(len(problems), size)
-    final = (target_spectrum(n).coefficients[None, :, None] * cat).reshape(len(problems), size)
-    p_cat = conversion_probabilities(initial, final)
+    p_cat = _catalysed_probabilities(psi, n, cat)
     return [
         CatalystSpec(spectrum=spectrum, success_probability=float(p))
         for spectrum, p in zip(found, p_cat)
@@ -535,24 +553,6 @@ def intermediate_state(initial: SchmidtVector, final: SchmidtVector) -> SchmidtV
 # ---------------------------------------------------------------------------
 
 
-def _power_top_partial_sums(alpha: float, m: int, count: int) -> np.ndarray:
-    """Partial sums of the ``count`` largest coefficients of an m-fold power.
-
-    The spectrum of m copies of ``(alpha, 1-alpha)`` is layered: value
-    ``alpha**(m-i) (1-alpha)**i`` with binomial multiplicity, strictly
-    decreasing in i, so the top entries come from the first layers without
-    materializing the 2**m spectrum.  Entries beyond 2**m count as zero.
-    """
-    top = []
-    layer = 0
-    while len(top) < count and layer <= m:
-        value = alpha ** (m - layer) * (1.0 - alpha) ** layer
-        top.extend([value] * min(math.comb(m, layer), count - len(top)))
-        layer += 1
-    top.extend([0.0] * (count - len(top)))
-    return np.cumsum(top)
-
-
 def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float) -> int:
     """Fewest copies of a two-qubit supply state that reach ``catalyst`` under LOCC.
 
@@ -572,7 +572,8 @@ def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float) -> int:
     if catalyst.dimension <= 2:
         return m
     e_cat = monotones(catalyst)[1:]
-    while not np.all(1.0 - _power_top_partial_sums(alpha_supply, m, e_cat.size) >= e_cat - TOL):
+    while not np.all(1.0 - np.cumsum(_power_coefficients(alpha_supply, m, e_cat.size))
+                     >= e_cat - TOL):
         m += 1
     return m
 

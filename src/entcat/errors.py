@@ -10,7 +10,7 @@ class CatalysisWindowError(InvalidInputError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A constructed spectrum would exceed the configured dimension cap."""
+    """A constructed spectrum would exceed the dimension cap ``catalysis.DIM_CAP``."""
 
 
 class NumericFailureError(RuntimeError):

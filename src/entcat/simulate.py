@@ -40,6 +40,9 @@ DETAILED_MODE = "detailed"
 # Fixed batch size of the max-of-geometrics sampler; each batch draws from its
 # own seed stream, so results do not depend on how batches are scheduled.
 _BATCH_TRIALS = 8192
+# Most exponentials (8 MiB) the abstract simulator holds at once, unless the
+# N of one trial are more.
+_BLOCK_DOUBLES = 1 << 20
 # Smallest success probability the sampler takes, where lam ~ 1e-10 and a
 # count below 2**39 needs E < 2**39 * lam ~ 54.98.  The abstract simulator's
 # exponentials never exceed 45 (numpy's ziggurat tail is r - log1p(-U), U < 1
@@ -295,17 +298,25 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
         raise InvalidInputError("config mode must be abstract")
     p_cat, t_cycle = _resolved_parameters(cfg)
     sampler = _MaxOfGeometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
-    # Every edge's count is needed for its attempt total, so each batch draws
-    # all N exponentials of each trial into one reused block.  Below p = 1/3
-    # their counts are the ones Generator.geometric returns from the same
-    # stream, which inverts the same exponentials.
-    block = np.empty((min(_BATCH_TRIALS, cfg.trials), cfg.n_edges))
+    # Every edge's count is needed for its attempt total, so each trial draws
+    # all N exponentials.  Below p = 1/3 their counts are the ones
+    # Generator.geometric returns from the same stream, which inverts the
+    # same exponentials.  A batch draws its trials' rows a chunk at a time,
+    # in stream order, into one reused block of at most _BLOCK_DOUBLES, and
+    # gathers their maxima, so that its sums round as one whole batch's do.
+    rows = min(max(1, _BLOCK_DOUBLES // cfg.n_edges), _BATCH_TRIALS, cfg.trials)
+    block = np.empty((rows, cfg.n_edges))
+    largest = np.empty(min(_BATCH_TRIALS, cfg.trials))
     # Python integers, which a long run at a small p cannot overflow.
     attempts = [0] * cfg.n_edges
     for size, rng in sampler:
-        draws = rng.standard_exponential(out=block[:size])
-        sampler.add(draws.max(axis=1))
-        attempts = [a + int(c) for a, c in zip(attempts, sampler.counts(draws).sum(axis=0))]
+        batch_attempts = np.zeros(cfg.n_edges)  # integer sums below 2**53, so exact
+        for start in range(0, size, rows):
+            draws = rng.standard_exponential(out=block[: min(rows, size - start)])
+            draws.max(axis=1, out=largest[start : start + len(draws)])
+            batch_attempts += sampler.counts(draws).sum(axis=0)
+        sampler.add(largest[:size])
+        attempts = [a + int(c) for a, c in zip(attempts, batch_attempts)]
     mean, std_error = sampler.mean_and_error()
     counters = [
         EdgeCounters(

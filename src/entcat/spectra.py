@@ -89,13 +89,6 @@ def make_schmidt(weights) -> SchmidtVector:
     return SchmidtVector(np.sort(w / total)[::-1])
 
 
-def two_qubit_state(p: float) -> SchmidtVector:
-    """Two-qubit spectrum ``(p, 1-p)`` with ``p`` the larger coefficient."""
-    if not 0.5 <= p <= 1.0:
-        raise InvalidInputError(f"larger coefficient must lie in [0.5, 1], got {p}")
-    return SchmidtVector(np.array([p, 1.0 - p]))
-
-
 def monotones(s: SchmidtVector) -> np.ndarray:
     """LOCC monotones of ``s`` as a read-only array.
 

@@ -34,10 +34,15 @@ from entcat.spectra import (
     make_schmidt,
     monotones,
     tensor_product,
-    two_qubit_state,
 )
 
 import oracles
+
+
+def two_qubit(c0):
+    """The two-qubit spectrum ``(c0, 1 - c0)``, for ``c0`` in [1/2, 1]."""
+    return SchmidtVector(np.array([c0, 1.0 - c0]))
+
 
 # Closed-form reference points, pinned from the formula and cross-checked by
 # the numeric search below.
@@ -169,7 +174,7 @@ class TestCatalysisProbability:
     def test_trivial_catalyst_reduces_to_locc(self):
         p = ConcentrationProblem(2, 0.8)
         assert catalysis_probability(p, make_schmidt([1.0])) == pytest.approx(0.72)
-        assert catalysis_probability(p, two_qubit_state(1.0)) == pytest.approx(0.72)
+        assert catalysis_probability(p, two_qubit(1.0)) == pytest.approx(0.72)
 
     def test_deterministic_regime_clamps(self):
         p = ConcentrationProblem(2, 0.500000001)
@@ -241,7 +246,7 @@ class TestSearchCatalyst:
     def test_boundary_recovers_locc(self):
         # the c -> 1 edge of the search space is the trivial catalyst
         p = ConcentrationProblem(3, 0.85)
-        assert catalysis_probability(p, two_qubit_state(1.0)) == pytest.approx(
+        assert catalysis_probability(p, two_qubit(1.0)) == pytest.approx(
             locc_probability(p), abs=1e-12
         )
 
@@ -486,7 +491,7 @@ class TestSearchCatalysts:
 
 class TestIntermediateState:
     def test_probabilistic_case(self):
-        gamma = intermediate_state(two_qubit_state(0.75), two_qubit_state(0.5))
+        gamma = intermediate_state(two_qubit(0.75), two_qubit(0.5))
         np.testing.assert_allclose(gamma.coefficients, [0.75, 0.25], atol=1e-12)
 
     def test_identity_case(self):
@@ -530,21 +535,19 @@ class TestIntermediateState:
 
 class TestSupplyAccounting:
     def test_reference_copy_count(self):
-        assert copies_for_catalyst(two_qubit_state(C0_2_08), 0.8) == 3
+        assert copies_for_catalyst(two_qubit(C0_2_08), 0.8) == 3
 
     def test_single_copy_when_equal(self):
-        assert copies_for_catalyst(two_qubit_state(0.59196), 0.59196) == 1
+        assert copies_for_catalyst(two_qubit(0.59196), 0.59196) == 1
 
     def test_high_quality_supply(self):
-        assert copies_for_catalyst(two_qubit_state(0.9), 0.99) == 11
+        assert copies_for_catalyst(two_qubit(0.9), 0.99) == 11
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            copies_for_catalyst(two_qubit_state(0.4), 0.8)
+            copies_for_catalyst(two_qubit(0.9), 1.0)
         with pytest.raises(InvalidInputError):
-            copies_for_catalyst(two_qubit_state(0.9), 1.0)
-        with pytest.raises(InvalidInputError):
-            copies_for_catalyst(two_qubit_state(0.9), 0.5)
+            copies_for_catalyst(two_qubit(0.9), 0.5)
 
     def test_generalized_agrees_with_closed_form(self):
         # a two-qubit catalyst needs the smallest m with alpha**m <= c0
@@ -555,13 +558,13 @@ class TestSupplyAccounting:
             m = 1
             while alpha**m > c0:
                 m += 1
-            assert copies_for_catalyst(two_qubit_state(c0), alpha) == m
+            assert copies_for_catalyst(two_qubit(c0), alpha) == m
 
     def test_generalized_copy_count_is_sufficient(self):
         catalyst = make_schmidt([0.4, 0.3, 0.2, 0.1])
         alpha = 0.9
         m = copies_for_catalyst(catalyst, alpha)
-        supply = two_qubit_state(alpha)
+        supply = two_qubit(alpha)
         fewer = supply
         for _ in range(m - 2):
             fewer = tensor_product(fewer, supply)
@@ -577,15 +580,15 @@ class TestSupplyAccounting:
             alpha = float(rng.uniform(0.51, 0.999))
             c0 = float(rng.uniform(0.501, 0.999))
             m = int(rng.integers(1, 60))
-            needed = copies_for_catalyst(two_qubit_state(c0), alpha)
+            needed = copies_for_catalyst(two_qubit(c0), alpha)
             assert (needed <= m) == (alpha**m <= c0)
             assert alpha**needed <= c0
             assert needed == 1 or alpha ** (needed - 1) > c0
 
     def test_combined_supply_beyond_twenty_copies(self):
         # the 2**m supply spectrum is never built, so m far above 20 is cheap
-        assert copies_for_catalyst(two_qubit_state(0.6), 0.8) <= 40
-        assert copies_for_catalyst(two_qubit_state(0.6), 0.99) == 51
+        assert copies_for_catalyst(two_qubit(0.6), 0.8) <= 40
+        assert copies_for_catalyst(two_qubit(0.6), 0.99) == 51
         rng = np.random.default_rng(11)
         beyond_twenty = 0
         for _ in range(3000):
@@ -594,14 +597,14 @@ class TestSupplyAccounting:
             m = 1
             while alpha**m > c0:
                 m += 1
-            assert copies_for_catalyst(two_qubit_state(c0), alpha) == m
+            assert copies_for_catalyst(two_qubit(c0), alpha) == m
             beyond_twenty += m > 20
         assert beyond_twenty > 50
 
     def test_two_qubit_count_is_the_exact_majorization_answer(self):
         # m copies majorize a two-qubit catalyst exactly when alpha**m <= c0,
         # decided here in rationals; the catalysts come from the closed form,
-        # two_qubit_state and make_schmidt, and some sum to 1 only within TOL.
+        # (c0, 1 - c0) pairs and make_schmidt, and some sum to 1 only within TOL.
         def exact(c0, alpha):
             power, bound, m = Fraction(alpha), Fraction(c0), 1
             while power > bound:
@@ -615,7 +618,7 @@ class TestSupplyAccounting:
             n = int(rng.integers(2, 4))
             alpha = float(rng.uniform(0.5 ** (1.0 / (n + 1)), 0.999))
             catalysts.append(optimal_two_qubit_catalyst(ConcentrationProblem(n, alpha)).spectrum)
-            catalysts.append(two_qubit_state(float(rng.uniform(0.5, 1.0))))
+            catalysts.append(two_qubit(float(rng.uniform(0.5, 1.0))))
             catalysts.append(make_schmidt(rng.random(2) + 1e-3))
             c0 = float(rng.uniform(0.5, 0.999))
             off = float(rng.uniform(-TOL, TOL))
@@ -626,11 +629,33 @@ class TestSupplyAccounting:
                 alpha = float(alpha)
                 assert copies_for_catalyst(catalyst, alpha) == exact(c0, alpha)
 
+    def test_copy_count_is_the_exact_majorization_answer(self):
+        # Above dimension 2 the count steps up until a^m majorizes the
+        # catalyst.  Decided here in rationals on the exact 2**m spectrum:
+        # m copies reach the catalyst with certainty, and m - 1 do not.
+        def power(alpha, m):
+            a = Fraction(alpha)
+            return [a**k * (1 - a) ** (m - k) for k in range(m + 1) for _ in range(math.comb(m, k))]
+
+        rng = np.random.default_rng(23)
+        cases = stepped = 0
+        while cases < 40:
+            catalyst = make_schmidt(rng.random(int(rng.integers(3, 7))) ** rng.uniform(1.0, 4.0))
+            alpha = float(rng.uniform(0.55, 0.95))
+            m = copies_for_catalyst(catalyst, alpha)
+            if m > 12:
+                continue
+            cases += 1
+            stepped += alpha ** (m - 1) <= catalyst.coefficients[0]
+            assert oracles.exact_deterministic(power(alpha, m), catalyst.coefficients)
+            assert not oracles.exact_deterministic(power(alpha, m - 1), catalyst.coefficients)
+        assert stepped >= 10  # counts beyond the largest-coefficient bound
+
     def test_n_star_is_copies_for_the_half_catalyst(self):
         # Concentration is deterministic once the supply power reaches 1/2.
         for alpha in np.linspace(0.501, 0.9999, 2000):
             alpha = float(alpha)
-            assert n_star(alpha) == copies_for_catalyst(two_qubit_state(0.5), alpha)
+            assert n_star(alpha) == copies_for_catalyst(two_qubit(0.5), alpha)
 
 
 def test_monotone_values_match_spectrum_tail():

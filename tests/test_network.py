@@ -45,7 +45,7 @@ from entcat.network import (
     write_sweep_csv,
 )
 from entcat import network
-from entcat.spectra import two_qubit_state
+from entcat.spectra import make_schmidt
 
 import oracles
 
@@ -118,7 +118,8 @@ class TestTimings:
         assert t_primary(4, 1.0, 0.25) == pytest.approx(16.0)
 
     def test_t_catalyst_single_path(self):
-        copies = copies_for_catalyst(two_qubit_state(0.5919671916850177), 0.8)
+        c0 = 0.5919671916850177
+        copies = copies_for_catalyst(make_schmidt([c0, 1.0 - c0]), 0.8)
         assert copies == 3
         time_s = t_catalyst([AuxPath(0.8, 0.5, 1e-3)], (copies,))
         assert time_s == pytest.approx(1.0 / (3 * 0.5 / 1e-3))
@@ -378,7 +379,8 @@ class TestRates:
         m = copies_for_catalyst(catalyst.spectrum, 0.8)
         assert m >= 1
         assert rate_catalytic(edge, AuxConfig(AUX_RICH), 4).n_cat == m
-        two_qubit = copies_for_catalyst(two_qubit_state(0.59196 + 7.2e-6), 0.8)
+        c0 = 0.59196 + 7.2e-6
+        two_qubit = copies_for_catalyst(make_schmidt([c0, 1.0 - c0]), 0.8)
         assert two_qubit == 3
 
     def test_point_fields_are_pinned(self):

@@ -595,3 +595,17 @@ class TestMaxOfGeometrics:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * _BATCH_TRIALS * 8 + 16 * 1024
+
+    def test_abstract_memory_is_bounded(self):
+        # Every edge's count is drawn, but a batch's block of all N
+        # exponentials would take _BATCH_TRIALS * 512 * 8 bytes, 32 MiB; the
+        # rows come a chunk at a time, with the same bytes.
+        cfg = abstract_config(n_edges=512, trials=_BATCH_TRIALS + 3, seed=6, p_cat_override=0.3)
+        tracemalloc.start()
+        try:
+            new = record_bytes(simulate_abstract, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert new == record_bytes(oracles.simulate_abstract_geometric, cfg)

@@ -15,7 +15,6 @@ from entcat.spectra import (
     make_schmidt,
     monotones,
     tensor_product,
-    two_qubit_state,
 )
 
 import oracles
@@ -23,6 +22,10 @@ import oracles
 
 def vec(*coeffs):
     return make_schmidt(coeffs)
+
+
+def pair(p):
+    return SchmidtVector(np.array([p, 1.0 - p]))
 
 
 # Random spectra as integer weights: their float normalizations are within
@@ -78,19 +81,21 @@ class TestMakeSchmidt:
 
 
 class TestTwoQubitState:
+    # A two-qubit spectrum is the pair (p, 1 - p), with p the larger coefficient.
     def test_bell(self):
-        np.testing.assert_allclose(two_qubit_state(0.5).coefficients, [0.5, 0.5])
+        np.testing.assert_array_equal(pair(0.5).coefficients, [0.5, 0.5])
 
     def test_generic(self):
-        np.testing.assert_allclose(two_qubit_state(0.8).coefficients, [0.8, 0.2])
+        np.testing.assert_allclose(pair(0.8).coefficients, [0.8, 0.2])
 
     def test_product_state(self):
-        np.testing.assert_allclose(two_qubit_state(1.0).coefficients, [1.0, 0.0])
+        np.testing.assert_array_equal(pair(1.0).coefficients, [1.0, 0.0])
 
     @pytest.mark.parametrize("p", [0.49, 1.01, -1.0])
     def test_rejects_out_of_range(self, p):
+        # Below 1/2 the pair is unsorted; outside [0, 1] an entry is negative.
         with pytest.raises(InvalidInputError):
-            two_qubit_state(p)
+            pair(p)
 
 
 class TestMonotones:
