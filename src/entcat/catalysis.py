@@ -194,30 +194,31 @@ def _two_qubit_closed_form(problem: ConcentrationProblem) -> tuple:
 def catalysis_probability(problem: ConcentrationProblem, catalyst: SchmidtVector) -> float:
     """Optimal conversion probability with the given catalyst attached.
 
-    Evaluates the monotone-ratio formula on the tensored spectra; the catalyst
-    appears on both sides and is recovered on success.  A trivial (product)
-    catalyst reproduces :func:`locc_probability`.
+    Evaluates the monotone-ratio formula on the n copies tensored with the
+    catalyst, the target side passed as the catalyst's halves (see
+    :func:`_catalysed_probabilities`); the catalyst is recovered on success.
+    A trivial (product) catalyst reproduces :func:`locc_probability`.
     """
-    if 2**problem.n * catalyst.dimension > DIM_CAP:
-        raise ResourceLimitError(
-            f"combined dimension 2**{problem.n} * {catalyst.dimension} exceeds the cap {DIM_CAP}"
-        )
+    _check_combined_dimension(problem.n, catalyst.dimension)
     psi = _power_coefficients(problem.alpha, problem.n)[None, :]
-    return float(_catalysed_probabilities(psi, problem.n, catalyst.coefficients[None, :])[0])
+    return float(_catalysed_probabilities(psi, catalyst.coefficients[None, :])[0])
 
 
-def _catalysed_probabilities(psi: np.ndarray, n: int, catalysts: np.ndarray) -> np.ndarray:
+def _check_combined_dimension(n: int, d_c: int) -> None:
+    if 2**n * d_c > DIM_CAP:
+        raise ResourceLimitError(f"combined dimension 2**{n} * {d_c} exceeds the cap {DIM_CAP}")
+
+
+def _catalysed_probabilities(psi: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
     """Optimal probability of ``psi ⊗ c -> target ⊗ c`` for each row pair.
 
     Row r of ``psi`` holds the ``2**n`` coefficients of n copies of a primary
-    state, and row r of ``catalysts`` those of catalyst c.  One kernel call
-    over the tensored rows; the kernel sorts each row, so the products are
-    left unsorted.
+    state, and row r of ``catalysts`` those of catalyst c.  ``target ⊗ c`` is
+    zeros and each ``c_b / 2`` twice: its final row is those halves, which the
+    kernel reads as zero-padded.  The kernel sorts, so nothing is sorted here.
     """
-    cat = catalysts[:, None, :]
-    initial = (psi[:, :, None] * cat).reshape(len(catalysts), -1)
-    final = (target_spectrum(n).coefficients[None, :, None] * cat).reshape(len(catalysts), -1)
-    return conversion_probabilities(initial, final)
+    initial = (psi[:, :, None] * catalysts[:, None, :]).reshape(len(catalysts), -1)
+    return conversion_probabilities(initial, np.repeat(0.5 * catalysts, 2, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +315,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
         raise InvalidInputError("the problems of one catalyst search must share the copy count")
     for problem in problems:
         _require_window(problem)
-    if 2**n * d_c > DIM_CAP:
-        raise ResourceLimitError(f"combined dimension 2**{n} * {d_c} exceeds the cap {DIM_CAP}")
+    _check_combined_dimension(n, d_c)
 
     psi = np.array([_power_coefficients(problem.alpha, n) for problem in problems])
     spins = psi.shape[1]
@@ -488,7 +488,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     # Each catalyst's success probability, as catalysis_probability gives
     # it, from one kernel call over the tensored rows of the whole batch.
     cat, found = _ordered_spectra(certified)
-    p_cat = _catalysed_probabilities(psi, n, cat)
+    p_cat = _catalysed_probabilities(psi, cat)
     return [
         CatalystSpec(spectrum=spectrum, success_probability=float(p))
         for spectrum, p in zip(found, p_cat)
@@ -514,12 +514,6 @@ def _ordered_spectra(rows: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_from_monotones(values: np.ndarray) -> SchmidtVector:
-    coeffs = np.diff(np.concatenate([values, [0.0]])) * -1.0
-    np.maximum(coeffs, 0.0, out=coeffs)
-    return make_schmidt(np.sort(coeffs)[::-1])
-
-
 def intermediate_state(initial: SchmidtVector, final: SchmidtVector) -> SchmidtVector:
     """Temporary state reached deterministically before the final measurement.
 
@@ -538,8 +532,9 @@ def intermediate_state(initial: SchmidtVector, final: SchmidtVector) -> SchmidtV
     # Every monotone ratio is at least p, so the candidate monotone vector is
     # the final state's scaled by p, with the first entry reset to 1.  With
     # b_1 >= b_2 >= ... the final coefficients, its steps 1 - p + p*b_1,
-    # p*b_2, p*b_3, ... never grow, so it is already convex.
-    gamma = _spectrum_from_monotones(np.concatenate([[1.0], p * e_f[1:]]))
+    # p*b_2, p*b_3, ... never grow, so it is already convex: they are gamma.
+    steps = -np.diff(np.concatenate([[1.0], p * e_f[1:], [0.0]]))
+    gamma = make_schmidt(np.sort(np.maximum(steps, 0.0))[::-1])
     reachable = can_convert_deterministically(initial, gamma)
     if reachable and abs(conversion_probability(gamma, final) - p) <= 1e-10:
         return gamma

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -225,8 +226,8 @@ def waiting_factors(n_edges: int, ps: Sequence[float]) -> list[float]:
     Each p still gets ``1 + fsum`` of exactly its own terms, with its own
     cut, so its factor is bit for bit the one it gets alone.
     """
-    if n_edges < 1:
-        raise InvalidInputError(f"edge count must be positive, got {n_edges}")
+    if not isinstance(n_edges, Integral) or n_edges < 1:
+        raise InvalidInputError(f"edge count must be a positive integer, got {n_edges}")
     zs = [1.0] * len(ps)
     series = []  # (index, lam, term count) of each series p, in list order
     cut = math.log(n_edges) + 40.0  # the series stops where N exp(-lam m) < e**-40
@@ -340,8 +341,8 @@ def rate_slotted(edge: EdgeParams, n_edges: int) -> float:
     :func:`rate_catalytic`; the two coincide at N = 1 (Wald's identity) and at
     P0 = 1, where every load lasts exactly n slots.
     """
-    if n_edges < 1:
-        raise InvalidInputError(f"edge count must be positive, got {n_edges}")
+    if not isinstance(n_edges, Integral) or n_edges < 1:
+        raise InvalidInputError(f"edge count must be a positive integer, got {n_edges}")
     n = edge.copies
     p0 = edge.herald_probability
     q0 = 1.0 - p0
@@ -491,11 +492,9 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> SweepRow:
     The row :func:`sweep_rates` gives for this point, built by the same
     composition from the edge's optimal catalyst (:func:`edge_catalyst`,
     which raises :class:`~entcat.errors.CatalysisWindowError` out of window).
-    The edge-cycle breakdown behind ``t_edge_cycle_s`` is
-    :func:`t_edge_cycle`.
+    The edge-cycle breakdown behind ``t_edge_cycle_s`` is :func:`t_edge_cycle`;
+    the edge count is checked where the waiting factors are taken.
     """
-    if n_edges < 1:
-        raise InvalidInputError(f"edge count must be positive, got {n_edges}")
     catalysts = {(edge.catalyst_dim, 0): _spectrum_catalyst(edge_catalyst(edge))}
     problem = ConcentrationProblem(edge.copies, edge.alpha)
     # The point's two factors, one waiting_factor call each, so perfbench's

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
 from operator import attrgetter
 from typing import Optional
 
@@ -89,20 +90,21 @@ class SimConfig:
     cycle_time_override_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_edges < 1:
-            raise InvalidInputError(f"edge count must be positive, got {self.n_edges}")
+        if not isinstance(self.n_edges, Integral) or self.n_edges < 1:
+            raise InvalidInputError(f"edge count must be a positive integer, got {self.n_edges}")
         if self.mode not in (ABSTRACT_MODE, DETAILED_MODE):
             raise InvalidInputError(f"mode must be abstract or detailed, got {self.mode!r}")
-        if self.trials < 1:
-            raise InvalidInputError("trials must be positive")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
-        if self.initial_stock < 0:
-            raise InvalidInputError("initial stock must be non-negative")
-        if self.stock_capacity is not None and self.stock_capacity < self.initial_stock:
-            raise InvalidInputError("stock capacity must cover the initial stock")
-        if self.max_slots < 1:
-            raise InvalidInputError("max_slots must be positive")
+        if not isinstance(self.trials, Integral) or self.trials < 1:
+            raise InvalidInputError(f"trials must be a positive integer, got {self.trials}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.initial_stock, Integral) or self.initial_stock < 0:
+            raise InvalidInputError("initial stock must be a non-negative integer")
+        capacity = self.initial_stock if self.stock_capacity is None else self.stock_capacity
+        if not isinstance(capacity, Integral) or capacity < self.initial_stock:
+            raise InvalidInputError("stock capacity must be an integer covering the initial stock")
+        if not isinstance(self.max_slots, Integral) or self.max_slots < 1:
+            raise InvalidInputError(f"max_slots must be a positive integer, got {self.max_slots}")
         if self.p_cat_override is not None and not 0.0 < self.p_cat_override <= 1.0:
             raise InvalidInputError("forced success probability must lie in (0, 1]")
         if self.cycle_time_override_s is not None:
@@ -762,10 +764,10 @@ def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> W
     ``_MIN_GEOMETRIC_P`` up, where every count and batch sum it forms is an
     exact double for N up to ~8.3e7.
     """
-    if trials < 2:
-        raise InvalidInputError("need at least two trials for a standard error")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    if not isinstance(trials, Integral) or trials < 2:
+        raise InvalidInputError(f"trials must be an integer of at least 2, got {trials}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
     analytic = waiting_factor(n_edges, p)
     sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
     uniforms = np.empty(min(_BATCH_TRIALS, trials))

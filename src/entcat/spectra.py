@@ -114,19 +114,23 @@ def conversion_probabilities(initial: np.ndarray, final: np.ndarray) -> np.ndarr
     """Optimal LOCC conversion probability for each pair of rows.
 
     Row k of ``initial`` and row k of ``final`` are the coefficients of two
-    spectra, zero-padded to a common length, in any order.  Sorted ascending,
-    the running sum at position j is the monotone made of the j+1 smallest
+    spectra in any order; a narrower ``final`` stands for its zero-padding,
+    and a wider one is an :class:`InvalidInputError`.  Sorted ascending, the
+    running sum at position j is the monotone made of the j+1 smallest
     coefficients, a suffix sum that keeps the relative precision of small
     tails; the last entry, the whole mass, is set to exactly 1.  The minimum
     over monotones does not depend on their order, so nothing is reversed.
 
     Zero tails sum to exactly 0.0.  An index where the final monotone is
-    exactly zero is never binding and is skipped; an initial monotone that is
-    exactly zero against a positive final one forces the probability to zero.
-    Every other ratio enters the minimum, however small its monotones: a
-    final tail below ``TOL`` still binds when the initial tail is smaller.
+    exactly zero is never binding and is skipped, as is the padding, whose
+    monotones are such zeros; an initial monotone that is exactly zero
+    against a positive final one forces the probability to zero.  Every other
+    ratio enters the minimum, however small its monotones: a final tail below
+    ``TOL`` still binds when the initial tail is smaller.
     """
-    e_i = np.cumsum(np.sort(initial, axis=1), axis=1)
+    if final.shape[1] > initial.shape[1]:
+        raise InvalidInputError("final rows must not be wider than the initial rows")
+    e_i = np.cumsum(np.sort(initial, axis=1), axis=1)[:, -final.shape[1] :]
     e_f = np.cumsum(np.sort(final, axis=1), axis=1)
     e_i[:, -1] = 1.0
     e_f[:, -1] = 1.0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,18 @@ class TestCatalysisProbability:
                 ConcentrationProblem(19, 0.8), make_schmidt([0.3, 0.3, 0.2, 0.2])
             )
 
+    def test_catalysed_target_memory(self):
+        # the target side is the catalyst's 2 d_c halves: a 2**n d_c target
+        # row, built and sorted, peaked at 53 MiB here
+        catalyst = make_schmidt([0.4, 0.3, 0.2, 0.1])
+        tracemalloc.start()
+        try:
+            catalysis_probability(ConcentrationProblem(18, 0.99), catalyst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
 
 class TestEfficiencyRatio:
     """The catalytic success probability over the plain LOCC optimum."""
@@ -305,27 +318,32 @@ class TestSearchCatalyst:
         assert info.value.best.dimension == 4
 
     def test_batch_objective_matches_scalar_route(self):
-        # the batched kernel on catalyst-tensored rows, built as the search
-        # builds them, must agree with the public catalysis_probability path,
-        # including zero conventions
+        # the evaluator passes the catalyst's halves as the target side; the
+        # kernel on the full tensored rows, target zero-padded to 2**n d_c
+        # entries as the search once built them, must give the same bits,
+        # through the batch and through catalysis_probability, zero entries
+        # and product catalysts included
         rng = np.random.default_rng(3)
-        for n, alpha in [(2, 0.8), (3, 0.9)]:
-            problem = ConcentrationProblem(n, alpha)
-            initial = initial_spectrum(problem).coefficients
-            final = target_spectrum(n).coefficients
-            rows = []
-            for _ in range(20):
-                c = np.sort(rng.random(4))[::-1]
-                rows.append(c / c.sum())
-            rows.append(np.array([1.0, 0.0, 0.0, 0.0]))  # product catalyst
-            catalysts = np.asarray(rows)
-            batch = conversion_probabilities(
-                (initial[None, :, None] * catalysts[:, None, :]).reshape(len(rows), -1),
-                (final[None, :, None] * catalysts[:, None, :]).reshape(len(rows), -1),
-            )
-            for row, expected in zip(rows, batch):
-                scalar = catalysis_probability(problem, make_schmidt(row))
-                assert scalar == pytest.approx(float(expected), abs=1e-12)
+        for n in range(1, 7):
+            for alpha in rng.uniform(0.5, 1.0, 3):
+                problem = ConcentrationProblem(n, float(alpha))
+                initial = initial_spectrum(problem).coefficients
+                final = target_spectrum(n).coefficients
+                for d_c in range(1, 9):
+                    rows = np.sort(rng.random((8, d_c)), axis=1)[:, ::-1]
+                    for row in rows:
+                        row[d_c - rng.integers(0, d_c) :] = 0.0  # zero tail, first entry kept
+                    rows[0, 1:] = 0.0  # product catalyst
+                    catalysts = rows / rows.sum(axis=1, keepdims=True)
+                    batch = conversion_probabilities(
+                        (initial[None, :, None] * catalysts[:, None, :]).reshape(len(rows), -1),
+                        (final[None, :, None] * catalysts[:, None, :]).reshape(len(rows), -1),
+                    )
+                    psi = np.tile(initial, (len(rows), 1))
+                    got = catalysis._catalysed_probabilities(psi, catalysts)
+                    assert got.tobytes() == batch.tobytes()
+                    for row, expected in zip(catalysts, batch):
+                        assert catalysis_probability(problem, SchmidtVector(row)) == expected
 
 
 def _sweep_dim4_problems():

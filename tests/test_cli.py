@@ -408,7 +408,7 @@ class TestSimulateCommand:
         conf.write_text(f"mode = {mode}\nalpha = 0.8\nseed = -3\n")
         code, out, err = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
         assert (code, out) == (1, "")
-        assert err == "error: seed must be non-negative, got -3\n"
+        assert err == "error: seed must be a non-negative integer, got -3\n"
 
     def test_detailed_run_at_the_window_lower_edge(self, capsys, tmp_path):
         # The catalyst there is (1/2, 1/2), which the edge rebuilds from its own pairs.
@@ -551,7 +551,7 @@ class TestValidateZ:
         code, out, err = run_cli(capsys, "validate-z", "--edges", "4", "--p", "0.5",
                                  "--trials", "10", "--seed", "-1")
         assert (code, out) == (1, "")
-        assert err == "error: seed must be non-negative, got -1\n"
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 class TestConfigParsing:

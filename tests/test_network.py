@@ -424,6 +424,22 @@ class TestRateSlotted:
             rate_slotted(EdgeParams(alpha=0.8, copies=2), 0)
 
 
+@pytest.mark.parametrize("n_edges", [2.5, 4.0, "4", None])
+@pytest.mark.parametrize("call", [
+    lambda n: waiting_factors(n, [0.5, 0.005]),
+    lambda n: waiting_factor(n, 0.5),
+    lambda n: rate_slotted(EdgeParams(alpha=0.8), n),
+    lambda n: rate_catalytic(EdgeParams(alpha=0.8), AuxConfig(AUX_RICH), n),
+    lambda n: sweep_rates(2, n, [0.8]),
+], ids=["waiting_factors", "waiting_factor", "rate_slotted", "rate_catalytic", "sweep_rates"])
+def test_edge_count_must_be_an_integer(call, n_edges):
+    # a non-integral count once gave a rate (764.68 Hz from rate_catalytic at
+    # 2.5) or a bare TypeError; numpy integers are counts like Python's
+    with pytest.raises(InvalidInputError, match="edge count must be a positive integer"):
+        call(n_edges)
+    assert call(np.int64(4)) == call(4)
+
+
 class TestSweep:
     def test_row_shape_and_order(self):
         grid = [0.6, 0.75, 0.8]

@@ -113,6 +113,31 @@ class TestConfigValidation:
         SimConfig(n_edges=1, edge=EDGE, **setting)
 
 
+FINITE_AUX_CONFIG = AuxConfig(FINITE_AUX, (AuxPath(0.9, 0.5, 1e-4),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: abstract_config(n_edges=v),
+    lambda v: abstract_config(trials=v),
+    lambda v: abstract_config(seed=v),
+    lambda v: SimConfig(n_edges=2, mode="detailed", edge=EDGE, max_slots=v),
+    lambda v: SimConfig(n_edges=2, mode="detailed", edge=EDGE, aux=AuxConfig(NO_AUX),
+                        initial_stock=v),
+    lambda v: SimConfig(n_edges=2, mode="detailed", edge=EDGE, aux=FINITE_AUX_CONFIG,
+                        stock_capacity=v),
+    lambda v: validate_waiting_factor(2, 0.5, v, 0),
+    lambda v: validate_waiting_factor(2, 0.5, 100, v),
+], ids=["n_edges", "trials", "seed", "max_slots", "initial_stock", "stock_capacity",
+        "validate_trials", "validate_seed"])
+@pytest.mark.parametrize("value", [2.5, 100.5, 4.0, "4"])
+def test_counts_must_be_integers(build, value):
+    # a non-integral count once built a config whose run raised a bare
+    # TypeError, or gave validate-z a verdict; numpy integers are counts
+    with pytest.raises(InvalidInputError, match="integer"):
+        build(value)
+    build(np.int64(4))
+
+
 class TestAbstract:
     def test_certain_success_zero_variance(self):
         cfg = abstract_config(n_edges=1, trials=500, p_cat_override=1.0,

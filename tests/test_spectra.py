@@ -298,3 +298,24 @@ class TestConversionProbabilities:
         # exactly 1; monotones taken as 1 - prefix sums gave 0.999999999998781
         exact = self.check([1, 1, 2, 2, 17, 99], [1, 1, 1, 1, 18, 100], [[1, 44]])
         assert exact == [1]
+
+    def test_narrower_final_reads_as_zero_padded(self):
+        # a final row narrower than the initial one gives the bits of its
+        # zero-padded form, zero rule and snap to 1 included; a wider one is
+        # an input error
+        rng = np.random.default_rng(5)
+        initial = rng.random((200, 12))
+        final = rng.random((200, 5))
+        for rows in initial, final:
+            rows[rng.random(rows.shape) < 0.25] = 0.0
+            rows[:, 0] += 1e-3  # no row is all zeros
+        initial[:40, 3:] = 0.0  # rank below the final one's: probability 0
+        final[-40:] = [1.0, 0.0, 0.0, 0.0, 0.0]  # a product state: probability 1
+        initial /= initial.sum(axis=1, keepdims=True)
+        final /= final.sum(axis=1, keepdims=True)
+        padded = np.hstack([final, np.zeros((200, 7))])
+        got = conversion_probabilities(initial, final)
+        assert got.tobytes() == conversion_probabilities(initial, padded).tobytes()
+        assert (got == 0.0).any() and (got == 1.0).any() and ((0.0 < got) & (got < 1.0)).any()
+        with pytest.raises(InvalidInputError):
+            conversion_probabilities(final, initial)
