@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class ConcentrationProblem:
     alpha: float
 
     def __post_init__(self):
+        if type(self.n) is not int and isinstance(self.n, Integral):
+            object.__setattr__(self, "n", int(self.n))  # a numpy count, stored plain
         if not isinstance(self.n, int) or self.n < 1:
             raise InvalidInputError(f"copy count must be a positive integer, got {self.n}")
         if not 0.5 < self.alpha < 1.0:
@@ -141,8 +144,12 @@ def _smallest_power_at_most(alpha: float, c: float) -> int:
 
 
 def in_catalysis_window(problem: ConcentrationProblem) -> bool:
-    """Whether a catalyst can help: ``2 <= n <= n_star(alpha) - 1``."""
-    return 2 <= problem.n <= n_star(problem.alpha) - 1
+    """Whether a catalyst can help: ``2 <= n <= n_star(alpha) - 1``.
+
+    ``n < n_star(alpha)`` holds exactly when ``alpha**n`` is still above 1/2,
+    so one power decides it, with no logarithm and no stepping.
+    """
+    return problem.n >= 2 and problem.alpha**problem.n > 0.5
 
 
 def _require_window(problem: ConcentrationProblem) -> None:

@@ -57,6 +57,10 @@ class EdgeParams:
     catalyst_dim: int = 2
 
     def __post_init__(self):
+        for name in ("copies", "catalyst_dim"):
+            value = getattr(self, name)
+            if type(value) is not int and isinstance(value, Integral):
+                object.__setattr__(self, name, int(value))  # a numpy count, stored plain
         if not 0.5 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must lie in (0.5, 1), got {self.alpha}")
         if not isinstance(self.copies, int) or self.copies < 2:
@@ -111,11 +115,7 @@ class AuxConfig:
 
 
 class TimingBreakdown(NamedTuple):
-    """Mean times entering one catalysis attempt over an edge (seconds).
-
-    An immutable tuple, so a sweep row that reads only ``t_edge_cycle_s``
-    pays one tuple allocation for it.
-    """
+    """Mean times entering one catalysis attempt over an edge (seconds)."""
 
     t_primary_s: float
     t_catalyst_s: Optional[float]
@@ -173,24 +173,36 @@ def t_edge_cycle(
     """
     if not 0.0 < p_cat <= 1.0:
         raise InvalidInputError("catalysis probability must lie in (0, 1]")
-    t0 = edge.cycle_time_s
-    t_pri = t_primary(edge.copies, t0, edge.herald_probability)
-    if aux.mode == AUX_RICH:
+    t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
+    if aux.mode == FINITE_AUX:
+        supply = t_catalyst(aux.paths, copies)
+    elif aux.mode == NO_AUX:
+        (supply,) = copies
+    else:
+        supply = None
+    return _cycle_times(p_cat, edge, aux.mode, t_pri, supply)
+
+
+def _cycle_times(p_cat, edge: EdgeParams, mode: str, t_pri: float, supply) -> TimingBreakdown:
+    """The breakdown of :func:`t_edge_cycle`, for one ``p_cat`` or a numpy column of them.
+
+    ``supply`` is what one catalyst costs: with finite paths their
+    :func:`t_catalyst`, a float; with none the edge's own copy count
+    ``n_cat``, an int or a column beside ``p_cat``; plentiful paths read
+    nothing.  Columns meet only ``+ - * /``, in the scalar call's order, so
+    each entry keeps the bits of its own scalar call.
+    """
+    if mode == AUX_RICH:
         t_cat = None
         t_both = t_pri
-    elif aux.mode == FINITE_AUX:
-        t_cat = t_catalyst(aux.paths, copies)
+    elif mode == FINITE_AUX:
+        t_cat = supply
         t_both = max(t_pri, t_cat)
     else:
-        (n_cat,) = copies
-        t_cat = n_cat * t0 / edge.herald_probability
-        t_both = (edge.copies + n_cat) * t0 / edge.herald_probability
-    return TimingBreakdown(
-        t_primary_s=t_pri,
-        t_catalyst_s=t_cat,
-        t_primary_plus_catalyst_s=t_both,
-        t_edge_cycle_s=p_cat * t_pri + (1.0 - p_cat) * t_both,
-    )
+        t0 = edge.cycle_time_s
+        t_cat = supply * t0 / edge.herald_probability
+        t_both = (edge.copies + supply) * t0 / edge.herald_probability
+    return TimingBreakdown(t_pri, t_cat, t_both, p_cat * t_pri + (1.0 - p_cat) * t_both)
 
 
 # Series terms :func:`waiting_factors` evaluates in one numpy pass.  A p's
@@ -424,6 +436,8 @@ class SweepRow(_SweepFields):
 
 
 SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
+# A row from a tuple of its fields in column order, with no keyword call.
+_new_row = partial(tuple.__new__, SweepRow)
 
 
 def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
@@ -441,38 +455,64 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
     The catalytic rate pays the edge-cycle time and waits for all edges at
     the catalytic success probability; the comparator pays only the primary
     assembly time at the plain LOCC probability.  Each quantity is computed
-    once: the plain-LOCC side per problem, ``z_cat`` and the edge's own copy
-    count ``n_cat`` per (dimension, problem), and only the edge-cycle time
-    per aux mode.
+    once: the plain-LOCC columns per problem, ``z_cat``, ``eta_p`` and the
+    edge's own copy count ``n_cat`` per (dimension, problem), and only the
+    edge-cycle time, the catalytic rate and ``eta_r`` per aux mode.  Those
+    take one numpy pass over a block's in-window problems, with the scalar
+    arithmetic's operations in its order, so every float keeps its bits;
+    only a finite path list's rows take :func:`t_edge_cycle` one at a time.
     """
     first = next(iter(edges.values()))
     t_pri = t_primary(first.copies, first.cycle_time_s, first.herald_probability)
+    count = len(problems)
+    alphas = [problem.alpha for problem in problems]
     p_loccs = [locc_probability(problem) for problem in problems]
     zs = waits(n_edges, p_loccs + [p_cat for _, p_cat, _ in catalysts.values()])
-    locc = [(p_locc, z_locc, 1.0 / (t_pri * z_locc)) for p_locc, z_locc in zip(p_loccs, zs)]
-    cat = {key: (z_cat, copies(problems[key[1]].alpha))
-           for (key, (_, _, copies)), z_cat in zip(catalysts.items(), zs[len(problems):])}
-    rows = []
-    for aux in auxes:
-        for dim, edge in edges.items():
-            for i, problem in enumerate(problems):
-                p_locc, z_locc, rate_locc = locc[i]
-                point = dict(alpha=problem.alpha, mode=aux.mode, catalyst_dim=dim,
-                             p_locc=p_locc, z_locc=z_locc, rate_locc_hz=rate_locc)
-                if (dim, i) not in catalysts:
-                    rows.append(SweepRow(**point, window_flag=WINDOW_OUT))
-                    continue
-                c0, p_cat, copies = catalysts[dim, i]
-                z_cat, n_cat = cat[dim, i]
-                supply = _supply_copies(aux, copies, n_cat)
-                t_cycle = t_edge_cycle(p_cat, edge, aux, supply).t_edge_cycle_s
-                rate_cat = 1.0 / (t_cycle * z_cat)
-                rows.append(SweepRow(
-                    **point, p_cat=p_cat, c0=c0, n_cat=n_cat, eta_p=p_cat / p_locc, z_cat=z_cat,
-                    t_edge_cycle_s=t_cycle, rate_cat_hz=rate_cat, eta_r=rate_cat / rate_locc,
-                    window_flag=WINDOW_OK,
-                ))
-    return rows
+    z_loccs = zs[:count]
+    rate_loccs = (1.0 / (t_pri * np.array(z_loccs))).tolist()
+    z_cats = dict(zip(catalysts, zs[count:]))
+    blocks = {}  # the rows of each (aux index, dimension), in problem order
+    for edge in edges.values():
+        dim = edge.catalyst_dim
+        inside = [i for i in range(count) if (dim, i) in catalysts]
+        outside = [i for i in range(count) if (dim, i) not in catalysts]
+        # Row i of the block is entry order[i] of its in-window rows, then the rest.
+        order = sorted(range(count), key=(inside + outside).__getitem__)
+        entries = [catalysts[dim, i] for i in inside]
+        c0s = [c0 for c0, _, _ in entries]
+        p_cats = [p_cat for _, p_cat, _ in entries]
+        counters = [copies for _, _, copies in entries]
+        n_cats = [copies(alphas[i]) for i, copies in zip(inside, counters)]
+        alpha, p_locc, z_locc, rate_locc = (
+            [column[i] for i in inside] for column in (alphas, p_loccs, z_loccs, rate_loccs)
+        )
+        z_cat = [z_cats[dim, i] for i in inside]
+        p_cat = np.array(p_cats)
+        eta_p = (p_cat / np.array(p_locc)).tolist()
+        n_cat = np.array(n_cats)
+        z_cat_column, rate_locc_column = np.array(z_cat), np.array(rate_locc)
+        for a, aux in enumerate(auxes):
+            if aux.mode == FINITE_AUX:
+                t_cycle = np.array([
+                    t_edge_cycle(p, edge, aux, _supply_copies(aux, copies, n)).t_edge_cycle_s
+                    for p, copies, n in zip(p_cats, counters, n_cats)
+                ])
+            else:
+                t_cycle = _cycle_times(p_cat, edge, aux.mode, t_pri, n_cat).t_edge_cycle_s
+            rate_cat = 1.0 / (t_cycle * z_cat_column)
+            eta_r = rate_cat / rate_locc_column
+            ok = list(map(_new_row, zip(
+                alpha, itertools.repeat(aux.mode), itertools.repeat(dim), p_locc, p_cats, c0s,
+                n_cats, eta_p, z_locc, z_cat, t_cycle.tolist(), rate_locc, rate_cat.tolist(),
+                eta_r.tolist(), itertools.repeat(WINDOW_OK),
+            )))
+            out = [_new_row((alphas[i], aux.mode, dim, p_loccs[i], None, None, None, None,
+                             z_loccs[i], None, None, rate_loccs[i], None, None, WINDOW_OUT))
+                   for i in outside]
+            blocks[a, dim] = map((ok + out).__getitem__, order)
+    return list(itertools.chain.from_iterable(
+        blocks[a, dim] for a in range(len(auxes)) for dim in edges
+    ))
 
 
 def _spectrum_catalyst(catalyst: CatalystSpec) -> tuple:

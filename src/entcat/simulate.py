@@ -90,6 +90,10 @@ class SimConfig:
     cycle_time_override_s: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("n_edges", "initial_stock", "stock_capacity", "max_slots", "trials", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int and isinstance(value, Integral):
+                object.__setattr__(self, name, int(value))  # a numpy count, echoed as JSON
         if not isinstance(self.n_edges, Integral) or self.n_edges < 1:
             raise InvalidInputError(f"edge count must be a positive integer, got {self.n_edges}")
         if self.mode not in (ABSTRACT_MODE, DETAILED_MODE):

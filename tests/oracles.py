@@ -7,8 +7,9 @@ survival recursion for the slot-level chain model, the slot-by-slot
 stepper that the detailed simulator must match byte for byte, the
 per-edge geometric sampler that the abstract simulator and the waiting-factor
 check must match below p = 1/3, the lockstep catalyst search as first
-written, which checks its certificate at every cut, and the sweep CSV writer
-that formats each cell by its type.
+written, which checks its certificate at every cut, the sweep rows composed
+one scalar point at a time, and the sweep CSV writer that formats each cell
+by its type.
 """
 
 import math
@@ -21,12 +22,30 @@ import numpy as np
 
 from entcat.catalysis import (
     _CERTIFIED_TRACE,
+    ConcentrationProblem,
     catalysis_probability,
     copies_for_catalyst,
     initial_spectrum,
+    locc_probability,
+    n_star,
+    optimal_catalyst,
 )
 from entcat.errors import InvalidInputError
-from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, SWEEP_CSV_HEADER, edge_catalyst
+from entcat.network import (
+    AUX_RICH,
+    FINITE_AUX,
+    NO_AUX,
+    SWEEP_CSV_HEADER,
+    WINDOW_OK,
+    WINDOW_OUT,
+    AuxConfig,
+    EdgeParams,
+    SweepRow,
+    edge_catalyst,
+    t_edge_cycle,
+    t_primary,
+    waiting_factor,
+)
 from entcat.spectra import make_schmidt
 from entcat.simulate import (
     ABSTRACT_MODE,
@@ -507,6 +526,52 @@ def lockstep_search(problems, d_c: int, max_cuts: int):
         (spectrum.coefficients, catalysis_probability(problem, spectrum))
         for problem, spectrum in zip(problems, found)
     ], cut_index
+
+
+# ---------------------------------------------------------------------------
+# Sweep rows composed one scalar point at a time
+# ---------------------------------------------------------------------------
+
+
+def sweep_rows(copies, n_edges, alpha_grid, modes, catalyst_dims, *, aux_paths=(), **timing):
+    """The rows of ``network.sweep_rates``, each point composed on its own.
+
+    One row per (mode, dimension, alpha), from the public pieces alone: the
+    window from ``n_star``, the catalyst from ``optimal_catalyst`` and its
+    copy counts from ``copies_for_catalyst``, the edge cycle from
+    ``t_edge_cycle`` and one ``waiting_factor`` call per probability.
+    ``timing`` holds the edge's timing keywords.
+    """
+    rows = []
+    for mode in modes:
+        aux = AuxConfig(mode, aux_paths if mode == FINITE_AUX else ())
+        for dim in catalyst_dims:
+            for alpha in sorted(alpha_grid):
+                edge = EdgeParams(alpha, copies, catalyst_dim=dim, **timing)
+                problem = ConcentrationProblem(copies, alpha)
+                p_locc = locc_probability(problem)
+                z_locc = waiting_factor(n_edges, p_locc)
+                t_pri = t_primary(copies, edge.cycle_time_s, edge.herald_probability)
+                rate_locc = 1.0 / (t_pri * z_locc)
+                if not 2 <= copies <= n_star(alpha) - 1:
+                    rows.append(SweepRow(alpha=alpha, mode=mode, catalyst_dim=dim, p_locc=p_locc,
+                                         z_locc=z_locc, rate_locc_hz=rate_locc,
+                                         window_flag=WINDOW_OUT))
+                    continue
+                catalyst = optimal_catalyst(problem, dim)
+                spectrum, p_cat = catalyst.spectrum, catalyst.success_probability
+                n_cat = copies_for_catalyst(spectrum, alpha)
+                supply = tuple(copies_for_catalyst(spectrum, path.alpha) for path in aux.paths)
+                t_cycle = t_edge_cycle(p_cat, edge, aux, supply or (n_cat,)).t_edge_cycle_s
+                z_cat = waiting_factor(n_edges, p_cat)
+                rate_cat = 1.0 / (t_cycle * z_cat)
+                rows.append(SweepRow(
+                    alpha=alpha, mode=mode, catalyst_dim=dim, p_locc=p_locc, p_cat=p_cat,
+                    c0=float(spectrum.coefficients[0]), n_cat=n_cat, eta_p=p_cat / p_locc,
+                    z_locc=z_locc, z_cat=z_cat, t_edge_cycle_s=t_cycle, rate_locc_hz=rate_locc,
+                    rate_cat_hz=rate_cat, eta_r=rate_cat / rate_locc, window_flag=WINDOW_OK,
+                ))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from entcat.catalysis import (
     ConcentrationProblem,
     catalysis_probability,
     copies_for_catalyst,
+    in_catalysis_window,
     initial_spectrum,
     intermediate_state,
     locc_probability,
@@ -125,6 +126,27 @@ class TestNStar:
     def test_rejects(self, alpha):
         with pytest.raises(InvalidInputError):
             n_star(alpha)
+
+
+class TestCatalysisWindow:
+    def test_one_power_matches_n_star(self):
+        # The window test takes one power, alpha**n > 1/2; it must agree with
+        # 2 <= n <= n_star(alpha) - 1 at every window edge 0.5**(1/m), at its
+        # 30 float neighbours on each side, and on a fixed random sample.
+        alphas = list(np.random.default_rng(7).uniform(0.5, 1.0, 2000))
+        for m in range(1, 71):
+            edge = 0.5 ** (1.0 / m)
+            below = above = edge
+            for _ in range(30):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                alphas += [below, above]
+            alphas.append(edge)
+        alphas = [float(a) for a in alphas if 0.5 < a < 1.0]
+        for alpha in alphas:
+            star = n_star(alpha)
+            for n in range(1, 71):
+                problem = ConcentrationProblem(n, alpha)
+                assert in_catalysis_window(problem) == (2 <= n <= star - 1), (n, alpha)
 
 
 class TestOptimalTwoQubitCatalyst:

@@ -440,6 +440,19 @@ def test_edge_count_must_be_an_integer(call, n_edges):
     assert call(np.int64(4)) == call(4)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: ConcentrationProblem(n, 0.8).n,
+    lambda n: EdgeParams(alpha=0.8, copies=n).copies,
+    lambda n: EdgeParams(alpha=0.8, catalyst_dim=n).catalyst_dim,
+    lambda n: sweep_rates(n, 4, [0.8])[0].n_cat,
+], ids=["problem", "edge_copies", "edge_catalyst_dim", "sweep_rates"])
+@pytest.mark.parametrize("count", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_numpy_integer_counts_are_plain_ints(build, count):
+    # numpy integers are counts like Python's, stored as plain ints
+    value = build(count)
+    assert type(value) is int and value == build(2)
+
+
 class TestSweep:
     def test_row_shape_and_order(self):
         grid = [0.6, 0.75, 0.8]
@@ -499,6 +512,24 @@ class TestSweep:
                     aux = AuxConfig(mode, paths if mode == FINITE_AUX else ())
                     expected.append(rate_catalytic(edge, aux, 8))
         assert rows == expected
+
+    @pytest.mark.parametrize("mode", [AUX_RICH, NO_AUX, FINITE_AUX])
+    def test_rows_match_the_scalar_composition(self, mode):
+        # The sweep builds each (mode, dimension) block from columns; every
+        # row must equal the one composed point by point from the public
+        # pieces.  0.6 lies out of window, 0.7071067811865476 gives c0 = 1/2,
+        # 0.7072 lies just inside, and at 0.999999 n_cat is 1001 and z_cat
+        # takes the harmonic branch.  The paths are sim-finite-aux's.
+        grid = [0.999999, 0.6, 0.7072, 0.7071067811865476, 0.75, 0.8, 0.9, 0.95]
+        paths = (AuxPath(0.8, 0.05, 2.5e-4), AuxPath(0.75, 0.3, 1.0e-3))
+        aux_paths = paths if mode == FINITE_AUX else ()
+        rows = sweep_rates(2, 8, grid, [mode], [2, 4], herald_probability=0.4,
+                           aux_paths=aux_paths)
+        expected = oracles.sweep_rows(2, 8, grid, [mode], [2, 4], herald_probability=0.4,
+                                      aux_paths=aux_paths)
+        assert [r.n_cat for r in rows if r.alpha == 0.999999 and r.catalyst_dim == 2] == [1001]
+        assert rows == expected
+        assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in expected]
 
     @pytest.mark.parametrize("n,alpha", [
         (3, 0.7937005259840998), (7, 0.9057236642639067), (9, 0.9258747122872905),

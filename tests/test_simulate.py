@@ -138,6 +138,17 @@ def test_counts_must_be_integers(build, value):
     build(np.int64(4))
 
 
+def test_numpy_counts_give_the_plain_int_record():
+    # the config stores plain ints, so its record is JSON and byte for byte
+    # the record of the same run given Python ints
+    def record(count):
+        cfg = SimConfig(n_edges=count(3), mode="detailed", edge=EdgeParams(alpha=0.8),
+                        max_slots=count(200), seed=count(1))
+        return json.dumps(result_record(cfg, run_simulation(cfg)))
+
+    assert record(np.int64) == record(int)
+
+
 class TestAbstract:
     def test_certain_success_zero_variance(self):
         cfg = abstract_config(n_edges=1, trials=500, p_cat_override=1.0,
