@@ -41,6 +41,15 @@ from .spectra import (
 DIM_CAP = 2**20
 
 
+def _copy_count(n) -> int:
+    """``n`` as a plain int, a numpy count included, if it is a positive integer."""
+    if type(n) is not int and isinstance(n, Integral):
+        n = int(n)
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInputError(f"copy count must be a positive integer, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ConcentrationProblem:
     """Concentrate ``n`` copies of a state with larger coefficient ``alpha``."""
@@ -49,10 +58,7 @@ class ConcentrationProblem:
     alpha: float
 
     def __post_init__(self):
-        if type(self.n) is not int and isinstance(self.n, Integral):
-            object.__setattr__(self, "n", int(self.n))  # a numpy count, stored plain
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidInputError(f"copy count must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _copy_count(self.n))
         if not 0.5 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must lie in (0.5, 1), got {self.alpha}")
 
@@ -104,8 +110,7 @@ def _power_coefficients(alpha: float, m: int, count: int | None = None) -> np.nd
 
 def target_spectrum(n: int) -> SchmidtVector:
     """Spectrum of one Bell pair padded by the n-1 leftover product pairs."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"copy count must be a positive integer, got {n}")
+    n = _copy_count(n)
     if 2**n > DIM_CAP:
         raise ResourceLimitError(f"2**{n} exceeds the dimension cap {DIM_CAP}")
     coeffs = np.zeros(2**n)

@@ -3,13 +3,17 @@
 Two simulators: an abstract per-edge geometric-cycle model matching the
 analytic rate composition exactly, and a slot-level discrete-event model
 with catalyst stock, recycling on success, loss on failure, and
-replenishment from the edge's own pairs or from auxiliary paths.  The
-slot-level model is computed per edge from block draws: with plentiful aux
-paths an edge holds no stock and renews at every delivery, so a block of
-deliveries is settled at a time; an edge that holds a stock (no aux paths,
-or finite ones) advances one delivery at a time, jumping from event to
-event.  Trials are independently seeded so results are bit-identical
-however they are scheduled.
+replenishment from the edge's own pairs or from auxiliary paths.
+
+The slot-level model is computed per edge from block draws, with no
+per-slot loop.  An edge's run, from one delivery to its next successful
+attempt, takes as many slots as it takes load draws, unless an attempt
+waits for a catalyst.  Only finite aux paths make an attempt wait, on an
+empty stock, and a success spends nothing, so only a run that holds a
+failure, or the first run from an empty initial stock, can wait.  Those
+runs alone are stepped against the edge's stock and aux clocks; a block of
+deliveries with none of them settles at once.  Trials are independently
+seeded so results are bit-identical however they are scheduled.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from numbers import Integral
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -26,6 +29,7 @@ from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
     FINITE_AUX,
+    NO_AUX,
     AuxConfig,
     EdgeParams,
     _spectrum_catalyst,
@@ -343,102 +347,11 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
     )
 
 
-# Load draws per call on one edge's stream, and deliveries settled per step;
-# both bound the working memory whatever ``max_slots`` is.
+# Draws per call on one edge's load or attempt stream, and loads per edge in
+# a block of deliveries; both bound the working memory whatever ``max_slots``
+# and the success probability are.
 _DRAW_BLOCK = 1 << 11
-_DELIVERY_BLOCK = 1 << 8
-
-
-class _EdgeRenewals:
-    """One aux-rich edge's loads and catalysis attempts, read a block of draws at a time.
-
-    The edge draws one load value per loading slot and one attempt value per
-    completed load, and nothing while it waits ready, so the load draws at
-    which its catalysis attempts succeed depend on its own two streams only.
-    Every load ends at the n-th success after the last.  No edge uses more
-    load values than there are slots, so at most ``max_slots`` are drawn.
-    """
-
-    def __init__(self, cfg: SimConfig, trial: int, edge: int, p_cat):
-        self.load_ends = _every_nth_success(
-            _rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability, cfg.edge.copies,
-            cfg.max_slots,
-        )
-        self.attempt_rng = _rng(cfg.seed, trial, edge, 1)
-        self.p_cat = p_cat
-        self.loads = self.successes = 0  # settled loads, and the successes among them
-        # Completed loads not yet counted: the load draw that completes each
-        # (counted from 1) and its attempt outcome.
-        self.done = (np.empty(0, np.int64), np.empty(0, bool))
-
-    def ready_draws(self, count: int) -> np.ndarray:
-        """Load draws of the next ``count`` successful attempts not yet counted.
-
-        Fewer come back when the edge reaches ``max_slots`` draws first.
-        """
-        blocks = [self.done]
-        have = np.count_nonzero(self.done[1])
-        while have < count:
-            ends = next(self.load_ends, None)
-            if ends is None:
-                break
-            blocks.append((ends, self.attempt_rng.random(ends.size) < self.p_cat))
-            have += np.count_nonzero(blocks[-1][1])
-        at, won = self.done = tuple(map(np.concatenate, zip(*blocks)))
-        return at[won][:count]
-
-    def settle(self, used: int) -> None:
-        """Tally the loads completed within the first ``used`` load draws."""
-        at, won = self.done
-        k = int(np.searchsorted(at, used, side="right"))
-        self.loads += k
-        self.successes += int(np.count_nonzero(won[:k]))
-        self.done = at[k:], won[k:]
-
-
-def _renewal_trial(cfg: SimConfig, trial: int, p_cat, counters, intervals):
-    """One replication of an aux-rich chain; returns the delivery count.
-
-    A ready edge draws nothing and every other edge draws one load value per
-    slot, so the k-th delivery finds edge e ready after the load draws of its
-    own k-th successful attempt, counted from the end of its (k-1)-th.  The
-    interval is the largest of these offsets over the edges.  Deliveries are
-    settled a block at a time until their running sum passes ``max_slots``;
-    in the cut-off delivery each edge has used ``min(offset, slots left)``
-    draws, and its counters cover exactly the draws it used.
-    """
-    limit = cfg.max_slots
-    edges = [_EdgeRenewals(cfg, trial, e, p_cat) for e in range(cfg.n_edges)]
-    used = np.zeros(cfg.n_edges, np.int64)  # load draws used by settled deliveries
-    slot = 0
-    deliveries = 0
-    while True:
-        # An edge that runs out of draws is never ready again: limit + 1
-        # lies beyond every slot that is left.
-        ends = np.full((cfg.n_edges, _DELIVERY_BLOCK), limit + 1, np.int64)
-        for e, renewals in enumerate(edges):
-            ready = renewals.ready_draws(_DELIVERY_BLOCK)
-            ends[e, : ready.size] = ready
-        offsets = np.diff(ends, axis=1, prepend=used[:, None])
-        gaps = offsets.max(axis=0)
-        elapsed = slot + np.cumsum(gaps)
-        settled = int(np.searchsorted(elapsed, limit, side="right"))
-        intervals.append(gaps[:settled] * cfg.edge.cycle_time_s)
-        deliveries += settled
-        cut = settled < _DELIVERY_BLOCK
-        if settled:
-            used = ends[:, settled - 1]
-            slot = int(elapsed[settled - 1])
-        if cut:
-            used = used + np.minimum(offsets[:, settled], limit - slot)
-        for renewals, draws in zip(edges, used.tolist()):
-            renewals.settle(draws)
-        if cut:
-            for r, ctr, draws in zip(edges, counters, used.tolist()):
-                # Each completed load is attempted in the slot it completes.
-                ctr.add_run(draws, r.loads, r.loads, r.successes, 0)
-            return deliveries
-
+_DELIVERY_BLOCK = 1 << 10
 
 # Where a stream runs out: the next completion never comes.
 _NEVER = np.array([math.inf])
@@ -462,6 +375,30 @@ def _every_nth_success(rng: np.random.Generator, p: float, n: int, limit: int):
             yield ends
 
 
+def _ticks_through(period: float, t0: float, slot: int) -> int:
+    """The ticks of a path of ``period`` applied by the end of ``slot``."""
+    bound = slot * t0 * _TICK_SCALE
+    k = int(bound // period)
+    while k > 0 and k * period > bound:
+        k -= 1
+    while (k + 1) * period <= bound:
+        k += 1
+    return k
+
+
+def _slot_of(period: float, t0: float, tick) -> float:
+    """The slot in which tick ``tick`` of a path of ``period`` is applied."""
+    if tick == math.inf:
+        return math.inf
+    at = tick * period
+    slot = math.ceil(at / (t0 * _TICK_SCALE))  # at least 1: ticks count from 1
+    while slot > 1 and at <= (slot - 1) * t0 * _TICK_SCALE:
+        slot -= 1
+    while at > slot * t0 * _TICK_SCALE:
+        slot += 1
+    return slot
+
+
 class _AuxPath:
     """One auxiliary path of one edge: its ticks, draws and catalyst completions.
 
@@ -473,38 +410,19 @@ class _AuxPath:
     nothing and ``drawn`` holds the draws taken so far.
     """
 
+    __slots__ = ("period", "t0", "completions", "queue", "taken", "offset", "drawn", "draw",
+                 "slot")
+
     def __init__(self, path, rng, copies: int, t0: float, max_slots: int):
         self.period = path.gen_time_s
         self.t0 = t0
         self.completions = _every_nth_success(
-            rng, path.gen_probability, copies, self.ticks_through(max_slots)
+            rng, path.gen_probability, copies, _ticks_through(self.period, t0, max_slots)
         )
         self.queue, self.taken = [], 0
         self.offset = 0
         self.drawn = 0
         self.advance()
-
-    def ticks_through(self, slot: int) -> int:
-        """The ticks applied by the end of ``slot``."""
-        bound = slot * self.t0 * _TICK_SCALE
-        k = int(bound // self.period)
-        while k > 0 and k * self.period > bound:
-            k -= 1
-        while (k + 1) * self.period <= bound:
-            k += 1
-        return k
-
-    def slot_of(self, tick) -> float:
-        """The slot in which ``tick`` is applied."""
-        if tick == math.inf:
-            return math.inf
-        at = tick * self.period
-        slot = max(1, math.ceil(at / (self.t0 * _TICK_SCALE)))
-        while slot > 1 and at <= (slot - 1) * self.t0 * _TICK_SCALE:
-            slot -= 1
-        while at > slot * self.t0 * _TICK_SCALE:
-            slot += 1
-        return slot
 
     def advance(self) -> None:
         """Move to the next completion: its draw and, while running, its slot."""
@@ -512,19 +430,20 @@ class _AuxPath:
             self.queue, self.taken = next(self.completions, _NEVER).tolist(), 0
         self.draw = self.queue[self.taken]
         self.taken += 1
-        self.slot = self.slot_of(self.draw + self.offset)
+        self.slot = _slot_of(self.period, self.t0, self.draw + self.offset)
 
 
 class _Stock:
-    """One edge's catalyst stock and the finite aux paths, if any, that refill it.
+    """One edge's catalyst stock and the finite aux paths that refill it.
 
     Only a failed attempt lowers the stock, so between failures it never
     falls and the state is advanced (:meth:`sync`) only when an attempt might
     find the stock empty, at a failure, and at the end of a trial.  Within a
     slot the paths tick in index order, so a completion that fills the stock
-    stops the later paths' ticks in that slot.  Without paths nothing refills
-    the stock but the edge's own loads.
+    stops the later paths' ticks in that slot.
     """
+
+    __slots__ = ("paths", "capacity", "stock", "full", "produced")
 
     def __init__(self, cfg: SimConfig, trial: int, edge: int, copies_needed):
         t0 = cfg.edge.cycle_time_s
@@ -539,8 +458,12 @@ class _Stock:
 
     def sync(self, slot: int) -> None:
         """Apply every tick through ``slot``."""
-        while self.paths and not self.full:
-            path = min(self.paths, key=attrgetter("slot"))
+        paths = self.paths
+        while not self.full:
+            path = paths[0]
+            for other in paths:  # the first of the earliest: paths tick in index order
+                if other.slot < path.slot:
+                    path = other
             if path.slot > slot:
                 return
             self.stock += 1
@@ -561,8 +484,8 @@ class _Stock:
             # The paths draw again from the first tick after this slot.
             self.full = False
             for path in self.paths:
-                path.offset = path.ticks_through(slot) - path.drawn
-                path.slot = path.slot_of(path.draw + path.offset)
+                path.offset = _ticks_through(path.period, path.t0, slot) - path.drawn
+                path.slot = _slot_of(path.period, path.t0, path.draw + path.offset)
 
     def _pause(self, filler: _AuxPath) -> None:
         """Stop drawing: ``filler``'s completion has filled the stock."""
@@ -574,114 +497,261 @@ class _Stock:
                 path.drawn = path.draw
                 before = False
             else:
-                path.drawn = path.ticks_through(slot if before else slot - 1) - path.offset
+                ticked = _ticks_through(path.period, path.t0, slot if before else slot - 1)
+                path.drawn = ticked - path.offset
 
 
-def _stock_edge(cfg: SimConfig, trial: int, edge: int, p_cat, copies, ctr):
-    """One edge that holds a catalyst stock, as a coroutine from delivery to delivery.
+class _EdgeRuns:
+    """One edge's runs, read a block of deliveries at a time.
 
-    Sent the slot of the last delivery (0 at the start), it yields the slot
-    in which the edge is next ready, or ``max_slots + 1`` when it cannot be
-    ready within the run.  A load takes n successes of the load stream, one
-    draw per loading slot; without aux paths, a load that starts from an
-    empty stock takes n + n_cat and turns n_cat of its pairs into a catalyst.
-    The attempt follows in the same slot if the stock holds a catalyst, and
-    otherwise in the slot of the next aux completion; a failure spends the
-    catalyst and the pairs, and loading restarts in the next slot.  Closing
-    the coroutine counts the edge's events through ``max_slots`` into ``ctr``.
+    A run is what the edge does between two deliveries: loads whose attempts
+    fail, then one whose attempt succeeds.  The edge draws one load value per
+    loading slot and one attempt value per attempt, and nothing while it
+    waits, so where its loads end (counted in load draws from 1) and how their
+    attempts come out depend on its own two streams only.  A load takes n
+    successes of the load stream.  Without aux paths, one that starts from an
+    empty stock takes n_cat more and turns them into a catalyst; the stock is
+    empty there when the failures so far have spent the initial stock and the
+    last attempt failed.  No edge uses more load values than there are slots,
+    so at most ``max_slots`` are drawn.
+
+    A run that may wait for a catalyst (see :func:`simulate_detailed`) is
+    stepped (:meth:`step`) against the edge's :class:`_Stock`; every other
+    run takes exactly its no-wait offset, the load draws from its start to
+    its success.
     """
-    limit = cfg.max_slots
-    n = cfg.edge.copies
-    supply = _Stock(cfg, trial, edge, copies)
-    # Without aux paths a load from an empty stock takes n_cat more successes,
-    # so the load stream is read one success at a time; with them, n at a time.
-    rebuild = 0 if cfg.aux.paths else copies[0]
-    unit = 1 if rebuild else n
-    step = n // unit  # load-stream entries per load
-    load_ends = _every_nth_success(
-        _rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability, unit, limit
-    )
-    attempt_rng = _rng(cfg.seed, trial, edge, 1)
-    # The entry of ``ends`` that ended the last load; a load from an empty
-    # stock skips ``rebuild`` more, added when the stock empties.
-    ends, taken = [], -1
-    if supply.stock < 1:
-        taken += rebuild
-    outcomes, tried = [], 0
-    loaded = 0  # load draws through the last completed load
-    unfinished = 0  # load draws of a load cut off by the end of the run
-    loads = attempts = successes = 0
-    slot = 0  # loading restarts in the slot after this one
-    try:
-        while True:
-            taken += step
-            while taken >= len(ends):
-                taken -= len(ends)
-                ends = next(load_ends, _NEVER).tolist()
-            end = ends[taken]
+
+    def __init__(self, cfg: SimConfig, trial: int, edge: int, p_cat, copies):
+        self.copies = cfg.edge.copies
+        self.rebuild = copies[0] if cfg.aux.mode == NO_AUX else 0
+        # A rebuild reads the load stream one success at a time; otherwise a
+        # load is one entry of n successes.
+        self.entries = _every_nth_success(
+            _rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability,
+            1 if self.rebuild else self.copies, cfg.max_slots,
+        )
+        self.attempt_rng = _rng(cfg.seed, trial, edge, 1)
+        self.p_cat = p_cat
+        self.initial_stock = cfg.initial_stock
+        self.failures = 0
+        self.last_failed = True  # so that a first load from an empty stock rebuilds
+        self.hits = np.empty(0, np.int64)  # entries read but in no completed load yet
+        # Completed loads not yet settled: where each ends, whether its
+        # attempt succeeds, and whether it rebuilt the catalyst.
+        self.at = np.empty(0, np.int64)
+        self.won = np.empty(0, bool)
+        self.rebuilt = np.empty(0, bool)
+        # Where the runs of the block being walked succeed, and the ends of
+        # the loads as a list, made on the first step.
+        self.stops = self.at_list = None
+        self.stock = _Stock(cfg, trial, edge, copies) if cfg.aux.mode == FINITE_AUX else None
+        self.first_empty = self.stock is not None and cfg.initial_stock < 1
+        self.stopped = None  # (draws used, attempt pending) of a stepped run the end cut
+        # Settled load draws, loads, attempts, successes and rebuilt catalysts.
+        self.used = self.loads = self.attempts = self.successes = self.rebuilds = 0
+
+    def _read(self, size: int) -> bool:
+        """Complete the next ``size`` loads, or those the load stream still holds."""
+        won = self.attempt_rng.random(size) < self.p_cat
+        need = None  # entries through each load, where a load is not one entry
+        if self.rebuild:
+            failed = ~won
+            before = self.failures + np.cumsum(failed) - failed
+            rebuilt = (before >= self.initial_stock) & np.concatenate(
+                ([self.last_failed], failed[:-1])
+            )
+            self.failures = int(before[-1] + failed[-1])
+            self.last_failed = bool(failed[-1])
+            need = np.cumsum(self.copies + self.rebuild * rebuilt)
+        blocks = [self.hits]
+        have = self.hits.size
+        while have < (size if need is None else need[-1]):
+            block = next(self.entries, None)
+            if block is None:
+                break
+            blocks.append(block)
+            have += block.size
+        hits = np.concatenate(blocks)
+        if need is None:
+            k = taken = min(size, hits.size)
+            ends = hits[:k]
+        else:
+            k = int(np.searchsorted(need, hits.size, side="right"))
+            taken = int(need[k - 1]) if k else 0
+            ends = hits[need[:k] - 1]
+            self.rebuilt = np.concatenate((self.rebuilt, rebuilt[:k]))
+        # A load the stream cannot complete is the edge's last: no later one
+        # may take the entries left over.
+        self.hits = hits[taken:] if k == size else hits[:0]
+        self.at = np.concatenate((self.at, ends))
+        self.won = np.concatenate((self.won, won[:k]))
+        return k > 0
+
+    def runs(self, ends: np.ndarray, steps: np.ndarray) -> None:
+        """Write where each of the next runs succeeds into ``ends``, and which step into ``steps``.
+
+        A run with no success before the load stream runs out keeps its
+        entry of ``ends``: its failed loads, if any, are still stepped.
+        """
+        count = ends.size
+        # Each read takes the loads expected to hold the successes still
+        # short, and a few more, up to a block.
+        while (short := count - np.count_nonzero(self.won)) > 0:
+            if not self._read(min(math.ceil(short / self.p_cat) + 32, _DRAW_BLOCK)):
+                break
+        stops = np.flatnonzero(self.won)[:count]
+        ends[: stops.size] = self.at[stops]
+        if self.stock is None:
+            return
+        if stops.size < count:
+            stops = np.append(stops, self.at.size)
+        steps[: stops.size] = np.diff(stops, prepend=-1) > 1
+        steps[0] |= self.first_empty
+        self.stops, self.at_list = stops.tolist(), None
+
+    def step(self, k: int, slot: int, limit: int):
+        """Walk run ``k`` of the block from loading in ``slot + 1``: the slot it succeeds in.
+
+        A load's attempt follows in the slot the load ends if the stock holds
+        a catalyst, and otherwise in the slot of the next aux completion; a
+        failure spends the catalyst and the pairs, and loading restarts in the
+        next slot.  A run the end of the trial cuts gives ``limit + 1`` and
+        leaves the load draws it used, and whether a load still waits for its
+        attempt, in ``stopped``.
+        """
+        if self.at_list is None:
+            # A run the stream cuts short ends at infinity.
+            self.at_list = self.at.tolist() + [math.inf]
+        first = self.stops[k - 1] + 1 if k else 0
+        loaded = self.at_list[first - 1] if first else self.used
+        ends = self.at_list[first : self.stops[k] + 1]
+        stock = self.stock
+        last = len(ends) - 1
+        for i, end in enumerate(ends):
             ready = slot + end - loaded
             if ready > limit:
-                unfinished = limit - slot
-                break
+                self.stopped = loaded + limit - slot, False
+                return limit + 1
             loaded = end
-            loads += 1
-            if supply.stock < 1:
-                if rebuild:
-                    # The load's n_cat extra pairs become a catalyst.
-                    supply.stock += 1
-                    supply.produced += 1
-                else:
-                    supply.sync(ready)
-                    if supply.stock < 1:
-                        ready = supply.next_completion()
-                        if ready > limit:
-                            break
-                        supply.sync(ready)
-            if tried == len(outcomes):
-                outcomes, tried = (attempt_rng.random(_DRAW_BLOCK) < p_cat).tolist(), 0
-            attempts += 1
-            tried += 1
-            if outcomes[tried - 1]:
-                successes += 1
-                slot = yield ready
-            else:
-                supply.fail(ready)
-                slot = ready
-                if supply.stock < 1:
-                    taken += rebuild
-        yield limit + 1
-    finally:
-        supply.sync(limit)
-        ctr.add_run(loaded + unfinished, loads, attempts, successes, supply.produced)
+            if stock.stock < 1:
+                stock.sync(ready)
+                if stock.stock < 1:
+                    ready = stock.next_completion()
+                    if ready > limit:
+                        self.stopped = loaded, True
+                        return limit + 1
+                    stock.sync(ready)
+            if i == last:
+                return ready
+            stock.fail(ready)
+            slot = ready
+
+    def settle(self, used: int, pending: bool = False) -> None:
+        """Count the loads completed within the first ``used`` load draws.
+
+        ``pending`` marks a last load that waits for a catalyst past the end
+        and is never attempted.
+        """
+        k = int(np.searchsorted(self.at, used, side="right"))
+        tried = k - pending
+        self.loads += k
+        self.attempts += tried
+        self.successes += int(np.count_nonzero(self.won[:tried]))
+        self.rebuilds += int(np.count_nonzero(self.rebuilt[:k]))
+        self.used = used
+        self.at, self.won, self.rebuilt = self.at[k:], self.won[k:], self.rebuilt[k:]
+        self.first_empty = False
+
+    def tally(self, ctr: EdgeCounters, limit: int) -> None:
+        """Add the edge's events through ``limit`` to ``ctr``."""
+        produced = self.rebuilds
+        if self.stock is not None:
+            self.stock.sync(limit)
+            produced += self.stock.produced
+        ctr.add_run(self.used, self.loads, self.attempts, self.successes, produced)
 
 
-def _stock_trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
-    """One replication of a chain whose edges hold a stock; returns the delivery count.
+def _walk(edges, steps: np.ndarray, gaps: list, slot: int, limit: int) -> list:
+    """The gaps of a block whose runs in ``steps`` step: ``gaps`` corrected in place.
 
-    Finite aux paths tick on the wall clock, so a ready edge keeps gaining
-    stock until the delivery and the edges do not renew; but each edge's
-    ready slot after a delivery depends only on its own streams, its stock
-    and that slot.
-    Each delivery is the latest of these, and the run ends when some edge
-    cannot be ready by ``max_slots``.
+    ``gaps`` holds each delivery's largest no-wait offset, which a stepped
+    run can only lengthen.  Deliveries are walked in order from ``slot``
+    through the first that ends past ``limit``; only the stepped runs read
+    the clock.
+    """
+    columns = {}
+    for k, e in np.argwhere(steps.T).tolist():
+        columns.setdefault(k, []).append(e)
+    start, done = slot, 0
+    for k, stepping in columns.items():
+        start += sum(gaps[done:k])
+        done = k
+        if start >= limit:
+            break
+        latest = start + gaps[k]
+        for e in stepping:
+            ready = edges[e].step(k, start, limit)
+            if ready > latest:
+                latest = ready
+        gaps[k] = latest - start
+        if latest > limit:
+            break
+    return gaps
+
+
+def _trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
+    """One replication of a chain; returns the delivery count.
+
+    The k-th delivery comes in the slot where the last edge finishes its
+    k-th run, counted from the slot of the (k-1)-th.  Runs are read a block
+    of deliveries at a time.  Where no run in the block steps, each
+    delivery's interval is the largest offset over the edges and the block
+    settles with no Python per delivery; otherwise the block is walked.
+    Deliveries settle until their running sum passes ``max_slots``.  In the
+    cut-off delivery an edge that was not stepped has used
+    ``min(offset, slots left)`` draws, and its counters cover exactly the
+    draws it used.
     """
     limit = cfg.max_slots
-    edges = [_stock_edge(cfg, trial, e, p_cat, copies, ctr) for e, ctr in enumerate(counters)]
-    gaps = []
-    last = 0
-    try:
-        ready = [next(edge) for edge in edges]
-        while (slot := max(ready)) <= limit:
-            gaps.append(slot - last)
-            last = slot
-            ready = [edge.send(slot) for edge in edges]
-    finally:
-        for edge in edges:
-            edge.close()
-    record = np.array(gaps, np.float64)
-    record *= cfg.edge.cycle_time_s  # in place, so the gaps are held twice at most
-    intervals.append(record)
-    return len(gaps)
+    edges = [_EdgeRuns(cfg, trial, e, p_cat, copies) for e in range(cfg.n_edges)]
+    used = np.zeros(cfg.n_edges, np.int64)  # load draws used by settled deliveries
+    slot = 0
+    deliveries = 0
+    # A block reads about _DELIVERY_BLOCK loads per edge, whatever p_cat is.
+    full_block = max(1, int(_DELIVERY_BLOCK * p_cat))
+    while True:
+        block = full_block
+        if deliveries:
+            # No more than the slots left hold at the mean interval so far,
+            # and an eighth more, so that the last block reads little ahead.
+            block = min(block, (limit - slot) * deliveries // slot * 9 // 8 + 16)
+        # An edge that runs out of draws is never ready again: limit + 1
+        # lies beyond every slot that is left.
+        ends = np.full((cfg.n_edges, block), limit + 1, np.int64)
+        steps = np.zeros((cfg.n_edges, block), bool)
+        for edge, row, flags in zip(edges, ends, steps):
+            edge.runs(row, flags)
+        offsets = np.diff(ends, axis=1, prepend=used[:, None])
+        gaps = offsets.max(axis=0)
+        if steps.any():
+            gaps = np.array(_walk(edges, steps, gaps.tolist(), slot, limit), np.int64)
+        elapsed = slot + np.cumsum(gaps)
+        settled = int(np.searchsorted(elapsed, limit, side="right"))
+        intervals.append(gaps[:settled] * cfg.edge.cycle_time_s)
+        deliveries += settled
+        cut = settled < block
+        if settled:
+            used = ends[:, settled - 1]
+            slot = int(elapsed[settled - 1])
+        if cut:
+            used = used + np.minimum(offsets[:, settled], limit - slot)
+        for edge, draws in zip(edges, used.tolist()):
+            # Only the delivery the end cuts leaves a stepped run stopped.
+            edge.settle(*(edge.stopped or (draws,)))
+        if cut:
+            for edge, ctr in zip(edges, counters):
+                edge.tally(ctr, limit)
+            return deliveries
 
 
 def simulate_detailed(cfg: SimConfig) -> SimResult:
@@ -697,18 +767,23 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     when every edge holds a Bell pair, after which all edges restart loading
     while stocks persist.
 
-    With plentiful aux paths an edge holds no stock and draws nothing while
-    it waits ready, so the slots each edge needs per delivery depend on its
-    own seed streams alone: the chain is a renewal process, computed per
-    edge from block draws with no per-slot loop.  Without aux paths or with
-    finite ones an edge holds a stock, and finite paths tick on the wall
-    clock and keep adding stock to ready edges until the delivery; but after
-    a delivery each edge's next ready slot still depends only on its own
-    streams and that slot.  Each such edge jumps from load completion to
-    attempt to aux completion, and advances its aux paths only when an
-    attempt might find the stock empty, at a failure and at the end of the
-    run.  Both engines give the results of stepping every slot, draw for
-    draw.
+    An edge draws one load value per loading slot, one attempt value per
+    attempt and nothing while it waits, so the load draws of each of its
+    runs, from the slot after a delivery to its next successful attempt,
+    depend on its own seed streams alone.  They are the run's length in
+    slots unless an attempt waits for a catalyst.  With plentiful aux paths
+    there is no stock, and without aux paths a load from an empty stock
+    builds its own catalyst, so no attempt waits and the chain is a renewal
+    process: each delivery's interval is the largest of the edges' offsets.
+    Finite aux paths tick on the wall clock, and an attempt waits when it
+    finds the stock empty.  A success spends nothing, so that needs a
+    failure earlier in the same run, or the first run from an empty initial
+    stock.  Only those runs are stepped, from the slot their delivery
+    leaves, against the stock, which advances its paths only when an attempt
+    might find it empty, at a failure and at the end of the run.  Every
+    other run, and every block of deliveries without a stepped run, is
+    settled from its offsets alone.  The result is that of stepping every
+    slot, draw for draw.
     """
     if cfg.mode != DETAILED_MODE:
         raise InvalidInputError("config mode must be detailed")
@@ -717,10 +792,7 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     intervals: list[np.ndarray] = []
     deliveries = 0
     for trial in range(cfg.trials):
-        if cfg.aux.mode == AUX_RICH:
-            deliveries += _renewal_trial(cfg, trial, p_cat, counters, intervals)
-        else:
-            deliveries += _stock_trial(cfg, trial, p_cat, copies, counters, intervals)
+        deliveries += _trial(cfg, trial, p_cat, copies, counters, intervals)
 
     mean = std_error = None
     if deliveries:

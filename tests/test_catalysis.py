@@ -78,6 +78,14 @@ class TestInitialAndTargetSpectra:
         np.testing.assert_allclose(coeffs[:2], [0.5, 0.5])
         assert np.all(coeffs[2:] == 0.0)
 
+    @pytest.mark.parametrize("count", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_target_takes_numpy_counts(self, count):
+        # numpy integers are counts here as in ConcentrationProblem
+        np.testing.assert_array_equal(target_spectrum(count).coefficients,
+                                      target_spectrum(2).coefficients)
+        with pytest.raises(InvalidInputError, match="positive integer"):
+            target_spectrum(2.0)
+
     def test_problem_validation(self):
         with pytest.raises(InvalidInputError):
             ConcentrationProblem(0, 0.8)

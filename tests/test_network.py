@@ -463,6 +463,18 @@ class TestSweep:
         assert flags[0.6] == "out_of_window"
         assert flags[0.8] == "ok"
 
+    def test_long_chain_bits_are_pinned(self):
+        # The CSV prints 12 significant digits, so its pinned digests miss a
+        # change in the last bits; this pin hashes every float exactly, over
+        # the long-chain sweep (N = 256, both modes, 200 alphas up to 1 - 1e-6).
+        rows = sweep_rates(2, 256, np.linspace(0.55, 1.0 - 1e-6, 200), [AUX_RICH, NO_AUX], [2])
+        text = "\n".join(",".join(v.hex() if isinstance(v, float) else repr(v) for v in row)
+                         for row in rows)
+        assert len(rows) == 400
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4ec8902d4ce55849e7c74c63e4d69c3f445ada8490e33fe2566b340cdb5e3323"
+        )
+
     def test_out_of_window_rows_keep_locc(self):
         rows = sweep_rates(2, 4, [0.6], [AUX_RICH], [2])
         row = rows[0]

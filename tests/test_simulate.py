@@ -11,6 +11,7 @@ from entcat.errors import CatalysisWindowError, InvalidInputError
 from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, AuxConfig, AuxPath, EdgeParams
 from entcat.simulate import (
     _BATCH_TRIALS,
+    _DELIVERY_BLOCK,
     SimConfig,
     _MaxOfGeometrics,
     result_record,
@@ -333,6 +334,10 @@ SLOW_REBUILD = EdgeParams(alpha=0.99, copies=2, length_km=25.0, fiber_speed_km_s
                           herald_probability=0.002)
 
 
+# Deliveries in a full block of the detailed simulator at EDGE's p_cat.
+EDGE_BLOCK = int(_DELIVERY_BLOCK * PCAT_2_08)
+
+
 def record_bytes(simulate, cfg):
     return json.dumps(result_record(cfg, simulate(cfg)))
 
@@ -363,15 +368,27 @@ class TestMatchesSlotStepper:
         # Thousands of deliveries and tens of thousands of load draws per edge.
         *(pytest.param(regime, EDGE, ((1, 0), (5, 3)), 20_000, 17, 2000, id=regime)
           for regime in sorted(REGIMES)),
+        # More than three blocks of deliveries per trial, from an empty stock.
+        *(pytest.param(regime, EDGE, ((1, 0),), 20_000, 23, 6 * EDGE_BLOCK,
+                       id=f"{regime}-three-blocks")
+          for regime in sorted(REGIMES)),
+        # Trial 0 makes exactly one block of deliveries, and the end cuts the
+        # first delivery of the next block short.
+        *(pytest.param(regime, EDGE, ((4, 0, 2),), max_slots, 41, EDGE_BLOCK,
+                       id=f"{regime}-cut-at-block-start")
+          for regime, max_slots in (("aux_rich", 6685), ("finite", 8116), ("none", 9089))),
+        # At N = 32 some edge fails, and so steps the stock, in almost every
+        # delivery; trial 0 passes one block.
+        pytest.param("finite", EDGE, ((32, 1, 2),), 17_500, 43, 1800, id="finite-32-edges"),
         # A load that rebuilds the catalyst takes n + n_cat = 13 successes,
         # against about 4 per block of load draws, so it spans several blocks.
         pytest.param("none", SLOW_REBUILD, ((2, 1),), 300_000, 5, 10, id="none-slow-rebuild"),
     ])
     def test_long_runs_cross_every_block(self, regime, edge, runs, max_slots, seed, more_than):
-        for n_edges, initial_stock in runs:
+        for n_edges, initial_stock, *capacity in runs:
             cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=edge, aux=REGIMES[regime],
                             max_slots=max_slots, trials=2, seed=seed,
-                            **stock_settings(regime, initial_stock))
+                            **stock_settings(regime, initial_stock, *capacity))
             new = record_bytes(simulate_detailed, cfg)
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["deliveries"] > more_than
