@@ -41,13 +41,18 @@ from .spectra import (
 DIM_CAP = 2**20
 
 
-def _copy_count(n) -> int:
-    """``n`` as a plain int, a numpy count included, if it is a positive integer."""
-    if type(n) is not int and isinstance(n, Integral):
-        n = int(n)
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"copy count must be a positive integer, got {n}")
-    return n
+def _count(value, what: str = "copy count", least: int = 1) -> int:
+    """``value`` as a plain int, a numpy count included, if it is an integer >= ``least``.
+
+    Anything else, a float or a string included, raises
+    :class:`InvalidInputError` naming the count as ``what``.
+    """
+    if type(value) is not int and isinstance(value, Integral):
+        value = int(value)
+    if not isinstance(value, int) or value < least:
+        bound = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise InvalidInputError(f"{what} must be {bound}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class ConcentrationProblem:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _copy_count(self.n))
+        object.__setattr__(self, "n", _count(self.n))
         if not 0.5 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must lie in (0.5, 1), got {self.alpha}")
 
@@ -110,7 +115,7 @@ def _power_coefficients(alpha: float, m: int, count: int | None = None) -> np.nd
 
 def target_spectrum(n: int) -> SchmidtVector:
     """Spectrum of one Bell pair padded by the n-1 leftover product pairs."""
-    n = _copy_count(n)
+    n = _count(n)
     if 2**n > DIM_CAP:
         raise ResourceLimitError(f"2**{n} exceeds the dimension cap {DIM_CAP}")
     coeffs = np.zeros(2**n)
@@ -318,8 +323,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
     bit for bit the same whatever else is in the batch.
     """
     problems = list(problems)
-    if d_c < 2:
-        raise InvalidInputError(f"catalyst dimension must be at least 2, got {d_c}")
+    d_c = _count(d_c, "catalyst dimension", 2)
     if not problems:
         return []
     n = problems[0].n

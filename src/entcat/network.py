@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .catalysis import (
     CatalystSpec,
     ConcentrationProblem,
+    _count,
     _smallest_power_at_most,
     _two_qubit_closed_form,
     copies_for_catalyst,
@@ -57,22 +57,15 @@ class EdgeParams:
     catalyst_dim: int = 2
 
     def __post_init__(self):
-        for name in ("copies", "catalyst_dim"):
-            value = getattr(self, name)
-            if type(value) is not int and isinstance(value, Integral):
-                object.__setattr__(self, name, int(value))  # a numpy count, stored plain
         if not 0.5 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must lie in (0.5, 1), got {self.alpha}")
-        if not isinstance(self.copies, int) or self.copies < 2:
-            raise InvalidInputError(f"copies must be an integer >= 2, got {self.copies}")
+        # A numpy count is stored plain.
+        object.__setattr__(self, "copies", _count(self.copies, "copies", 2))
+        object.__setattr__(self, "catalyst_dim", _count(self.catalyst_dim, "catalyst dimension", 2))
         if not (0.0 < self.length_km < math.inf and 0.0 < self.fiber_speed_km_s < math.inf):
             raise InvalidInputError("length and fiber speed must be positive and finite")
         if not 0.0 < self.herald_probability <= 1.0:
             raise InvalidInputError("herald probability must lie in (0, 1]")
-        if not isinstance(self.catalyst_dim, int) or self.catalyst_dim < 2:
-            raise InvalidInputError(
-                f"catalyst dimension must be an integer >= 2, got {self.catalyst_dim}"
-            )
 
     @property
     def cycle_time_s(self) -> float:
@@ -137,8 +130,9 @@ def alpha_from_transmittivities(t_left: float, t_right: float) -> float:
 
 def t_primary(n: int, t0_s: float, p0: float) -> float:
     """Mean time to assemble n primary pairs, one geometric attempt each."""
-    if n < 1 or t0_s <= 0.0 or not 0.0 < p0 <= 1.0:
-        raise InvalidInputError("need n >= 1, t0 > 0 and p0 in (0, 1]")
+    n = _count(n)
+    if t0_s <= 0.0 or not 0.0 < p0 <= 1.0:
+        raise InvalidInputError("need t0 > 0 and p0 in (0, 1]")
     return n * t0_s / p0
 
 
@@ -148,19 +142,15 @@ def t_catalyst(paths: Sequence[AuxPath], copies: Sequence[int]) -> float:
     Path i needs ``copies[i]`` copies (see
     :func:`~entcat.catalysis.copies_for_catalyst`), and its supply rate is
     that copy requirement times ``P_i / T_i``, exactly as the timing model
-    states it; the paths' rates add.
+    states it; the paths' rates add, from int 0.  A count may be an integer
+    column, which gives a column of times, each entry its scalar call's.
     """
     if not paths or len(copies) != len(paths):
         raise InvalidInputError("need at least one auxiliary path and one copy count per path")
     return 1.0 / sum(m * p.gen_probability / p.gen_time_s for p, m in zip(paths, copies))
 
 
-def t_edge_cycle(
-    p_cat: float,
-    edge: EdgeParams,
-    aux: AuxConfig,
-    copies: Sequence[int],
-) -> TimingBreakdown:
+def t_edge_cycle(p_cat, edge: EdgeParams, aux: AuxConfig, copies: Sequence) -> TimingBreakdown:
     """Mean temporal cost of one catalysis attempt over the edge.
 
     Success costs only the primary assembly time; failure also costs the
@@ -170,38 +160,27 @@ def t_edge_cycle(
     ``copies`` is what one catalyst takes from each supply (see
     :func:`~entcat.catalysis.copies_for_catalyst`): one count per path of a
     finite list, in order, else the edge's own count; plentiful paths use none.
+
+    ``p_cat`` is a float or a numpy column, and each count an int or an
+    integer column of the same length; a sweep prices a whole block of
+    points in one call.  Columns meet only ``+ - * /`` and a maximum, in the
+    scalar call's order, so each entry keeps the bits of its own scalar
+    call, and a scalar call returns plain floats.
     """
-    if not 0.0 < p_cat <= 1.0:
+    if not np.all((0.0 < p_cat) & (p_cat <= 1.0)):
         raise InvalidInputError("catalysis probability must lie in (0, 1]")
     t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
-    if aux.mode == FINITE_AUX:
-        supply = t_catalyst(aux.paths, copies)
-    elif aux.mode == NO_AUX:
-        (supply,) = copies
-    else:
-        supply = None
-    return _cycle_times(p_cat, edge, aux.mode, t_pri, supply)
-
-
-def _cycle_times(p_cat, edge: EdgeParams, mode: str, t_pri: float, supply) -> TimingBreakdown:
-    """The breakdown of :func:`t_edge_cycle`, for one ``p_cat`` or a numpy column of them.
-
-    ``supply`` is what one catalyst costs: with finite paths their
-    :func:`t_catalyst`, a float; with none the edge's own copy count
-    ``n_cat``, an int or a column beside ``p_cat``; plentiful paths read
-    nothing.  Columns meet only ``+ - * /``, in the scalar call's order, so
-    each entry keeps the bits of its own scalar call.
-    """
-    if mode == AUX_RICH:
+    if aux.mode == AUX_RICH:
         t_cat = None
         t_both = t_pri
-    elif mode == FINITE_AUX:
-        t_cat = supply
-        t_both = max(t_pri, t_cat)
+    elif aux.mode == FINITE_AUX:
+        t_cat = t_catalyst(aux.paths, copies)
+        t_both = np.maximum(t_pri, t_cat) if np.ndim(t_cat) else max(t_pri, t_cat)
     else:
+        (n_cat,) = copies
         t0 = edge.cycle_time_s
-        t_cat = supply * t0 / edge.herald_probability
-        t_both = (edge.copies + supply) * t0 / edge.herald_probability
+        t_cat = n_cat * t0 / edge.herald_probability
+        t_both = (edge.copies + n_cat) * t0 / edge.herald_probability
     return TimingBreakdown(t_pri, t_cat, t_both, p_cat * t_pri + (1.0 - p_cat) * t_both)
 
 
@@ -238,8 +217,7 @@ def waiting_factors(n_edges: int, ps: Sequence[float]) -> list[float]:
     Each p still gets ``1 + fsum`` of exactly its own terms, with its own
     cut, so its factor is bit for bit the one it gets alone.
     """
-    if not isinstance(n_edges, Integral) or n_edges < 1:
-        raise InvalidInputError(f"edge count must be a positive integer, got {n_edges}")
+    n_edges = _count(n_edges, "edge count")
     zs = [1.0] * len(ps)
     series = []  # (index, lam, term count) of each series p, in list order
     cut = math.log(n_edges) + 40.0  # the series stops where N exp(-lam m) < e**-40
@@ -305,8 +283,7 @@ def waiting_factor_small_p(n_edges: int, p: float) -> float:
     the exact factor grows only harmonically, so it is never used inside the
     rate computations.
     """
-    if n_edges < 1:
-        raise InvalidInputError(f"edge count must be positive, got {n_edges}")
+    n_edges = _count(n_edges, "edge count")
     if not 0.0 < p <= 1.0:
         raise InvalidInputError(f"success probability must lie in (0, 1], got {p}")
     return 1.0 / (p * (2.0 / 3.0) ** (n_edges - 1))
@@ -317,11 +294,12 @@ def edge_catalyst(edge: EdgeParams) -> CatalystSpec:
     return optimal_catalyst(ConcentrationProblem(edge.copies, edge.alpha), edge.catalyst_dim)
 
 
-def _supply_copies(aux: AuxConfig, copies: Callable[[float], int], n_cat: int) -> tuple:
+def _supply_copies(aux: AuxConfig, copies: Callable, n_cat) -> tuple:
     """The ``copies`` argument of :func:`t_edge_cycle`, given the edge's own count.
 
     Only a finite aux list has paths, each counted by ``copies``; every other
-    mode gets ``(n_cat,)``.
+    mode gets ``(n_cat,)``.  For a column of points, ``copies`` maps a path's
+    larger coefficient to an integer column and ``n_cat`` is one.
     """
     return tuple(copies(path.alpha) for path in aux.paths) or (n_cat,)
 
@@ -353,8 +331,7 @@ def rate_slotted(edge: EdgeParams, n_edges: int) -> float:
     :func:`rate_catalytic`; the two coincide at N = 1 (Wald's identity) and at
     P0 = 1, where every load lasts exactly n slots.
     """
-    if not isinstance(n_edges, Integral) or n_edges < 1:
-        raise InvalidInputError(f"edge count must be a positive integer, got {n_edges}")
+    n_edges = _count(n_edges, "edge count")
     n = edge.copies
     p0 = edge.herald_probability
     q0 = 1.0 - p0
@@ -458,9 +435,10 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
     once: the plain-LOCC columns per problem, ``z_cat``, ``eta_p`` and the
     edge's own copy count ``n_cat`` per (dimension, problem), and only the
     edge-cycle time, the catalytic rate and ``eta_r`` per aux mode.  Those
-    take one numpy pass over a block's in-window problems, with the scalar
-    arithmetic's operations in its order, so every float keeps its bits;
-    only a finite path list's rows take :func:`t_edge_cycle` one at a time.
+    take one numpy pass over a block's in-window problems, the edge cycle
+    one :func:`t_edge_cycle` call on its columns in every aux mode, with the
+    scalar arithmetic's operations in its order, so every float keeps its
+    bits.
     """
     first = next(iter(edges.values()))
     t_pri = t_primary(first.copies, first.cycle_time_s, first.herald_probability)
@@ -475,9 +453,6 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
     for edge in edges.values():
         dim = edge.catalyst_dim
         inside = [i for i in range(count) if (dim, i) in catalysts]
-        outside = [i for i in range(count) if (dim, i) not in catalysts]
-        # Row i of the block is entry order[i] of its in-window rows, then the rest.
-        order = sorted(range(count), key=(inside + outside).__getitem__)
         entries = [catalysts[dim, i] for i in inside]
         c0s = [c0 for c0, _, _ in entries]
         p_cats = [p_cat for _, p_cat, _ in entries]
@@ -491,25 +466,27 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
         eta_p = (p_cat / np.array(p_locc)).tolist()
         n_cat = np.array(n_cats)
         z_cat_column, rate_locc_column = np.array(z_cat), np.array(rate_locc)
+
+        def copies_column(path_alpha):
+            """What each in-window point's catalyst takes of a supply state."""
+            return np.array([copies(path_alpha) for copies in counters])
+
         for a, aux in enumerate(auxes):
-            if aux.mode == FINITE_AUX:
-                t_cycle = np.array([
-                    t_edge_cycle(p, edge, aux, _supply_copies(aux, copies, n)).t_edge_cycle_s
-                    for p, copies, n in zip(p_cats, counters, n_cats)
-                ])
-            else:
-                t_cycle = _cycle_times(p_cat, edge, aux.mode, t_pri, n_cat).t_edge_cycle_s
+            t_cycle = t_edge_cycle(p_cat, edge, aux,
+                                   _supply_copies(aux, copies_column, n_cat)).t_edge_cycle_s
             rate_cat = 1.0 / (t_cycle * z_cat_column)
             eta_r = rate_cat / rate_locc_column
-            ok = list(map(_new_row, zip(
+            ok = dict(zip(inside, map(_new_row, zip(
                 alpha, itertools.repeat(aux.mode), itertools.repeat(dim), p_locc, p_cats, c0s,
                 n_cats, eta_p, z_locc, z_cat, t_cycle.tolist(), rate_locc, rate_cat.tolist(),
                 eta_r.tolist(), itertools.repeat(WINDOW_OK),
-            )))
-            out = [_new_row((alphas[i], aux.mode, dim, p_loccs[i], None, None, None, None,
-                             z_loccs[i], None, None, rate_loccs[i], None, None, WINDOW_OUT))
-                   for i in outside]
-            blocks[a, dim] = map((ok + out).__getitem__, order)
+            ))))
+            blocks[a, dim] = [
+                ok[i] if i in ok else
+                _new_row((alphas[i], aux.mode, dim, p_loccs[i], None, None, None, None,
+                          z_loccs[i], None, None, rate_loccs[i], None, None, WINDOW_OUT))
+                for i in range(count)
+            ]
     return list(itertools.chain.from_iterable(
         blocks[a, dim] for a in range(len(auxes)) for dim in edges
     ))

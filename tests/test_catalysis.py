@@ -298,8 +298,10 @@ class TestSearchCatalyst:
             search_catalyst(ConcentrationProblem(5, 0.8), 2)
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(InvalidInputError):
-            search_catalyst(ConcentrationProblem(2, 0.8), 1)
+        # a dimension of 2.5 once raised a bare TypeError
+        for d_c in (1, 2.5, 3.0, "3", None):
+            with pytest.raises(InvalidInputError, match="catalyst dimension must be an integer >= 2"):
+                search_catalyst(ConcentrationProblem(2, 0.8), d_c)
 
     def test_two_dim_within_1e9_of_closed_form(self):
         # criterion 1's problems: n in (2, 3), alpha on 0.55..0.95

@@ -117,6 +117,13 @@ class TestTimings:
         assert t_primary(1, 0.125, 1.0) == 0.125
         assert t_primary(4, 1.0, 0.25) == pytest.approx(16.0)
 
+    def test_t_primary_count_must_be_an_integer(self):
+        # t_primary(2.5, 1e-3, 0.5) once gave 0.005
+        for n in (0, 2.5, 2.0, "2", None):
+            with pytest.raises(InvalidInputError, match="copy count must be a positive integer"):
+                t_primary(n, 1e-3, 0.5)
+        assert t_primary(np.int64(2), 1e-3, 0.5) == t_primary(2, 1e-3, 0.5)
+
     def test_t_catalyst_single_path(self):
         c0 = 0.5919671916850177
         copies = copies_for_catalyst(make_schmidt([c0, 1.0 - c0]), 0.8)
@@ -177,6 +184,51 @@ class TestTimings:
         fast = AuxConfig(FINITE_AUX, (AuxPath(0.8, 1.0, 1e-9),))
         tb = t_edge_cycle(0.88, edge, fast, (3,))
         assert tb.t_primary_plus_catalyst_s == pytest.approx(tb.t_primary_s)
+
+    # sim-finite-aux's paths.  Against the default edge's t_pri = 1e-3 s, a
+    # catalyst of 3 and 3 copies takes t_cat = 6.7e-4 s and one of 9 and 8
+    # copies 2.4e-4 s, below t_pri; 1 and 1 copies take 2e-3 s and 2 and 1
+    # copies 1.4e-3 s, above it.
+    COLUMN_PATHS = (AuxPath(0.8, 0.05, 2.5e-4), AuxPath(0.75, 0.3, 1.0e-3))
+
+    @pytest.mark.parametrize("mode", [AUX_RICH, NO_AUX, FINITE_AUX])
+    def test_edge_cycle_column_equals_its_scalar_calls(self, mode):
+        # A sweep prices a block of points in one call; each entry must keep
+        # the bits of its own scalar call.
+        edge = EdgeParams(alpha=0.8, copies=2)
+        aux = AuxConfig(mode, self.COLUMN_PATHS if mode == FINITE_AUX else ())
+        p_cats = [0.8822819946431774, 0.3, 1.0, 0.123456789, 0.999]
+        counts = [(3, 3), (9, 8), (1, 1), (2, 1), (1001, 2)]
+        supplies = [c if mode == FINITE_AUX else c[:1] for c in counts]
+        column = t_edge_cycle(np.array(p_cats), edge, aux,
+                              tuple(np.array(c) for c in zip(*supplies)))
+        scalars = [t_edge_cycle(p, edge, aux, c) for p, c in zip(p_cats, supplies)]
+        for field in column._fields:
+            got = getattr(column, field)
+            want = [getattr(tb, field) for tb in scalars]
+            if got is None:
+                assert want == [None] * len(p_cats)
+                continue
+            got = np.broadcast_to(got, len(p_cats)).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want], field
+        for tb in scalars:
+            assert all(type(t) is float for t in tb if t is not None)
+        if mode == FINITE_AUX:
+            t_cats = [tb.t_catalyst_s for tb in scalars]
+            assert min(t_cats) < scalars[0].t_primary_s < max(t_cats)
+
+    @pytest.mark.parametrize("mode", [AUX_RICH, NO_AUX, FINITE_AUX])
+    def test_edge_cycle_column_rejects_a_probability_outside_the_unit_interval(self, mode):
+        edge = EdgeParams(alpha=0.8, copies=2)
+        aux = AuxConfig(mode, self.COLUMN_PATHS if mode == FINITE_AUX else ())
+        supplies = len(aux.paths) or 1
+        copies = (np.array([3, 3]),) * supplies
+        t_edge_cycle(np.array([0.5, 0.9]), edge, aux, copies)
+        for bad in (0.0, 1.5, -0.2, math.nan):
+            with pytest.raises(InvalidInputError):
+                t_edge_cycle(np.array([0.5, bad]), edge, aux, copies)
+            with pytest.raises(InvalidInputError):
+                t_edge_cycle(bad, edge, aux, (3,) * supplies)
 
 
 class TestWaitingFactor:
@@ -431,10 +483,13 @@ class TestRateSlotted:
     lambda n: rate_slotted(EdgeParams(alpha=0.8), n),
     lambda n: rate_catalytic(EdgeParams(alpha=0.8), AuxConfig(AUX_RICH), n),
     lambda n: sweep_rates(2, n, [0.8]),
-], ids=["waiting_factors", "waiting_factor", "rate_slotted", "rate_catalytic", "sweep_rates"])
+    lambda n: waiting_factor_small_p(n, 0.5),
+], ids=["waiting_factors", "waiting_factor", "rate_slotted", "rate_catalytic", "sweep_rates",
+        "waiting_factor_small_p"])
 def test_edge_count_must_be_an_integer(call, n_edges):
     # a non-integral count once gave a rate (764.68 Hz from rate_catalytic at
-    # 2.5) or a bare TypeError; numpy integers are counts like Python's
+    # 2.5, 3.674 from waiting_factor_small_p) or a bare TypeError; numpy
+    # integers are counts like Python's
     with pytest.raises(InvalidInputError, match="edge count must be a positive integer"):
         call(n_edges)
     assert call(np.int64(4)) == call(4)

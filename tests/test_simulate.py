@@ -322,10 +322,16 @@ def stock_settings(regime, initial_stock, stock_capacity=None):
 
 
 # A period below one slot, periods that are not multiples of it, and P = 1.
+# The last period is 3 * t0 * (1 + 1e-9) evaluated left to right, with
+# EDGE's t0 = 2.5e-4 s; at 0.55 one copy makes a catalyst, so every tick
+# completes one.  Tick 1 lands in slot 3 only if the slot bound is formed
+# as (3 * t0) * (1 + 1e-9), the stepper's order: 3 * (t0 * (1 + 1e-9)) is
+# one ulp lower and puts it in slot 4.
 FINITE_PATHS = {
     "fast": (AuxPath(0.8, 0.2, 1e-4),),
     "off_slot": (AuxPath(0.8, 0.1, 3.3e-4), AuxPath(0.75, 0.4, 7.5e-4)),
     "certain": (AuxPath(0.8, 1.0, 5e-4), AuxPath(0.9, 0.05, 2.5e-4)),
+    "slot_boundary": (AuxPath(0.55, 1.0, float.fromhex("0x1.89374bcd40c94p-11")),),
 }
 
 
