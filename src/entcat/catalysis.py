@@ -50,7 +50,8 @@ def _count(value, what: str = "copy count", least: int = 1) -> int:
     if type(value) is not int and isinstance(value, Integral):
         value = int(value)
     if not isinstance(value, int) or value < least:
-        bound = "a positive integer" if least == 1 else f"an integer >= {least}"
+        bound = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
         raise InvalidInputError(f"{what} must be {bound}, got {value}")
     return value
 

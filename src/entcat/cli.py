@@ -196,9 +196,8 @@ def _cmd_catalyst(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.steps < 1:
-        raise InvalidInputError(f"--steps must be a positive integer, got {args.steps}")
-    alpha_grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
+    steps = catalysis._count(args.steps, "--steps")
+    alpha_grid = np.linspace(args.alpha_min, args.alpha_max, steps)
     modes = [m.strip() for m in args.mode.split(",")]
     try:
         dims = [int(d) for d in args.dim.split(",")]

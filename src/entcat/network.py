@@ -417,15 +417,16 @@ SWEEP_CSV_HEADER = ",".join(SweepRow._fields)
 _new_row = partial(tuple.__new__, SweepRow)
 
 
-def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
-               auxes: Sequence[AuxConfig], edges: dict, n_edges: int,
+def _rate_rows(problems: Sequence[ConcentrationProblem], inside: Sequence[int], catalysts: dict,
+               auxes: Sequence[AuxConfig], edge: EdgeParams, n_edges: int,
                waits: Callable[[int, list], list] = waiting_factors) -> list[SweepRow]:
     """Catalytic and plain-LOCC chain rates, one row per (aux, dimension, problem).
 
-    ``catalysts`` maps (dimension, problem index) to ``(c0, p_cat, copies)``,
-    where ``copies`` maps a supply state's larger coefficient to the copies
-    of it one catalyst takes; a point out of window has no entry.  ``edges``
-    holds one edge per dimension, all with the same timing parameters.
+    One ``edge`` gives every row's timing and one list ``inside`` the
+    in-window problems' indices, in order: a dimension picks only the
+    catalyst.  ``catalysts`` maps each dimension to the ``(c0, p_cat,
+    copies)`` of those problems, in that order; ``copies`` maps a supply
+    state's larger coefficient to the copies of it one catalyst takes.
     ``waits`` gives the waiting factors of a list of probabilities, every
     LOCC and catalytic one of the call at once.
 
@@ -436,60 +437,54 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], catalysts: dict,
     edge's own copy count ``n_cat`` per (dimension, problem), and only the
     edge-cycle time, the catalytic rate and ``eta_r`` per aux mode.  Those
     take one numpy pass over a block's in-window problems, the edge cycle
-    one :func:`t_edge_cycle` call on its columns in every aux mode, with the
-    scalar arithmetic's operations in its order, so every float keeps its
-    bits.
+    one :func:`t_edge_cycle` call, with the scalar arithmetic's operations
+    in its order, so every float keeps its bits.
     """
-    first = next(iter(edges.values()))
-    t_pri = t_primary(first.copies, first.cycle_time_s, first.herald_probability)
-    count = len(problems)
+    t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
+    count, width = len(problems), len(inside)
     alphas = [problem.alpha for problem in problems]
     p_loccs = [locc_probability(problem) for problem in problems]
-    zs = waits(n_edges, p_loccs + [p_cat for _, p_cat, _ in catalysts.values()])
+    zs = waits(n_edges, p_loccs + [
+        p_cat for entries in catalysts.values() for _, p_cat, _ in entries])
     z_loccs = zs[:count]
     rate_loccs = (1.0 / (t_pri * np.array(z_loccs))).tolist()
-    z_cats = dict(zip(catalysts, zs[count:]))
-    blocks = {}  # the rows of each (aux index, dimension), in problem order
-    for edge in edges.values():
-        dim = edge.catalyst_dim
-        inside = [i for i in range(count) if (dim, i) in catalysts]
-        entries = [catalysts[dim, i] for i in inside]
+    alpha, p_locc, z_locc, rate_locc = (
+        [column[i] for i in inside] for column in (alphas, p_loccs, z_loccs, rate_loccs)
+    )
+    p_locc_column, rate_locc_column = np.array(p_locc), np.array(rate_locc)
+    window = set(inside)
+    by_aux = [[] for _ in auxes]  # each aux mode's rows, appended in output order
+    for k, (dim, entries) in enumerate(catalysts.items()):
         c0s = [c0 for c0, _, _ in entries]
         p_cats = [p_cat for _, p_cat, _ in entries]
         counters = [copies for _, _, copies in entries]
-        n_cats = [copies(alphas[i]) for i, copies in zip(inside, counters)]
-        alpha, p_locc, z_locc, rate_locc = (
-            [column[i] for i in inside] for column in (alphas, p_loccs, z_loccs, rate_loccs)
-        )
-        z_cat = [z_cats[dim, i] for i in inside]
+        n_cats = [copies(a) for a, copies in zip(alpha, counters)]
+        z_cat = zs[count + k * width:count + (k + 1) * width]
         p_cat = np.array(p_cats)
-        eta_p = (p_cat / np.array(p_locc)).tolist()
-        n_cat = np.array(n_cats)
-        z_cat_column, rate_locc_column = np.array(z_cat), np.array(rate_locc)
+        eta_p = (p_cat / p_locc_column).tolist()
+        n_cat, z_cat_column = np.array(n_cats), np.array(z_cat)
 
         def copies_column(path_alpha):
             """What each in-window point's catalyst takes of a supply state."""
             return np.array([copies(path_alpha) for copies in counters])
 
-        for a, aux in enumerate(auxes):
+        for aux, rows in zip(auxes, by_aux):
             t_cycle = t_edge_cycle(p_cat, edge, aux,
                                    _supply_copies(aux, copies_column, n_cat)).t_edge_cycle_s
             rate_cat = 1.0 / (t_cycle * z_cat_column)
             eta_r = rate_cat / rate_locc_column
-            ok = dict(zip(inside, map(_new_row, zip(
+            ok = map(_new_row, zip(
                 alpha, itertools.repeat(aux.mode), itertools.repeat(dim), p_locc, p_cats, c0s,
                 n_cats, eta_p, z_locc, z_cat, t_cycle.tolist(), rate_locc, rate_cat.tolist(),
                 eta_r.tolist(), itertools.repeat(WINDOW_OK),
-            ))))
-            blocks[a, dim] = [
-                ok[i] if i in ok else
-                _new_row((alphas[i], aux.mode, dim, p_loccs[i], None, None, None, None,
-                          z_loccs[i], None, None, rate_loccs[i], None, None, WINDOW_OUT))
-                for i in range(count)
-            ]
-    return list(itertools.chain.from_iterable(
-        blocks[a, dim] for a in range(len(auxes)) for dim in edges
-    ))
+            ))
+            rows.extend(
+                next(ok) if i in window else
+                _new_row((a, aux.mode, dim, p, None, None, None, None, z, None, None, r, None, None,
+                          WINDOW_OUT))
+                for i, a, p, z, r in zip(range(count), alphas, p_loccs, z_loccs, rate_loccs)
+            )
+    return list(itertools.chain.from_iterable(by_aux))
 
 
 def _spectrum_catalyst(catalyst: CatalystSpec) -> tuple:
@@ -507,16 +502,17 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> SweepRow:
     """End-to-end distribution rates with and without catalysis for an N-edge chain.
 
     The row :func:`sweep_rates` gives for this point, built by the same
-    composition from the edge's optimal catalyst (:func:`edge_catalyst`,
+    composition from this edge, its one point as the in-window list, and
+    the edge's optimal catalyst at its dimension (:func:`edge_catalyst`,
     which raises :class:`~entcat.errors.CatalysisWindowError` out of window).
     The edge-cycle breakdown behind ``t_edge_cycle_s`` is :func:`t_edge_cycle`;
     the edge count is checked where the waiting factors are taken.
     """
-    catalysts = {(edge.catalyst_dim, 0): _spectrum_catalyst(edge_catalyst(edge))}
+    catalysts = {edge.catalyst_dim: [_spectrum_catalyst(edge_catalyst(edge))]}
     problem = ConcentrationProblem(edge.copies, edge.alpha)
     # The point's two factors, one waiting_factor call each, so perfbench's
     # tracer books them; a sweep takes all of its factors in one call.
-    (row,) = _rate_rows([problem], catalysts, [aux], {edge.catalyst_dim: edge}, n_edges,
+    (row,) = _rate_rows([problem], [0], catalysts, [aux], edge, n_edges,
                         lambda n, ps: [waiting_factor(n, p) for p in ps])
     return row
 
@@ -542,16 +538,18 @@ def sweep_rates(
     asymmetry range.  Only the finite mode reads ``aux_paths``, so paths
     given without it are an error.
 
-    The inputs are validated once and the catalyst found once per
-    (dimension, alpha); the rows come from the composition
-    :func:`rate_catalytic` uses, which computes each quantity once.  At
-    dimension 2, each in-window alpha takes ``(c0, p_cat)`` from the closed
-    form of :func:`~entcat.catalysis.optimal_two_qubit_catalyst` and its copy
-    counts from ``c0``, with no spectrum and no second window check.  Above,
-    the catalysts of one dimension come from a single lockstep
-    :func:`~entcat.catalysis.search_catalysts` batch over the in-window
-    alphas.  That search treats each problem on its own rows, with no
-    reduction across the batch, so every row is bit for bit what
+    The inputs are validated once, each catalyst dimension checked once, and
+    the catalyst found once per (dimension, alpha).  The dimension changes
+    neither the timing nor the catalysis window, so one edge and one
+    in-window list serve every dimension.  The rows come from the
+    composition :func:`rate_catalytic` uses, which computes each quantity
+    once.  At dimension 2, each in-window alpha takes ``(c0, p_cat)`` from
+    the closed form of :func:`~entcat.catalysis.optimal_two_qubit_catalyst`
+    and its copy counts from ``c0``, with no spectrum and no second window
+    check.  Above, the catalysts of one dimension come from a single
+    lockstep :func:`~entcat.catalysis.search_catalysts` batch over the
+    in-window alphas.  That search treats each problem on its own rows, with
+    no reduction across the batch, so every row is bit for bit what
     :func:`rate_catalytic` gives for that point alone.
     """
     if len(set(modes)) < len(modes) or len(set(catalyst_dims)) < len(catalyst_dims):
@@ -565,23 +563,23 @@ def sweep_rates(
     problems = [ConcentrationProblem(copies, alpha) for alpha in sorted(alpha_grid)]
     if not (problems and catalyst_dims):
         return []
-    # One edge per dimension validates the timing parameters; no timing
-    # depends on alpha, so every row of a dimension shares it.
-    edges = {dim: EdgeParams(problems[0].alpha, copies, length_km, fiber_speed_km_s,
-                             herald_probability, dim) for dim in catalyst_dims}
+    # One edge validates the timing parameters; no timing depends on alpha
+    # or on the catalyst dimension, so every row shares it.
+    edge = EdgeParams(problems[0].alpha, copies, length_km, fiber_speed_km_s, herald_probability)
+    dims = [_count(dim, "catalyst dimension", 2) for dim in catalyst_dims]
     inside = [i for i, problem in enumerate(problems) if in_catalysis_window(problem)]
     batch = [problems[i] for i in inside]
-    catalysts = {}  # (c0, p_cat, copies) per (dimension, alpha index); absent out of window
-    for dim in catalyst_dims:
+    catalysts = {}  # (c0, p_cat, copies) of each in-window alpha, per dimension
+    for dim in dims:
         if dim == 2:
             # copies_for_catalyst's two-qubit rule, read from c0 alone.
-            for i in inside:
-                c0, p_cat = _two_qubit_closed_form(problems[i])
-                catalysts[dim, i] = (c0, p_cat, partial(_smallest_power_at_most, c=c0))
+            catalysts[dim] = [
+                (c0, p_cat, partial(_smallest_power_at_most, c=c0))
+                for c0, p_cat in map(_two_qubit_closed_form, batch)
+            ]
         else:
-            for i, catalyst in zip(inside, search_catalysts(batch, dim)):
-                catalysts[dim, i] = _spectrum_catalyst(catalyst)
-    return _rate_rows(problems, catalysts, auxes, edges, n_edges)
+            catalysts[dim] = list(map(_spectrum_catalyst, search_catalysts(batch, dim)))
+    return _rate_rows(problems, inside, catalysts, auxes, edge, n_edges)
 
 
 # One format per row kind.  An out-of-window row prints its None cells with

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
+from .catalysis import _count
 from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
@@ -94,25 +94,18 @@ class SimConfig:
     cycle_time_override_s: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("n_edges", "initial_stock", "stock_capacity", "max_slots", "trials", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int and isinstance(value, Integral):
-                object.__setattr__(self, name, int(value))  # a numpy count, echoed as JSON
-        if not isinstance(self.n_edges, Integral) or self.n_edges < 1:
-            raise InvalidInputError(f"edge count must be a positive integer, got {self.n_edges}")
+        # A numpy count is stored plain, so the record echoes it as JSON.
+        object.__setattr__(self, "n_edges", _count(self.n_edges, "edge count"))
         if self.mode not in (ABSTRACT_MODE, DETAILED_MODE):
             raise InvalidInputError(f"mode must be abstract or detailed, got {self.mode!r}")
-        if not isinstance(self.trials, Integral) or self.trials < 1:
-            raise InvalidInputError(f"trials must be a positive integer, got {self.trials}")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed}")
-        if not isinstance(self.initial_stock, Integral) or self.initial_stock < 0:
-            raise InvalidInputError("initial stock must be a non-negative integer")
-        capacity = self.initial_stock if self.stock_capacity is None else self.stock_capacity
-        if not isinstance(capacity, Integral) or capacity < self.initial_stock:
-            raise InvalidInputError("stock capacity must be an integer covering the initial stock")
-        if not isinstance(self.max_slots, Integral) or self.max_slots < 1:
-            raise InvalidInputError(f"max_slots must be a positive integer, got {self.max_slots}")
+        object.__setattr__(self, "trials", _count(self.trials, "trials"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
+        object.__setattr__(self, "initial_stock", _count(self.initial_stock, "initial stock", 0))
+        if self.stock_capacity is not None:
+            what = f"stock capacity covering the initial stock of {self.initial_stock}"
+            object.__setattr__(self, "stock_capacity",
+                               _count(self.stock_capacity, what, self.initial_stock))
+        object.__setattr__(self, "max_slots", _count(self.max_slots, "max_slots"))
         if self.p_cat_override is not None and not 0.0 < self.p_cat_override <= 1.0:
             raise InvalidInputError("forced success probability must lie in (0, 1]")
         if self.cycle_time_override_s is not None:
@@ -840,10 +833,9 @@ def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> W
     ``_MIN_GEOMETRIC_P`` up, where every count and batch sum it forms is an
     exact double for N up to ~8.3e7.
     """
-    if not isinstance(trials, Integral) or trials < 2:
-        raise InvalidInputError(f"trials must be an integer of at least 2, got {trials}")
-    if not isinstance(seed, Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
+    n_edges = _count(n_edges, "edge count")
+    trials = _count(trials, "trials", 2)
+    seed = _count(seed, "seed", 0)
     analytic = waiting_factor(n_edges, p)
     sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
     uniforms = np.empty(min(_BATCH_TRIALS, trials))

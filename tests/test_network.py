@@ -500,7 +500,8 @@ def test_edge_count_must_be_an_integer(call, n_edges):
     lambda n: EdgeParams(alpha=0.8, copies=n).copies,
     lambda n: EdgeParams(alpha=0.8, catalyst_dim=n).catalyst_dim,
     lambda n: sweep_rates(n, 4, [0.8])[0].n_cat,
-], ids=["problem", "edge_copies", "edge_catalyst_dim", "sweep_rates"])
+    lambda n: sweep_rates(2, 4, [0.8], catalyst_dims=[n])[0].catalyst_dim,
+], ids=["problem", "edge_copies", "edge_catalyst_dim", "sweep_rates", "sweep_catalyst_dim"])
 @pytest.mark.parametrize("count", [np.int64(2), np.int32(2), np.uint8(2)])
 def test_numpy_integer_counts_are_plain_ints(build, count):
     # numpy integers are counts like Python's, stored as plain ints
@@ -536,6 +537,26 @@ class TestSweep:
         assert row.p_cat is None and row.eta_r is None
         assert row.p_locc == 1.0
         assert row.rate_locc_hz > 0
+
+    def test_no_in_window_point_across_modes_and_dimensions(self):
+        # every (mode, dimension) block is all out of window, in output order
+        grid = [0.6, 0.65]
+        rows = sweep_rates(2, 4, grid, [AUX_RICH, NO_AUX], [2, 4])
+        assert [(r.mode, r.catalyst_dim, r.alpha) for r in rows] == [
+            (mode, dim, alpha) for mode in (AUX_RICH, NO_AUX) for dim in (2, 4) for alpha in grid
+        ]
+        for row in rows:
+            assert row.window_flag == "out_of_window"
+            assert row.p_cat is None and row.eta_r is None
+            assert row.p_locc == 1.0
+            assert row.rate_locc_hz > 0
+
+    @pytest.mark.parametrize("grid", [[0.8], [0.6]], ids=["in_window", "out_of_window"])
+    @pytest.mark.parametrize("dim", [1, 2.5, "4", None])
+    def test_rejects_bad_catalyst_dimension(self, grid, dim):
+        # checked once per dimension, whether or not any catalyst is searched
+        with pytest.raises(InvalidInputError, match="catalyst dimension must be an integer >= 2"):
+            sweep_rates(2, 4, grid, [AUX_RICH], [dim])
 
     def test_none_mode_copy_requirement_non_decreasing(self):
         grid = list(np.linspace(0.75, 0.98, 40))

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -148,6 +149,39 @@ def test_numpy_counts_give_the_plain_int_record():
         return json.dumps(result_record(cfg, run_simulation(cfg)))
 
     assert record(np.int64) == record(int)
+
+
+def test_numpy_counts_give_a_plain_int_waiting_factor_check():
+    # validate-z prints json.dumps(asdict(check)); numpy counts were once
+    # echoed as np.int64 fields, which json cannot write
+    check = validate_waiting_factor(np.int64(4), 0.5, np.int64(100), np.int64(1))
+    assert [type(v) for v in (check.n_edges, check.trials)] == [int, int]
+    assert json.dumps(asdict(check)) == json.dumps(asdict(validate_waiting_factor(4, 0.5, 100, 1)))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: abstract_config(n_edges=0), "edge count must be a positive integer, got 0"),
+    (lambda: abstract_config(trials=0), "trials must be a positive integer, got 0"),
+    (lambda: abstract_config(seed=-1), "seed must be a non-negative integer, got -1"),
+    (lambda: SimConfig(n_edges=2, mode="detailed", edge=EDGE, max_slots=0),
+     "max_slots must be a positive integer, got 0"),
+    (lambda: SimConfig(n_edges=2, mode="detailed", edge=EDGE, aux=AuxConfig(NO_AUX),
+                       initial_stock=-1),
+     "initial stock must be a non-negative integer, got -1"),
+    (lambda: SimConfig(n_edges=2, mode="detailed", edge=EDGE, aux=FINITE_AUX_CONFIG,
+                       initial_stock=3, stock_capacity=2),
+     "stock capacity covering the initial stock of 3 must be an integer >= 3, got 2"),
+    (lambda: validate_waiting_factor(0, 0.5, 100, 0),
+     "edge count must be a positive integer, got 0"),
+    (lambda: validate_waiting_factor(2, 0.5, 1, 0), "trials must be an integer >= 2, got 1"),
+    (lambda: validate_waiting_factor(2, 0.5, 100, -1),
+     "seed must be a non-negative integer, got -1"),
+], ids=["n_edges", "trials", "seed", "max_slots", "initial_stock", "stock_capacity",
+        "validate_n_edges", "validate_trials", "validate_seed"])
+def test_count_messages_name_the_bound(build, message):
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 class TestAbstract:
