@@ -131,9 +131,23 @@ def alpha_from_transmittivities(t_left: float, t_right: float) -> float:
 def t_primary(n: int, t0_s: float, p0: float) -> float:
     """Mean time to assemble n primary pairs, one geometric attempt each."""
     n = _count(n)
-    if t0_s <= 0.0 or not 0.0 < p0 <= 1.0:
-        raise InvalidInputError("need t0 > 0 and p0 in (0, 1]")
+    if not (0.0 < t0_s < math.inf and 0.0 < p0 <= 1.0):
+        raise InvalidInputError(f"need a positive finite t0 and p0 in (0, 1], got {t0_s} and {p0}")
     return n * t0_s / p0
+
+
+def _copy_count(count):
+    """A copy count as a plain int, or an integer column, if every count is >= 1.
+
+    A scalar goes through :func:`~entcat.catalysis._count`, so a numpy
+    count prices as a plain int.  An empty column passes.
+    """
+    if np.ndim(count) == 0:
+        return _count(count)
+    count = np.asarray(count)
+    if count.size and not (count.dtype.kind in "iu" and np.all(count >= 1)):
+        raise InvalidInputError(f"copy counts must be positive integers, got {count}")
+    return count
 
 
 def t_catalyst(paths: Sequence[AuxPath], copies: Sequence[int]) -> float:
@@ -144,10 +158,12 @@ def t_catalyst(paths: Sequence[AuxPath], copies: Sequence[int]) -> float:
     that copy requirement times ``P_i / T_i``, exactly as the timing model
     states it; the paths' rates add, from int 0.  A count may be an integer
     column, which gives a column of times, each entry its scalar call's.
+    Every count must be an integer >= 1; an empty column passes.
     """
     if not paths or len(copies) != len(paths):
         raise InvalidInputError("need at least one auxiliary path and one copy count per path")
-    return 1.0 / sum(m * p.gen_probability / p.gen_time_s for p, m in zip(paths, copies))
+    return 1.0 / sum(_copy_count(m) * p.gen_probability / p.gen_time_s
+                     for p, m in zip(paths, copies))
 
 
 def t_edge_cycle(p_cat, edge: EdgeParams, aux: AuxConfig, copies: Sequence) -> TimingBreakdown:
@@ -160,6 +176,7 @@ def t_edge_cycle(p_cat, edge: EdgeParams, aux: AuxConfig, copies: Sequence) -> T
     ``copies`` is what one catalyst takes from each supply (see
     :func:`~entcat.catalysis.copies_for_catalyst`): one count per path of a
     finite list, in order, else the edge's own count; plentiful paths use none.
+    Every count a mode reads must be an integer >= 1.
 
     ``p_cat`` is a float or a numpy column, and each count an int or an
     integer column of the same length; a sweep prices a whole block of
@@ -178,6 +195,7 @@ def t_edge_cycle(p_cat, edge: EdgeParams, aux: AuxConfig, copies: Sequence) -> T
         t_both = np.maximum(t_pri, t_cat) if np.ndim(t_cat) else max(t_pri, t_cat)
     else:
         (n_cat,) = copies
+        n_cat = _copy_count(n_cat)
         t0 = edge.cycle_time_s
         t_cat = n_cat * t0 / edge.herald_probability
         t_both = (edge.copies + n_cat) * t0 / edge.herald_probability

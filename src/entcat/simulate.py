@@ -18,6 +18,7 @@ seeded so results are bit-identical however they are scheduled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -346,9 +347,6 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
 _DRAW_BLOCK = 1 << 11
 _DELIVERY_BLOCK = 1 << 10
 
-# Where a stream runs out: the next completion never comes.
-_NEVER = np.array([math.inf])
-
 
 def _every_nth_success(rng: np.random.Generator, p: float, n: int, limit: int):
     """Yield, a block of draws at a time, where the n-th, 2n-th, ... success falls.
@@ -371,8 +369,8 @@ def _every_nth_success(rng: np.random.Generator, p: float, n: int, limit: int):
 def _ticks_through(period: float, t0: float, slot: int) -> int:
     """The ticks of a path of ``period`` applied by the end of ``slot``."""
     bound = slot * t0 * _TICK_SCALE
-    k = int(bound // period)
-    while k > 0 and k * period > bound:
+    k = int(bound / period)  # the two loops correct any start from 0 up
+    while k * period > bound:
         k -= 1
     while (k + 1) * period <= bound:
         k += 1
@@ -392,106 +390,111 @@ def _slot_of(period: float, t0: float, tick) -> float:
     return slot
 
 
-class _AuxPath:
-    """One auxiliary path of one edge: its ticks, draws and catalyst completions.
-
-    Tick k (counted from 1) is applied in the first slot s with
-    ``k T <= (s t0)(1 + eps)``, the slot stepper's own float test.  The path
-    draws one value per tick while the stock is below capacity, so its j-th
-    catalyst completes at the draw of the (j c)-th success of its stream.
-    While it runs, tick = draw + ``offset``; while the stock is full it draws
-    nothing and ``drawn`` holds the draws taken so far.
-    """
-
-    __slots__ = ("period", "t0", "completions", "queue", "taken", "offset", "drawn", "draw",
-                 "slot")
-
-    def __init__(self, path, rng, copies: int, t0: float, max_slots: int):
-        self.period = path.gen_time_s
-        self.t0 = t0
-        self.completions = _every_nth_success(
-            rng, path.gen_probability, copies, _ticks_through(self.period, t0, max_slots)
-        )
-        self.queue, self.taken = [], 0
-        self.offset = 0
-        self.drawn = 0
-        self.advance()
-
-    def advance(self) -> None:
-        """Move to the next completion: its draw and, while running, its slot."""
-        if self.taken == len(self.queue):
-            self.queue, self.taken = next(self.completions, _NEVER).tolist(), 0
-        self.draw = self.queue[self.taken]
-        self.taken += 1
-        self.slot = _slot_of(self.period, self.t0, self.draw + self.offset)
-
-
 class _Stock:
     """One edge's catalyst stock and the finite aux paths that refill it.
 
+    Tick k of a path (counted from 1) is applied in the first slot s with
+    ``k T <= (s t0)(1 + eps)``, the slot stepper's own float test;
+    :func:`_ticks_through` and :func:`_slot_of` are the one home of that
+    rule.  A path draws one value per tick while the stock is below
+    capacity, so its j-th catalyst completes at the draw of the (j c)-th
+    success of its stream.  Within a slot the paths tick in index order, so
+    a completion that fills the stock stops the later paths' ticks in that
+    slot.
+
     Only a failed attempt lowers the stock, so between failures it never
-    falls and the state is advanced (:meth:`sync`) only when an attempt might
-    find the stock empty, at a failure, and at the end of a trial.  Within a
-    slot the paths tick in index order, so a completion that fills the stock
-    stops the later paths' ticks in that slot.
+    falls.  A stepped run meets the stock in one pass of :meth:`walk`, and
+    the end of a trial refills it through the same pass.
     """
 
-    __slots__ = ("paths", "capacity", "stock", "full", "produced")
+    __slots__ = ("t0", "capacity", "stock", "produced", "paths", "next")
 
     def __init__(self, cfg: SimConfig, trial: int, edge: int, copies_needed):
-        t0 = cfg.edge.cycle_time_s
-        self.paths = [
-            _AuxPath(path, _rng(cfg.seed, trial, edge, 2 + i), copies, t0, cfg.max_slots)
-            for i, (path, copies) in enumerate(zip(cfg.aux.paths, copies_needed))
-        ]
+        self.t0 = t0 = cfg.edge.cycle_time_s
         self.capacity = math.inf if cfg.stock_capacity is None else cfg.stock_capacity
         self.stock = cfg.initial_stock
-        self.full = self.stock >= self.capacity
         self.produced = 0
+        periods = [path.gen_time_s for path in cfg.aux.paths]
+        streams = []
+        for i, (path, copies) in enumerate(zip(cfg.aux.paths, copies_needed)):
+            blocks = _every_nth_success(_rng(cfg.seed, trial, edge, 2 + i), path.gen_probability,
+                                        copies, _ticks_through(path.gen_time_s, t0, cfg.max_slots))
+            # The path's completion draws one at a time; once its stream
+            # runs out, the next completion never comes.
+            streams.append(itertools.chain(itertools.chain.from_iterable(
+                map(np.ndarray.tolist, blocks)), itertools.repeat(math.inf)))
+        draws = [next(stream) for stream in streams]
+        slots = (
+            [math.inf] * len(periods) if self.stock >= self.capacity
+            else [_slot_of(period, t0, draw) for period, draw in zip(periods, draws)]
+        )
+        # One list per field, indexed by path: the period, the completion
+        # draws, the draw of the next completion, the ticks less the draws
+        # while the path runs, the draws it had taken when the stock filled,
+        # and the slot of its next completion, infinite while the stock is
+        # full.
+        self.paths = (periods, streams, draws, [0] * len(periods), [0] * len(periods), slots)
+        self.next = min(slots)  # the slot of the earliest completion
 
-    def sync(self, slot: int) -> None:
-        """Apply every tick through ``slot``."""
-        paths = self.paths
-        while not self.full:
-            path = paths[0]
-            for other in paths:  # the first of the earliest: paths tick in index order
-                if other.slot < path.slot:
-                    path = other
-            if path.slot > slot:
-                return
-            self.stock += 1
-            self.produced += 1
-            if self.stock >= self.capacity:
-                self._pause(path)
-            path.advance()
+    def walk(self, ends: list, base: int, limit: int):
+        """Step a run whose loads end at draws ``ends``: the slot it succeeds in, and None.
 
-    def next_completion(self) -> float:
-        """The slot of the next completion, once synced to an empty stock."""
-        return math.inf if self.full else min(path.slot for path in self.paths)
+        A load ending at draw ``end`` is ready in slot ``base + end``; a wait
+        moves ``base`` on.  Its attempt first applies every completion
+        through that slot, and on an empty stock waits for the next one.  A
+        failure spends one catalyst, and paths paused on a full stock draw
+        again from the first tick after its slot.  A run the end of the
+        trial cuts gives ``limit + 1`` and the load draws it used with
+        whether a load still waits for its attempt.
 
-    def fail(self, slot: int) -> None:
-        """A failed attempt in ``slot`` spends one catalyst."""
-        self.sync(slot)
-        self.stock -= 1
-        if self.full:
-            # The paths draw again from the first tick after this slot.
-            self.full = False
-            for path in self.paths:
-                path.offset = _ticks_through(path.period, path.t0, slot) - path.drawn
-                path.slot = _slot_of(path.period, path.t0, path.draw + path.offset)
-
-    def _pause(self, filler: _AuxPath) -> None:
-        """Stop drawing: ``filler``'s completion has filled the stock."""
-        slot = filler.slot
-        self.full = True
-        before = True
-        for path in self.paths:
-            if path is filler:
-                path.drawn = path.draw
-                before = False
-            else:
-                ticked = _ticks_through(path.period, path.t0, slot if before else slot - 1)
-                path.drawn = ticked - path.offset
+        The whole run is one pass on local copies of the count, the
+        produced total and the next completion's slot, written back once.
+        """
+        t0, capacity = self.t0, self.capacity
+        periods, streams, draws, offsets, drawn, slots = self.paths
+        stock, produced, nxt = self.stock, self.produced, self.next
+        final = ends[-1]  # the load whose attempt succeeds
+        for end in ends:
+            ready = base + end
+            if ready > limit:
+                result = limit + 1, (limit - base, False)
+                break
+            while nxt <= (ready if stock > 0 else limit):
+                if nxt > ready:
+                    ready = nxt  # an empty stock waits for this completion
+                j = slots.index(nxt)  # the first of the earliest: paths tick in index order
+                stock += 1
+                produced += 1
+                filled = draws[j]
+                draws[j] = next(streams[j])
+                if stock < capacity:
+                    slots[j] = _slot_of(periods[j], t0, draws[j] + offsets[j])
+                    nxt = min(slots)
+                    continue
+                # Full: every path stops drawing, path j at this completion,
+                # the paths before it after this slot's tick and the paths
+                # after it before.
+                for p, period in enumerate(periods):
+                    drawn[p] = filled if p == j else (
+                        _ticks_through(period, t0, nxt if p < j else nxt - 1) - offsets[p])
+                    slots[p] = math.inf
+                nxt = math.inf
+            if stock < 1:
+                result = limit + 1, (end, True)
+                break
+            if end == final:
+                result = ready, None
+                break
+            if stock >= capacity:
+                # The paths draw again from the first tick after this slot.
+                for p, period in enumerate(periods):
+                    offsets[p] = _ticks_through(period, t0, ready) - drawn[p]
+                    slots[p] = _slot_of(period, t0, draws[p] + offsets[p])
+                nxt = min(slots)
+            stock -= 1
+            base = ready - end
+        self.stock, self.produced, self.next = stock, produced, nxt
+        return result
 
 
 class _EdgeRuns:
@@ -608,36 +611,19 @@ class _EdgeRuns:
         A load's attempt follows in the slot the load ends if the stock holds
         a catalyst, and otherwise in the slot of the next aux completion; a
         failure spends the catalyst and the pairs, and loading restarts in the
-        next slot.  A run the end of the trial cuts gives ``limit + 1`` and
-        leaves the load draws it used, and whether a load still waits for its
-        attempt, in ``stopped``.
+        next slot.  The run meets the stock in one :meth:`_Stock.walk` pass.
+        A run the end of the trial cuts gives ``limit + 1`` and leaves the
+        load draws it used, and whether a load still waits for its attempt,
+        in ``stopped``.
         """
         if self.at_list is None:
             # A run the stream cuts short ends at infinity.
             self.at_list = self.at.tolist() + [math.inf]
-        first = self.stops[k - 1] + 1 if k else 0
-        loaded = self.at_list[first - 1] if first else self.used
-        ends = self.at_list[first : self.stops[k] + 1]
-        stock = self.stock
-        last = len(ends) - 1
-        for i, end in enumerate(ends):
-            ready = slot + end - loaded
-            if ready > limit:
-                self.stopped = loaded + limit - slot, False
-                return limit + 1
-            loaded = end
-            if stock.stock < 1:
-                stock.sync(ready)
-                if stock.stock < 1:
-                    ready = stock.next_completion()
-                    if ready > limit:
-                        self.stopped = loaded, True
-                        return limit + 1
-                    stock.sync(ready)
-            if i == last:
-                return ready
-            stock.fail(ready)
-            slot = ready
+        stops, at = self.stops, self.at_list
+        first = stops[k - 1] + 1 if k else 0
+        loaded = at[first - 1] if first else self.used
+        ready, self.stopped = self.stock.walk(at[first : stops[k] + 1], slot - loaded, limit)
+        return ready
 
     def settle(self, used: int, pending: bool = False) -> None:
         """Count the loads completed within the first ``used`` load draws.
@@ -659,36 +645,36 @@ class _EdgeRuns:
         """Add the edge's events through ``limit`` to ``ctr``."""
         produced = self.rebuilds
         if self.stock is not None:
-            self.stock.sync(limit)
+            # The end of the trial applies every completion through it, as
+            # an attempt in its last slot would.
+            self.stock.walk((limit,), 0, limit)
             produced += self.stock.produced
         ctr.add_run(self.used, self.loads, self.attempts, self.successes, produced)
 
 
-def _walk(edges, steps: np.ndarray, gaps: list, slot: int, limit: int) -> list:
-    """The gaps of a block whose runs in ``steps`` step: ``gaps`` corrected in place.
+def _walk(edges, steps: np.ndarray, gaps: np.ndarray, slot: int, limit: int) -> list:
+    """The gaps of a block whose runs in ``steps`` step: ``gaps`` corrected, as a list.
 
     ``gaps`` holds each delivery's largest no-wait offset, which a stepped
-    run can only lengthen.  Deliveries are walked in order from ``slot``
-    through the first that ends past ``limit``; only the stepped runs read
-    the clock.
+    run can only lengthen.  The stepped (delivery, edge) pairs are walked in
+    order from ``slot`` until a delivery starts at or past ``limit``.  A
+    delivery starts at the prefix sum of the no-wait gaps before it plus
+    what the stepped runs so far have added.
     """
-    columns = {}
+    starts = (slot + np.cumsum(gaps) - gaps).tolist()
+    gaps = gaps.tolist()
+    added = 0
+    current = -1
     for k, e in np.argwhere(steps.T).tolist():
-        columns.setdefault(k, []).append(e)
-    start, done = slot, 0
-    for k, stepping in columns.items():
-        start += sum(gaps[done:k])
-        done = k
-        if start >= limit:
-            break
+        if k != current:
+            current, start = k, starts[k] + added
+            if start >= limit:
+                break
         latest = start + gaps[k]
-        for e in stepping:
-            ready = edges[e].step(k, start, limit)
-            if ready > latest:
-                latest = ready
-        gaps[k] = latest - start
-        if latest > limit:
-            break
+        ready = edges[e].step(k, start, limit)
+        if ready > latest:
+            added += ready - latest
+            gaps[k] = ready - start
     return gaps
 
 
@@ -727,7 +713,7 @@ def _trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
         offsets = np.diff(ends, axis=1, prepend=used[:, None])
         gaps = offsets.max(axis=0)
         if steps.any():
-            gaps = np.array(_walk(edges, steps, gaps.tolist(), slot, limit), np.int64)
+            gaps = np.array(_walk(edges, steps, gaps, slot, limit), np.int64)
         elapsed = slot + np.cumsum(gaps)
         settled = int(np.searchsorted(elapsed, limit, side="right"))
         intervals.append(gaps[:settled] * cfg.edge.cycle_time_s)
@@ -772,10 +758,10 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     finds the stock empty.  A success spends nothing, so that needs a
     failure earlier in the same run, or the first run from an empty initial
     stock.  Only those runs are stepped, from the slot their delivery
-    leaves, against the stock, which advances its paths only when an attempt
-    might find it empty, at a failure and at the end of the run.  Every
-    other run, and every block of deliveries without a stepped run, is
-    settled from its offsets alone.  The result is that of stepping every
+    leaves, each in one pass against the stock that applies the aux
+    completions through every attempt's slot.  Every other run, and every
+    block of deliveries without a stepped run, is settled from its offsets
+    alone.  The result is that of stepping every
     slot, draw for draw.
     """
     if cfg.mode != DETAILED_MODE:

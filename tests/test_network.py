@@ -230,6 +230,47 @@ class TestTimings:
             with pytest.raises(InvalidInputError):
                 t_edge_cycle(bad, edge, aux, (3,) * supplies)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, 0.0, -1e-3])
+    def test_t_primary_needs_a_positive_finite_slot(self, t0):
+        # nan and inf once passed through as the time itself.
+        with pytest.raises(InvalidInputError, match="positive finite t0"):
+            t_primary(2, t0, 0.5)
+
+    @pytest.mark.parametrize("count", [0, -2, 2.5, "3", None])
+    def test_t_catalyst_rejects_a_count_below_one_or_not_an_integer(self, count):
+        # [0] once raised a bare ZeroDivisionError and [-2] gave -0.001 s.
+        with pytest.raises(InvalidInputError, match="copy count must be a positive integer"):
+            t_catalyst([AuxPath(0.8, 0.5, 1e-3)], (count,))
+
+    @pytest.mark.parametrize("column", [[3, 0], [3, -1], [3.0, 2.0], [True, True]])
+    def test_t_catalyst_rejects_a_bad_column_entry(self, column):
+        # A 0 once raised a RuntimeWarning and gave an infinite time.
+        with pytest.raises(InvalidInputError, match="copy counts must be positive integers"):
+            t_catalyst([AuxPath(0.8, 0.5, 1e-3)], (np.array(column),))
+
+    def test_t_catalyst_takes_an_empty_column(self):
+        # A sweep with no in-window point prices an empty block.
+        got = t_catalyst([AuxPath(0.8, 0.5, 1e-3)], (np.array([]),))
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("mode", [NO_AUX, FINITE_AUX])
+    @pytest.mark.parametrize("count", [0, -3, 2.5])
+    def test_edge_cycle_rejects_a_count_below_one_or_not_an_integer(self, mode, count):
+        # Without aux paths, (0,) once priced a free catalyst and (-3,) a
+        # negative one.
+        aux = AuxConfig(mode, (AuxPath(0.8, 0.5, 1e-3),) if mode == FINITE_AUX else ())
+        with pytest.raises(InvalidInputError, match="copy count must be a positive integer"):
+            t_edge_cycle(0.5, EdgeParams(alpha=0.8), aux, (count,))
+
+    @pytest.mark.parametrize("mode", [NO_AUX, FINITE_AUX])
+    def test_edge_cycle_numpy_count_gives_plain_floats(self, mode):
+        # (np.int64(3),) once gave np.float64 fields.
+        aux = AuxConfig(mode, (AuxPath(0.8, 0.5, 1e-3),) if mode == FINITE_AUX else ())
+        edge = EdgeParams(alpha=0.8)
+        got = t_edge_cycle(0.5, edge, aux, (np.int64(3),))
+        assert all(type(t) is float for t in got)
+        assert got == t_edge_cycle(0.5, edge, aux, (3,))
+
 
 class TestWaitingFactor:
     def test_single_edge(self):

@@ -15,6 +15,8 @@ from entcat.simulate import (
     _DELIVERY_BLOCK,
     SimConfig,
     _MaxOfGeometrics,
+    _slot_of,
+    _ticks_through,
     result_record,
     run_simulation,
     simulate_abstract,
@@ -508,6 +510,68 @@ class TestMatchesSlotStepper:
                 tracemalloc.stop()
             assert res.deliveries > 0
             assert peak <= 4 * 2**20 + 16 * res.deliveries
+
+
+def tick_periods(t0):
+    """Every period of REGIMES and FINITE_PATHS, then 200 seeded ones in [0.3 t0, 40 t0].
+
+    Half of the seeded periods are uniform.  The other half are m t0 (1 + 1e-9) / q,
+    which puts ticks on or next to slot bounds, where each helper's first
+    guess may be off by one.
+    """
+    fixed = {path.gen_time_s
+             for paths in (REGIMES["finite"].paths, *FINITE_PATHS.values()) for path in paths}
+    rng = np.random.default_rng(29)
+    uniform = (rng.uniform(0.3, 40.0, 100) * t0).tolist()
+    near_bounds = []
+    while len(near_bounds) < 100:
+        m, q = rng.integers(1, 121, 2).tolist()
+        if 0.3 <= m / q <= 40.0:
+            near_bounds.append(m * t0 * (1.0 + 1e-9) / q)
+    return sorted(fixed) + uniform + near_bounds
+
+
+class TestTickRule:
+    """The aux tick/slot rule of the detailed simulator, on its own.
+
+    Tick k of a path of period T is applied in the first slot s >= 1 with
+    ``k T <= (s t0)(1 + 1e-9)``.  Both helpers are checked against that
+    definition at every slot 0-5000 and every tick those slots hold.
+    """
+
+    def test_helpers_match_the_brute_force(self):
+        t0 = EDGE.cycle_time_s
+        scale = 1.0 + 1e-9
+        bounds = np.arange(5001) * t0 * scale  # (s t0)(1 + 1e-9), in that order
+        # Where each helper's first guess was too high or too low, so that a
+        # correction loop ran.
+        fired = dict.fromkeys(("ticks down", "ticks up", "slot down", "slot up"), 0)
+        periods = tick_periods(t0)
+        assert float.fromhex("0x1.89374bcd40c94p-11") in periods  # slot_boundary
+        for period in periods:
+            ticks = np.arange(int(bounds[-1] / period) + 2) * period
+            assert ticks[-1] > bounds[-1]
+            # ticks_through(s) = max{k >= 0 : k T <= bound(s)}
+            through = [_ticks_through(period, t0, s) for s in range(bounds.size)]
+            assert through == (np.searchsorted(ticks, bounds, side="right") - 1).tolist()
+            # slot_of(k) = min{s >= 1 : k T <= bound(s)}
+            last = through[-1]
+            slots = [_slot_of(period, t0, k) for k in range(last + 2)]
+            brute = np.searchsorted(bounds[1:], ticks[1 : last + 1], side="left") + 1
+            assert slots[1:-1] == brute.tolist()
+            for s, k in enumerate(through):
+                assert slots[k] <= s < slots[k + 1]
+                guess = int(bounds[s] / period)
+                fired["ticks down"] += guess > k
+                fired["ticks up"] += guess < k
+            for k in range(1, last + 1):
+                guess = math.ceil(k * period / (t0 * scale))
+                fired["slot down"] += guess > slots[k]
+                fired["slot up"] += guess < slots[k]
+        assert all(fired.values()), fired
+
+    def test_no_tick_has_no_slot(self):
+        assert _slot_of(2.5e-4, 2.5e-4, math.inf) == math.inf
 
 
 class TestValidateWaitingFactor:
