@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,19 +41,54 @@ from .spectra import (
 DIM_CAP = 2**20
 
 
-def _count(value, what: str = "copy count", least: int = 1) -> int:
-    """``value`` as a plain int, a numpy count included, if it is an integer >= ``least``.
+def _count(value, what: str = "copy count", least: int = 1):
+    """``value`` as a plain int, or a column as an array, if each count is an integer >= ``least``.
 
-    Anything else, a float or a string included, raises
-    :class:`InvalidInputError` naming the count as ``what``.
+    Numpy integers count; a bool, a float, a string or a column of another
+    dtype raises :class:`InvalidInputError` naming ``what``.  An empty column passes.
     """
-    if type(value) is not int and isinstance(value, Integral):
-        value = int(value)
-    if not isinstance(value, int) or value < least:
-        bound = {0: "a non-negative integer", 1: "a positive integer"}.get(
-            least, f"an integer >= {least}")
-        raise InvalidInputError(f"{what} must be {bound}, got {value}")
+    if type(value) is not int:
+        if np.ndim(value):
+            value = np.asarray(value)
+            if value.size == 0 or value.dtype.kind in "iu" and np.all(value >= least):
+                return value
+        elif isinstance(value, Integral) and not isinstance(value, bool):
+            value = int(value)
+    if type(value) is not int or value < least:
+        bound = {0: "non-negative integer", 1: "positive integer"}.get(least, f"integer >= {least}")
+        message = (f"{what}s must be {bound.replace('integer', 'integers')}" if np.ndim(value)
+                   else f"{what} must be {'an' if least > 1 else 'a'} {bound}")
+        raise InvalidInputError(f"{message}, got {value}")
     return value
+
+
+# The intervals a real input may be asked to lie in, each with its test.
+_INTERVALS = {
+    "(0.5, 1)": lambda x: 0.5 < x < 1.0,  # a larger Schmidt coefficient
+    "(0, 1]": lambda x: 0.0 < x <= 1.0,  # a probability
+    "(0, inf)": lambda x: 0.0 < x < math.inf,  # a length, speed or time
+}
+
+
+def _real(value, what: str, interval: str):
+    """``value`` if it is a real number in ``interval``, a key of ``_INTERVALS``.
+
+    A Python int or float comes back as given, another real (numpy's) as a plain float.
+    Anything else, a bool included, raises :class:`InvalidInputError` naming ``what``.
+    """
+    if type(value) is not float and type(value) is not int:
+        if not isinstance(value, Real) or isinstance(value, bool):
+            raise InvalidInputError(f"{what} must be a real number, got {value!r}")
+        value = float(value)
+    if not _INTERVALS[interval](value):
+        raise InvalidInputError(f"{what} must lie in {interval}, got {value}")
+    return value
+
+
+def _check_combined_dimension(n: int, d_c: int) -> None:
+    """The one test of ``DIM_CAP``, on n copies with a catalyst of dimension d_c (1 for none)."""
+    if 2**n * d_c > DIM_CAP:
+        raise ResourceLimitError(f"combined dimension 2**{n} * {d_c} exceeds the cap {DIM_CAP}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +100,7 @@ class ConcentrationProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _count(self.n))
-        if not 0.5 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must lie in (0.5, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", "(0.5, 1)"))
 
 
 @dataclass(frozen=True)
@@ -100,8 +134,7 @@ def _power_coefficients(alpha: float, m: int, count: int | None = None) -> np.nd
     returned, and ``2**m`` must not exceed ``DIM_CAP``.
     """
     if count is None:
-        if 2**m > DIM_CAP:
-            raise ResourceLimitError(f"2**{m} exceeds the dimension cap {DIM_CAP}")
+        _check_combined_dimension(m, 1)
         count = 2**m
     repeats = []  # entries taken from each layer, from the top
     left = count
@@ -117,8 +150,7 @@ def _power_coefficients(alpha: float, m: int, count: int | None = None) -> np.nd
 def target_spectrum(n: int) -> SchmidtVector:
     """Spectrum of one Bell pair padded by the n-1 leftover product pairs."""
     n = _count(n)
-    if 2**n > DIM_CAP:
-        raise ResourceLimitError(f"2**{n} exceeds the dimension cap {DIM_CAP}")
+    _check_combined_dimension(n, 1)
     coeffs = np.zeros(2**n)
     coeffs[0] = coeffs[1] = 0.5
     return SchmidtVector(coeffs)
@@ -135,9 +167,7 @@ def n_star(alpha: float) -> int:
     Closed form ``ceil(1 / log2(1/alpha))``, adjusted so that the returned
     value is operationally the smallest m with ``alpha**m <= 1/2``.
     """
-    if not 0.5 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie in (0.5, 1), got {alpha}")
-    return _smallest_power_at_most(alpha, 0.5)
+    return _smallest_power_at_most(_real(alpha, "alpha", "(0.5, 1)"), 0.5)
 
 
 def _smallest_power_at_most(alpha: float, c: float) -> int:
@@ -220,11 +250,6 @@ def catalysis_probability(problem: ConcentrationProblem, catalyst: SchmidtVector
     _check_combined_dimension(problem.n, catalyst.dimension)
     psi = _power_coefficients(problem.alpha, problem.n)[None, :]
     return float(_catalysed_probabilities(psi, catalyst.coefficients[None, :])[0])
-
-
-def _check_combined_dimension(n: int, d_c: int) -> None:
-    if 2**n * d_c > DIM_CAP:
-        raise ResourceLimitError(f"combined dimension 2**{n} * {d_c} exceeds the cap {DIM_CAP}")
 
 
 def _catalysed_probabilities(psi: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
@@ -578,8 +603,7 @@ def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float) -> int:
     bind, because the catalyst's vanish beyond its own dimension, so the test
     stays cheap for any copy count.
     """
-    if not 0.5 < alpha_supply < 1.0:
-        raise InvalidInputError(f"supply alpha must lie in (0.5, 1), got {alpha_supply}")
+    alpha_supply = _real(alpha_supply, "supply alpha", "(0.5, 1)")
     m = _smallest_power_at_most(alpha_supply, float(catalyst.coefficients[0]))
     if catalyst.dimension <= 2:
         return m

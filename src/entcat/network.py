@@ -21,6 +21,7 @@ from .catalysis import (
     CatalystSpec,
     ConcentrationProblem,
     _count,
+    _real,
     _smallest_power_at_most,
     _two_qubit_closed_form,
     copies_for_catalyst,
@@ -57,15 +58,15 @@ class EdgeParams:
     catalyst_dim: int = 2
 
     def __post_init__(self):
-        if not 0.5 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must lie in (0.5, 1), got {self.alpha}")
-        # A numpy count is stored plain.
+        # A numpy count is stored as an int and a numpy real as a float.
+        for name, what, interval in (
+            ("alpha", "alpha", "(0.5, 1)"), ("length_km", "length", "(0, inf)"),
+            ("fiber_speed_km_s", "fiber speed", "(0, inf)"),
+            ("herald_probability", "herald probability", "(0, 1]"),
+        ):
+            object.__setattr__(self, name, _real(getattr(self, name), what, interval))
         object.__setattr__(self, "copies", _count(self.copies, "copies", 2))
         object.__setattr__(self, "catalyst_dim", _count(self.catalyst_dim, "catalyst dimension", 2))
-        if not (0.0 < self.length_km < math.inf and 0.0 < self.fiber_speed_km_s < math.inf):
-            raise InvalidInputError("length and fiber speed must be positive and finite")
-        if not 0.0 < self.herald_probability <= 1.0:
-            raise InvalidInputError("herald probability must lie in (0, 1]")
 
     @property
     def cycle_time_s(self) -> float:
@@ -82,12 +83,10 @@ class AuxPath:
     gen_time_s: float
 
     def __post_init__(self):
-        if not 0.5 < self.alpha < 1.0:
-            raise InvalidInputError(f"aux path alpha must lie in (0.5, 1), got {self.alpha}")
-        if not 0.0 < self.gen_probability <= 1.0:
-            raise InvalidInputError("aux path probability must lie in (0, 1]")
-        if not 0.0 < self.gen_time_s < math.inf:
-            raise InvalidInputError("aux path generation time must be positive and finite")
+        for name, what, interval in (("alpha", "aux path alpha", "(0.5, 1)"),
+                                     ("gen_probability", "aux path probability", "(0, 1]"),
+                                     ("gen_time_s", "aux path generation time", "(0, inf)")):
+            object.__setattr__(self, name, _real(getattr(self, name), what, interval))
 
 
 @dataclass(frozen=True)
@@ -128,26 +127,12 @@ def alpha_from_transmittivities(t_left: float, t_right: float) -> float:
     return max(a, 1.0 - a)
 
 
-def t_primary(n: int, t0_s: float, p0: float) -> float:
-    """Mean time to assemble n primary pairs, one geometric attempt each."""
+def t_primary(n, t0_s: float, p0: float):
+    """Mean time ``n * t0_s / p0`` to assemble n primary pairs: n a count or an integer column."""
     n = _count(n)
     if not (0.0 < t0_s < math.inf and 0.0 < p0 <= 1.0):
         raise InvalidInputError(f"need a positive finite t0 and p0 in (0, 1], got {t0_s} and {p0}")
     return n * t0_s / p0
-
-
-def _copy_count(count):
-    """A copy count as a plain int, or an integer column, if every count is >= 1.
-
-    A scalar goes through :func:`~entcat.catalysis._count`, so a numpy
-    count prices as a plain int.  An empty column passes.
-    """
-    if np.ndim(count) == 0:
-        return _count(count)
-    count = np.asarray(count)
-    if count.size and not (count.dtype.kind in "iu" and np.all(count >= 1)):
-        raise InvalidInputError(f"copy counts must be positive integers, got {count}")
-    return count
 
 
 def t_catalyst(paths: Sequence[AuxPath], copies: Sequence[int]) -> float:
@@ -162,7 +147,7 @@ def t_catalyst(paths: Sequence[AuxPath], copies: Sequence[int]) -> float:
     """
     if not paths or len(copies) != len(paths):
         raise InvalidInputError("need at least one auxiliary path and one copy count per path")
-    return 1.0 / sum(_copy_count(m) * p.gen_probability / p.gen_time_s
+    return 1.0 / sum(_count(m) * p.gen_probability / p.gen_time_s
                      for p, m in zip(paths, copies))
 
 
@@ -171,8 +156,8 @@ def t_edge_cycle(p_cat, edge: EdgeParams, aux: AuxConfig, copies: Sequence) -> T
 
     Success costs only the primary assembly time; failure also costs the
     catalyst: nothing extra when auxiliary paths are plentiful, the larger of
-    the two generation times with a finite path list, and an additive copy
-    overhead out of the primary source when no auxiliary paths exist.
+    the two generation times with a finite path list, and the :func:`t_primary`
+    time of the edge's copies plus ``n_cat`` when no auxiliary paths exist.
     ``copies`` is what one catalyst takes from each supply (see
     :func:`~entcat.catalysis.copies_for_catalyst`): one count per path of a
     finite list, in order, else the edge's own count; plentiful paths use none.
@@ -195,10 +180,8 @@ def t_edge_cycle(p_cat, edge: EdgeParams, aux: AuxConfig, copies: Sequence) -> T
         t_both = np.maximum(t_pri, t_cat) if np.ndim(t_cat) else max(t_pri, t_cat)
     else:
         (n_cat,) = copies
-        n_cat = _copy_count(n_cat)
-        t0 = edge.cycle_time_s
-        t_cat = n_cat * t0 / edge.herald_probability
-        t_both = (edge.copies + n_cat) * t0 / edge.herald_probability
+        t_cat = t_primary(n_cat, edge.cycle_time_s, edge.herald_probability)
+        t_both = t_primary(edge.copies + n_cat, edge.cycle_time_s, edge.herald_probability)
     return TimingBreakdown(t_pri, t_cat, t_both, p_cat * t_pri + (1.0 - p_cat) * t_both)
 
 
@@ -241,8 +224,7 @@ def waiting_factors(n_edges: int, ps: Sequence[float]) -> list[float]:
     cut = math.log(n_edges) + 40.0  # the series stops where N exp(-lam m) < e**-40
     harmonic = None
     for i, p in enumerate(ps):
-        if not 0.0 < p <= 1.0:
-            raise InvalidInputError(f"success probability must lie in (0, 1], got {p}")
+        p = _real(p, "success probability", "(0, 1]")
         if p == 1.0:
             continue
         lam = -math.log1p(-p)
@@ -302,8 +284,7 @@ def waiting_factor_small_p(n_edges: int, p: float) -> float:
     rate computations.
     """
     n_edges = _count(n_edges, "edge count")
-    if not 0.0 < p <= 1.0:
-        raise InvalidInputError(f"success probability must lie in (0, 1], got {p}")
+    p = _real(p, "success probability", "(0, 1]")
     return 1.0 / (p * (2.0 / 3.0) ** (n_edges - 1))
 
 

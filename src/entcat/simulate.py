@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalysis import _count
+from .catalysis import _count, _real
 from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
@@ -95,7 +95,8 @@ class SimConfig:
     cycle_time_override_s: Optional[float] = None
 
     def __post_init__(self):
-        # A numpy count is stored plain, so the record echoes it as JSON.
+        # A numpy count is stored as an int and a numpy real as a float, so
+        # the record echoes them as JSON.
         object.__setattr__(self, "n_edges", _count(self.n_edges, "edge count"))
         if self.mode not in (ABSTRACT_MODE, DETAILED_MODE):
             raise InvalidInputError(f"mode must be abstract or detailed, got {self.mode!r}")
@@ -107,16 +108,15 @@ class SimConfig:
             object.__setattr__(self, "stock_capacity",
                                _count(self.stock_capacity, what, self.initial_stock))
         object.__setattr__(self, "max_slots", _count(self.max_slots, "max_slots"))
-        if self.p_cat_override is not None and not 0.0 < self.p_cat_override <= 1.0:
-            raise InvalidInputError("forced success probability must lie in (0, 1]")
-        if self.cycle_time_override_s is not None:
-            if self.mode == DETAILED_MODE:
-                raise InvalidInputError(
-                    "a forced cycle time applies to abstract mode only; detailed mode counts slots"
-                )
-            if not 0.0 < self.cycle_time_override_s < math.inf:
-                raise InvalidInputError("forced cycle time must be positive and finite")
+        for name, what, interval in (("p_cat_override", "forced success probability", "(0, 1]"),
+                                     ("cycle_time_override_s", "forced cycle time", "(0, inf)")):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real(getattr(self, name), what, interval))
         detailed = self.mode == DETAILED_MODE
+        if self.cycle_time_override_s is not None and detailed:
+            raise InvalidInputError(
+                "a forced cycle time applies to abstract mode only; detailed mode counts slots"
+            )
         if self.stock_capacity is not None and not (detailed and self.aux.mode == FINITE_AUX):
             raise InvalidInputError(
                 "a stock capacity applies to detailed runs with finite aux paths only"
@@ -193,30 +193,22 @@ class SimResult:
     counters: tuple
 
 
-def _catalyst_supply(cfg: SimConfig):
-    """Catalysis probability, honoring its override, and the copies one catalyst takes.
-
-    The copies are one count per finite aux path, or the edge's own ``n_cat``
-    in the other modes, as :func:`entcat.network.t_edge_cycle` takes them.
-    Plentiful aux paths refill no stock, so there a forced probability reads
-    no catalyst and no copies, and ``alpha`` may lie outside the window.
-    """
-    if cfg.aux.mode == AUX_RICH and cfg.p_cat_override is not None:
-        return cfg.p_cat_override, ()
-    _, p_cat, copies = _spectrum_catalyst(edge_catalyst(cfg.edge))
-    return cfg.p_cat_override or p_cat, _supply_copies(cfg.aux, copies, copies(cfg.edge.alpha))
-
-
 def _resolved_parameters(cfg: SimConfig):
-    """Catalysis probability and mean edge-cycle time, honoring overrides."""
-    p_cat = cfg.p_cat_override
-    t_cycle = cfg.cycle_time_override_s
-    if p_cat is not None and t_cycle is not None:
-        return p_cat, t_cycle
-    p_cat, copies = _catalyst_supply(cfg)
-    if t_cycle is None:
+    """A run's catalysis probability, supply copies and edge-cycle time, honoring overrides.
+
+    The copies are as :func:`entcat.network.t_edge_cycle` reads them; only an
+    abstract run gets a cycle time.  A run with plentiful aux paths given
+    ``p_cat_override`` (both overrides included) reads no catalyst, so
+    ``alpha`` may lie outside the window; any other raises ``CatalysisWindowError`` there.
+    """
+    p_cat, copies, t_cycle = cfg.p_cat_override, (), cfg.cycle_time_override_s
+    if p_cat is None or cfg.aux.mode != AUX_RICH:
+        _, p_edge, copies_of = _spectrum_catalyst(edge_catalyst(cfg.edge))
+        p_cat = p_cat or p_edge
+        copies = _supply_copies(cfg.aux, copies_of, copies_of(cfg.edge.alpha))
+    if t_cycle is None and cfg.mode == ABSTRACT_MODE:
         t_cycle = t_edge_cycle(p_cat, cfg.edge, cfg.aux, copies).t_edge_cycle_s
-    return p_cat, t_cycle
+    return p_cat, copies, t_cycle
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -300,7 +292,7 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
     """
     if cfg.mode != ABSTRACT_MODE:
         raise InvalidInputError("config mode must be abstract")
-    p_cat, t_cycle = _resolved_parameters(cfg)
+    p_cat, _, t_cycle = _resolved_parameters(cfg)
     sampler = _MaxOfGeometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
     # Every edge's count is needed for its attempt total, so each trial draws
     # all N exponentials.  Below p = 1/3 their counts are the ones
@@ -766,7 +758,7 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     """
     if cfg.mode != DETAILED_MODE:
         raise InvalidInputError("config mode must be detailed")
-    p_cat, copies = _catalyst_supply(cfg)
+    p_cat, copies, _ = _resolved_parameters(cfg)
     counters = [EdgeCounters() for _ in range(cfg.n_edges)]
     intervals: list[np.ndarray] = []
     deliveries = 0
@@ -822,6 +814,7 @@ def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> W
     n_edges = _count(n_edges, "edge count")
     trials = _count(trials, "trials", 2)
     seed = _count(seed, "seed", 0)
+    p = _real(p, "success probability", "(0, 1]")
     analytic = waiting_factor(n_edges, p)
     sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
     uniforms = np.empty(min(_BATCH_TRIALS, trials))

@@ -408,7 +408,7 @@ def simulate_abstract_geometric(cfg):
     """Reference for :func:`entcat.simulate.simulate_abstract` on :func:`max_of_geometrics`."""
     if cfg.mode != ABSTRACT_MODE:
         raise InvalidInputError("config mode must be abstract")
-    p_cat, t_cycle = _resolved_parameters(cfg)
+    p_cat, _, t_cycle = _resolved_parameters(cfg)
     mean, std_error, attempts = max_of_geometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
     counters = [
         EdgeCounters(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from entcat.catalysis import (
+    CatalystSpec,
     ConcentrationProblem,
     catalysis_probability,
     copies_for_catalyst,
@@ -71,6 +73,19 @@ class TestInitialAndTargetSpectra:
         with pytest.raises(ResourceLimitError):
             initial_spectrum(ConcentrationProblem(25, 0.8))
 
+    @pytest.mark.parametrize("build,sizes", [
+        (lambda: initial_spectrum(ConcentrationProblem(25, 0.8)), "2**25 * 1"),
+        (lambda: target_spectrum(21), "2**21 * 1"),
+        (lambda: catalysis_probability(ConcentrationProblem(19, 0.99),
+                                       make_schmidt([0.4, 0.3, 0.2, 0.1])), "2**19 * 4"),
+        (lambda: search_catalyst(ConcentrationProblem(19, 0.99), 4), "2**19 * 4"),
+    ], ids=["initial", "target", "catalysed", "search"])
+    def test_dimension_cap_has_one_message(self, build, sizes):
+        # Every spectrum is checked against DIM_CAP by one comparison.
+        with pytest.raises(ResourceLimitError) as info:
+            build()
+        assert str(info.value) == f"combined dimension {sizes} exceeds the cap 1048576"
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_target(self, n):
         coeffs = target_spectrum(n).coefficients
@@ -93,6 +108,35 @@ class TestInitialAndTargetSpectra:
             ConcentrationProblem(2, 0.5)
         with pytest.raises(InvalidInputError):
             ConcentrationProblem(2, 1.0)
+
+    @pytest.mark.parametrize("alpha", ["0.8", None, np.array([0.8, 0.9]), 0.8j, True])
+    def test_problem_alpha_must_be_a_real_number(self, alpha):
+        # "0.8" and None once raised a bare TypeError, an array a bare ValueError.
+        with pytest.raises(InvalidInputError, match="alpha must"):
+            ConcentrationProblem(2, alpha)
+
+    @pytest.mark.parametrize("alpha", [np.float32(0.8), np.float64(0.8), np.longdouble(0.8)])
+    def test_numpy_alpha_is_a_plain_float(self, alpha):
+        # Its arithmetic is then done in double precision.
+        problem = ConcentrationProblem(2, alpha)
+        assert type(problem.alpha) is float and problem.alpha == float(alpha)
+        assert locc_probability(problem) == locc_probability(ConcentrationProblem(2, float(alpha)))
+
+
+class TestCountRule:
+    def test_bool_is_not_a_count(self):
+        # True once priced as one copy; a bool column was already rejected.
+        with pytest.raises(InvalidInputError) as info:
+            catalysis._count(True)
+        assert str(info.value) == "copy count must be a positive integer, got True"
+        with pytest.raises(InvalidInputError, match="copy counts must be positive integers"):
+            catalysis._count(np.array([True]))
+
+    @pytest.mark.parametrize("column", [[3, 1], np.array([2, 5], dtype=np.uint8), []])
+    def test_column_is_an_array(self, column):
+        got = catalysis._count(column)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, column)
 
 
 class TestLoccProbability:
@@ -135,6 +179,30 @@ class TestNStar:
         with pytest.raises(InvalidInputError):
             n_star(alpha)
 
+    def test_smallest_power_matches_a_brute_force(self):
+        # _smallest_power_at_most backs n_star, copies_for_catalyst and every
+        # dimension-2 sweep copy count.  Near-boundary inputs, alpha = c**(1/k)
+        # or one ulp either side, put its log estimate one too high or one
+        # too low often enough that both of its correction loops run here.
+        rng = random.Random(2030)
+        high = low = 0
+        for _ in range(10_000):
+            k = rng.randint(1, 400)
+            c = 0.5 if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
+            root = c ** (1.0 / k)
+            alpha = rng.choice([root, math.nextafter(root, 0.0), math.nextafter(root, 1.0)])
+            if not 0.0 < alpha < 1.0:
+                continue
+            m = catalysis._smallest_power_at_most(alpha, c)
+            smallest = 1
+            while alpha**smallest > c:
+                smallest += 1
+            assert m == smallest, (alpha, c)
+            estimate = max(1, math.ceil(math.log(c) / math.log(alpha)))
+            high += estimate > m
+            low += estimate < m
+        assert high > 0 and low > 0, (high, low)
+
 
 class TestCatalysisWindow:
     def test_one_power_matches_n_star(self):
@@ -165,6 +233,11 @@ class TestOptimalTwoQubitCatalyst:
         # matches the published 5-digit roundings
         assert spec.spectrum.coefficients[0] == pytest.approx(0.59196, abs=1e-5)
         assert spec.success_probability == pytest.approx(0.88227, abs=2e-5)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_spec_probability_must_lie_in_the_unit_interval(self, p):
+        with pytest.raises(InvalidInputError, match="success probability must lie in"):
+            CatalystSpec(two_qubit(C0_2_08), p)
 
     @pytest.mark.parametrize("n", [1, 4, 5])
     def test_window_enforced(self, n):

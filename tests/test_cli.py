@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import entcat
-from entcat import cli
+from entcat import catalysis, cli
 from entcat.cli import main, parse_config
-from entcat.errors import InvalidInputError
+from entcat.errors import InvalidInputError, NumericFailureError
 
 
 def run_cli(capsys, *argv):
@@ -577,6 +577,17 @@ class TestConfigParsing:
             parse_config("aux.1.alpha = 0.8\n")
 
     @pytest.mark.parametrize("text,message", [
+        ("seed = 1\nseed 5\n", "config line 2: expected 'key = value', got 'seed 5'"),
+        ("aux.x.alpha = 0.8\n", "config line 1: unknown key 'aux.x.alpha'"),
+        ("aux.1.bogus = 1\n", "config line 1: unknown key 'aux.1.bogus'"),
+        ("aux.1 = 0.8\n", "config line 1: unknown key 'aux.1'"),
+    ], ids=["no_equals", "aux_index", "aux_field", "aux_no_field"])
+    def test_malformed_line_rejected(self, text, message):
+        with pytest.raises(InvalidInputError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", [
         ("seed = 1\nseed = 2\n", "config line 2: seed repeats the key set on line 1"),
         # aux.01 and aux.1 are the same group, so the second path would vanish.
         ("aux.1.alpha = 0.8\naux.1.P = 0.5\naux.01.alpha = 0.9\n",
@@ -592,6 +603,14 @@ class TestConfigParsing:
     def test_unlimited_capacity(self):
         values = parse_config("stock_capacity = unlimited\n")
         assert values["stock_capacity"] == "unlimited"
+
+    def test_numeric_failure_exit_code(self, capsys, monkeypatch):
+        def fail(problem, d_c):
+            raise NumericFailureError("search did not certify")
+
+        monkeypatch.setattr(catalysis, "optimal_catalyst", fail)
+        code, out, err = run_cli(capsys, "catalyst", "--n", "2", "--alpha", "0.8")
+        assert (code, out, err) == (2, "", "numeric failure: search did not certify\n")
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["no-such-command"]) == 1

@@ -110,6 +110,18 @@ class TestAuxConfig:
         with pytest.raises(InvalidInputError):
             AuxPath(0.8, 0.9, bad)
 
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="aux mode must be one of"):
+            AuxConfig("plenty")
+
+    @pytest.mark.parametrize("alpha,probability,what", [
+        (0.5, 0.9, "alpha"), (1.0, 0.9, "alpha"), (np.nan, 0.9, "alpha"),
+        (0.8, 0.0, "probability"), (0.8, 1.5, "probability"), (0.8, np.nan, "probability"),
+    ])
+    def test_path_alpha_and_probability_must_lie_in_range(self, alpha, probability, what):
+        with pytest.raises(InvalidInputError, match=f"aux path {what} must lie in"):
+            AuxPath(alpha, probability, 1e-3)
+
 
 class TestTimings:
     def test_t_primary_reference(self):
@@ -236,7 +248,7 @@ class TestTimings:
         with pytest.raises(InvalidInputError, match="positive finite t0"):
             t_primary(2, t0, 0.5)
 
-    @pytest.mark.parametrize("count", [0, -2, 2.5, "3", None])
+    @pytest.mark.parametrize("count", [0, -2, 2.5, "3", None, True])
     def test_t_catalyst_rejects_a_count_below_one_or_not_an_integer(self, count):
         # [0] once raised a bare ZeroDivisionError and [-2] gave -0.001 s.
         with pytest.raises(InvalidInputError, match="copy count must be a positive integer"):
@@ -254,13 +266,30 @@ class TestTimings:
         assert got.shape == (0,)
 
     @pytest.mark.parametrize("mode", [NO_AUX, FINITE_AUX])
-    @pytest.mark.parametrize("count", [0, -3, 2.5])
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True])
     def test_edge_cycle_rejects_a_count_below_one_or_not_an_integer(self, mode, count):
         # Without aux paths, (0,) once priced a free catalyst and (-3,) a
         # negative one.
         aux = AuxConfig(mode, (AuxPath(0.8, 0.5, 1e-3),) if mode == FINITE_AUX else ())
         with pytest.raises(InvalidInputError, match="copy count must be a positive integer"):
             t_edge_cycle(0.5, EdgeParams(alpha=0.8), aux, (count,))
+
+    def test_t_primary_column_entries_are_the_scalar_calls(self):
+        counts = [1, 2, 5, 1001]
+        column = t_primary(np.array(counts), 2.5e-4, 0.3)
+        assert [t.hex() for t in column.tolist()] == [t_primary(n, 2.5e-4, 0.3).hex()
+                                                      for n in counts]
+
+    @pytest.mark.parametrize("n_cat", [3, np.array([1, 3, 7])], ids=["scalar", "column"])
+    def test_edge_cycle_without_aux_prices_its_loads_by_t_primary(self, n_cat):
+        # The catalyst's n_cat pairs, and the edge's copies with them, cost
+        # t_primary's n t0 / P0, bit for bit.
+        edge = EdgeParams(alpha=0.8, copies=3, length_km=30.0, herald_probability=0.3)
+        tb = t_edge_cycle(0.7, edge, AuxConfig(NO_AUX), (n_cat,))
+        t0, p0 = edge.cycle_time_s, edge.herald_probability
+        np.testing.assert_array_equal(tb.t_catalyst_s, t_primary(n_cat, t0, p0))
+        np.testing.assert_array_equal(tb.t_primary_plus_catalyst_s,
+                                      t_primary(edge.copies + n_cat, t0, p0))
 
     @pytest.mark.parametrize("mode", [NO_AUX, FINITE_AUX])
     def test_edge_cycle_numpy_count_gives_plain_floats(self, mode):
@@ -389,7 +418,7 @@ class TestWaitingFactors:
 
     @pytest.mark.parametrize("n_edges,ps", [
         (0, [0.5]), (0, []), (-3, [1.0]),
-        (4, [0.5, 0.0]), (4, [1.5]), (4, [0.3, -0.1]), (4, [float("nan")]),
+        (4, [0.5, 0.0]), (4, [1.5]), (4, [0.3, -0.1]), (4, [float("nan")]), (4, [True]),
     ])
     def test_rejects_what_the_one_point_call_rejects(self, n_edges, ps):
         with pytest.raises(InvalidInputError):
@@ -403,6 +432,11 @@ class TestWaitingFactors:
 class TestWaitingFactorFootnote:
     def test_single_edge_matches_exact(self):
         assert waiting_factor_small_p(1, 0.2) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_a_probability_outside_the_unit_interval(self, p):
+        with pytest.raises(InvalidInputError, match="success probability must lie in"):
+            waiting_factor_small_p(4, p)
 
     def test_two_edges_reference(self):
         assert waiting_factor_small_p(2, 0.01) == pytest.approx(150.0)
@@ -536,6 +570,49 @@ def test_edge_count_must_be_an_integer(call, n_edges):
     assert call(np.int64(4)) == call(4)
 
 
+# Each real-valued input of the edge and of an aux path, given 0.8, which
+# lies in every one's range.
+REAL_INPUTS = {
+    "edge_alpha": lambda v: EdgeParams(alpha=v).alpha,
+    "edge_length": lambda v: EdgeParams(alpha=0.8, length_km=v).length_km,
+    "edge_fiber_speed": lambda v: EdgeParams(alpha=0.8, fiber_speed_km_s=v).fiber_speed_km_s,
+    "edge_herald": lambda v: EdgeParams(alpha=0.8, herald_probability=v).herald_probability,
+    "path_alpha": lambda v: AuxPath(v, 0.5, 1e-3).alpha,
+    "path_probability": lambda v: AuxPath(0.8, v, 1e-3).gen_probability,
+    "path_time": lambda v: AuxPath(0.8, 0.5, v).gen_time_s,
+}
+
+
+@pytest.mark.parametrize("build", REAL_INPUTS.values(), ids=REAL_INPUTS.keys())
+@pytest.mark.parametrize("value", [np.float32(0.8), np.float64(0.8)], ids=["float32", "float64"])
+def test_numpy_reals_are_plain_floats(build, value):
+    # A float32 was once stored as given, and its arithmetic done in single
+    # precision; its record was not JSON.
+    got = build(value)
+    assert type(got) is float and got == float(value)
+
+
+def test_python_numbers_are_kept_as_given():
+    edge = EdgeParams(alpha=0.8, length_km=25, herald_probability=1)
+    path = AuxPath(0.8, 1, 2)
+    assert [type(v) for v in (edge.length_km, edge.herald_probability, path.gen_probability,
+                              path.gen_time_s)] == [int] * 4
+
+
+@pytest.mark.parametrize("build", [*REAL_INPUTS.values(), lambda v: waiting_factor(4, v),
+                                   lambda v: waiting_factors(4, [0.5, v]),
+                                   lambda v: waiting_factor_small_p(4, v)],
+                         ids=[*REAL_INPUTS.keys(), "waiting_factor", "waiting_factors",
+                              "waiting_factor_small_p"])
+@pytest.mark.parametrize("value", [True, "0.8", None, np.array([0.8])],
+                         ids=["bool", "str", "None", "array"])
+def test_real_inputs_reject_bools_and_non_numbers(build, value):
+    # True was once probability 1, "0.8" and None raised a bare TypeError,
+    # and a one-entry array passed every range check.
+    with pytest.raises(InvalidInputError, match="must be a real number"):
+        build(value)
+
+
 @pytest.mark.parametrize("build", [
     lambda n: ConcentrationProblem(n, 0.8).n,
     lambda n: EdgeParams(alpha=0.8, copies=n).copies,
@@ -578,6 +655,10 @@ class TestSweep:
         assert row.p_cat is None and row.eta_r is None
         assert row.p_locc == 1.0
         assert row.rate_locc_hz > 0
+
+    @pytest.mark.parametrize("grid,dims", [([], [2, 4]), ([0.8], [])], ids=["no_alpha", "no_dim"])
+    def test_empty_grid_gives_no_rows(self, grid, dims):
+        assert sweep_rates(2, 4, grid, [AUX_RICH, NO_AUX], dims) == []
 
     def test_no_in_window_point_across_modes_and_dimensions(self):
         # every (mode, dimension) block is all out of window, in output order

@@ -15,6 +15,7 @@ from entcat.simulate import (
     _DELIVERY_BLOCK,
     SimConfig,
     _MaxOfGeometrics,
+    _resolved_parameters,
     _slot_of,
     _ticks_through,
     result_record,
@@ -83,6 +84,27 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             SimConfig(n_edges=1, mode="abstract", p_cat_override=0.5, cycle_time_override_s=value)
 
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_a_forced_probability_outside_the_unit_interval(self, value):
+        with pytest.raises(InvalidInputError, match="forced success probability must lie in"):
+            abstract_config(p_cat_override=value)
+
+    @pytest.mark.parametrize("setting", [dict(p_cat_override=True), dict(p_cat_override="0.5"),
+                                         dict(cycle_time_override_s=True),
+                                         dict(cycle_time_override_s="1")],
+                             ids=["p_bool", "p_str", "t_bool", "t_str"])
+    def test_rejects_a_forced_value_that_is_not_a_real_number(self, setting):
+        # True was once a forced probability of 1 and a cycle of 1 s.
+        with pytest.raises(InvalidInputError, match="must be a real number"):
+            abstract_config(**setting)
+
+    @pytest.mark.parametrize("run,mode", [(simulate_abstract, "detailed"),
+                                          (simulate_detailed, "abstract")])
+    def test_each_simulator_takes_its_own_mode(self, run, mode):
+        cfg = SimConfig(n_edges=2, mode=mode, edge=EDGE)
+        with pytest.raises(InvalidInputError, match="config mode must be"):
+            run(cfg)
+
     @pytest.mark.parametrize("setting", [
         dict(edge=EDGE),
         dict(aux=AuxConfig(NO_AUX)),
@@ -133,7 +155,7 @@ FINITE_AUX_CONFIG = AuxConfig(FINITE_AUX, (AuxPath(0.9, 0.5, 1e-4),))
     lambda v: validate_waiting_factor(2, 0.5, 100, v),
 ], ids=["n_edges", "trials", "seed", "max_slots", "initial_stock", "stock_capacity",
         "validate_trials", "validate_seed"])
-@pytest.mark.parametrize("value", [2.5, 100.5, 4.0, "4"])
+@pytest.mark.parametrize("value", [2.5, 100.5, 4.0, "4", True])
 def test_counts_must_be_integers(build, value):
     # a non-integral count once built a config whose run raised a bare
     # TypeError, or gave validate-z a verdict; numpy integers are counts
@@ -151,6 +173,61 @@ def test_numpy_counts_give_the_plain_int_record():
         return json.dumps(result_record(cfg, run_simulation(cfg)))
 
     assert record(np.int64) == record(int)
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float64])
+def test_numpy_reals_give_the_plain_float_record(real):
+    # a float32 edge once ran in single precision, and its record could not
+    # be written as JSON; the config now stores what float() of it gives
+    def record(value):
+        edge = EdgeParams(alpha=value(0.8), herald_probability=value(0.5))
+        cfg = SimConfig(n_edges=3, mode="detailed", edge=edge, max_slots=200, seed=1,
+                        p_cat_override=value(0.75))
+        return json.dumps(result_record(cfg, run_simulation(cfg)))
+
+    assert record(real) == record(lambda x: float(real(x)))
+
+
+def test_numpy_real_gives_a_plain_float_waiting_factor_check():
+    # validate-z prints json.dumps(asdict(check)); a float32 p was once
+    # echoed as it was given, which json cannot write
+    check = validate_waiting_factor(4, np.float32(0.5), 100, 1)
+    assert type(check.p) is float
+    assert json.dumps(asdict(check)) == json.dumps(asdict(validate_waiting_factor(4, 0.5, 100, 1)))
+
+
+class TestResolvedParameters:
+    # What a run reads: its catalysis probability, the copies one catalyst
+    # takes from each supply, and, in abstract mode, its edge-cycle time.
+    OUT_OF_WINDOW = EdgeParams(alpha=0.6)  # n_star(0.6) = 2, so no catalyst at n = 2
+
+    def test_both_overrides_read_no_edge(self):
+        assert _resolved_parameters(abstract_config()) == (0.5, (), 1.0)
+
+    @pytest.mark.parametrize("mode", ["abstract", "detailed"])
+    def test_aux_rich_forced_probability_reads_no_catalyst(self, mode):
+        cfg = SimConfig(n_edges=2, mode=mode, edge=self.OUT_OF_WINDOW, p_cat_override=0.5)
+        t_cycle = t_primary(2, self.OUT_OF_WINDOW.cycle_time_s, 0.5) if mode == "abstract" else None
+        assert _resolved_parameters(cfg) == (0.5, (), t_cycle)
+
+    @pytest.mark.parametrize("aux", [
+        AuxConfig(NO_AUX), AuxConfig(FINITE_AUX, (AuxPath(0.8, 0.9, 1e-3),)),
+    ], ids=["none", "finite"])
+    @pytest.mark.parametrize("mode", ["abstract", "detailed"])
+    def test_every_other_run_reads_the_catalyst(self, aux, mode):
+        with pytest.raises(CatalysisWindowError):
+            _resolved_parameters(SimConfig(n_edges=2, mode=mode, edge=self.OUT_OF_WINDOW,
+                                           aux=aux, p_cat_override=0.5))
+        cfg = SimConfig(n_edges=2, mode=mode, edge=EDGE, aux=aux)
+        p_cat, copies, t_cycle = _resolved_parameters(cfg)
+        # n = 2, alpha = 0.8: the two-qubit catalyst takes 3 copies at alpha 0.8.
+        assert (p_cat, copies) == (PCAT_2_08, (3,))
+        if mode == "abstract":
+            assert t_cycle == rate_catalytic(EDGE, aux, 2).t_edge_cycle_s
+        else:
+            assert t_cycle is None
+        forced = SimConfig(n_edges=2, mode=mode, edge=EDGE, aux=aux, p_cat_override=0.5)
+        assert _resolved_parameters(forced)[:2] == (0.5, (3,))
 
 
 def test_numpy_counts_give_a_plain_int_waiting_factor_check():

@@ -79,6 +79,17 @@ class TestMakeSchmidt:
         with pytest.raises(InvalidInputError):
             SchmidtVector(np.array([1e308, 1e308]))
 
+    @pytest.mark.parametrize("bad", [np.array([]), np.array([[0.5, 0.5]])])
+    def test_constructor_rejects_a_shape_other_than_a_non_empty_row(self, bad):
+        with pytest.raises(InvalidInputError, match="non-empty 1-D"):
+            SchmidtVector(bad)
+
+    def test_padded_never_shrinks(self):
+        spectrum = vec(0.5, 0.3, 0.2)
+        with pytest.raises(InvalidInputError, match="smaller dimension"):
+            spectrum.padded(2)
+        np.testing.assert_array_equal(spectrum.padded(4).coefficients, [0.5, 0.3, 0.2, 0.0])
+
 
 class TestTwoQubitState:
     # A two-qubit spectrum is the pair (p, 1 - p), with p the larger coefficient.
