@@ -6,9 +6,10 @@ success probability without being consumed on success.  This module holds
 the copy thresholds (``n_star`` and the catalysis window), the closed-form
 optimal two-qubit catalyst, a certified numeric catalyst search for higher
 catalyst dimensions, the intermediate state of the two-step conversion
-protocol, and supply accounting: :func:`copies_for_catalyst`, the one answer
-to how many copies of a two-qubit supply state build a catalyst with
-certainty (by majorization, Nielsen 1999).
+protocol, and supply accounting: :func:`_copies_for_catalysts`, the one
+answer to how many copies of a two-qubit supply state build a catalyst with
+certainty (by majorization, Nielsen 1999), for rows of catalysts at once;
+:func:`copies_for_catalyst` is its one-row case.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
 from .spectra import (
     TOL,
     SchmidtVector,
+    _check_rows,
     can_convert_deterministically,
     conversion_probabilities,
     conversion_probability,
@@ -41,14 +43,17 @@ from .spectra import (
 DIM_CAP = 2**20
 
 
-def _count(value, what: str = "copy count", least: int = 1):
-    """``value`` as a plain int, or a column as an array, if each count is an integer >= ``least``.
+def _count(value, what: str = "copy count", least: int = 1, *, column: bool = False):
+    """``value`` as a plain int if it is an integer >= ``least``.
 
-    Numpy integers count; a bool, a float, a string or a column of another
-    dtype raises :class:`InvalidInputError` naming ``what``.  An empty column passes.
+    Numpy integers count.  With ``column``, an integer column whose every
+    count is >= ``least`` comes back as an array too, and an empty column
+    passes; only code that prices a column of points asks for one.  Anything
+    else, a bool or a column where one number is wanted included, raises
+    :class:`InvalidInputError` naming ``what``.
     """
     if type(value) is not int:
-        if np.ndim(value):
+        if column and np.ndim(value):
             value = np.asarray(value)
             if value.size == 0 or value.dtype.kind in "iu" and np.all(value >= least):
                 return value
@@ -56,7 +61,8 @@ def _count(value, what: str = "copy count", least: int = 1):
             value = int(value)
     if type(value) is not int or value < least:
         bound = {0: "non-negative integer", 1: "positive integer"}.get(least, f"integer >= {least}")
-        message = (f"{what}s must be {bound.replace('integer', 'integers')}" if np.ndim(value)
+        plural = column and np.ndim(value)
+        message = (f"{what}s must be {bound.replace('integer', 'integers')}" if plural
                    else f"{what} must be {'an' if least > 1 else 'a'} {bound}")
         raise InvalidInputError(f"{message}, got {value}")
     return value
@@ -124,26 +130,44 @@ def initial_spectrum(problem: ConcentrationProblem) -> SchmidtVector:
     return SchmidtVector(_power_coefficients(problem.alpha, problem.n))
 
 
-def _power_coefficients(alpha: float, m: int, count: int | None = None) -> np.ndarray:
+def _power_coefficients(alpha, m, count: int | None = None) -> np.ndarray:
     """The ``count`` largest coefficients of m copies of ``(alpha, 1-alpha)``.
 
-    The spectrum is layered: value ``alpha**k * (1-alpha)**(m-k)`` with
-    binomial multiplicity, strictly decreasing as k falls from m for
+    The spectrum is layered: layer j holds ``C(m, j)`` entries
+    ``alpha**(m-j) * (1-alpha)**j``, strictly decreasing in j for
     ``alpha > 0.5``, so the top entries come from the first layers.  Entries
     beyond ``2**m`` are zeros.  With no ``count``, all ``2**m`` entries are
     returned, and ``2**m`` must not exceed ``DIM_CAP``.
+
+    ``alpha`` is one coefficient, which gives one row, or a column of them,
+    which gives one row per alpha; with ``count`` given, ``m`` may be a
+    column too, one copy count per alpha.  The catalyst search's ``psi`` for
+    a whole batch and each step of the copy rule come from one call each.
+    Every layer value is one numpy power per factor, so row r has the bits
+    of the call on ``alpha[r]`` and ``m[r]`` alone.
     """
     if count is None:
         _check_combined_dimension(m, 1)
         count = 2**m
-    repeats = []  # entries taken from each layer, from the top
-    left = count
-    while left and len(repeats) <= m:
-        repeats.append(min(math.comb(m, len(repeats)), left))
-        left -= repeats[-1]
-    ks = np.arange(m, m - len(repeats), -1)
-    top = np.zeros(count)
-    top[: count - left] = np.repeat(alpha**ks * (1.0 - alpha) ** (m - ks), repeats)
+    alpha = np.asarray(alpha, dtype=float)
+    m = np.broadcast_to(m, alpha.shape)
+    top = np.zeros(alpha.shape + (count,))
+    # The entries each layer gives, from the top, per distinct m; the rows
+    # whose counts take the same entries (all rows, `...`, in the usual case
+    # of one such group) are filled by one repeat.
+    rows_of = {}
+    for copies in set(np.ravel(m).tolist()):
+        taken, left = [], count
+        while left and len(taken) <= copies:
+            taken.append(min(math.comb(copies, len(taken)), left))
+            left -= taken[-1]
+        rows_of.setdefault(tuple(taken), []).append(copies)
+    for taken, counts in rows_of.items():
+        rows = np.isin(m, counts) if len(rows_of) > 1 else ...
+        js = np.arange(len(taken))
+        a = alpha[rows][..., None]
+        values = a ** (m[rows][..., None] - js) * (1.0 - a) ** js
+        top[rows, : sum(taken)] = np.repeat(values, taken, axis=-1)
     return top
 
 
@@ -176,6 +200,10 @@ def _smallest_power_at_most(alpha: float, c: float) -> int:
     Starts from the logarithmic estimate and steps to the first power that
     passes the float test itself, so the estimate's rounding never shows.
     """
+    # Python's ** on purpose, here and in _two_qubit_closed_form: numpy's
+    # float64 power on an array differs from it in the last bit for about 5%
+    # of alphas, which would move copy counts and catalysts at boundaries,
+    # so these stay one scalar per point while _power_coefficients batches.
     m = max(1, math.ceil(math.log(c) / math.log(alpha)))
     while m > 1 and alpha ** (m - 1) <= c:
         m -= 1
@@ -228,6 +256,7 @@ def _two_qubit_closed_form(problem: ConcentrationProblem) -> tuple:
     spectrum ``(c0, 1 - c0)`` would make: ``c0`` must be finite and lie in
     ``[1/2 - TOL, 1]``, or :class:`NumericFailureError` is raised.
     """
+    # Python's ** on purpose: see _smallest_power_at_most.
     an = problem.alpha**problem.n
     b = 1.0 + 3.0 * an
     c0 = (b - math.sqrt(b * b - 16.0 * an * an)) / (4.0 * an)
@@ -359,7 +388,7 @@ def search_catalysts(problems, d_c: int) -> list[CatalystSpec]:
         _require_window(problem)
     _check_combined_dimension(n, d_c)
 
-    psi = np.array([_power_coefficients(problem.alpha, n) for problem in problems])
+    psi = _power_coefficients([problem.alpha for problem in problems], n)
     spins = psi.shape[1]
     size = spins * d_c
     free = d_c - 1
@@ -542,13 +571,18 @@ def _ordered_spectra(rows: np.ndarray) -> tuple:
 
     :func:`make_schmidt` for rows already in non-increasing order, such as
     centres inside the ordered simplex, with the sort left out: dividing by a
-    positive sum keeps the order.  Each :class:`SchmidtVector` still checks
-    its row, so a row that is not a spectrum (a negative or unordered entry,
-    or all zeros, whose quotient is NaN) raises :class:`InvalidInputError`.
+    positive sum keeps the order.  The whole batch is checked once, by the
+    test each :class:`SchmidtVector` makes (:func:`~entcat.spectra._check_rows`),
+    and the checked rows are then wrapped with no second check.  So a row
+    that is not a spectrum (a negative, non-finite or unordered entry, a sum
+    that overflows, or all zeros, whose quotient is NaN) raises
+    :class:`InvalidInputError` with the message ``SchmidtVector`` gives it.
+    The returned array is read-only: the spectra hold its rows.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         normalized = rows / rows.sum(axis=1, keepdims=True)
-    return normalized, [SchmidtVector(row) for row in normalized]
+    _check_rows(normalized)
+    return normalized, SchmidtVector._of_checked_rows(normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -593,23 +627,44 @@ def intermediate_state(initial: SchmidtVector, final: SchmidtVector) -> SchmidtV
 def copies_for_catalyst(catalyst: SchmidtVector, alpha_supply: float) -> int:
     """Fewest copies of a two-qubit supply state that reach ``catalyst`` under LOCC.
 
-    m copies of ``(alpha, 1-alpha)`` reach the catalyst with certainty when
-    their spectrum majorizes it.  The largest supply coefficient ``alpha**m``
-    must not exceed the largest catalyst coefficient, so the count starts at
-    the smallest such m.  For a two-qubit catalyst that first condition is
-    the whole test (its only other partial sum is the whole mass), and that m
-    is returned.  Above, m steps up until every monotone of the supply power
-    dominates the catalyst's.  Only the first few monotones of the power can
-    bind, because the catalyst's vanish beyond its own dimension, so the test
-    stays cheap for any copy count.
+    The one-row case of :func:`_copies_for_catalysts`, which a sweep and a
+    simulation run call on their catalysts' rows.
     """
     alpha_supply = _real(alpha_supply, "supply alpha", "(0.5, 1)")
-    m = _smallest_power_at_most(alpha_supply, float(catalyst.coefficients[0]))
-    if catalyst.dimension <= 2:
-        return m
-    e_cat = monotones(catalyst)[1:]
-    while not np.all(1.0 - np.cumsum(_power_coefficients(alpha_supply, m, e_cat.size))
-                     >= e_cat - TOL):
-        m += 1
-    return m
+    return int(_copies_for_catalysts(catalyst.coefficients[None, :], alpha_supply)[0])
 
+
+def _copies_for_catalysts(catalysts: np.ndarray, alpha) -> np.ndarray:
+    """Fewest supply copies that reach each catalyst under LOCC, as an int column.
+
+    Row r of ``catalysts`` is a catalyst spectrum, and its supply state is
+    ``(alpha, 1-alpha)``, with ``alpha`` one larger coefficient in (0.5, 1)
+    for every row or a column of them, one per row.  m copies reach the
+    catalyst with certainty when their spectrum majorizes it (Nielsen 1999).
+    The largest supply coefficient ``alpha**m`` must not exceed the largest
+    catalyst coefficient, so each count starts at the smallest such m.  For
+    a two-qubit catalyst that first condition is the whole test (its only
+    other partial sum is the whole mass), and that m is the count.  Above,
+    m steps up until every monotone of the supply power dominates the
+    catalyst's.  Only the first few monotones of the power can bind, because
+    the catalyst's vanish beyond its own dimension, so the test stays cheap
+    for any copy count.  Each step takes the supply powers of all the rows
+    still short in one :func:`_power_coefficients` call, and every row gets
+    the count it gets alone.
+    """
+    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), len(catalysts))
+    m = np.array([_smallest_power_at_most(a, c)
+                  for a, c in zip(alphas.tolist(), catalysts[:, 0].tolist())], dtype=int)
+    dim = catalysts.shape[1]
+    if dim <= 2:
+        return m
+    # Each catalyst's monotones after the first, as monotones() sums them,
+    # less the tolerance the test allows.
+    floor = np.cumsum(catalysts[:, :0:-1], axis=1)[:, ::-1] - TOL
+    short = np.arange(len(m))
+    while short.size:
+        power = _power_coefficients(alphas[short], m[short], dim - 1)
+        passed = np.all(1.0 - np.cumsum(power, axis=1) >= floor[short], axis=1)
+        short = short[~passed]
+        m[short] += 1
+    return m

@@ -20,11 +20,10 @@ import numpy as np
 from .catalysis import (
     CatalystSpec,
     ConcentrationProblem,
+    _copies_for_catalysts,
     _count,
     _real,
-    _smallest_power_at_most,
     _two_qubit_closed_form,
-    copies_for_catalyst,
     in_catalysis_window,
     locc_probability,
     optimal_catalyst,
@@ -129,7 +128,7 @@ def alpha_from_transmittivities(t_left: float, t_right: float) -> float:
 
 def t_primary(n, t0_s: float, p0: float):
     """Mean time ``n * t0_s / p0`` to assemble n primary pairs: n a count or an integer column."""
-    n = _count(n)
+    n = _count(n, column=True)
     if not (0.0 < t0_s < math.inf and 0.0 < p0 <= 1.0):
         raise InvalidInputError(f"need a positive finite t0 and p0 in (0, 1], got {t0_s} and {p0}")
     return n * t0_s / p0
@@ -147,7 +146,7 @@ def t_catalyst(paths: Sequence[AuxPath], copies: Sequence[int]) -> float:
     """
     if not paths or len(copies) != len(paths):
         raise InvalidInputError("need at least one auxiliary path and one copy count per path")
-    return 1.0 / sum(_count(m) * p.gen_probability / p.gen_time_s
+    return 1.0 / sum(_count(m, column=True) * p.gen_probability / p.gen_time_s
                      for p, m in zip(paths, copies))
 
 
@@ -293,14 +292,15 @@ def edge_catalyst(edge: EdgeParams) -> CatalystSpec:
     return optimal_catalyst(ConcentrationProblem(edge.copies, edge.alpha), edge.catalyst_dim)
 
 
-def _supply_copies(aux: AuxConfig, copies: Callable, n_cat) -> tuple:
-    """The ``copies`` argument of :func:`t_edge_cycle`, given the edge's own count.
+def _supply_copies(aux: AuxConfig, catalysts: np.ndarray, n_cat) -> tuple:
+    """The ``copies`` argument of :func:`t_edge_cycle` for rows of catalysts.
 
-    Only a finite aux list has paths, each counted by ``copies``; every other
-    mode gets ``(n_cat,)``.  For a column of points, ``copies`` maps a path's
-    larger coefficient to an integer column and ``n_cat`` is one.
+    Only a finite aux list has paths: each path's int column, what each row
+    of ``catalysts`` takes of its supply state, comes from one call of the
+    copy rule (:func:`~entcat.catalysis._copies_for_catalysts`).  Every
+    other mode gets ``(n_cat,)``, the edge's own column.
     """
-    return tuple(copies(path.alpha) for path in aux.paths) or (n_cat,)
+    return tuple(_copies_for_catalysts(catalysts, path.alpha) for path in aux.paths) or (n_cat,)
 
 
 # Relative size, against the running sum, of the geometric tail left off
@@ -423,9 +423,9 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], inside: Sequence[int], 
 
     One ``edge`` gives every row's timing and one list ``inside`` the
     in-window problems' indices, in order: a dimension picks only the
-    catalyst.  ``catalysts`` maps each dimension to the ``(c0, p_cat,
-    copies)`` of those problems, in that order; ``copies`` maps a supply
-    state's larger coefficient to the copies of it one catalyst takes.
+    catalyst.  ``catalysts`` maps each dimension to the ``(spectra, p_cats)``
+    of those problems, in that order: an array whose rows are their
+    catalysts' coefficients, and a list of their success probabilities.
     ``waits`` gives the waiting factors of a list of probabilities, every
     LOCC and catalytic one of the call at once.
 
@@ -434,17 +434,19 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], inside: Sequence[int], 
     assembly time at the plain LOCC probability.  Each quantity is computed
     once: the plain-LOCC columns per problem, ``z_cat``, ``eta_p`` and the
     edge's own copy count ``n_cat`` per (dimension, problem), and only the
-    edge-cycle time, the catalytic rate and ``eta_r`` per aux mode.  Those
-    take one numpy pass over a block's in-window problems, the edge cycle
-    one :func:`t_edge_cycle` call, with the scalar arithmetic's operations
-    in its order, so every float keeps its bits.
+    edge-cycle time, the catalytic rate and ``eta_r`` per aux mode.  The
+    copy counts of a dimension, ``n_cat`` at each point's alpha and each
+    finite path's column, take one call each of the copy rule
+    (:func:`~entcat.catalysis._copies_for_catalysts`) on its catalyst rows.
+    The rest takes one numpy pass over a block's in-window problems, the
+    edge cycle one :func:`t_edge_cycle` call, with the scalar arithmetic's
+    operations in its order, so every float keeps its bits.
     """
     t_pri = t_primary(edge.copies, edge.cycle_time_s, edge.herald_probability)
     count, width = len(problems), len(inside)
     alphas = [problem.alpha for problem in problems]
     p_loccs = [locc_probability(problem) for problem in problems]
-    zs = waits(n_edges, p_loccs + [
-        p_cat for entries in catalysts.values() for _, p_cat, _ in entries])
+    zs = waits(n_edges, p_loccs + [p for _, p_cats in catalysts.values() for p in p_cats])
     z_loccs = zs[:count]
     rate_loccs = (1.0 / (t_pri * np.array(z_loccs))).tolist()
     alpha, p_locc, z_locc, rate_locc = (
@@ -453,23 +455,17 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], inside: Sequence[int], 
     p_locc_column, rate_locc_column = np.array(p_locc), np.array(rate_locc)
     window = set(inside)
     by_aux = [[] for _ in auxes]  # each aux mode's rows, appended in output order
-    for k, (dim, entries) in enumerate(catalysts.items()):
-        c0s = [c0 for c0, _, _ in entries]
-        p_cats = [p_cat for _, p_cat, _ in entries]
-        counters = [copies for _, _, copies in entries]
-        n_cats = [copies(a) for a, copies in zip(alpha, counters)]
+    for k, (dim, (spectra, p_cats)) in enumerate(catalysts.items()):
+        c0s = spectra[:, 0].tolist()
+        n_cat = _copies_for_catalysts(spectra, alpha)
+        n_cats = n_cat.tolist()
         z_cat = zs[count + k * width:count + (k + 1) * width]
         p_cat = np.array(p_cats)
         eta_p = (p_cat / p_locc_column).tolist()
-        n_cat, z_cat_column = np.array(n_cats), np.array(z_cat)
-
-        def copies_column(path_alpha):
-            """What each in-window point's catalyst takes of a supply state."""
-            return np.array([copies(path_alpha) for copies in counters])
-
+        z_cat_column = np.array(z_cat)
         for aux, rows in zip(auxes, by_aux):
             t_cycle = t_edge_cycle(p_cat, edge, aux,
-                                   _supply_copies(aux, copies_column, n_cat)).t_edge_cycle_s
+                                   _supply_copies(aux, spectra, n_cat)).t_edge_cycle_s
             rate_cat = 1.0 / (t_cycle * z_cat_column)
             eta_r = rate_cat / rate_locc_column
             ok = map(_new_row, zip(
@@ -486,17 +482,6 @@ def _rate_rows(problems: Sequence[ConcentrationProblem], inside: Sequence[int], 
     return list(itertools.chain.from_iterable(by_aux))
 
 
-def _spectrum_catalyst(catalyst: CatalystSpec) -> tuple:
-    """``(c0, p_cat, copies)`` of :func:`_rate_rows` for a catalyst spectrum.
-
-    Its copies are counted by :func:`~entcat.catalysis.copies_for_catalyst`.
-    The simulators take their copy counter from here too.
-    """
-    spectrum = catalyst.spectrum
-    return (float(spectrum.coefficients[0]), catalyst.success_probability,
-            partial(copies_for_catalyst, spectrum))
-
-
 def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> SweepRow:
     """End-to-end distribution rates with and without catalysis for an N-edge chain.
 
@@ -507,7 +492,9 @@ def rate_catalytic(edge: EdgeParams, aux: AuxConfig, n_edges: int) -> SweepRow:
     The edge-cycle breakdown behind ``t_edge_cycle_s`` is :func:`t_edge_cycle`;
     the edge count is checked where the waiting factors are taken.
     """
-    catalysts = {edge.catalyst_dim: [_spectrum_catalyst(edge_catalyst(edge))]}
+    catalyst = edge_catalyst(edge)
+    catalysts = {edge.catalyst_dim: (catalyst.spectrum.coefficients[None, :],
+                                     [catalyst.success_probability])}
     problem = ConcentrationProblem(edge.copies, edge.alpha)
     # The point's two factors, one waiting_factor call each, so perfbench's
     # tracer books them; a sweep takes all of its factors in one call.
@@ -543,41 +530,46 @@ def sweep_rates(
     in-window list serve every dimension.  The rows come from the
     composition :func:`rate_catalytic` uses, which computes each quantity
     once.  At dimension 2, each in-window alpha takes ``(c0, p_cat)`` from
-    the closed form of :func:`~entcat.catalysis.optimal_two_qubit_catalyst`
-    and its copy counts from ``c0``, with no spectrum and no second window
-    check.  Above, the catalysts of one dimension come from a single
-    lockstep :func:`~entcat.catalysis.search_catalysts` batch over the
-    in-window alphas.  That search treats each problem on its own rows, with
-    no reduction across the batch, so every row is bit for bit what
-    :func:`rate_catalytic` gives for that point alone.
+    the closed form of :func:`~entcat.catalysis.optimal_two_qubit_catalyst`,
+    its catalyst row is ``(c0, 1 - c0)``, with no spectrum and no second
+    window check, and the copy rule reads only ``c0`` of it.  Above, the
+    catalysts of one dimension come from a single lockstep
+    :func:`~entcat.catalysis.search_catalysts` batch over the in-window
+    alphas.  That search treats each problem on its own rows, with no
+    reduction across the batch, so every row is bit for bit what
+    :func:`rate_catalytic` gives for that point alone.  Every dimension's
+    copy counts come from its rows in one call of the copy rule per supply
+    state (see :func:`_rate_rows`).
     """
-    if len(set(modes)) < len(modes) or len(set(catalyst_dims)) < len(catalyst_dims):
+    dims = [_count(dim, "catalyst dimension", 2) for dim in catalyst_dims]
+    if len(set(modes)) < len(modes) or len(set(dims)) < len(dims):
         raise InvalidInputError(
             f"sweep modes and catalyst dimensions must not repeat, got {list(modes)} "
-            f"and {list(catalyst_dims)}"
+            f"and {dims}"
         )
     if aux_paths and FINITE_AUX not in modes:
         raise InvalidInputError(f"aux paths apply to the finite mode only, got modes {list(modes)}")
     auxes = [AuxConfig(mode, tuple(aux_paths) if mode == FINITE_AUX else ()) for mode in modes]
     problems = [ConcentrationProblem(copies, alpha) for alpha in sorted(alpha_grid)]
-    if not (problems and catalyst_dims):
+    if not (problems and dims):
         return []
     # One edge validates the timing parameters; no timing depends on alpha
     # or on the catalyst dimension, so every row shares it.
     edge = EdgeParams(problems[0].alpha, copies, length_km, fiber_speed_km_s, herald_probability)
-    dims = [_count(dim, "catalyst dimension", 2) for dim in catalyst_dims]
     inside = [i for i, problem in enumerate(problems) if in_catalysis_window(problem)]
     batch = [problems[i] for i in inside]
-    catalysts = {}  # (c0, p_cat, copies) of each in-window alpha, per dimension
+    catalysts = {}  # (spectra, p_cats) of the in-window alphas, per dimension
     for dim in dims:
         if dim == 2:
-            # copies_for_catalyst's two-qubit rule, read from c0 alone.
-            catalysts[dim] = [
-                (c0, p_cat, partial(_smallest_power_at_most, c=c0))
-                for c0, p_cat in map(_two_qubit_closed_form, batch)
-            ]
+            closed = [_two_qubit_closed_form(problem) for problem in batch]
+            c0 = np.array([c0 for c0, _ in closed])
+            spectra = np.column_stack((c0, 1.0 - c0))
+            p_cats = [p_cat for _, p_cat in closed]
         else:
-            catalysts[dim] = list(map(_spectrum_catalyst, search_catalysts(batch, dim)))
+            found = search_catalysts(batch, dim)
+            spectra = np.reshape([spec.spectrum.coefficients for spec in found], (-1, dim))
+            p_cats = [spec.success_probability for spec in found]
+        catalysts[dim] = (spectra, p_cats)
     return _rate_rows(problems, inside, catalysts, auxes, edge, n_edges)
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalysis import _count, _real
+from .catalysis import _copies_for_catalysts, _count, _real
 from .errors import InvalidInputError
 from .network import (
     AUX_RICH,
@@ -33,7 +33,6 @@ from .network import (
     NO_AUX,
     AuxConfig,
     EdgeParams,
-    _spectrum_catalyst,
     _supply_copies,
     edge_catalyst,
     t_edge_cycle,
@@ -196,16 +195,20 @@ class SimResult:
 def _resolved_parameters(cfg: SimConfig):
     """A run's catalysis probability, supply copies and edge-cycle time, honoring overrides.
 
-    The copies are as :func:`entcat.network.t_edge_cycle` reads them; only an
-    abstract run gets a cycle time.  A run with plentiful aux paths given
+    The copies are as :func:`entcat.network.t_edge_cycle` reads them, plain
+    ints from the sweep's copy rule on the edge catalyst's one row
+    (:func:`entcat.network._supply_copies`); only an abstract run gets a
+    cycle time.  A run with plentiful aux paths given
     ``p_cat_override`` (both overrides included) reads no catalyst, so
     ``alpha`` may lie outside the window; any other raises ``CatalysisWindowError`` there.
     """
     p_cat, copies, t_cycle = cfg.p_cat_override, (), cfg.cycle_time_override_s
     if p_cat is None or cfg.aux.mode != AUX_RICH:
-        _, p_edge, copies_of = _spectrum_catalyst(edge_catalyst(cfg.edge))
-        p_cat = p_cat or p_edge
-        copies = _supply_copies(cfg.aux, copies_of, copies_of(cfg.edge.alpha))
+        catalyst = edge_catalyst(cfg.edge)
+        p_cat = p_cat or catalyst.success_probability
+        spectra = catalyst.spectrum.coefficients[None, :]
+        copies = tuple(int(column[0]) for column in _supply_copies(
+            cfg.aux, spectra, _copies_for_catalysts(spectra, cfg.edge.alpha)))
     if t_cycle is None and cfg.mode == ABSTRACT_MODE:
         t_cycle = t_edge_cycle(p_cat, cfg.edge, cfg.aux, copies).t_edge_cycle_s
     return p_cat, copies, t_cycle

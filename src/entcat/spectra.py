@@ -36,21 +36,26 @@ class SchmidtVector:
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise InvalidInputError("spectrum must be a non-empty 1-D sequence")
-        if (coeffs < 0.0).any():
-            raise InvalidInputError("Schmidt coefficients must be non-negative")
-        # With no entry below zero, a NaN or inf entry makes the sum non-finite,
-        # and so does a sum of finite entries that overflows.
-        with np.errstate(over="ignore"):
-            total = float(coeffs.sum())
-        if not math.isfinite(total):
-            raise InvalidInputError("Schmidt coefficients must be finite, and so must their sum")
-        if (coeffs[1:] - coeffs[:-1] > TOL).any():
-            raise InvalidInputError("Schmidt coefficients must be sorted non-increasing")
-        if abs(total - 1.0) > TOL:
-            raise InvalidInputError(f"Schmidt coefficients must sum to 1, got {total}")
+        _check_rows(coeffs[None, :])
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
+
+    @classmethod
+    def _of_checked_rows(cls, rows: np.ndarray) -> list:
+        """One spectrum per row of ``rows``, which :func:`_check_rows` has passed.
+
+        The rows are not checked again.  Each spectrum holds a read-only view
+        of its row, so ``rows`` must not change afterwards; it is made
+        read-only here.
+        """
+        rows.flags.writeable = False
+        spectra = []
+        for row in rows:
+            spectrum = object.__new__(cls)
+            object.__setattr__(spectrum, "coefficients", row)
+            spectra.append(spectrum)
+        return spectra
 
     @property
     def dimension(self) -> int:
@@ -68,6 +73,29 @@ class SchmidtVector:
     def __repr__(self):
         body = ",".join(f"{c:.12g}" for c in self.coefficients)
         return f"SchmidtVector([{body}])"
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """The one test of a Schmidt spectrum, on each row of the float array ``rows``.
+
+    Every entry must be non-negative, each row's sum finite, each row
+    sorted non-increasing (within ``TOL``) and summing to 1 (within
+    ``TOL``), or :class:`InvalidInputError` says which test failed first,
+    in that order, over the whole array.
+    """
+    if (rows < 0.0).any():
+        raise InvalidInputError("Schmidt coefficients must be non-negative")
+    # With no entry below zero, a NaN or inf entry makes the sum non-finite,
+    # and so does a sum of finite entries that overflows.
+    with np.errstate(over="ignore"):
+        totals = rows.sum(axis=1)
+    if not np.isfinite(totals).all():
+        raise InvalidInputError("Schmidt coefficients must be finite, and so must their sum")
+    if (rows[:, 1:] - rows[:, :-1] > TOL).any():
+        raise InvalidInputError("Schmidt coefficients must be sorted non-increasing")
+    off = np.abs(totals - 1.0) > TOL
+    if off.any():
+        raise InvalidInputError(f"Schmidt coefficients must sum to 1, got {float(totals[off][0])}")
 
 
 def make_schmidt(weights) -> SchmidtVector:

@@ -12,6 +12,7 @@ one scalar point at a time, and the sweep CSV writer that formats each cell
 by its type.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,6 +92,49 @@ def exact_conversion_probability(initial_weights, final_weights) -> Fraction:
 
 def exact_deterministic(initial_weights, final_weights) -> bool:
     return exact_conversion_probability(initial_weights, final_weights) == 1
+
+
+def copies_to_reach(catalyst, alpha: float, tol: float = 0.0) -> int:
+    """Smallest m whose whole ``(alpha, 1-alpha)``-power spectrum the catalyst majorizes.
+
+    m copies reach the catalyst with certainty exactly then (Nielsen 1999):
+    for every j, the j largest entries of the 2**m power sum to at most the
+    catalyst's j largest, which hold the whole mass for j at or beyond its
+    dimension.  Each sum past the first may exceed the catalyst's by ``tol``,
+    the slack :data:`entcat.spectra.TOL` the library's rule allows; the
+    largest entries are compared exactly.  Decided at 60 digits on the
+    power's layers, layer k holding ``C(m, k)`` entries
+    ``alpha**(m-k) (1-alpha)**k``, from the top.  Adding a copy keeps what
+    the catalyst majorizes, so the valid m are a ray; the first one is found
+    by doubling and bisection.
+    """
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        largest = list(itertools.accumulate(mpmath.mpf(c) for c in catalyst[:-1]))
+        bounds = largest[:1] + [total + mpmath.mpf(tol) for total in largest[1:]]
+
+        def majorized(m):
+            top, k, left = mpmath.mpf(0), 0, 1  # left: entries of layer k not yet in top
+            for bound in bounds:
+                while not left and k < m:
+                    k += 1
+                    left = math.comb(m, k)
+                if left:  # the next largest entry of the power
+                    top += a ** (m - k) * (1 - a) ** k
+                    left -= 1
+                else:  # all 2**m entries are in: the whole mass
+                    top = mpmath.mpf(1)
+                if top > bound:
+                    return False
+            return True
+
+        low, high = 0, 1  # no copy reaches anything but a product state
+        while not majorized(high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if majorized(mid) else (mid, high)
+        return high
 
 
 def waiting_factor_series(n_edges: int, p: float, tol: float = 1e-15) -> float:

@@ -130,13 +130,56 @@ class TestCountRule:
             catalysis._count(True)
         assert str(info.value) == "copy count must be a positive integer, got True"
         with pytest.raises(InvalidInputError, match="copy counts must be positive integers"):
-            catalysis._count(np.array([True]))
+            catalysis._count(np.array([True]), column=True)
 
     @pytest.mark.parametrize("column", [[3, 1], np.array([2, 5], dtype=np.uint8), []])
     def test_column_is_an_array(self, column):
-        got = catalysis._count(column)
+        # only a caller that prices a column of points asks for one
+        got = catalysis._count(column, column=True)
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, column)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: ConcentrationProblem(n, 0.8),
+        lambda n: target_spectrum(n),
+        lambda n: search_catalysts([ConcentrationProblem(2, 0.8)], n),
+        lambda n: search_catalyst(ConcentrationProblem(2, 0.8), n),
+    ], ids=["problem", "target", "search_catalysts", "search_catalyst"])
+    def test_one_count_rejects_a_column(self, build):
+        # ConcentrationProblem stored array([2]); a search raised a bare TypeError
+        with pytest.raises(InvalidInputError,
+                           match=r"must be an? (positive )?integer( >= 2)?, got \[3\]"):
+            build(np.array([3]))
+
+
+class TestPowerCoefficients:
+    GRID = np.linspace(0.55, 1.0 - 1e-6, 200).tolist()  # the sweep-dim4 grid
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_column_rows_are_the_one_alpha_rows(self, n):
+        # the catalyst search builds psi for its whole batch in one call
+        rows = catalysis._power_coefficients(self.GRID, n)
+        assert rows.shape == (len(self.GRID), 2**n)
+        for alpha, row in zip(self.GRID, rows):
+            assert row.tobytes() == catalysis._power_coefficients(alpha, n).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 60, 10**6])
+    def test_column_top_entries_are_the_one_alpha_entries(self, m):
+        # the copy rule's supply powers: the top few entries of a large power
+        rows = catalysis._power_coefficients(self.GRID, m, 5)
+        assert rows.shape == (len(self.GRID), 5)
+        for alpha, row in zip(self.GRID, rows):
+            assert row.tobytes() == catalysis._power_coefficients(alpha, m, 5).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 3, 5, 9])
+    def test_count_column_rows_are_the_one_alpha_rows(self, count):
+        # each step of the copy rule: one copy count per alpha, some so
+        # small that 2**m entries do not fill the row
+        m = np.random.default_rng(count).integers(1, 200, len(self.GRID))
+        m[:4] = [1, 2, 3, 10**6]
+        rows = catalysis._power_coefficients(self.GRID, m, count)
+        for alpha, copies, row in zip(self.GRID, m.tolist(), rows):
+            assert row.tobytes() == catalysis._power_coefficients(alpha, copies, count).tobytes()
 
 
 class TestLoccProbability:
@@ -510,12 +553,36 @@ class TestSearchCatalysts:
             assert np.array_equal(spectrum.coefficients, expected)
 
     @pytest.mark.parametrize(
-        "row", [[0.0, 0.0, 0.0], [0.6, 0.5, -0.1], [0.2, 0.3, 0.5], [0.5, np.nan, 0.1]],
-        ids=["zeros", "negative", "unordered", "nan"],
+        "row, message",
+        [
+            ([0.0, 0.0, 0.0], "must be finite"),  # 0 / 0
+            ([0.6, 0.5, -0.1], "must be non-negative"),
+            ([0.2, 0.3, 0.5], "must be sorted non-increasing"),
+            ([0.5, np.nan, 0.1], "must be finite"),
+            ([np.inf, 1.0, 0.0], "must be finite"),
+            ([1e308, 1e308, 0.0], "must sum to 1, got 0.0"),  # the sum overflows
+        ],
+        ids=["zeros", "negative", "unordered", "nan", "inf", "bad-sum"],
     )
-    def test_row_that_is_not_a_spectrum_raises(self, row):
-        with pytest.raises(InvalidInputError):
+    def test_row_that_is_not_a_spectrum_raises(self, row, message):
+        # the batch is checked once, by the test each SchmidtVector makes,
+        # and a bad row gets SchmidtVector's own message
+        row = np.array(row)
+        with np.errstate(all="ignore"):
+            normalized = row / row.sum()
+        with pytest.raises(InvalidInputError) as own:
+            SchmidtVector(normalized)
+        with pytest.raises(InvalidInputError) as info:
             catalysis._ordered_spectra(np.array([[0.5, 0.3, 0.2], row]))
+        assert str(info.value) == str(own.value)
+        assert message in str(info.value)
+
+    def test_checked_rows_are_read_only_spectra(self):
+        normalized, spectra = catalysis._ordered_spectra(np.array([[3.0, 1.0], [2.0, 2.0]]))
+        assert not normalized.flags.writeable
+        for row, spectrum in zip(normalized, spectra):
+            assert isinstance(spectrum, SchmidtVector) and not spectrum.coefficients.flags.writeable
+            assert spectrum.coefficients.tobytes() == SchmidtVector(row).coefficients.tobytes()
 
     @pytest.mark.parametrize(
         "n, d_c, alphas",
@@ -779,6 +846,51 @@ class TestSupplyAccounting:
         for alpha in np.linspace(0.501, 0.9999, 2000):
             alpha = float(alpha)
             assert n_star(alpha) == copies_for_catalyst(two_qubit(0.5), alpha)
+
+    # The larger coefficients of the finite aux paths of the simulator's tests
+    # and of the benchmark's finite-aux chain.
+    PATH_ALPHAS = [0.55, 0.75, 0.8, 0.9]
+
+    def _assert_exact_counts(self, catalysts, alphas):
+        # One call per supply state, and one with a supply alpha per row, as
+        # a sweep's n_cat takes each point's own alpha.
+        for alpha in [alphas, *self.PATH_ALPHAS]:
+            got = catalysis._copies_for_catalysts(catalysts, alpha)
+            assert got.dtype.kind == "i" and got.shape == (len(catalysts),)
+            column = np.broadcast_to(alpha, len(catalysts)).tolist()
+            expected = [oracles.copies_to_reach(row.tolist(), a, TOL)
+                        for row, a in zip(catalysts, column)]
+            assert got.tolist() == expected
+        return got
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_batch_counts_are_the_exact_majorization_answer(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        weights = rng.random((24, dim)) ** rng.uniform(1.0, 4.0, (24, 1))
+        catalysts, spectra = catalysis._ordered_spectra(-np.sort(-weights, axis=1))
+        # supply alphas over [0.55, 1 - 1e-6]: both ends, uniform draws, and
+        # draws crowding 1, where the counts run to the hundreds of thousands
+        alphas = np.concatenate([[0.55, 1.0 - 1e-6], rng.uniform(0.55, 1.0 - 1e-6, 11),
+                                 1.0 - 0.45 * 10.0 ** -rng.uniform(0.0, 5.65, 11)])
+        column = catalysis._copies_for_catalysts(catalysts, alphas)
+        assert column.tolist() == [oracles.copies_to_reach(row.tolist(), a, TOL)
+                                   for row, a in zip(catalysts, alphas.tolist())]
+        assert max(column) > 10**5
+        stepped = 0
+        for spectrum, alpha, m in zip(spectra, alphas.tolist(), column.tolist()):
+            # copies_for_catalyst is the rule's one-row case
+            assert copies_for_catalyst(spectrum, alpha) == m
+            stepped += m > catalysis._smallest_power_at_most(alpha, spectrum.coefficients[0])
+        self._assert_exact_counts(catalysts, alphas)
+        # above dimension 2, some counts step past the largest-coefficient bound
+        assert (stepped > 0) == (dim > 2)
+
+    def test_sweep_catalyst_counts_are_the_exact_majorization_answer(self):
+        # the dimension-4 catalysts of the sweep-dim4 grid, at their own alphas
+        problems = _sweep_dim4_problems()
+        found = search_catalysts(problems, 4)
+        catalysts = np.array([spec.spectrum.coefficients for spec in found])
+        self._assert_exact_counts(catalysts, np.array([p.alpha for p in problems]))
 
 
 def test_monotone_values_match_spectrum_tail():

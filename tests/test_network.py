@@ -551,7 +551,7 @@ class TestRateSlotted:
             rate_slotted(EdgeParams(alpha=0.8, copies=2), 0)
 
 
-@pytest.mark.parametrize("n_edges", [2.5, 4.0, "4", None])
+@pytest.mark.parametrize("n_edges", [2.5, 4.0, "4", None, np.array([4])])
 @pytest.mark.parametrize("call", [
     lambda n: waiting_factors(n, [0.5, 0.005]),
     lambda n: waiting_factor(n, 0.5),
@@ -563,8 +563,9 @@ class TestRateSlotted:
         "waiting_factor_small_p"])
 def test_edge_count_must_be_an_integer(call, n_edges):
     # a non-integral count once gave a rate (764.68 Hz from rate_catalytic at
-    # 2.5, 3.674 from waiting_factor_small_p) or a bare TypeError; numpy
-    # integers are counts like Python's
+    # 2.5, 3.674 from waiting_factor_small_p) or a bare TypeError, and a
+    # one-entry column was taken as the count; numpy integers are counts
+    # like Python's
     with pytest.raises(InvalidInputError, match="edge count must be a positive integer"):
         call(n_edges)
     assert call(np.int64(4)) == call(4)
@@ -625,6 +626,20 @@ def test_numpy_integer_counts_are_plain_ints(build, count):
     # numpy integers are counts like Python's, stored as plain ints
     value = build(count)
     assert type(value) is int and value == build(2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: EdgeParams(alpha=0.8, copies=n),
+    lambda n: EdgeParams(alpha=0.8, catalyst_dim=n),
+    lambda n: sweep_rates(n, 4, [0.8]),
+    lambda n: sweep_rates(2, 4, [0.8], catalyst_dims=[n]),
+], ids=["edge_copies", "edge_catalyst_dim", "sweep_rates", "sweep_catalyst_dim"])
+def test_one_count_rejects_a_column(build):
+    # EdgeParams stored array([3]) and a sweep raised a bare TypeError; only
+    # the timing functions price columns
+    with pytest.raises(InvalidInputError,
+                       match=r"must be an? (positive )?integer( >= 2)?, got \[3\]"):
+        build(np.array([3]))
 
 
 class TestSweep:

@@ -155,10 +155,11 @@ FINITE_AUX_CONFIG = AuxConfig(FINITE_AUX, (AuxPath(0.9, 0.5, 1e-4),))
     lambda v: validate_waiting_factor(2, 0.5, 100, v),
 ], ids=["n_edges", "trials", "seed", "max_slots", "initial_stock", "stock_capacity",
         "validate_trials", "validate_seed"])
-@pytest.mark.parametrize("value", [2.5, 100.5, 4.0, "4", True])
+@pytest.mark.parametrize("value", [2.5, 100.5, 4.0, "4", True, np.array([4])])
 def test_counts_must_be_integers(build, value):
-    # a non-integral count once built a config whose run raised a bare
-    # TypeError, or gave validate-z a verdict; numpy integers are counts
+    # a non-integral count, or a one-entry column, once built a config whose
+    # run raised a bare TypeError, or gave validate-z a verdict; numpy
+    # integers are counts
     with pytest.raises(InvalidInputError, match="integer"):
         build(value)
     build(np.int64(4))
