@@ -43,20 +43,27 @@ from .spectra import (
 DIM_CAP = 2**20
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _count(value, what: str = "copy count", least: int = 1, *, column: bool = False):
     """``value`` as a plain int if it is an integer >= ``least``.
 
     Numpy integers count.  With ``column``, an integer column whose every
-    count is >= ``least`` comes back as an array too, and an empty column
-    passes; only code that prices a column of points asks for one.  Anything
-    else, a bool or a column where one number is wanted included, raises
-    :class:`InvalidInputError` naming ``what``.
+    count is >= ``least`` comes back as an int64 array, so that sums of
+    counts cannot wrap in a narrow dtype, and an empty column passes; only
+    code that prices a column of points asks for one.  Anything else, a bool,
+    a column where one number is wanted or a count past int64 included,
+    raises :class:`InvalidInputError` naming ``what``.
     """
     if type(value) is not int:
         if column and np.ndim(value):
             value = np.asarray(value)
             if value.size == 0 or value.dtype.kind in "iu" and np.all(value >= least):
-                return value
+                if value.dtype.kind == "u" and value.size and value.max() > _INT64_MAX:
+                    raise InvalidInputError(
+                        f"{what}s must fit in 64-bit signed integers, got {value}")
+                return value.astype(np.int64, copy=False)
         elif isinstance(value, Integral) and not isinstance(value, bool):
             value = int(value)
     if type(value) is not int or value < least:

@@ -179,6 +179,7 @@ def t_edge_cycle(p_cat, edge: EdgeParams, aux: AuxConfig, copies: Sequence) -> T
         t_both = np.maximum(t_pri, t_cat) if np.ndim(t_cat) else max(t_pri, t_cat)
     else:
         (n_cat,) = copies
+        n_cat = _count(n_cat, column=True)  # as int64: adding the edge's count cannot wrap
         t_cat = t_primary(n_cat, edge.cycle_time_s, edge.herald_probability)
         t_both = t_primary(edge.copies + n_cat, edge.cycle_time_s, edge.herald_probability)
     return TimingBreakdown(t_pri, t_cat, t_both, p_cat * t_pri + (1.0 - p_cat) * t_both)

@@ -5,10 +5,10 @@ analytic rate composition exactly, and a slot-level discrete-event model
 with catalyst stock, recycling on success, loss on failure, and
 replenishment from the edge's own pairs or from auxiliary paths.
 
-The slot-level model is computed per edge from block draws, with no
-per-slot loop.  An edge's run, from one delivery to its next successful
-attempt, takes as many slots as it takes load draws, unless an attempt
-waits for a catalyst.  Only finite aux paths make an attempt wait, on an
+The slot-level model is computed per edge from block draws, read by
+demand, with no per-slot loop.  An edge's run, from one delivery to its
+next successful attempt, takes as many slots as it takes load draws,
+unless an attempt waits for a catalyst.  Only finite aux paths make an attempt wait, on an
 empty stock, and a success spends nothing, so only a run that holds a
 failure, or the first run from an empty initial stock, can wait.  Those
 runs alone are stepped against the edge's stock and aux clocks; a block of
@@ -230,8 +230,8 @@ class _MaxOfGeometrics:
     Iterating yields each batch of ``_BATCH_TRIALS`` trials as its size and
     the Philox stream ``(seed, b)`` of batch b.  The caller draws each trial's
     largest exponential from the stream, drawing all N exponentials or
-    inverting one uniform (``largest_exponentials``), and passes them to
-    ``add``.
+    inverting one uniform (``largest_exponentials``, or ``negated_largest``
+    to pass them negated), and passes them to ``add``.
     """
 
     def __init__(self, p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
@@ -252,12 +252,14 @@ class _MaxOfGeometrics:
         for batch, done in enumerate(range(0, self.trials, _BATCH_TRIALS)):
             yield min(_BATCH_TRIALS, self.trials - done), _rng(self.seed, batch)
 
-    def counts(self, draws: np.ndarray) -> np.ndarray:
+    def counts(self, draws: np.ndarray, negated: bool = False) -> np.ndarray:
         """The geometric counts of exponential ``draws``, written over them.
 
-        A count is at least 1 even where a draw is exactly 0.0.
+        ``negated`` takes the draws' negatives and divides them by ``-lam``,
+        which gives the same bits: ``(-a) / b == a / (-b)`` in IEEE
+        arithmetic.  A count is at least 1 even where a draw is exactly 0.0.
         """
-        np.ceil(np.divide(draws, self.lam, out=draws), out=draws)
+        np.ceil(np.divide(draws, -self.lam if negated else self.lam, out=draws), out=draws)
         return np.maximum(draws, 1.0, out=draws)
 
     def largest_exponentials(self, uniforms: np.ndarray) -> np.ndarray:
@@ -268,14 +270,28 @@ class _MaxOfGeometrics:
         ``-log(-expm1(log(U) / N))``.  A uniform of exactly 0.0 gives 0.0.
         """
         with np.errstate(divide="ignore"):  # log(0.0) is -inf, and the chain then gives 0.0
-            np.log(uniforms, out=uniforms)
+            return np.negative(self.negated_largest(uniforms), out=uniforms)
+
+    def negated_largest(self, uniforms: np.ndarray) -> np.ndarray:
+        """:meth:`largest_exponentials` less its last negation, for ``counts(..., negated=True)``.
+
+        The caller ignores the divide-by-zero a uniform of 0.0 raises in log.
+        """
+        np.log(uniforms, out=uniforms)
         np.divide(uniforms, self.n_edges, out=uniforms)
         np.negative(np.expm1(uniforms, out=uniforms), out=uniforms)
-        return np.negative(np.log(uniforms, out=uniforms), out=uniforms)
+        return np.log(uniforms, out=uniforms)
 
-    def add(self, largest: np.ndarray) -> None:
-        """Add the trials whose largest exponentials are ``largest``, overwriting them."""
-        sample = np.multiply(self.counts(largest), self.scale, out=largest)
+    def add(self, largest: np.ndarray, negated: bool = False) -> None:
+        """Add the trials whose largest exponentials are ``largest``, overwriting them.
+
+        ``negated`` as in :meth:`counts`.  The sum of squares stays a square
+        and a sum: near the floor p the squared counts are not all exact
+        doubles, so a dot product would round them differently.
+        """
+        sample = self.counts(largest, negated)
+        if self.scale != 1.0:
+            np.multiply(sample, self.scale, out=sample)
         self.total += float(sample.sum())
         self.total_sq += float(np.square(sample, out=sample).sum())
 
@@ -336,29 +352,76 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
     )
 
 
-# Draws per call on one edge's load or attempt stream, and loads per edge in
-# a block of deliveries; both bound the working memory whatever ``max_slots``
-# and the success probability are.
+# Loads per edge in a trial's first block of deliveries; later blocks are
+# sized from the delivery rate the trial has shown.  The memory bound: no
+# stream read makes more than _BLOCK_LOADS draws, and no block reads more
+# than about _BLOCK_LOADS loads over all its edges or holds more than a
+# quarter as many deliveries, each with a few values of its own, so the
+# arrays a block holds stay within about 4 MiB whatever max_slots and the
+# success probabilities are.  A block whose runs may step is also held as
+# Python ints while it is walked, several times the bytes, so it reads at
+# most the first block's loads per edge.  An aux path's stream, whose
+# completions the stepper takes one at a time, is read _DRAW_BLOCK draws at
+# a time.
+_FIRST_BLOCK_LOADS = 1 << 10
+_BLOCK_LOADS = 1 << 16
 _DRAW_BLOCK = 1 << 11
-_DELIVERY_BLOCK = 1 << 10
 
 
-def _every_nth_success(rng: np.random.Generator, p: float, n: int, limit: int):
-    """Yield, a block of draws at a time, where the n-th, 2n-th, ... success falls.
+def _draws_for(successes: int, p: float) -> int:
+    """The draws expected to hold ``successes`` successes at ``p``, and a margin.
 
-    A draw ``u`` succeeds when ``u < p``; draws are counted from 1 and at most
-    ``limit`` are taken, so each array holds the draws that complete a run of
-    n successes within one block.
+    The margin is three standard deviations of that count and 16 draws.  At
+    most ``_BLOCK_LOADS``; a caller that falls short reads again.
     """
-    drawn = found = 0
-    while drawn < limit:
-        size = min(_DRAW_BLOCK, limit - drawn)
-        hits = np.flatnonzero(rng.random(size) < p) + (drawn + 1)
-        ends = hits[(-found - 1) % n :: n]
-        drawn += size
-        found += hits.size
-        if ends.size:
-            yield ends
+    spread = 3.0 * math.sqrt(successes * (1.0 - p))
+    return min(math.ceil((successes + spread) / p) + 16, _BLOCK_LOADS)
+
+
+class _Bernoulli:
+    """The success draws ``rng.random(size) < p`` of one stream, tested on its raw words.
+
+    ``Generator.random`` makes each 64-bit word w of the stream the double
+    ``(w >> 11) * 2**-53``, so for p < 1 that double lies below p exactly
+    when w lies below ``ceil(p * 2**53) * 2**11``: one integer test per draw,
+    with no double formed.  At p = 1 every draw succeeds.  Either way each
+    draw takes one word, as a double would.
+    """
+
+    __slots__ = ("words", "below")
+
+    def __init__(self, rng: np.random.Generator, p: float):
+        self.words = rng.bit_generator.random_raw
+        self.below = None if p >= 1.0 else np.uint64(math.ceil(p * 2.0**53) << 11)
+
+    def __call__(self, size: int) -> np.ndarray:
+        words = self.words(size)
+        return np.ones(size, bool) if self.below is None else words < self.below
+
+
+class _EveryNthSuccess:
+    """Where the n-th, 2n-th, ... success of one stream falls, read as the caller asks.
+
+    A draw ``u`` succeeds when ``u < p``; draws are counted from 1 and at
+    most ``limit`` are taken.  Each :meth:`read` makes the draws its caller
+    asks for, in stream order, so reads of any sizes see the same values.
+    """
+
+    __slots__ = ("succeeds", "n", "limit", "drawn", "found")
+
+    def __init__(self, rng: np.random.Generator, p: float, n: int, limit: int):
+        self.succeeds, self.n, self.limit = _Bernoulli(rng, p), n, limit
+        self.drawn = self.found = 0
+
+    def read(self, size: int) -> np.ndarray:
+        """The ends that fall within the next ``size`` draws, or as many as the limit leaves."""
+        size = min(size, self.limit - self.drawn)
+        hits = self.succeeds(size).nonzero()[0]
+        hits += self.drawn + 1
+        ends = hits[(-self.found - 1) % self.n :: self.n]
+        self.drawn += size
+        self.found += hits.size
+        return ends
 
 
 def _ticks_through(period: float, t0: float, slot: int) -> int:
@@ -412,12 +475,14 @@ class _Stock:
         periods = [path.gen_time_s for path in cfg.aux.paths]
         streams = []
         for i, (path, copies) in enumerate(zip(cfg.aux.paths, copies_needed)):
-            blocks = _every_nth_success(_rng(cfg.seed, trial, edge, 2 + i), path.gen_probability,
-                                        copies, _ticks_through(path.gen_time_s, t0, cfg.max_slots))
+            ticks = _ticks_through(path.gen_time_s, t0, cfg.max_slots)
+            successes = _EveryNthSuccess(_rng(cfg.seed, trial, edge, 2 + i),
+                                         path.gen_probability, copies, ticks)
+            pieces = map(successes.read, itertools.repeat(_DRAW_BLOCK, -(-ticks // _DRAW_BLOCK)))
             # The path's completion draws one at a time; once its stream
             # runs out, the next completion never comes.
             streams.append(itertools.chain(itertools.chain.from_iterable(
-                map(np.ndarray.tolist, blocks)), itertools.repeat(math.inf)))
+                map(np.ndarray.tolist, pieces)), itertools.repeat(math.inf)))
         draws = [next(stream) for stream in streams]
         slots = (
             [math.inf] * len(periods) if self.stock >= self.capacity
@@ -506,6 +571,12 @@ class _EdgeRuns:
     last attempt failed.  No edge uses more load values than there are slots,
     so at most ``max_slots`` are drawn.
 
+    Both streams are read by demand: a block of deliveries draws the attempt
+    values its missing successes are expected to take, and then the load
+    values those loads are expected to take, each in one read with a margin
+    (:func:`_draws_for`), reading again only when a stream falls short.
+    Values read past what the block uses wait for the next block.
+
     A run that may wait for a catalyst (see :func:`simulate_detailed`) is
     stepped (:meth:`step`) against the edge's :class:`_Stock`; every other
     run takes exactly its no-wait offset, the load draws from its start to
@@ -517,11 +588,11 @@ class _EdgeRuns:
         self.rebuild = copies[0] if cfg.aux.mode == NO_AUX else 0
         # A rebuild reads the load stream one success at a time; otherwise a
         # load is one entry of n successes.
-        self.entries = _every_nth_success(
-            _rng(cfg.seed, trial, edge, 0), cfg.edge.herald_probability,
-            1 if self.rebuild else self.copies, cfg.max_slots,
-        )
-        self.attempt_rng = _rng(cfg.seed, trial, edge, 1)
+        self.per_entry = 1 if self.rebuild else self.copies
+        self.p_load = cfg.edge.herald_probability
+        self.entries = _EveryNthSuccess(_rng(cfg.seed, trial, edge, 0), self.p_load,
+                                        self.per_entry, cfg.max_slots)
+        self.attempt_wins = _Bernoulli(_rng(cfg.seed, trial, edge, 1), p_cat)
         self.p_cat = p_cat
         self.initial_stock = cfg.initial_stock
         self.failures = 0
@@ -543,26 +614,28 @@ class _EdgeRuns:
 
     def _read(self, size: int) -> bool:
         """Complete the next ``size`` loads, or those the load stream still holds."""
-        won = self.attempt_rng.random(size) < self.p_cat
+        won = self.attempt_wins(size)
         need = None  # entries through each load, where a load is not one entry
         if self.rebuild:
             failed = ~won
-            before = self.failures + np.cumsum(failed) - failed
-            rebuilt = (before >= self.initial_stock) & np.concatenate(
-                ([self.last_failed], failed[:-1])
-            )
+            before = np.cumsum(failed)  # the failures before each load
+            before -= failed
+            before += self.failures
             self.failures = int(before[-1] + failed[-1])
+            rebuilt = before >= self.initial_stock
+            del before  # freed before the load stream is read
+            rebuilt[1:] &= failed[:-1]
+            rebuilt[0] &= self.last_failed
             self.last_failed = bool(failed[-1])
-            need = np.cumsum(self.copies + self.rebuild * rebuilt)
-        blocks = [self.hits]
-        have = self.hits.size
-        while have < (size if need is None else need[-1]):
-            block = next(self.entries, None)
-            if block is None:
-                break
-            blocks.append(block)
-            have += block.size
-        hits = np.concatenate(blocks)
+            need = rebuilt * self.rebuild
+            need += self.copies
+            np.cumsum(need, out=need)
+        want = size if need is None else int(need[-1])
+        pieces, have, entries = [self.hits], self.hits.size, self.entries
+        while have < want and entries.drawn < entries.limit:
+            pieces.append(entries.read(_draws_for((want - have) * self.per_entry, self.p_load)))
+            have += pieces[-1].size
+        hits = np.concatenate(pieces)
         if need is None:
             k = taken = min(size, hits.size)
             ends = hits[:k]
@@ -585,12 +658,10 @@ class _EdgeRuns:
         entry of ``ends``: its failed loads, if any, are still stepped.
         """
         count = ends.size
-        # Each read takes the loads expected to hold the successes still
-        # short, and a few more, up to a block.
         while (short := count - np.count_nonzero(self.won)) > 0:
-            if not self._read(min(math.ceil(short / self.p_cat) + 32, _DRAW_BLOCK)):
+            if not self._read(_draws_for(short, self.p_cat)):
                 break
-        stops = np.flatnonzero(self.won)[:count]
+        stops = self.won.nonzero()[0][:count]
         ends[: stops.size] = self.at[stops]
         if self.stock is None:
             return
@@ -678,9 +749,12 @@ def _trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
 
     The k-th delivery comes in the slot where the last edge finishes its
     k-th run, counted from the slot of the (k-1)-th.  Runs are read a block
-    of deliveries at a time.  Where no run in the block steps, each
-    delivery's interval is the largest offset over the edges and the block
-    settles with no Python per delivery; otherwise the block is walked.
+    of deliveries at a time: a first block of about ``_FIRST_BLOCK_LOADS``
+    loads per edge, then blocks sized from the delivery rate so far to reach
+    ``max_slots``, within the memory bound.  Where no run in the block
+    steps, each delivery's interval is the largest offset over the edges and
+    the block settles with no Python per delivery; otherwise the block is
+    walked.
     Deliveries settle until their running sum passes ``max_slots``.  In the
     cut-off delivery an edge that was not stepped has used
     ``min(offset, slots left)`` draws, and its counters cover exactly the
@@ -691,21 +765,23 @@ def _trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
     used = np.zeros(cfg.n_edges, np.int64)  # load draws used by settled deliveries
     slot = 0
     deliveries = 0
-    # A block reads about _DELIVERY_BLOCK loads per edge, whatever p_cat is.
-    full_block = max(1, int(_DELIVERY_BLOCK * p_cat))
+    # The first block reads about _FIRST_BLOCK_LOADS loads per edge whatever
+    # p_cat is, and no block more than the memory bound allows.
+    block = max(1, int(_FIRST_BLOCK_LOADS * p_cat))
+    cap = max(1, min(int(_BLOCK_LOADS * p_cat / cfg.n_edges), _BLOCK_LOADS // 4))
+    if cfg.aux.mode == FINITE_AUX:  # runs may step
+        cap = min(cap, block)
     while True:
-        block = full_block
-        if deliveries:
-            # No more than the slots left hold at the mean interval so far,
-            # and an eighth more, so that the last block reads little ahead.
-            block = min(block, (limit - slot) * deliveries // slot * 9 // 8 + 16)
+        block = min(block, cap)
         # An edge that runs out of draws is never ready again: limit + 1
         # lies beyond every slot that is left.
         ends = np.full((cfg.n_edges, block), limit + 1, np.int64)
         steps = np.zeros((cfg.n_edges, block), bool)
         for edge, row, flags in zip(edges, ends, steps):
             edge.runs(row, flags)
-        offsets = np.diff(ends, axis=1, prepend=used[:, None])
+        offsets = np.empty_like(ends)  # np.diff with used prepended, less its copy of ends
+        np.subtract(ends[:, 1:], ends[:, :-1], out=offsets[:, 1:])
+        np.subtract(ends[:, 0], used, out=offsets[:, 0])
         gaps = offsets.max(axis=0)
         if steps.any():
             gaps = np.array(_walk(edges, steps, gaps, slot, limit), np.int64)
@@ -726,6 +802,14 @@ def _trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
             for edge, ctr in zip(edges, counters):
                 edge.tally(ctr, limit)
             return deliveries
+        # The slots left hold about `left` deliveries at the mean interval
+        # so far.  The next block reads three standard deviations more, of
+        # the sum of that many intervals and of the mean, and 16 more, so
+        # that it is rarely short and reads little past the end.
+        mean = slot / deliveries
+        left = (limit - slot) / mean
+        spread = float(gaps.std()) / mean * math.sqrt(left + left * left / deliveries)
+        block = math.ceil(left + 3.0 * spread) + 16
 
 
 def simulate_detailed(cfg: SimConfig) -> SimResult:
@@ -821,8 +905,9 @@ def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> W
     analytic = waiting_factor(n_edges, p)
     sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
     uniforms = np.empty(min(_BATCH_TRIALS, trials))
-    for size, rng in sampler:
-        sampler.add(sampler.largest_exponentials(rng.random(out=uniforms[:size])))
+    with np.errstate(divide="ignore"):  # log(0.0) is -inf, and the chain then gives 0.0
+        for size, rng in sampler:
+            sampler.add(sampler.negated_largest(rng.random(out=uniforms[:size])), negated=True)
     mean, std_error = sampler.mean_and_error()
     if std_error > 0.0:
         deviation = abs(mean - analytic) / std_error
@@ -842,6 +927,12 @@ def validate_waiting_factor(n_edges: int, p: float, trials: int, seed: int) -> W
 
 
 def result_record(cfg: SimConfig, result: SimResult) -> dict:
-    """JSON-serializable record of a run: config echo, seed, then every statistic."""
+    """JSON-serializable record of a run: config echo, seed, then every statistic.
+
+    The statistics and each edge's counters are plain ints and floats, so
+    they are copied field by field, without ``asdict``'s recursive deep copy.
+    """
     config = asdict(cfg)
-    return {"config": config, "seed": config.pop("seed"), **asdict(result)}
+    record = {"config": config, "seed": config.pop("seed"), **vars(result)}
+    record["counters"] = [dict(vars(counters)) for counters in result.counters]
+    return record

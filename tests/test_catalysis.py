@@ -139,6 +139,18 @@ class TestCountRule:
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, column)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.uint64])
+    def test_column_comes_back_as_int64(self, dtype):
+        # a uint8 column came back as given, and a sum of counts in it wrapped
+        top = 2**63 - 1 if dtype == np.uint64 else int(np.iinfo(dtype).max)
+        got = catalysis._count(np.array([1, top], dtype=dtype), column=True)
+        assert got.dtype == np.int64
+        assert got.tolist() == [1, top]
+
+    def test_column_past_int64_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="must fit in 64-bit signed integers"):
+            catalysis._count(np.array([1, 2**63], dtype=np.uint64), column=True)
+
     @pytest.mark.parametrize("build", [
         lambda n: ConcentrationProblem(n, 0.8),
         lambda n: target_spectrum(n),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import entcat
-from entcat import catalysis, cli
+from entcat import catalysis, cli, simulate
 from entcat.cli import main, parse_config
 from entcat.errors import InvalidInputError, NumericFailureError
 
@@ -460,7 +460,9 @@ class TestSimulateCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("setting,digest", [
+    # One config per aux mode and stock setting, and a run that times out,
+    # with the sha256 of its JSONL line.
+    PINNED = [
         pytest.param(
             "mode = detailed\nn_edges = 4\nalpha = 0.8\nmax_slots = 20000\ntrials = 2\nseed = 3\n",
             "a9ed776404f07fdf373cf634e04277efbb52656e60ce1f231c40eb8ce9a919f1",
@@ -494,10 +496,33 @@ class TestSimulateCommand:
             "n_edges = 8\np_cat = 0.5\nt_cycle_s = 1e-3\ntrials = 20000\nseed = 3\n",
             "9ea9a1b07161f05cebc989f443dca73cc8ad029dd21f97d52a82b83e3e682309",
             id="abstract-forced"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("setting,digest", PINNED)
     def test_output_bytes_are_pinned(self, capsys, tmp_path, setting, digest):
         # The whole JSONL line: the config echo, the statistics, their key
         # order and the counters of every edge.
+        conf = tmp_path / "sim.conf"
+        conf.write_text(setting)
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # Tiny read and block sizes: (first block loads, memory bound, aux path
+    # read).  At p_cat = 0.88 and N = 4 they give stream reads of at most 4
+    # draws and blocks of 1 delivery, or reads of 10 and blocks of 2.
+    TINY_SIZES = [pytest.param((1, 4, 3), id="blocks-of-1"),
+                  pytest.param((3, 10, 5), id="blocks-of-2")]
+
+    @pytest.mark.parametrize("sizes", TINY_SIZES)
+    @pytest.mark.parametrize("setting,digest", [p for p in PINNED if "detailed" in p.id])
+    def test_detailed_bytes_do_not_depend_on_read_and_block_sizes(self, capsys, tmp_path,
+                                                                  monkeypatch, setting, digest,
+                                                                  sizes):
+        # The detailed simulator sizes its stream reads and delivery blocks
+        # from demand; with tiny sizes every record keeps the default bytes.
+        for name, size in zip(("_FIRST_BLOCK_LOADS", "_BLOCK_LOADS", "_DRAW_BLOCK"), sizes):
+            monkeypatch.setattr(simulate, name, size)
         conf = tmp_path / "sim.conf"
         conf.write_text(setting)
         code, out, _ = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")

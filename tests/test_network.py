@@ -291,6 +291,23 @@ class TestTimings:
         np.testing.assert_array_equal(tb.t_primary_plus_catalyst_s,
                                       t_primary(edge.copies + n_cat, t0, p0))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+    @pytest.mark.parametrize("mode", [NO_AUX, FINITE_AUX])
+    def test_edge_cycle_narrow_count_column_is_priced_as_int64(self, mode, dtype):
+        # Without aux paths a uint8 n_cat of 255 plus the edge's 2 copies
+        # once wrapped to 1 pair: [0.0005] s where int64 gives [0.1285] s.
+        edge = EdgeParams(alpha=0.8, copies=2)
+        aux = AuxConfig(mode, self.COLUMN_PATHS if mode == FINITE_AUX else ())
+        p_cats = np.array([0.5, 0.9, 0.3])
+        counts = np.array([1, 7, np.iinfo(dtype).max], dtype=dtype)
+        supplies = len(aux.paths) or 1
+        narrow = t_edge_cycle(p_cats, edge, aux, (counts,) * supplies)
+        wide = t_edge_cycle(p_cats, edge, aux, (counts.astype(np.int64),) * supplies)
+        for got, want in zip(narrow, wide):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if mode == NO_AUX and dtype == np.uint8:
+            assert narrow.t_primary_plus_catalyst_s[-1] == 0.1285
+
     @pytest.mark.parametrize("mode", [NO_AUX, FINITE_AUX])
     def test_edge_cycle_numpy_count_gives_plain_floats(self, mode):
         # (np.int64(3),) once gave np.float64 fields.

@@ -8,14 +8,17 @@ import mpmath
 import numpy as np
 import pytest
 
+import entcat.simulate
 from entcat.errors import CatalysisWindowError, InvalidInputError
 from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, AuxConfig, AuxPath, EdgeParams
 from entcat.simulate import (
     _BATCH_TRIALS,
-    _DELIVERY_BLOCK,
+    _FIRST_BLOCK_LOADS,
     SimConfig,
+    _Bernoulli,
     _MaxOfGeometrics,
     _resolved_parameters,
+    _rng,
     _slot_of,
     _ticks_through,
     result_record,
@@ -454,12 +457,33 @@ SLOW_REBUILD = EdgeParams(alpha=0.99, copies=2, length_km=25.0, fiber_speed_km_s
                           herald_probability=0.002)
 
 
-# Deliveries in a full block of the detailed simulator at EDGE's p_cat.
-EDGE_BLOCK = int(_DELIVERY_BLOCK * PCAT_2_08)
+# Deliveries in the detailed simulator's first block of a trial at EDGE's
+# p_cat, at N up to 64, where the memory bound allows more.
+EDGE_BLOCK = int(_FIRST_BLOCK_LOADS * PCAT_2_08)
 
 
 def record_bytes(simulate, cfg):
     return json.dumps(result_record(cfg, simulate(cfg)))
+
+
+def trial_blocks(monkeypatch, n_edges):
+    """Record, for each trial the detailed simulator runs, its deliveries and block sizes."""
+    trials = []
+    trial, runs = entcat.simulate._trial, entcat.simulate._EdgeRuns.runs
+
+    def spy_trial(*args):
+        trials.append([None, []])
+        trials[-1][0] = trial(*args)
+        trials[-1][1] = trials[-1][1][::n_edges]  # every edge reads each block
+        return trials[-1][0]
+
+    def spy_runs(self, ends, steps):
+        trials[-1][1].append(ends.size)
+        return runs(self, ends, steps)
+
+    monkeypatch.setattr(entcat.simulate, "_trial", spy_trial)
+    monkeypatch.setattr(entcat.simulate._EdgeRuns, "runs", spy_runs)
+    return trials
 
 
 class TestMatchesSlotStepper:
@@ -484,34 +508,49 @@ class TestMatchesSlotStepper:
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["timed_out"] or max_slots > 1
 
-    @pytest.mark.parametrize("regime,edge,runs,max_slots,seed,more_than", [
+    @pytest.mark.parametrize("regime,edge,runs,max_slots,seed,more_than,blocks", [
         # Thousands of deliveries and tens of thousands of load draws per edge.
-        *(pytest.param(regime, EDGE, ((1, 0), (5, 3)), 20_000, 17, 2000, id=regime)
+        *(pytest.param(regime, EDGE, ((1, 0), (5, 3)), 20_000, 17, 2000, None, id=regime)
           for regime in sorted(REGIMES)),
-        # More than three blocks of deliveries per trial, from an empty stock.
-        *(pytest.param(regime, EDGE, ((1, 0),), 20_000, 23, 6 * EDGE_BLOCK,
+        # More than three blocks of deliveries per trial, from an empty stock:
+        # with the memory bound lowered to 4096 loads, a block holds at most
+        # 1024 deliveries, against 3800-4500 per trial.
+        *(pytest.param(regime, EDGE, ((1, 0),), 20_000, 23, 6 * EDGE_BLOCK, "capped",
                        id=f"{regime}-three-blocks")
           for regime in sorted(REGIMES)),
-        # Trial 0 makes exactly one block of deliveries, and the end cuts the
-        # first delivery of the next block short.
-        *(pytest.param(regime, EDGE, ((4, 0, 2),), max_slots, 41, EDGE_BLOCK,
+        # Trial 0 makes exactly its first block of deliveries, and the end
+        # cuts the first delivery of the next block short: max_slots lies
+        # between trial 0's EDGE_BLOCK-th delivery and the one after it.
+        *(pytest.param(regime, EDGE, ((4, 0, 2),), max_slots, 41, EDGE_BLOCK, "cut",
                        id=f"{regime}-cut-at-block-start")
           for regime, max_slots in (("aux_rich", 6685), ("finite", 8116), ("none", 9089))),
         # At N = 32 some edge fails, and so steps the stock, in almost every
         # delivery; trial 0 passes one block.
-        pytest.param("finite", EDGE, ((32, 1, 2),), 17_500, 43, 1800, id="finite-32-edges"),
-        # A load that rebuilds the catalyst takes n + n_cat = 13 successes,
-        # against about 4 per block of load draws, so it spans several blocks.
-        pytest.param("none", SLOW_REBUILD, ((2, 1),), 300_000, 5, 10, id="none-slow-rebuild"),
+        pytest.param("finite", EDGE, ((32, 1, 2),), 17_500, 43, 1800, None, id="finite-32-edges"),
+        # A load that rebuilds the catalyst takes n + n_cat = 13 successes at
+        # P0 = 0.002, some 6500 load draws, so the loads a block reads need
+        # more draws than one read makes, and the load stream is read
+        # several times per block.
+        pytest.param("none", SLOW_REBUILD, ((2, 1),), 300_000, 5, 10, None,
+                     id="none-slow-rebuild"),
     ])
-    def test_long_runs_cross_every_block(self, regime, edge, runs, max_slots, seed, more_than):
+    def test_long_runs_cross_every_block(self, monkeypatch, regime, edge, runs, max_slots, seed,
+                                         more_than, blocks):
+        if blocks == "capped":
+            monkeypatch.setattr(entcat.simulate, "_BLOCK_LOADS", 4 * _FIRST_BLOCK_LOADS)
         for n_edges, initial_stock, *capacity in runs:
             cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=edge, aux=REGIMES[regime],
                             max_slots=max_slots, trials=2, seed=seed,
                             **stock_settings(regime, initial_stock, *capacity))
+            trials = trial_blocks(monkeypatch, n_edges)
             new = record_bytes(simulate_detailed, cfg)
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["deliveries"] > more_than
+            if blocks == "capped":
+                assert all(len(sizes) > 3 for _, sizes in trials)
+            if blocks == "cut":
+                delivered, sizes = trials[0]
+                assert delivered == sum(sizes[:-1]) == EDGE_BLOCK
 
     def test_forced_probability_needs_no_catalyst_with_plentiful_aux(self):
         # alpha = 0.6 at n = 2 lies outside the catalysis window, so the edge
@@ -574,10 +613,12 @@ class TestMatchesSlotStepper:
         # delivery from which the mean and its error are computed, may grow.
         sparse = EdgeParams(alpha=0.8, copies=2, length_km=25.0, fiber_speed_km_s=2.0e5,
                             herald_probability=0.01)
-        # The finite-aux run also reads 1.25 million aux ticks.
+        # The finite-aux run also reads 1.25 million aux ticks, and the run
+        # without aux paths a million load values one success at a time.
         finite = dict(aux=REGIMES["finite"], initial_stock=1, stock_capacity=2)
         for edge, max_slots, extra in ((sparse, 10**7, {}), (EDGE, 10**6, {}),
-                                       (sparse, 10**6, finite)):
+                                       (sparse, 10**6, finite),
+                                       (EDGE, 10**6, dict(aux=REGIMES["none"]))):
             cfg = SimConfig(n_edges=1, mode="detailed", edge=edge, max_slots=max_slots, seed=4,
                             **extra)
             tracemalloc.start()
@@ -844,3 +885,31 @@ class TestMaxOfGeometrics:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
         assert new == record_bytes(oracles.simulate_abstract_geometric, cfg)
+
+
+# Edge and aux-path probabilities of the suite and the benchmark, p = 1 and
+# the largest p below it, and a p below one word's resolution.
+DRAW_PROBABILITIES = [1.0, 1.0 - 2.0**-53, PCAT_2_08, 0.9, 0.5, 0.3, 0.05, 0.002, 2.0**-60]
+
+
+class TestBernoulliDraws:
+    """The detailed simulator's success draws against ``Generator.random(size) < p``."""
+
+    @pytest.mark.parametrize("p", DRAW_PROBABILITIES)
+    def test_reads_of_any_size_are_the_double_draws(self, p):
+        reference = _rng(5, 1, 2, 0).random(20_000) < p
+        draws = _Bernoulli(_rng(5, 1, 2, 0), p)
+        got = np.concatenate([draws(size) for size in (0, 1, 7, 4096, 15_896)])
+        assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("p", DRAW_PROBABILITIES)
+    def test_words_next_to_the_threshold(self, p):
+        # The double of word w is (w >> 11) * 2**-53: the first and last
+        # words of the last double below p, and of the first one not below.
+        k = math.ceil(p * 2.0**53)
+        words = [(k - 1) << 11, ((k - 1) << 11) | 0x7FF]
+        if k < 2**53:
+            words += [k << 11, (k << 11) | 0x7FF]
+        draws = _Bernoulli(_rng(0), p)
+        draws.words = lambda size: np.array(words, np.uint64)[:size]
+        assert draws(len(words)).tolist() == [(w >> 11) * 2.0**-53 < p for w in words]
