@@ -18,6 +18,7 @@ seeded so results are bit-identical however they are scheduled.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -215,8 +216,156 @@ def _resolved_parameters(cfg: SimConfig):
 
 
 def _rng(*key: int) -> np.random.Generator:
-    """The Philox stream of ``key``, e.g. (seed, batch) or (seed, trial, edge, stream)."""
+    """The Philox stream of ``key``: ``Philox(SeedSequence(key))``, one key at a time.
+
+    Every stream of a run is this one: stream k of edge e in trial t is
+    ``_rng(seed, t, e, k)`` and batch b is ``_rng(seed, b)``.  The runs build
+    theirs through :func:`_streams`, whose keys have the same bits.
+    """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+# numpy's SeedSequence (after O'Neill's seed_seq): a pool of four 32-bit
+# words, two hashes that differ in their constants, and one mix.
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHER_WORDS = [[d for d in range(_POOL_WORDS) if d != s] for s in range(_POOL_WORDS)]
+# Streams whose keys one pass derives; its arrays stay within 16 KiB each.
+_KEY_CHUNK = 1 << 10
+# Fewest streams of a run whose keys come from a pass (see _streams).
+_PASS_STREAMS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(words: int):
+    """SeedSequence's hash constants for ``words`` words of entropy, shaped (2, calls, 1).
+
+    A hash xors a word with its constant, multiplies the constant by a
+    factor and the word by the product, so call i's (xor, multiplier) pair
+    is (c_i, c_{i+1}).  The pool hash starts at 0x43B0D7E5 (factor
+    0x931E8875) and makes 16 calls plus 4 per word past the pool's four; the
+    output hash starts at 0x8B51F9DD (factor 0x58F38DED) and makes 4.
+    """
+    def chain(constant, factor, calls):
+        pairs = []
+        for _ in range(calls):
+            pairs.append((constant, constant * factor & _MASK32))
+            constant = pairs[-1][1]
+        return np.array(pairs, np.uint32).T[:, :, None]
+
+    extra = max(words - _POOL_WORDS, 0)
+    return (chain(0x43B0D7E5, 0x931E8875, _POOL_WORDS * (_POOL_WORDS + extra)),
+            chain(0x8B51F9DD, 0x58F38DED, _POOL_WORDS))
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of ``words`` by each (xor, multiplier) pair of ``constants``."""
+    xor, multiplier = constants
+    words = np.bitwise_xor(words, xor)
+    words *= multiplier
+    words ^= words >> 16
+    return words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    x = x * _MIX_LEFT
+    x -= y * _MIX_RIGHT
+    x ^= x >> 16
+    return x
+
+
+def _philox_keys(prefix: tuple, suffixes: np.ndarray) -> np.ndarray:
+    """The 128-bit Philox key of each stream ``prefix + row`` of ``suffixes``, in one pass.
+
+    Row i is ``SeedSequence(prefix + tuple(suffixes[i])).generate_state(2,
+    np.uint64)``, worked for every row at once in numpy's steps: each key
+    integer becomes its little-endian 32-bit words; the first four words are
+    hashed into the pool, zeros standing in for missing ones; each pool word
+    in turn is hashed and mixed into the other three; each word past the
+    fourth is hashed and mixed into all four; and the pool is hashed into
+    four output words, read in pairs as little-endian uint64.  Suffix values
+    must lie below 2**32, one word each; a prefix integer may take several.
+    """
+    head = []
+    for value in prefix:
+        head.append(value & _MASK32)
+        while value := value >> 32:
+            head.append(value & _MASK32)
+    rows, width = suffixes.shape
+    if rows and suffixes.max() > _MASK32:
+        raise ValueError("a stream key's suffix values must lie below 2**32")
+    count = len(head) + width
+    words = np.zeros((max(count, _POOL_WORDS), rows), np.uint32)
+    words[: len(head)] = np.array(head, np.uint32)[:, None]
+    words[len(head) : count] = suffixes.T
+    mixing, output = _hash_constants(count)
+    pool = _hashmix(words[:_POOL_WORDS], mixing[:, :_POOL_WORDS])
+    call = _POOL_WORDS
+    for source, others in enumerate(_OTHER_WORDS):
+        hashed = _hashmix(pool[source], mixing[:, call : call + len(others)])
+        pool[others] = _mix(pool[others], hashed)
+        call += len(others)
+    for word in words[_POOL_WORDS:count]:
+        pool = _mix(pool, _hashmix(word, mixing[:, call : call + _POOL_WORDS]))
+        call += _POOL_WORDS
+    pool = _hashmix(pool, output)
+    keys = pool[1::2].astype(np.uint64)
+    keys <<= 32
+    keys |= pool[::2]
+    return keys.T
+
+
+@functools.lru_cache(maxsize=None)
+def _philox_key_type() -> type:
+    """numpy's seeding interface over one precomputed Philox key, a class made on first use.
+
+    Philox seeds itself with ``generate_state(2, np.uint64)``, the key; any
+    other request raises rather than return words a SeedSequence would not.
+    The class subclasses ``numpy.random.bit_generator.ISeedSequence``, so it
+    is made when a run first needs it: importing entcat leaves numpy.random
+    unimported, as before.
+    """
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+            return self.key
+
+    return PhiloxKey
+
+
+def _streams(seed: int, shape: tuple):
+    """Yield ``_rng(seed, *index)`` for every index of ``shape``, in C order.
+
+    The keys of ``_KEY_CHUNK`` streams come from one :func:`_philox_keys`
+    pass, and each stream is built only as it is taken, so a run holds one
+    chunk of keys however many streams it takes.  A pass's fixed cost, about
+    60 us of numpy calls, is that of keying some eight streams one at a time,
+    so a run of fewer than ``_PASS_STREAMS`` streams keys each by :func:`_rng`.
+    """
+    total = math.prod(shape)
+    if total < _PASS_STREAMS:
+        for index in itertools.product(*map(range, shape)):
+            yield _rng(seed, *index)
+        return
+    philox_key = _philox_key_type()
+    for start in range(0, total, _KEY_CHUNK):
+        flat = np.arange(start, min(start + _KEY_CHUNK, total))
+        index = np.empty((flat.size, len(shape)), np.int64)
+        for axis in range(len(shape) - 1, 0, -1):
+            flat, index[:, axis] = np.divmod(flat, shape[axis])
+        index[:, 0] = flat
+        for key in _philox_keys((seed,), index):
+            yield np.random.Generator(np.random.Philox(philox_key(key)))
 
 
 class _MaxOfGeometrics:
@@ -228,7 +377,9 @@ class _MaxOfGeometrics:
     the count of its largest exponential, and only that maximum is inverted.
 
     Iterating yields each batch of ``_BATCH_TRIALS`` trials as its size and
-    the Philox stream ``(seed, b)`` of batch b.  The caller draws each trial's
+    the stream ``Philox(SeedSequence((seed, b)))`` of batch b, built as the
+    batch comes up from keys :func:`_streams` derives many batches at a
+    time, with the same bits.  The caller draws each trial's
     largest exponential from the stream, drawing all N exponentials or
     inverting one uniform (``largest_exponentials``, or ``negated_largest``
     to pass them negated), and passes them to ``add``.
@@ -249,8 +400,9 @@ class _MaxOfGeometrics:
         self.total_sq = 0.0
 
     def __iter__(self):
-        for batch, done in enumerate(range(0, self.trials, _BATCH_TRIALS)):
-            yield min(_BATCH_TRIALS, self.trials - done), _rng(self.seed, batch)
+        rngs = _streams(self.seed, (-(-self.trials // _BATCH_TRIALS),))
+        for done, rng in zip(range(0, self.trials, _BATCH_TRIALS), rngs):
+            yield min(_BATCH_TRIALS, self.trials - done), rng
 
     def counts(self, draws: np.ndarray, negated: bool = False) -> np.ndarray:
         """The geometric counts of exponential ``draws``, written over them.
@@ -451,6 +603,10 @@ def _slot_of(period: float, t0: float, tick) -> float:
 class _Stock:
     """One edge's catalyst stock and the finite aux paths that refill it.
 
+    ``rngs`` holds the paths' streams: path i of edge e in trial t draws
+    stream 2 + i, ``Philox(SeedSequence((seed, t, e, 2 + i)))``, built by
+    :func:`_streams` from keys with the same bits.
+
     Tick k of a path (counted from 1) is applied in the first slot s with
     ``k T <= (s t0)(1 + eps)``, the slot stepper's own float test;
     :func:`_ticks_through` and :func:`_slot_of` are the one home of that
@@ -467,17 +623,16 @@ class _Stock:
 
     __slots__ = ("t0", "capacity", "stock", "produced", "paths", "next")
 
-    def __init__(self, cfg: SimConfig, trial: int, edge: int, copies_needed):
+    def __init__(self, cfg: SimConfig, rngs: list, copies_needed):
         self.t0 = t0 = cfg.edge.cycle_time_s
         self.capacity = math.inf if cfg.stock_capacity is None else cfg.stock_capacity
         self.stock = cfg.initial_stock
         self.produced = 0
         periods = [path.gen_time_s for path in cfg.aux.paths]
         streams = []
-        for i, (path, copies) in enumerate(zip(cfg.aux.paths, copies_needed)):
+        for path, copies, rng in zip(cfg.aux.paths, copies_needed, rngs):
             ticks = _ticks_through(path.gen_time_s, t0, cfg.max_slots)
-            successes = _EveryNthSuccess(_rng(cfg.seed, trial, edge, 2 + i),
-                                         path.gen_probability, copies, ticks)
+            successes = _EveryNthSuccess(rng, path.gen_probability, copies, ticks)
             pieces = map(successes.read, itertools.repeat(_DRAW_BLOCK, -(-ticks // _DRAW_BLOCK)))
             # The path's completion draws one at a time; once its stream
             # runs out, the next completion never comes.
@@ -564,12 +719,16 @@ class _EdgeRuns:
     fail, then one whose attempt succeeds.  The edge draws one load value per
     loading slot and one attempt value per attempt, and nothing while it
     waits, so where its loads end (counted in load draws from 1) and how their
-    attempts come out depend on its own two streams only.  A load takes n
-    successes of the load stream.  Without aux paths, one that starts from an
-    empty stock takes n_cat more and turns them into a catalyst; the stock is
-    empty there when the failures so far have spent the initial stock and the
-    last attempt failed.  No edge uses more load values than there are slots,
-    so at most ``max_slots`` are drawn.
+    attempts come out depend on its own two streams only: ``rngs`` holds
+    them, and then its aux paths' streams.  Stream k of edge e in trial t is
+    ``Philox(SeedSequence((seed, t, e, k)))``, 0 for loads and 1 for
+    attempts, built by :func:`_streams` from keys with the same bits.
+
+    A load takes n successes of the load stream.  Without aux paths, one
+    that starts from an empty stock takes n_cat more and turns them into a
+    catalyst; the stock is empty there when the failures so far have spent
+    the initial stock and the last attempt failed.  No edge uses more load
+    values than there are slots, so at most ``max_slots`` are drawn.
 
     Both streams are read by demand: a block of deliveries draws the attempt
     values its missing successes are expected to take, and then the load
@@ -583,16 +742,15 @@ class _EdgeRuns:
     its success.
     """
 
-    def __init__(self, cfg: SimConfig, trial: int, edge: int, p_cat, copies):
+    def __init__(self, cfg: SimConfig, rngs: list, p_cat, copies):
         self.copies = cfg.edge.copies
         self.rebuild = copies[0] if cfg.aux.mode == NO_AUX else 0
         # A rebuild reads the load stream one success at a time; otherwise a
         # load is one entry of n successes.
         self.per_entry = 1 if self.rebuild else self.copies
         self.p_load = cfg.edge.herald_probability
-        self.entries = _EveryNthSuccess(_rng(cfg.seed, trial, edge, 0), self.p_load,
-                                        self.per_entry, cfg.max_slots)
-        self.attempt_wins = _Bernoulli(_rng(cfg.seed, trial, edge, 1), p_cat)
+        self.entries = _EveryNthSuccess(rngs[0], self.p_load, self.per_entry, cfg.max_slots)
+        self.attempt_wins = _Bernoulli(rngs[1], p_cat)
         self.p_cat = p_cat
         self.initial_stock = cfg.initial_stock
         self.failures = 0
@@ -606,7 +764,7 @@ class _EdgeRuns:
         # Where the runs of the block being walked succeed, and the ends of
         # the loads as a list, made on the first step.
         self.stops = self.at_list = None
-        self.stock = _Stock(cfg, trial, edge, copies) if cfg.aux.mode == FINITE_AUX else None
+        self.stock = _Stock(cfg, rngs[2:], copies) if cfg.aux.mode == FINITE_AUX else None
         self.first_empty = self.stock is not None and cfg.initial_stock < 1
         self.stopped = None  # (draws used, attempt pending) of a stepped run the end cut
         # Settled load draws, loads, attempts, successes and rebuilt catalysts.
@@ -744,11 +902,13 @@ def _walk(edges, steps: np.ndarray, gaps: np.ndarray, slot: int, limit: int) -> 
     return gaps
 
 
-def _trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
+def _trial(cfg: SimConfig, rngs, p_cat, copies, counters, intervals):
     """One replication of a chain; returns the delivery count.
 
-    The k-th delivery comes in the slot where the last edge finishes its
-    k-th run, counted from the slot of the (k-1)-th.  Runs are read a block
+    ``rngs`` yields the trial's streams in order, edge by edge, each edge's
+    two and then its aux paths'.  The k-th delivery comes in the slot where
+    the last edge finishes its k-th run, counted from the slot of the
+    (k-1)-th.  Runs are read a block
     of deliveries at a time: a first block of about ``_FIRST_BLOCK_LOADS``
     loads per edge, then blocks sized from the delivery rate so far to reach
     ``max_slots``, within the memory bound.  Where no run in the block
@@ -761,7 +921,9 @@ def _trial(cfg: SimConfig, trial: int, p_cat, copies, counters, intervals):
     draws it used.
     """
     limit = cfg.max_slots
-    edges = [_EdgeRuns(cfg, trial, e, p_cat, copies) for e in range(cfg.n_edges)]
+    per_edge = 2 + len(cfg.aux.paths)
+    edges = [_EdgeRuns(cfg, list(itertools.islice(rngs, per_edge)), p_cat, copies)
+             for _ in range(cfg.n_edges)]
     used = np.zeros(cfg.n_edges, np.int64)  # load draws used by settled deliveries
     slot = 0
     deliveries = 0
@@ -849,8 +1011,9 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     counters = [EdgeCounters() for _ in range(cfg.n_edges)]
     intervals: list[np.ndarray] = []
     deliveries = 0
-    for trial in range(cfg.trials):
-        deliveries += _trial(cfg, trial, p_cat, copies, counters, intervals)
+    rngs = _streams(cfg.seed, (cfg.trials, cfg.n_edges, 2 + len(cfg.aux.paths)))
+    for _ in range(cfg.trials):
+        deliveries += _trial(cfg, rngs, p_cat, copies, counters, intervals)
 
     mean = std_error = None
     if deliveries:

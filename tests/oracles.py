@@ -5,6 +5,7 @@ arithmetic for the monotone-ratio minimum, a positive-term series and a
 high-precision inclusion-exclusion sum for the waiting factor, a Markov
 survival recursion for the slot-level chain model, the slot-by-slot
 stepper that the detailed simulator must match byte for byte, the
+Philox keys of its streams one SeedSequence at a time, the
 per-edge geometric sampler that the abstract simulator and the waiting-factor
 check must match below p = 1/3, the lockstep catalyst search as first
 written, which checks its certificate at every cut, the sweep rows composed
@@ -208,6 +209,17 @@ def chain_mean_completion_slots(n_pairs: int, p0: float, p_cat: float, n_edges: 
 # ---------------------------------------------------------------------------
 
 _TICK_EPS = 1e-9
+
+
+def seedsequence_keys(prefix: tuple, suffixes) -> np.ndarray:
+    """The Philox key of each stream ``prefix + row``, one SeedSequence per row.
+
+    The reference for ``entcat.simulate._philox_keys``, which derives them
+    all in one pass: shaped (rows, 2), uint64.
+    """
+    keys = [np.random.SeedSequence(prefix + tuple(row)).generate_state(2, np.uint64)
+            for row in np.asarray(suffixes).tolist()]
+    return np.array(keys, np.uint64).reshape(-1, 2)
 
 
 def _trial_rng(seed: int, trial: int, edge: int, stream: int) -> np.random.Generator:

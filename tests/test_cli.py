@@ -12,6 +12,8 @@ from entcat import catalysis, cli, simulate
 from entcat.cli import main, parse_config
 from entcat.errors import InvalidInputError, NumericFailureError
 
+import oracles
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -498,6 +500,17 @@ class TestSimulateCommand:
             id="abstract-forced"),
     ]
 
+    # How a run's streams are built: every stream from the vectorised key
+    # pass, in chunks of 5 keys, so that chunks end inside a trial and a list
+    # of batches; every key from its own SeedSequence in the pass's place;
+    # and every stream keyed one at a time by _rng.
+    STREAM_BUILDERS = [
+        pytest.param(dict(_PASS_STREAMS=1, _KEY_CHUNK=5), id="pass-in-chunks-of-5"),
+        pytest.param(dict(_PASS_STREAMS=1, _philox_keys=oracles.seedsequence_keys),
+                     id="seedsequence-per-key"),
+        pytest.param(dict(_PASS_STREAMS=2**62), id="rng-per-stream"),
+    ]
+
     @pytest.mark.parametrize("setting,digest", PINNED)
     def test_output_bytes_are_pinned(self, capsys, tmp_path, setting, digest):
         # The whole JSONL line: the config echo, the statistics, their key
@@ -529,6 +542,47 @@ class TestSimulateCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("builder", STREAM_BUILDERS)
+    @pytest.mark.parametrize("setting,digest", PINNED)
+    def test_bytes_do_not_depend_on_how_streams_are_built(self, capsys, tmp_path, monkeypatch,
+                                                          setting, digest, builder):
+        for name, value in builder.items():
+            monkeypatch.setattr(simulate, name, value)
+        conf = tmp_path / "sim.conf"
+        conf.write_text(setting)
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("builder", STREAM_BUILDERS[:2])
+    def test_long_seed_bytes_do_not_depend_on_how_streams_are_built(self, capsys, tmp_path,
+                                                                    monkeypatch, builder):
+        # A seed of 2**64 + 5 takes three 32-bit words, so each key is six
+        # words, past SeedSequence's pool of four.  Three trials at N = 3
+        # with one aux path take 27 streams, and validate-z takes
+        # 2 * 8192 + 777 trials, so the last chunk of keys and the last
+        # batch are both short.
+        conf = tmp_path / "sim.conf"
+        conf.write_text(
+            "mode = detailed\nn_edges = 3\nalpha = 0.8\naux_mode = finite\n"
+            "aux.1.alpha = 0.8\naux.1.P = 0.9\naux.1.T_s = 1e-3\n"
+            "initial_stock = 1\nstock_capacity = 2\nmax_slots = 5000\ntrials = 3\n"
+            f"seed = {2**64 + 5}\n")
+        runs = (("simulate", "--config", str(conf), "--out", "-"),
+                ("validate-z", "--edges", "8", "--p", "0.3", "--trials", str(2 * 8192 + 777),
+                 "--seed", str(2**64 + 5)))
+        outputs = []
+        for built in (self.STREAM_BUILDERS[2].values[0], builder):
+            with monkeypatch.context() as patch:
+                for name, value in built.items():
+                    patch.setattr(simulate, name, value)
+                for argv in runs:
+                    code, out, _ = run_cli(capsys, *argv)
+                    assert code == 0
+                    outputs.append(out)
+        assert outputs[:2] == outputs[2:]
+        assert json.loads(outputs[0])["deliveries"] > 0
+
     def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
         conf = tmp_path / "sim.conf"
         conf.write_text("p_cat = 0.5\nt_cycle_s = 1.0\n")
@@ -554,16 +608,28 @@ class TestValidateZ:
         assert record["passed"] is True
         assert record["analytic"] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
+    PINNED_ARGV = ("validate-z", "--edges", "32", "--p", "0.1", "--trials", "500000", "--seed", "7")
+    PINNED_OUT = (
+        '{"n_edges": 32, "p": 0.1, "trials": 500000, "empirical_mean": 39.022982, '
+        '"analytic": 39.02007718543327, "std_error": 0.01710945811890214, '
+        '"deviation_sigmas": 0.16977829143033557, "passed": true}\n'
+    )
+
     def test_output_bytes_are_pinned(self, capsys):
         # Each trial's largest count comes from one Philox uniform per trial.
-        code, out, _ = run_cli(capsys, "validate-z", "--edges", "32", "--p", "0.1",
-                               "--trials", "500000", "--seed", "7")
+        code, out, _ = run_cli(capsys, *self.PINNED_ARGV)
         assert code == 0
-        assert out == (
-            '{"n_edges": 32, "p": 0.1, "trials": 500000, "empirical_mean": 39.022982, '
-            '"analytic": 39.02007718543327, "std_error": 0.01710945811890214, '
-            '"deviation_sigmas": 0.16977829143033557, "passed": true}\n'
-        )
+        assert out == self.PINNED_OUT
+
+    @pytest.mark.parametrize("builder", TestSimulateCommand.STREAM_BUILDERS)
+    def test_output_bytes_do_not_depend_on_how_streams_are_built(self, capsys, monkeypatch,
+                                                                 builder):
+        # 62 batches: in chunks of 5 keys the last chunk holds 2.
+        for name, value in builder.items():
+            monkeypatch.setattr(simulate, name, value)
+        code, out, _ = run_cli(capsys, *self.PINNED_ARGV)
+        assert code == 0
+        assert out == self.PINNED_OUT
 
     @pytest.mark.filterwarnings("error")
     def test_p_it_cannot_sample_is_an_input_error(self, capsys):

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -913,3 +917,82 @@ class TestBernoulliDraws:
         draws = _Bernoulli(_rng(0), p)
         draws.words = lambda size: np.array(words, np.uint64)[:size]
         assert draws(len(words)).tolist() == [(w >> 11) * 2.0**-53 < p for w in words]
+
+
+# One-, two- and three-word seeds; the last makes a (seed, trial, edge,
+# stream) key six words long, past SeedSequence's pool of four.
+KEY_SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 + 5]
+
+
+class TestStreamKeys:
+    """The streams' keys from one vectorised pass against numpy's SeedSequence."""
+
+    @staticmethod
+    def raw_words(rng, count=8):
+        return rng.bit_generator.random_raw(count).tolist()
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_detailed_keys_are_seedsequence_keys(self, seed):
+        rows = np.array([(t, e, k) for t in (0, 1, 99) for e in (0, 1, 2, 31, 255, 1000, 4095)
+                         for k in range(4)])
+        keys = entcat.simulate._philox_keys((seed,), rows)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == oracles.seedsequence_keys((seed,), rows).tolist()
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_batch_keys_are_seedsequence_keys(self, seed):
+        # Two-word keys, and three- and four-word ones for the larger seeds:
+        # SeedSequence pads the pool with hashes of zero.
+        rows = np.arange(70)[:, None]
+        keys = entcat.simulate._philox_keys((seed,), rows)
+        assert keys.tolist() == oracles.seedsequence_keys((seed,), rows).tolist()
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (70,)], ids=["detailed", "batches"])
+    def test_streams_are_rng_streams(self, monkeypatch, seed, shape):
+        # Chunks of 7 keys end inside a trial and inside an edge's streams.
+        monkeypatch.setattr(entcat.simulate, "_KEY_CHUNK", 7)
+        streams = list(entcat.simulate._streams(seed, shape))
+        indices = list(np.ndindex(*shape))
+        assert len(streams) == len(indices)
+        for rng, index in zip(streams, indices):
+            reference = np.random.Philox(np.random.SeedSequence((seed, *index)))
+            assert self.raw_words(rng) == reference.random_raw(8).tolist()
+
+    def test_few_streams_are_keyed_one_at_a_time(self, monkeypatch):
+        def unused(prefix, suffixes):
+            raise AssertionError("a pass for fewer than _PASS_STREAMS streams")
+
+        monkeypatch.setattr(entcat.simulate, "_philox_keys", unused)
+        few = entcat.simulate._PASS_STREAMS - 1
+        streams = list(entcat.simulate._streams(9, (few,)))
+        assert [self.raw_words(rng) for rng in streams] == [
+            self.raw_words(_rng(9, b)) for b in range(few)]
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # The key type subclasses numpy's ISeedSequence, so it is made on
+        # first use: numpy.random loads when a run first needs a stream.
+        code = "import sys, entcat.cli; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(entcat.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_suffix_past_one_word_is_rejected(self):
+        with pytest.raises(ValueError):
+            entcat.simulate._philox_keys((3,), np.array([[1, 2], [2**32, 0]]))
+
+    @pytest.mark.parametrize("n_words,dtype", [(2, np.uint64), (2, "u8"), (1, np.uint64),
+                                               (3, np.uint64), (4, np.uint32), (2, np.uint32),
+                                               (2, np.int64)])
+    def test_key_gives_seedsequence_words_or_raises(self, n_words, dtype):
+        key = entcat.simulate._philox_keys((5,), np.array([[1, 2, 0]]))[0]
+        given = entcat.simulate._philox_key_type()(key)
+        reference = np.random.SeedSequence((5, 1, 2, 0))
+        try:
+            words = given.generate_state(n_words, dtype)
+        except ValueError:
+            assert (n_words, np.dtype(dtype)) != (2, np.uint64)
+        else:
+            assert words.tolist() == reference.generate_state(n_words, dtype).tolist()
