@@ -5,15 +5,17 @@ analytic rate composition exactly, and a slot-level discrete-event model
 with catalyst stock, recycling on success, loss on failure, and
 replenishment from the edge's own pairs or from auxiliary paths.
 
-The slot-level model is computed per edge from block draws, read by
-demand, with no per-slot loop.  An edge's run, from one delivery to its
-next successful attempt, takes as many slots as it takes load draws,
-unless an attempt waits for a catalyst.  Only finite aux paths make an attempt wait, on an
-empty stock, and a success spends nothing, so only a run that holds a
-failure, or the first run from an empty initial stock, can wait.  Those
-runs alone are stepped against the edge's stock and aux clocks; a block of
-deliveries with none of them settles at once.  Trials are independently
-seeded so results are bit-identical however they are scheduled.
+The slot-level model is computed from block draws, read by demand, with
+no per-slot loop: one block engine reads every edge's streams and keeps
+all edges' state in whole arrays, one row per edge.  An edge's run, from
+one delivery to its next successful attempt, takes as many slots as it
+takes load draws, unless an attempt waits for a catalyst.  Only finite aux
+paths make an attempt wait, on an empty stock, and a success spends
+nothing, so only a run that holds a failure, or the first run from an
+empty initial stock, can wait.  Those runs alone are stepped against the
+edge's stock and aux clocks; a block of deliveries with none of them
+settles at once.  Trials are independently seeded so results are
+bit-identical however they are scheduled.
 """
 
 from __future__ import annotations
@@ -511,44 +513,55 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
 # quarter as many deliveries, each with a few values of its own, so the
 # arrays a block holds stay within about 4 MiB whatever max_slots and the
 # success probabilities are.  A block whose runs may step is also held as
-# Python ints while it is walked, several times the bytes, so it reads at
-# most the first block's loads per edge.  An aux path's stream, whose
+# Python ints while it is walked, several times the bytes, so it keeps to
+# the first block's size, or to an eighth of the loads over all its edges
+# where that is more.  The trial's streams count
+# against the same bound: each stream's Philox object takes about the bytes
+# of _STREAM_LOADS loads, up to half the bound, where the streams of a
+# thousand edges already take half of 4 MiB.  An aux path's stream, whose
 # completions the stepper takes one at a time, is read _DRAW_BLOCK draws at
 # a time.
 _FIRST_BLOCK_LOADS = 1 << 10
 _BLOCK_LOADS = 1 << 16
+_STREAM_LOADS = 16
 _DRAW_BLOCK = 1 << 11
+# Pads each edge's row of entries past its last entry: no load ends there.
+_NO_ENTRY = np.iinfo(np.int64).max
 
 
-def _draws_for(successes: int, p: float) -> int:
-    """The draws expected to hold ``successes`` successes at ``p``, and a margin.
+def _draws_for(successes: np.ndarray, p: float) -> np.ndarray:
+    """The draws expected to hold each count of ``successes`` at ``p``, and a margin.
 
     The margin is three standard deviations of that count and 16 draws.  At
     most ``_BLOCK_LOADS``; a caller that falls short reads again.
     """
-    spread = 3.0 * math.sqrt(successes * (1.0 - p))
-    return min(math.ceil((successes + spread) / p) + 16, _BLOCK_LOADS)
+    spread = 3.0 * np.sqrt(successes * (1.0 - p))
+    return np.minimum(np.ceil((successes + spread) / p) + 16, _BLOCK_LOADS).astype(np.int64)
+
+
+def _success_bound(p: float) -> np.uint64:
+    """The largest raw word of a draw that succeeds at ``p``, ``Generator.random() < p``.
+
+    ``Generator.random`` makes each 64-bit word w of a stream the double
+    ``(w >> 11) * 2**-53``, which lies below p exactly when w lies below
+    ``ceil(p * 2**53) * 2**11``: one integer test per draw, with no double
+    formed.  At p = 1 the bound is the largest word, so every draw succeeds.
+    Either way each draw takes one word, as a double would.
+    """
+    return np.uint64((math.ceil(p * 2.0**53) << 11) - 1)
 
 
 class _Bernoulli:
-    """The success draws ``rng.random(size) < p`` of one stream, tested on its raw words.
+    """The success draws ``rng.random(size) < p`` of one stream, tested on its raw words."""
 
-    ``Generator.random`` makes each 64-bit word w of the stream the double
-    ``(w >> 11) * 2**-53``, so for p < 1 that double lies below p exactly
-    when w lies below ``ceil(p * 2**53) * 2**11``: one integer test per draw,
-    with no double formed.  At p = 1 every draw succeeds.  Either way each
-    draw takes one word, as a double would.
-    """
-
-    __slots__ = ("words", "below")
+    __slots__ = ("words", "top")
 
     def __init__(self, rng: np.random.Generator, p: float):
         self.words = rng.bit_generator.random_raw
-        self.below = None if p >= 1.0 else np.uint64(math.ceil(p * 2.0**53) << 11)
+        self.top = _success_bound(p)
 
     def __call__(self, size: int) -> np.ndarray:
-        words = self.words(size)
-        return np.ones(size, bool) if self.below is None else words < self.below
+        return self.words(size) <= self.top
 
 
 class _EveryNthSuccess:
@@ -712,17 +725,36 @@ class _Stock:
         return result
 
 
-class _EdgeRuns:
-    """One edge's runs, read a block of deliveries at a time.
+def _shift(rows: np.ndarray, by: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` columns of ``rows`` after row i moves ``by[i]`` columns left.
 
-    A run is what the edge does between two deliveries: loads whose attempts
+    A column moved in from past the end takes the last one's pad.
+    """
+    index = by[:, None] + np.arange(width)
+    np.minimum(index, rows.shape[1] - 1, out=index)
+    index += (np.arange(len(rows)) * rows.shape[1])[:, None]
+    return np.take(rows.reshape(-1), index)
+
+
+def _windows(values: np.ndarray, width: int, step: int = 1) -> np.ndarray:
+    """A view of 1-D ``values`` whose row s is ``values[s : s + step * width : step]``."""
+    stride = values.strides[0]
+    return np.ndarray((values.size - step * (width - 1), width), values.dtype, values, 0,
+                      (stride, step * stride))
+
+
+class _Runs:
+    """Every edge's runs in one trial, read a block of deliveries at a time.
+
+    A run is what an edge does between two deliveries: loads whose attempts
     fail, then one whose attempt succeeds.  The edge draws one load value per
     loading slot and one attempt value per attempt, and nothing while it
     waits, so where its loads end (counted in load draws from 1) and how their
-    attempts come out depend on its own two streams only: ``rngs`` holds
-    them, and then its aux paths' streams.  Stream k of edge e in trial t is
-    ``Philox(SeedSequence((seed, t, e, k)))``, 0 for loads and 1 for
-    attempts, built by :func:`_streams` from keys with the same bits.
+    attempts come out depend on its own two streams only.  ``rngs`` yields
+    every edge's streams in turn, its two and then its aux paths'.  Stream k
+    of edge e in trial t is ``Philox(SeedSequence((seed, t, e, k)))``, 0 for
+    loads and 1 for attempts, built by :func:`_streams` from keys with the
+    same bits.
 
     A load takes n successes of the load stream.  Without aux paths, one
     that starts from an empty stock takes n_cat more and turns them into a
@@ -730,176 +762,394 @@ class _EdgeRuns:
     the initial stock and the last attempt failed.  No edge uses more load
     values than there are slots, so at most ``max_slots`` are drawn.
 
-    Both streams are read by demand: a block of deliveries draws the attempt
-    values its missing successes are expected to take, and then the load
-    values those loads are expected to take, each in one read with a margin
-    (:func:`_draws_for`), reading again only when a stream falls short.
-    Values read past what the block uses wait for the next block.
+    Each edge is one row of two arrays: ``entries``, the load draws at which
+    its unsettled entries end (a load of n successes, or one success where a
+    load may rebuild), and ``wins``, the outcomes of the attempts it has
+    read; attempt i is made on load i.  A count per row says how many values
+    are real.  Past them a row of ``entries`` holds values above every draw
+    the edge has made, and one of ``wins`` holds False; the last column is
+    always past them.
+
+    Both streams are read by demand: a block of deliveries reads, for each
+    edge still short of its runs, the attempt values its missing successes
+    are expected to take, and then the load values that the attempts through
+    its last run of the block are expected to take, each in one read with a
+    margin (:func:`_draws_for`), reading again only where a stream falls
+    short.  Each read is tested at once into
+    bools, so no more than one edge's raw words are held.  Everything else
+    (the n-th-success selection, where each run ends, which runs step, and
+    settlement) is a fixed number of numpy calls on whole arrays, whatever
+    the edge count.  Values read past what the block uses wait for the next
+    block.
 
     A run that may wait for a catalyst (see :func:`simulate_detailed`) is
-    stepped (:meth:`step`) against the edge's :class:`_Stock`; every other
+    stepped (:meth:`walk`) against its edge's :class:`_Stock`; every other
     run takes exactly its no-wait offset, the load draws from its start to
     its success.
     """
 
-    def __init__(self, cfg: SimConfig, rngs: list, p_cat, copies):
+    def __init__(self, cfg: SimConfig, rngs, p_cat, copies):
+        n_edges, per_edge = cfg.n_edges, 2 + len(cfg.aux.paths)
+        streams = list(itertools.islice(rngs, n_edges * per_edge))
+        self.load_words = [rng.bit_generator.random_raw for rng in streams[::per_edge]]
+        self.attempt_words = [rng.bit_generator.random_raw for rng in streams[1::per_edge]]
+        self.stocks = None
+        if cfg.aux.mode == FINITE_AUX:
+            self.stocks = [_Stock(cfg, streams[start + 2 : start + per_edge], copies)
+                           for start in range(0, len(streams), per_edge)]
+        del streams  # each stream is held by its reader from here on
+        self.limit = cfg.max_slots
         self.copies = cfg.edge.copies
         self.rebuild = copies[0] if cfg.aux.mode == NO_AUX else 0
-        # A rebuild reads the load stream one success at a time; otherwise a
-        # load is one entry of n successes.
+        # A rebuild reads the load stream one success at a time; otherwise an
+        # entry is a load of n successes.
         self.per_entry = 1 if self.rebuild else self.copies
-        self.p_load = cfg.edge.herald_probability
-        self.entries = _EveryNthSuccess(rngs[0], self.p_load, self.per_entry, cfg.max_slots)
-        self.attempt_wins = _Bernoulli(rngs[1], p_cat)
-        self.p_cat = p_cat
+        self.p_load, self.p_cat = cfg.edge.herald_probability, p_cat
+        self.load_top, self.attempt_top = _success_bound(self.p_load), _success_bound(p_cat)
         self.initial_stock = cfg.initial_stock
-        self.failures = 0
-        self.last_failed = True  # so that a first load from an empty stock rebuilds
-        self.hits = np.empty(0, np.int64)  # entries read but in no completed load yet
-        # Completed loads not yet settled: where each ends, whether its
-        # attempt succeeds, and whether it rebuilt the catalyst.
-        self.at = np.empty(0, np.int64)
-        self.won = np.empty(0, bool)
-        self.rebuilt = np.empty(0, bool)
-        # Where the runs of the block being walked succeed, and the ends of
-        # the loads as a list, made on the first step.
-        self.stops = self.at_list = None
-        self.stock = _Stock(cfg, rngs[2:], copies) if cfg.aux.mode == FINITE_AUX else None
-        self.first_empty = self.stock is not None and cfg.initial_stock < 1
-        self.stopped = None  # (draws used, attempt pending) of a stepped run the end cut
-        # Settled load draws, loads, attempts, successes and rebuilt catalysts.
-        self.used = self.loads = self.attempts = self.successes = self.rebuilds = 0
+        counts = functools.partial(np.zeros, n_edges, np.int64)
+        # Load draws made, and the successes the next read skips before the
+        # first that ends an entry.
+        self.drawn, self.skip = counts(), np.full(n_edges, self.per_entry - 1)
+        self.entries, self.n_entries = np.full((n_edges, 1), _NO_ENTRY), counts()
+        self.wins, self.n_attempts, self.n_wins = np.zeros((n_edges, 1), bool), counts(), counts()
+        # Edges whose load stream cannot complete the load of an attempt read.
+        self.done = np.zeros(n_edges, bool)
+        # The failures among settled attempts, and whether the last failed,
+        # so that a first load from an empty stock rebuilds.
+        self.failures, self.last_failed = counts(), np.ones(n_edges, bool)
+        # From the last pairing: _need() of the held attempts, where the
+        # successes lie in the flattened wins with each row's first, and how
+        # many of each row's attempts have their loads.
+        self.need = self.won = self.first = self.loads = None
+        # Settled load draws; settled loads, attempts, successes and rebuilt
+        # catalysts.
+        self.used, self.totals = counts(), np.zeros((4, n_edges), np.int64)
+        self.first_empty = self.stocks is not None and cfg.initial_stock < 1
+        # Where the block's runs succeed in the flattened rows, and which
+        # come after an edge's last success; with a stock, the columns of the
+        # successes and (draws used, attempt pending) of stepped runs the end
+        # cut.
+        self.stops = self.past = self.columns = None
+        self.stopped = {}
 
-    def _read(self, size: int) -> bool:
-        """Complete the next ``size`` loads, or those the load stream still holds."""
-        won = self.attempt_wins(size)
-        need = None  # entries through each load, where a load is not one entry
-        if self.rebuild:
-            failed = ~won
-            before = np.cumsum(failed)  # the failures before each load
-            before -= failed
-            before += self.failures
-            self.failures = int(before[-1] + failed[-1])
-            rebuilt = before >= self.initial_stock
-            del before  # freed before the load stream is read
-            rebuilt[1:] &= failed[:-1]
-            rebuilt[0] &= self.last_failed
-            self.last_failed = bool(failed[-1])
-            need = rebuilt * self.rebuild
-            need += self.copies
-            np.cumsum(need, out=need)
-        want = size if need is None else int(need[-1])
-        pieces, have, entries = [self.hits], self.hits.size, self.entries
-        while have < want and entries.drawn < entries.limit:
-            pieces.append(entries.read(_draws_for((want - have) * self.per_entry, self.p_load)))
-            have += pieces[-1].size
-        hits = np.concatenate(pieces)
-        if need is None:
-            k = taken = min(size, hits.size)
-            ends = hits[:k]
+    def _row_starts(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Where each row of ``rows`` (``wins``), and one past the last, starts flattened."""
+        rows = self.wins if rows is None else rows
+        return np.arange(len(rows) + 1) * rows.shape[1]
+
+    def _widen(self, name: str, width: int, pad) -> None:
+        """Make array ``name`` at least ``width`` columns wide, its new columns ``pad``."""
+        rows = getattr(self, name)
+        if width > rows.shape[1]:
+            wider = np.full((len(rows), width), pad, rows.dtype)
+            wider[:, : rows.shape[1]] = rows
+            setattr(self, name, wider)
+
+    def _need(self):
+        """The entries through each held attempt's load and whether it rebuilds, per row.
+
+        None where a load is one entry.  Past a row's attempts the entries
+        only grow and mean nothing.
+        """
+        if not self.rebuild:
+            return None
+        failed = ~self.wins
+        before = np.cumsum(failed, axis=1)  # the failures before each load
+        before -= failed
+        before += self.failures[:, None]
+        rebuilt = before >= self.initial_stock
+        del before  # freed before the need is formed
+        rebuilt[:, 1:] &= failed[:, :-1]
+        rebuilt[:, 0] &= self.last_failed
+        need = rebuilt * self.rebuild
+        need += self.copies
+        np.cumsum(need, axis=1, out=need)
+        return need, rebuilt
+
+    def _entries_of(self, loads: np.ndarray) -> np.ndarray:
+        """The entries each row's first ``loads`` loads take."""
+        if self.need is None:
+            return loads
+        last = self._row_starts()[:-1] + np.maximum(loads - 1, 0)
+        return np.where(loads > 0, np.take(self.need[0].reshape(-1), last), 0)
+
+    def block(self, count: int):
+        """The first ``count`` runs of every edge: where each succeeds, and which step.
+
+        Both are (edge, run) arrays: the load draw at which each run succeeds,
+        ``max_slots + 1`` where the load stream runs out first, and, with a
+        stock, whether each run steps (None without one).  An edge reads on
+        while it has fewer successes than runs, unless it is done or its
+        stream is spent and what it holds completes no load.
+        """
+        least = self.copies if self.rebuild else 1
+        if self.rebuild and self.need is None:  # settled since the last pairing
+            self.need = self._need()
+        paired = False
+        while True:
+            short = self.n_wins < count
+            if (spent := self.drawn >= self.limit).any():
+                spare = self.n_entries - self._entries_of(self.n_attempts)
+                short &= ~spent | (spare >= least)
+            short &= ~self.done
+            read = short.nonzero()[0]
+            if paired and not read.size:
+                return self._ends(count)
+            if read.size:
+                self._read_attempts(read, count - self.n_wins[read])
+            self._pair(count)
+            paired = True
+
+    def _read_attempts(self, read: np.ndarray, short: np.ndarray) -> None:
+        """Read the attempt values of edges ``read`` expected to hold ``short`` more successes."""
+        start = self.n_attempts[read]
+        stop = start + _draws_for(short, self.p_cat)
+        self._widen("wins", int(stop.max()) + 1, False)
+        base = read * self.wins.shape[1]
+        flat, top, words = self.wins.reshape(-1), self.attempt_top, self.attempt_words
+        for e, a, b in zip(read.tolist(), (base + start).tolist(), (base + stop).tolist()):
+            np.less_equal(words[e](b - a), top, out=flat[a:b])
+        self.n_attempts[read] = stop
+
+    def _pair(self, count: int) -> None:
+        """Read the loads a block of ``count`` runs needs, pair them, and find the successes.
+
+        An edge needs the loads of its attempts through its ``count``-th
+        success, or of all it holds; later attempts wait, unpaired, for the
+        next block.  An attempt a spent stream leaves without a load is never
+        made, and that edge completes no more loads.
+        """
+        self.need = self._need()
+        self._find_wins()
+        attempts, held, starts = self.n_attempts, self.n_entries, self._row_starts()[:-1]
+        through = attempts
+        if (self.n_wins >= count).any():
+            last = np.take(self.won, np.minimum(self.first[:-1] + count - 1, self.won.size - 1))
+            through = np.where(self.n_wins >= count, last - starts + 1, attempts)
+        want = self._entries_of(through)
+        if (lack := ((held < want) & (self.drawn < self.limit)).nonzero()[0]).size:
+            self.won = None  # freed while the loads are read
+        while lack.size:
+            self._read_loads(lack, want[lack] - held[lack])
+            lack = ((held < want) & (self.drawn < self.limit)).nonzero()[0]
+        if self.need is None:
+            loads = np.minimum(held, through)
         else:
-            k = int(np.searchsorted(need, hits.size, side="right"))
-            taken = int(need[k - 1]) if k else 0
-            ends = hits[need[:k] - 1]
-            self.rebuilt = np.concatenate((self.rebuilt, rebuilt[:k]))
-        # A load the stream cannot complete is the edge's last: no later one
-        # may take the entries left over.
-        self.hits = hits[taken:] if k == size else hits[:0]
-        self.at = np.concatenate((self.at, ends))
-        self.won = np.concatenate((self.won, won[:k]))
-        return k > 0
+            loads = np.minimum(np.count_nonzero(self.need[0] <= held[:, None], axis=1), through)
+        if (over := loads < through).any():
+            self.wins[over] &= np.arange(self.wins.shape[1]) < loads[over, None]
+            attempts[over] = loads[over]
+            self.done |= over
+        if over.any() or self.won is None:  # the successes moved, or were freed
+            self._find_wins()
+        self.loads = loads
 
-    def runs(self, ends: np.ndarray, steps: np.ndarray) -> None:
-        """Write where each of the next runs succeeds into ``ends``, and which step into ``steps``.
+    def _find_wins(self) -> None:
+        """Where the held successes lie in the flattened wins, each row's first, and their count."""
+        self.won = self.wins.reshape(-1).nonzero()[0]
+        self.first = np.searchsorted(self.won, self._row_starts())
+        self.n_wins = self.first[1:] - self.first[:-1]
 
-        A run with no success before the load stream runs out keeps its
-        entry of ``ends``: its failed loads, if any, are still stepped.
+    def _read_loads(self, lack: np.ndarray, missing: np.ndarray) -> None:
+        """Read the load values of edges ``lack`` expected to end ``missing`` more entries.
+
+        An entry ends at every n-th success of an edge's stream, counted
+        over all its reads, and each edge reads at most ``max_slots`` values.
+        The edges' reads are tested into one array, and each edge's row is
+        one window of every n-th success in it, from the success that ends
+        its next entry, placed after the entries it holds.  Successes of no
+        edge pad the array so that every window lies within it: in front,
+        for the columns of held entries, which keep their values, and after,
+        for the widest row.  A window that runs past its edge's successes
+        reads later ones, values above every draw the edge has made.
         """
-        count = ends.size
-        while (short := count - np.count_nonzero(self.won)) > 0:
-            if not self._read(_draws_for(short, self.p_cat)):
-                break
-        stops = self.won.nonzero()[0][:count]
-        ends[: stops.size] = self.at[stops]
-        if self.stock is None:
-            return
-        if stops.size < count:
-            stops = np.append(stops, self.at.size)
-        steps[: stops.size] = np.diff(stops, prepend=-1) > 1
-        steps[0] |= self.first_empty
-        self.stops, self.at_list = stops.tolist(), None
+        n, drawn, held = self.per_entry, self.drawn[lack], self.n_entries[lack]
+        sizes = np.minimum(_draws_for(missing * n, self.p_load), self.limit - drawn)
+        everyone = lack.size == len(self.entries)
+        floor = 0 if everyone else self.entries.shape[1]
+        widest = max(floor, int((held + sizes // n).max()) + 2)
+        bounds = np.empty(lack.size + 1, np.int64)
+        bounds[0] = n * int(held.max())
+        np.cumsum(sizes, out=bounds[1:])
+        bounds[1:] += bounds[0]
+        draws = np.empty(int(bounds[-1]) + n * widest, bool)
+        draws[: bounds[0]] = draws[bounds[-1] :] = True
+        top, words = self.load_top, self.load_words
+        for e, a, b in zip(lack.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            np.less_equal(words[e](b - a), top, out=draws[a:b])
+        hits = draws.nonzero()[0]
+        del draws
+        first = np.searchsorted(hits, bounds)  # each edge's first success in hits
+        found = first[1:] - first[:-1]
+        skip = self.skip[lack]
+        self.skip[lack] = (skip - found) % n
+        self.drawn[lack] += sizes
+        ended = (found - skip + n - 1) // n
+        width = max(floor, int((held + ended).max()) + 1)
+        rows = _windows(hits, width, n)[first[:-1] + skip - n * held]
+        rows += (drawn + 1 - bounds[:-1])[:, None]  # the edge's own draw count, from 1
+        old = self.entries if everyone else self.entries[lack]
+        kept = int(held.max())
+        np.copyto(rows[:, :kept], old[:, :kept], where=np.arange(kept) < held[:, None])
+        if everyone:
+            self.entries = rows
+        else:
+            self._widen("entries", width, _NO_ENTRY)
+            self.entries[lack] = rows
+        self.n_entries[lack] += ended
 
-    def step(self, k: int, slot: int, limit: int):
-        """Walk run ``k`` of the block from loading in ``slot + 1``: the slot it succeeds in.
+    def _ends(self, count: int):
+        """:meth:`block`'s arrays, from the successes of the last pairing.
 
-        A load's attempt follows in the slot the load ends if the stock holds
+        Each edge's run stops are one window of the flattened successes; a
+        window that runs past the edge's successes belongs to runs past its
+        last success.
+        """
+        won, self.won = self.won, None  # freed once the stops are read
+        if self.first[-2] + count > won.size:  # the last row's window runs past the end
+            won = np.concatenate((won, np.zeros(count, np.int64)))
+        self.stops = stops = _windows(won, count)[self.first[:-1]]
+        del won
+        # Each success's load, flattened in entries: the same column without a
+        # rebuild, and the entry that ends it with one.
+        at, shift = stops, self._row_starts(self.entries)[:-1] - self._row_starts()[:-1]
+        if self.need is not None:
+            at = np.take(self.need[0].reshape(-1), stops)
+            shift += self._row_starts()[:-1] - 1
+        if shift.any():
+            at = at + shift[:, None]
+        ends = np.take(self.entries.reshape(-1), at, mode="clip")
+        self.past = None
+        if self.n_wins.min() < count:
+            self.past = np.arange(count) >= self.n_wins[:, None]
+            ends[self.past] = self.limit + 1
+        if self.stocks is None:
+            return ends, None
+        columns = stops - self._row_starts()[:-1, None]
+        if self.past is not None:
+            # A run with no success ends past every load read.
+            np.copyto(columns, self.loads[:, None], where=self.past)
+        steps = np.empty(ends.shape, bool)
+        np.greater(columns[:, 0], 0, out=steps[:, 0])
+        np.greater(columns[:, 1:] - columns[:, :-1], 1, out=steps[:, 1:])
+        steps[:, 0] |= self.first_empty
+        self.columns = columns
+        return ends, steps
+
+    def walk(self, steps: np.ndarray, gaps: np.ndarray, slot: int) -> list:
+        """The gaps of a block whose runs in ``steps`` step: ``gaps`` corrected, as a list.
+
+        ``gaps`` holds each delivery's largest no-wait offset, which a stepped
+        run can only lengthen.  The stepped (delivery, edge) pairs are walked
+        in order from ``slot`` until a delivery starts at or past the end.  A
+        delivery starts at the prefix sum of the no-wait gaps before it plus
+        what the stepped runs so far have added.
+
+        A stepped run loads from the slot after its delivery's start.  A
+        load's attempt follows in the slot the load ends if the stock holds
         a catalyst, and otherwise in the slot of the next aux completion; a
-        failure spends the catalyst and the pairs, and loading restarts in the
-        next slot.  The run meets the stock in one :meth:`_Stock.walk` pass.
-        A run the end of the trial cuts gives ``limit + 1`` and leaves the
-        load draws it used, and whether a load still waits for its attempt,
-        in ``stopped``.
+        failure spends the catalyst and the pairs, and loading restarts in
+        the next slot.  The run meets the stock in one :meth:`_Stock.walk`
+        pass over its edge's row.  A run the end of the trial cuts gives
+        ``max_slots + 1`` and leaves the load draws it used, and whether a
+        load still waits for its attempt, in ``stopped``.
         """
-        if self.at_list is None:
-            # A run the stream cuts short ends at infinity.
-            self.at_list = self.at.tolist() + [math.inf]
-        stops, at = self.stops, self.at_list
-        first = stops[k - 1] + 1 if k else 0
-        loaded = at[first - 1] if first else self.used
-        ready, self.stopped = self.stock.walk(at[first : stops[k] + 1], slot - loaded, limit)
-        return ready
+        limit = self.limit
+        starts = (slot + np.cumsum(gaps) - gaps).tolist()
+        gaps = gaps.tolist()
+        rows = {}  # each stepped edge's loads, a run cut short by its stream ending at infinity
+        added = 0
+        current = -1
+        for k, e in np.argwhere(steps.T).tolist():
+            if k != current:
+                current, start = k, starts[k] + added
+                if start >= limit:
+                    break
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = (self.entries[e, : self.loads[e]].tolist() + [math.inf],
+                                 self.columns[e].tolist(), self.stocks[e].walk)
+            at, stops, walk = row
+            first = stops[k - 1] + 1 if k else 0
+            loaded = at[first - 1] if first else int(self.used[e])
+            ready, stopped = walk(at[first : stops[k] + 1], start - loaded, limit)
+            if stopped:
+                self.stopped[e] = stopped
+            latest = start + gaps[k]
+            if ready > latest:
+                added += ready - latest
+                gaps[k] = ready - start
+        return gaps
 
-    def settle(self, used: int, pending: bool = False) -> None:
-        """Count the loads completed within the first ``used`` load draws.
+    def settle(self, used: np.ndarray, runs: int, cut: bool) -> None:
+        """Count and drop each edge's loads through its first ``runs`` runs of the block.
 
-        ``pending`` marks a last load that waits for a catalyst past the end
-        and is never attempted.
+        ``used`` holds each edge's load draws so far.  Where the end of the
+        trial ``cut`` the next run, its loads completed within them are
+        counted too: all of them but a last that waits for a catalyst past
+        the end are attempted, unless a stepped run the end cut says how many
+        draws it used.  After a cut nothing is read again, so nothing is
+        dropped.
         """
-        k = int(np.searchsorted(self.at, used, side="right"))
-        tried = k - pending
-        self.loads += k
-        self.attempts += tried
-        self.successes += int(np.count_nonzero(self.won[:tried]))
-        self.rebuilds += int(np.count_nonzero(self.rebuilt[:k]))
-        self.used = used
-        self.at, self.won, self.rebuilt = self.at[k:], self.won[k:], self.rebuilt[k:]
+        starts = self._row_starts()[:-1]
+        loads = self.stops[:, runs - 1] - starts + 1 if runs else np.zeros_like(starts)
+        tried, successes = loads, runs
+        if cut:
+            pending = np.zeros_like(loads)
+            for e, (draws, waits) in self.stopped.items():
+                used[e], pending[e] = draws, waits
+            # The cut run's loads lie between the last whole run's and its
+            # success, or the last attempt held after an edge's last success.
+            end = self.stops[:, runs] - starts + 1
+            if self.past is not None:
+                end = np.where(self.past[:, runs], self.loads, end)
+            window = loads[:, None] + np.arange(max(int((end - loads).max()), 0))
+            inside = window < end[:, None]
+            window = np.minimum(window, self.wins.shape[1] - 1)
+            if self.need is not None:  # the entry that ends each load
+                window = np.take(self.need[0].reshape(-1), window + starts[:, None]) - 1
+            window += self._row_starts(self.entries)[:-1, None]
+            inside &= np.take(self.entries.reshape(-1), window, mode="clip") <= used[:, None]
+            loads = loads + np.count_nonzero(inside, axis=1)
+            tried = loads - pending
+            finished = tried == end  # the cut run's success is attempted
+            if self.past is not None:
+                finished &= ~self.past[:, runs]
+            successes = runs + finished
+        for total, count in zip(self.totals, (loads, tried, successes)):
+            total += count
+        if self.need is not None:
+            column = np.arange(self.wins.shape[1])
+            self.totals[3] += np.count_nonzero(self.need[1] & (column < loads[:, None]), axis=1)
+        self.used, self.stops = used, None
+        if cut:
+            return
+        dropped = self._entries_of(loads)
+        if self.need is not None:
+            # Each edge's last settled attempt succeeded.
+            self.failures += loads - runs
+            self.last_failed[:] = False
+        self.n_attempts -= loads
+        self.n_entries -= dropped
+        self.n_wins -= runs
+        self.wins = _shift(self.wins, loads, int(self.n_attempts.max()) + 1)
+        self.entries = _shift(self.entries, dropped, int(self.n_entries.max()) + 1)
+        self.need = self.won = None
         self.first_empty = False
 
-    def tally(self, ctr: EdgeCounters, limit: int) -> None:
-        """Add the edge's events through ``limit`` to ``ctr``."""
-        produced = self.rebuilds
-        if self.stock is not None:
-            # The end of the trial applies every completion through it, as
-            # an attempt in its last slot would.
-            self.stock.walk((limit,), 0, limit)
-            produced += self.stock.produced
-        ctr.add_run(self.used, self.loads, self.attempts, self.successes, produced)
-
-
-def _walk(edges, steps: np.ndarray, gaps: np.ndarray, slot: int, limit: int) -> list:
-    """The gaps of a block whose runs in ``steps`` step: ``gaps`` corrected, as a list.
-
-    ``gaps`` holds each delivery's largest no-wait offset, which a stepped
-    run can only lengthen.  The stepped (delivery, edge) pairs are walked in
-    order from ``slot`` until a delivery starts at or past ``limit``.  A
-    delivery starts at the prefix sum of the no-wait gaps before it plus
-    what the stepped runs so far have added.
-    """
-    starts = (slot + np.cumsum(gaps) - gaps).tolist()
-    gaps = gaps.tolist()
-    added = 0
-    current = -1
-    for k, e in np.argwhere(steps.T).tolist():
-        if k != current:
-            current, start = k, starts[k] + added
-            if start >= limit:
-                break
-        latest = start + gaps[k]
-        ready = edges[e].step(k, start, limit)
-        if ready > latest:
-            added += ready - latest
-            gaps[k] = ready - start
-    return gaps
+    def tally(self, counters: list) -> None:
+        """Add each edge's settled events to its counters."""
+        produced = self.totals[3]
+        if self.stocks is not None:
+            for stock in self.stocks:
+                # The end of the trial applies every completion through it,
+                # as an attempt in its last slot would.
+                stock.walk((self.limit,), 0, self.limit)
+            produced = produced + [stock.produced for stock in self.stocks]
+        for ctr, *run in zip(counters, self.used.tolist(), *self.totals[:3].tolist(),
+                             produced.tolist()):
+            ctr.add_run(*run)
 
 
 def _trial(cfg: SimConfig, rngs, p_cat, copies, counters, intervals):
@@ -908,62 +1158,64 @@ def _trial(cfg: SimConfig, rngs, p_cat, copies, counters, intervals):
     ``rngs`` yields the trial's streams in order, edge by edge, each edge's
     two and then its aux paths'.  The k-th delivery comes in the slot where
     the last edge finishes its k-th run, counted from the slot of the
-    (k-1)-th.  Runs are read a block
-    of deliveries at a time: a first block of about ``_FIRST_BLOCK_LOADS``
-    loads per edge, then blocks sized from the delivery rate so far to reach
-    ``max_slots``, within the memory bound.  Where no run in the block
-    steps, each delivery's interval is the largest offset over the edges and
-    the block settles with no Python per delivery; otherwise the block is
-    walked.
+    (k-1)-th.  Runs are read a block of deliveries at a time, for every edge
+    at once (:meth:`_Runs.block`): each edge's streams are read into its
+    row, and the rest is whole-array numpy.  A first block of about
+    ``_FIRST_BLOCK_LOADS`` loads per edge, and never more deliveries than
+    ``max_slots`` can hold, then blocks sized from the delivery rate so far
+    to reach ``max_slots``, within the memory bound.  Where no run in the
+    block steps, each delivery's interval is the largest offset over the
+    edges and the block settles with no Python per delivery; otherwise the
+    block is walked (:meth:`_Runs.walk`).
     Deliveries settle until their running sum passes ``max_slots``.  In the
     cut-off delivery an edge that was not stepped has used
     ``min(offset, slots left)`` draws, and its counters cover exactly the
     draws it used.
     """
     limit = cfg.max_slots
-    per_edge = 2 + len(cfg.aux.paths)
-    edges = [_EdgeRuns(cfg, list(itertools.islice(rngs, per_edge)), p_cat, copies)
-             for _ in range(cfg.n_edges)]
-    used = np.zeros(cfg.n_edges, np.int64)  # load draws used by settled deliveries
+    runs = _Runs(cfg, rngs, p_cat, copies)
     slot = 0
     deliveries = 0
     # The first block reads about _FIRST_BLOCK_LOADS loads per edge whatever
-    # p_cat is, and no block more than the memory bound allows.
+    # p_cat is, and no block more than the memory bound allows once the
+    # trial's streams are counted.  Every run takes at least n loading
+    # slots, so no block needs more deliveries than max_slots // n and the
+    # one the end cuts.
     block = max(1, int(_FIRST_BLOCK_LOADS * p_cat))
-    cap = max(1, min(int(_BLOCK_LOADS * p_cat / cfg.n_edges), _BLOCK_LOADS // 4))
-    if cfg.aux.mode == FINITE_AUX:  # runs may step
-        cap = min(cap, block)
+    streams = cfg.n_edges * (2 + len(cfg.aux.paths))
+    loads = _BLOCK_LOADS - min(_STREAM_LOADS * streams, _BLOCK_LOADS // 2)
+    cap = max(1, min(int(loads * p_cat / cfg.n_edges), _BLOCK_LOADS // 4,
+                     limit // cfg.edge.copies + 1))
+    if runs.stocks is not None:  # runs may step
+        cap = min(cap, max(block, int(loads // 8 * p_cat / cfg.n_edges)))
     while True:
         block = min(block, cap)
         # An edge that runs out of draws is never ready again: limit + 1
         # lies beyond every slot that is left.
-        ends = np.full((cfg.n_edges, block), limit + 1, np.int64)
-        steps = np.zeros((cfg.n_edges, block), bool)
-        for edge, row, flags in zip(edges, ends, steps):
-            edge.runs(row, flags)
+        ends, steps = runs.block(block)
         offsets = np.empty_like(ends)  # np.diff with used prepended, less its copy of ends
         np.subtract(ends[:, 1:], ends[:, :-1], out=offsets[:, 1:])
-        np.subtract(ends[:, 0], used, out=offsets[:, 0])
+        np.subtract(ends[:, 0], runs.used, out=offsets[:, 0])
         gaps = offsets.max(axis=0)
-        if steps.any():
-            gaps = np.array(_walk(edges, steps, gaps, slot, limit), np.int64)
+        if steps is not None and steps.any():
+            gaps = np.array(runs.walk(steps, gaps, slot), np.int64)
         elapsed = slot + np.cumsum(gaps)
         settled = int(np.searchsorted(elapsed, limit, side="right"))
         intervals.append(gaps[:settled] * cfg.edge.cycle_time_s)
         deliveries += settled
         cut = settled < block
+        used = runs.used
         if settled:
-            used = ends[:, settled - 1]
+            used = ends[:, settled - 1].copy()
             slot = int(elapsed[settled - 1])
         if cut:
-            used = used + np.minimum(offsets[:, settled], limit - slot)
-        for edge, draws in zip(edges, used.tolist()):
             # Only the delivery the end cuts leaves a stepped run stopped.
-            edge.settle(*(edge.stopped or (draws,)))
+            used = used + np.minimum(offsets[:, settled], limit - slot)
+        runs.settle(used, settled, cut)
         if cut:
-            for edge, ctr in zip(edges, counters):
-                edge.tally(ctr, limit)
+            runs.tally(counters)
             return deliveries
+        del ends, offsets, steps  # freed before the next block reads
         # The slots left hold about `left` deliveries at the mean interval
         # so far.  The next block reads three standard deviations more, of
         # the sum of that many intervals and of the mean, and 16 more, so
@@ -991,7 +1243,11 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     attempt and nothing while it waits, so the load draws of each of its
     runs, from the slot after a delivery to its next successful attempt,
     depend on its own seed streams alone.  They are the run's length in
-    slots unless an attempt waits for a catalyst.  With plentiful aux paths
+    slots unless an attempt waits for a catalyst.  A block of deliveries is
+    read for all edges at once (:class:`_Runs`): each edge's load and
+    attempt streams are read once, tested straight into bools, and the rest
+    of the block is a fixed number of whole-array numpy calls whatever the
+    edge count.  With plentiful aux paths
     there is no stock, and without aux paths a load from an empty stock
     builds its own catalyst, so no attempt waits and the chain is a renewal
     process: each delivery's interval is the largest of the edges' offsets.

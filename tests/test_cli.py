@@ -523,9 +523,10 @@ class TestSimulateCommand:
 
     # Tiny read and block sizes: (first block loads, memory bound, aux path
     # read).  At p_cat = 0.88 and N = 4 they give stream reads of at most 4
-    # draws and blocks of 1 delivery, or reads of 10 and blocks of 2.
+    # draws and blocks of 1 delivery, or reads of 20 and blocks of 2, where
+    # the streams take half the bound.
     TINY_SIZES = [pytest.param((1, 4, 3), id="blocks-of-1"),
-                  pytest.param((3, 10, 5), id="blocks-of-2")]
+                  pytest.param((3, 20, 5), id="blocks-of-2")]
 
     @pytest.mark.parametrize("sizes", TINY_SIZES)
     @pytest.mark.parametrize("setting,digest", [p for p in PINNED if "detailed" in p.id])

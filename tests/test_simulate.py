@@ -470,23 +470,22 @@ def record_bytes(simulate, cfg):
     return json.dumps(result_record(cfg, simulate(cfg)))
 
 
-def trial_blocks(monkeypatch, n_edges):
+def trial_blocks(monkeypatch):
     """Record, for each trial the detailed simulator runs, its deliveries and block sizes."""
     trials = []
-    trial, runs = entcat.simulate._trial, entcat.simulate._EdgeRuns.runs
+    trial, block = entcat.simulate._trial, entcat.simulate._Runs.block
 
     def spy_trial(*args):
         trials.append([None, []])
         trials[-1][0] = trial(*args)
-        trials[-1][1] = trials[-1][1][::n_edges]  # every edge reads each block
         return trials[-1][0]
 
-    def spy_runs(self, ends, steps):
-        trials[-1][1].append(ends.size)
-        return runs(self, ends, steps)
+    def spy_block(self, count):
+        trials[-1][1].append(count)
+        return block(self, count)
 
     monkeypatch.setattr(entcat.simulate, "_trial", spy_trial)
-    monkeypatch.setattr(entcat.simulate._EdgeRuns, "runs", spy_runs)
+    monkeypatch.setattr(entcat.simulate._Runs, "block", spy_block)
     return trials
 
 
@@ -494,7 +493,7 @@ class TestMatchesSlotStepper:
     """The detailed simulator against the slot-by-slot reference, byte for byte."""
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
-    @pytest.mark.parametrize("n_edges", [1, 4, 32])
+    @pytest.mark.parametrize("n_edges", [1, 2, 3, 4, 32])
     @pytest.mark.parametrize("copies", [2, 3])
     @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("initial_stock", [0, 2])
@@ -546,7 +545,7 @@ class TestMatchesSlotStepper:
             cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=edge, aux=REGIMES[regime],
                             max_slots=max_slots, trials=2, seed=seed,
                             **stock_settings(regime, initial_stock, *capacity))
-            trials = trial_blocks(monkeypatch, n_edges)
+            trials = trial_blocks(monkeypatch)
             new = record_bytes(simulate_detailed, cfg)
             assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
             assert json.loads(new)["deliveries"] > more_than
@@ -555,6 +554,49 @@ class TestMatchesSlotStepper:
             if blocks == "cut":
                 delivered, sizes = trials[0]
                 assert delivered == sum(sizes[:-1]) == EDGE_BLOCK
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("n_edges,max_slots", [(257, 150), (4096, 10)])
+    def test_many_edges(self, regime, n_edges, max_slots):
+        # Blocks are capped by the memory bound less the trial's streams,
+        # 196 deliveries at N = 257 (42 where finite-aux runs step), and by
+        # the max_slots // n + 1 a trial can hold, 6 at N = 4096 over 10
+        # slots.  There most load streams run out inside the first block,
+        # some edges find no success at all, and a read leaves some rows
+        # empty.  Ten slots are too few for all 4096 edges to finish a run,
+        # so that trial times out.
+        cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=EDGE, aux=REGIMES[regime],
+                        max_slots=max_slots, seed=n_edges + max_slots,
+                        **stock_settings(regime, 1, 2))
+        new = record_bytes(simulate_detailed, cfg)
+        assert new == record_bytes(oracles.simulate_detailed_stepper, cfg)
+        record = json.loads(new)
+        assert record["timed_out"] == (n_edges == 4096)
+        assert sum(c["catalysis_successes"] > 0 for c in record["counters"]) > n_edges // 2
+
+    def test_short_trial_reads_few_attempt_values(self, monkeypatch):
+        # Every run takes at least n = 2 loading slots, so a 30-slot trial
+        # holds at most 15 deliveries and the one the end cuts: its block
+        # asks each edge for 16 successes, one read of
+        # ceil((16 + 3 sqrt(16 (1 - p_cat))) / p_cat) + 16 = 39 attempt values.
+        # An edge whose load stream is spent reads no more of them.
+        taken = []
+        streams = entcat.simulate._streams
+
+        def spy(seed, shape):
+            for rng in streams(seed, shape):
+                taken.append(rng)
+                yield rng
+
+        monkeypatch.setattr(entcat.simulate, "_streams", spy)
+        cfg = SimConfig(n_edges=32, mode="detailed", edge=EDGE, max_slots=30, seed=6)
+        assert simulate_detailed(cfg).deliveries > 0
+        for edge in range(cfg.n_edges):
+            # Each stream's next word says how many it has drawn.
+            for stream, most in ((0, cfg.max_slots), (1, 39)):
+                words = _rng(cfg.seed, 0, edge, stream).bit_generator.random_raw(1024)
+                following = taken[2 * edge + stream].bit_generator.random_raw()
+                assert 0 < np.flatnonzero(words == following)[0] <= most
 
     def test_forced_probability_needs_no_catalyst_with_plentiful_aux(self):
         # alpha = 0.6 at n = 2 lies outside the catalysis window, so the edge
@@ -619,12 +661,15 @@ class TestMatchesSlotStepper:
                             herald_probability=0.01)
         # The finite-aux run also reads 1.25 million aux ticks, and the run
         # without aux paths a million load values one success at a time.
+        # At N = 1024 every block reads all 2048 streams into whole arrays,
+        # and the streams' generators alone take about 2 MB.
         finite = dict(aux=REGIMES["finite"], initial_stock=1, stock_capacity=2)
         for edge, max_slots, extra in ((sparse, 10**7, {}), (EDGE, 10**6, {}),
                                        (sparse, 10**6, finite),
-                                       (EDGE, 10**6, dict(aux=REGIMES["none"]))):
-            cfg = SimConfig(n_edges=1, mode="detailed", edge=edge, max_slots=max_slots, seed=4,
-                            **extra)
+                                       (EDGE, 10**6, dict(aux=REGIMES["none"])),
+                                       (EDGE, 3000, dict(n_edges=1024))):
+            cfg = SimConfig(**{"n_edges": 1, **extra}, mode="detailed", edge=edge,
+                            max_slots=max_slots, seed=4)
             tracemalloc.start()
             try:
                 res = simulate_detailed(cfg)
