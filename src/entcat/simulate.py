@@ -235,8 +235,6 @@ _MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _OTHER_WORDS = [[d for d in range(_POOL_WORDS) if d != s] for s in range(_POOL_WORDS)]
 # Streams whose keys one pass derives; its arrays stay within 16 KiB each.
 _KEY_CHUNK = 1 << 10
-# Fewest streams of a run whose keys come from a pass (see _streams).
-_PASS_STREAMS = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,23 +348,14 @@ def _streams(seed: int, shape: tuple):
 
     The keys of ``_KEY_CHUNK`` streams come from one :func:`_philox_keys`
     pass, and each stream is built only as it is taken, so a run holds one
-    chunk of keys however many streams it takes.  A pass's fixed cost, about
-    60 us of numpy calls, is that of keying some eight streams one at a time,
-    so a run of fewer than ``_PASS_STREAMS`` streams keys each by :func:`_rng`.
+    chunk of keys however many streams it takes.  A pass has a fixed cost
+    of about 60 us of numpy calls, which a run of one stream pays too.
     """
-    total = math.prod(shape)
-    if total < _PASS_STREAMS:
-        for index in itertools.product(*map(range, shape)):
-            yield _rng(seed, *index)
-        return
     philox_key = _philox_key_type()
+    total = math.prod(shape)
     for start in range(0, total, _KEY_CHUNK):
-        flat = np.arange(start, min(start + _KEY_CHUNK, total))
-        index = np.empty((flat.size, len(shape)), np.int64)
-        for axis in range(len(shape) - 1, 0, -1):
-            flat, index[:, axis] = np.divmod(flat, shape[axis])
-        index[:, 0] = flat
-        for key in _philox_keys((seed,), index):
+        index = np.unravel_index(np.arange(start, min(start + _KEY_CHUNK, total)), shape)
+        for key in _philox_keys((seed,), np.stack(index, axis=1)):
             yield np.random.Generator(np.random.Philox(philox_key(key)))
 
 
@@ -383,8 +372,8 @@ class _MaxOfGeometrics:
     batch comes up from keys :func:`_streams` derives many batches at a
     time, with the same bits.  The caller draws each trial's
     largest exponential from the stream, drawing all N exponentials or
-    inverting one uniform (``largest_exponentials``, or ``negated_largest``
-    to pass them negated), and passes them to ``add``.
+    inverting one uniform (``negated_largest``, which ``add`` takes with
+    ``negated=True``), and passes them to ``add``.
     """
 
     def __init__(self, p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
@@ -416,20 +405,14 @@ class _MaxOfGeometrics:
         np.ceil(np.divide(draws, -self.lam if negated else self.lam, out=draws), out=draws)
         return np.maximum(draws, 1.0, out=draws)
 
-    def largest_exponentials(self, uniforms: np.ndarray) -> np.ndarray:
-        """The largest of N Exp(1) draws, one per uniform, written over them.
+    def negated_largest(self, uniforms: np.ndarray) -> np.ndarray:
+        """The largest of N Exp(1) draws, one per uniform, negated and written over them.
 
         The largest of N uniforms is ``U**(1/N)`` (Devroye 1986, V), so the
         largest of N exponentials, whose law is ``(1 - exp(-x))**N``, is
-        ``-log(-expm1(log(U) / N))``.  A uniform of exactly 0.0 gives 0.0.
-        """
-        with np.errstate(divide="ignore"):  # log(0.0) is -inf, and the chain then gives 0.0
-            return np.negative(self.negated_largest(uniforms), out=uniforms)
-
-    def negated_largest(self, uniforms: np.ndarray) -> np.ndarray:
-        """:meth:`largest_exponentials` less its last negation, for ``counts(..., negated=True)``.
-
-        The caller ignores the divide-by-zero a uniform of 0.0 raises in log.
+        ``-log(-expm1(log(U) / N))``; this is that less its last negation,
+        for ``counts(..., negated=True)``.  A uniform of exactly 0.0 gives
+        0.0, and the caller ignores the divide-by-zero it raises in log.
         """
         np.log(uniforms, out=uniforms)
         np.divide(uniforms, self.n_edges, out=uniforms)
@@ -551,42 +534,22 @@ def _success_bound(p: float) -> np.uint64:
     return np.uint64((math.ceil(p * 2.0**53) << 11) - 1)
 
 
-class _Bernoulli:
-    """The success draws ``rng.random(size) < p`` of one stream, tested on its raw words."""
+def _completions(rng: np.random.Generator, p: float, n: int, limit: int):
+    """Yield the draw at each n-th, 2n-th, ... success of one stream, then infinity.
 
-    __slots__ = ("words", "top")
-
-    def __init__(self, rng: np.random.Generator, p: float):
-        self.words = rng.bit_generator.random_raw
-        self.top = _success_bound(p)
-
-    def __call__(self, size: int) -> np.ndarray:
-        return self.words(size) <= self.top
-
-
-class _EveryNthSuccess:
-    """Where the n-th, 2n-th, ... success of one stream falls, read as the caller asks.
-
-    A draw ``u`` succeeds when ``u < p``; draws are counted from 1 and at
-    most ``limit`` are taken.  Each :meth:`read` makes the draws its caller
-    asks for, in stream order, so reads of any sizes see the same values.
+    A draw ``u`` succeeds when ``u < p``, tested on its raw word
+    (:func:`_success_bound`); draws are counted from 1, at most ``limit``
+    are taken, ``_DRAW_BLOCK`` at a time, and once they run out the next
+    completion never comes.
     """
-
-    __slots__ = ("succeeds", "n", "limit", "drawn", "found")
-
-    def __init__(self, rng: np.random.Generator, p: float, n: int, limit: int):
-        self.succeeds, self.n, self.limit = _Bernoulli(rng, p), n, limit
-        self.drawn = self.found = 0
-
-    def read(self, size: int) -> np.ndarray:
-        """The ends that fall within the next ``size`` draws, or as many as the limit leaves."""
-        size = min(size, self.limit - self.drawn)
-        hits = self.succeeds(size).nonzero()[0]
-        hits += self.drawn + 1
-        ends = hits[(-self.found - 1) % self.n :: self.n]
-        self.drawn += size
-        self.found += hits.size
-        return ends
+    words, top = rng.bit_generator.random_raw, _success_bound(p)
+    skip = n - 1  # the successes before the next completion
+    for drawn in range(0, limit, _DRAW_BLOCK):
+        hits = (words(min(_DRAW_BLOCK, limit - drawn)) <= top).nonzero()[0]
+        hits += drawn + 1
+        yield from hits[skip::n].tolist()
+        skip = (skip - hits.size) % n
+    yield from itertools.repeat(math.inf)
 
 
 def _ticks_through(period: float, t0: float, slot: int) -> int:
@@ -625,7 +588,8 @@ class _Stock:
     :func:`_ticks_through` and :func:`_slot_of` are the one home of that
     rule.  A path draws one value per tick while the stock is below
     capacity, so its j-th catalyst completes at the draw of the (j c)-th
-    success of its stream.  Within a slot the paths tick in index order, so
+    success of its stream, which :func:`_completions` reads from the ticks
+    ``max_slots`` holds.  Within a slot the paths tick in index order, so
     a completion that fills the stock stops the later paths' ticks in that
     slot.
 
@@ -642,15 +606,9 @@ class _Stock:
         self.stock = cfg.initial_stock
         self.produced = 0
         periods = [path.gen_time_s for path in cfg.aux.paths]
-        streams = []
-        for path, copies, rng in zip(cfg.aux.paths, copies_needed, rngs):
-            ticks = _ticks_through(path.gen_time_s, t0, cfg.max_slots)
-            successes = _EveryNthSuccess(rng, path.gen_probability, copies, ticks)
-            pieces = map(successes.read, itertools.repeat(_DRAW_BLOCK, -(-ticks // _DRAW_BLOCK)))
-            # The path's completion draws one at a time; once its stream
-            # runs out, the next completion never comes.
-            streams.append(itertools.chain(itertools.chain.from_iterable(
-                map(np.ndarray.tolist, pieces)), itertools.repeat(math.inf)))
+        streams = [_completions(rng, path.gen_probability, copies,
+                                _ticks_through(path.gen_time_s, t0, cfg.max_slots))
+                   for path, copies, rng in zip(cfg.aux.paths, copies_needed, rngs)]
         draws = [next(stream) for stream in streams]
         slots = (
             [math.inf] * len(periods) if self.stock >= self.capacity

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entcat
@@ -19,6 +20,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rng_streams(seed, shape):
+    """Every stream of a run keyed one at a time: ``_rng(seed, *index)`` in C order."""
+    return (simulate._rng(seed, *index) for index in np.ndindex(*shape))
 
 
 class TestMonotones:
@@ -503,12 +509,11 @@ class TestSimulateCommand:
     # How a run's streams are built: every stream from the vectorised key
     # pass, in chunks of 5 keys, so that chunks end inside a trial and a list
     # of batches; every key from its own SeedSequence in the pass's place;
-    # and every stream keyed one at a time by _rng.
+    # and every stream keyed one at a time by _rng, in the key builder's place.
     STREAM_BUILDERS = [
-        pytest.param(dict(_PASS_STREAMS=1, _KEY_CHUNK=5), id="pass-in-chunks-of-5"),
-        pytest.param(dict(_PASS_STREAMS=1, _philox_keys=oracles.seedsequence_keys),
-                     id="seedsequence-per-key"),
-        pytest.param(dict(_PASS_STREAMS=2**62), id="rng-per-stream"),
+        pytest.param(dict(_KEY_CHUNK=5), id="pass-in-chunks-of-5"),
+        pytest.param(dict(_philox_keys=oracles.seedsequence_keys), id="seedsequence-per-key"),
+        pytest.param(dict(_streams=rng_streams), id="rng-per-stream"),
     ]
 
     @pytest.mark.parametrize("setting,digest", PINNED)

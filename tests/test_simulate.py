@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -19,11 +20,12 @@ from entcat.simulate import (
     _BATCH_TRIALS,
     _FIRST_BLOCK_LOADS,
     SimConfig,
-    _Bernoulli,
     _MaxOfGeometrics,
+    _completions,
     _resolved_parameters,
     _rng,
     _slot_of,
+    _success_bound,
     _ticks_through,
     result_record,
     run_simulation,
@@ -768,12 +770,13 @@ def sampled_maxima(p, n_edges, trials, seed, inverted):
     inverted uniform) or as the abstract simulator draws it (N exponentials)."""
     sampler = _MaxOfGeometrics(p, n_edges, trials, seed)
 
-    def largest(size, rng):
+    def counts(size, rng):
         if inverted:
-            return sampler.largest_exponentials(rng.random(size))
-        return rng.standard_exponential((size, n_edges)).max(axis=1)
+            with np.errstate(divide="ignore"):  # as validate-z calls it
+                return sampler.counts(sampler.negated_largest(rng.random(size)), negated=True)
+        return sampler.counts(rng.standard_exponential((size, n_edges)).max(axis=1))
 
-    return np.concatenate([sampler.counts(largest(size, rng)) for size, rng in sampler])
+    return np.concatenate([counts(size, rng) for size, rng in sampler])
 
 
 def exact_law_p_value(maxima, p, n_edges):
@@ -852,7 +855,8 @@ class TestMaxOfGeometrics:
         sampler = _MaxOfGeometrics(1.0, 4, 10, 3, 0.25)
         for size, rng in sampler:
             assert np.all(sampler.counts(rng.standard_exponential((size, 4))) == 1.0)
-            sampler.add(sampler.largest_exponentials(rng.random(size)))
+            with np.errstate(divide="ignore"):  # as validate-z calls it
+                sampler.add(sampler.negated_largest(rng.random(size)), negated=True)
         assert sampler.mean_and_error() == (0.25, 0.0)
         check = validate_waiting_factor(4, 1.0, 10, 3)
         assert (check.empirical_mean, check.analytic, check.std_error) == (1.0, 1.0, 0.0)
@@ -867,13 +871,25 @@ class TestMaxOfGeometrics:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_edges", [1, 32, 4096])
-    def test_zero_uniform_counts_one_without_a_warning(self, n_edges):
+    def test_zero_uniform_counts_one_without_a_warning(self, n_edges, monkeypatch):
         # Generator.random can return exactly 0.0, whose log is -inf.
         sampler = _MaxOfGeometrics(0.1, n_edges, 2, 0)
-        largest = sampler.largest_exponentials(np.array([0.0, 2.0**-53]))
-        assert largest[0] == 0.0
-        assert largest[1] == pytest.approx(-math.log1p(-(2.0**-53) ** (1.0 / n_edges)), rel=1e-12)
-        assert sampler.counts(largest)[0] == 1.0
+        with np.errstate(divide="ignore"):  # as validate-z calls it
+            negated = sampler.negated_largest(np.array([0.0, 2.0**-53]))
+        assert negated[0] == 0.0
+        assert -negated[1] == pytest.approx(-math.log1p(-(2.0**-53) ** (1.0 / n_edges)), rel=1e-12)
+        assert sampler.counts(negated, negated=True)[0] == 1.0
+
+        # validate-z itself, given a batch of zero uniforms.
+        class ZeroUniforms:
+            def random(self, out):
+                out[:] = 0.0
+                return out
+
+        monkeypatch.setattr(_MaxOfGeometrics, "__iter__",
+                            lambda self: iter([(self.trials, ZeroUniforms())]))
+        check = validate_waiting_factor(n_edges, 0.1, 2, 0)
+        assert (check.empirical_mean, check.std_error) == (1.0, 0.0)
 
     @pytest.mark.parametrize("p", [1e-300, 9.9e-11])
     def test_rejects_p_below_the_floor(self, p):
@@ -896,7 +912,8 @@ class TestMaxOfGeometrics:
             # The largest uniform below 1 gives the largest count, ~ (36.74 + ln N) / lam,
             # and below 2**39 a batch of counts sums exactly.
             sampler = _MaxOfGeometrics(1e-10, n_edges, 1, 0)
-            top = sampler.counts(sampler.largest_exponentials(np.array([1.0 - 2.0**-53])))[0]
+            negated = sampler.negated_largest(np.array([1.0 - 2.0**-53]))
+            top = sampler.counts(negated, negated=True)[0]
             assert top == pytest.approx((36.7368 + math.log(n_edges)) / sampler.lam, rel=1e-5)
             assert top < 2**39
         assert new == record_bytes(oracles.simulate_abstract_geometric, cfg)
@@ -941,15 +958,24 @@ class TestMaxOfGeometrics:
 DRAW_PROBABILITIES = [1.0, 1.0 - 2.0**-53, PCAT_2_08, 0.9, 0.5, 0.3, 0.05, 0.002, 2.0**-60]
 
 
-class TestBernoulliDraws:
-    """The detailed simulator's success draws against ``Generator.random(size) < p``."""
+class TestAuxCompletions:
+    """An aux path's completions against every n-th ``Generator.random(limit) < p``."""
 
     @pytest.mark.parametrize("p", DRAW_PROBABILITIES)
-    def test_reads_of_any_size_are_the_double_draws(self, p):
-        reference = _rng(5, 1, 2, 0).random(20_000) < p
-        draws = _Bernoulli(_rng(5, 1, 2, 0), p)
-        got = np.concatenate([draws(size) for size in (0, 1, 7, 4096, 15_896)])
-        assert got.tobytes() == reference.tobytes()
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_every_nth_success_across_pieces(self, monkeypatch, n, p):
+        # Pieces of 7 draws and a limit that is no multiple of 7: the
+        # successes carry from piece to piece, infinity follows the last
+        # completion, and no draw is taken past the limit.
+        monkeypatch.setattr(entcat.simulate, "_DRAW_BLOCK", 7)
+        limit = 7 * 1000 + 4
+        successes = (_rng(5, 1, 2, 0).random(limit) < p).nonzero()[0] + 1
+        expected = successes[n - 1 :: n].tolist()
+        rng = _rng(5, 1, 2, 0)
+        completions = _completions(rng, p, n, limit)
+        assert list(itertools.islice(completions, len(expected) + 3)) == expected + [math.inf] * 3
+        next_word = _rng(5, 1, 2, 0).bit_generator.random_raw(limit + 1)[-1]
+        assert rng.bit_generator.random_raw() == next_word
 
     @pytest.mark.parametrize("p", DRAW_PROBABILITIES)
     def test_words_next_to_the_threshold(self, p):
@@ -959,9 +985,8 @@ class TestBernoulliDraws:
         words = [(k - 1) << 11, ((k - 1) << 11) | 0x7FF]
         if k < 2**53:
             words += [k << 11, (k << 11) | 0x7FF]
-        draws = _Bernoulli(_rng(0), p)
-        draws.words = lambda size: np.array(words, np.uint64)[:size]
-        assert draws(len(words)).tolist() == [(w >> 11) * 2.0**-53 < p for w in words]
+        succeeds = np.array(words, np.uint64) <= _success_bound(p)
+        assert succeeds.tolist() == [(w >> 11) * 2.0**-53 < p for w in words]
 
 
 # One-, two- and three-word seeds; the last makes a (seed, trial, edge,
@@ -993,9 +1018,12 @@ class TestStreamKeys:
         assert keys.tolist() == oracles.seedsequence_keys((seed,), rows).tolist()
 
     @pytest.mark.parametrize("seed", KEY_SEEDS)
-    @pytest.mark.parametrize("shape", [(3, 5, 4), (70,)], ids=["detailed", "batches"])
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (70,), (1,), (2,), (1, 1, 2)],
+                             ids=["detailed", "batches", "one-batch", "two-batches", "one-edge"])
     def test_streams_are_rng_streams(self, monkeypatch, seed, shape):
-        # Chunks of 7 keys end inside a trial and inside an edge's streams.
+        # Chunks of 7 keys end inside a trial and inside an edge's streams;
+        # the smallest runs, one batch or one edge's two streams, take the
+        # same pass.
         monkeypatch.setattr(entcat.simulate, "_KEY_CHUNK", 7)
         streams = list(entcat.simulate._streams(seed, shape))
         indices = list(np.ndindex(*shape))
@@ -1003,16 +1031,6 @@ class TestStreamKeys:
         for rng, index in zip(streams, indices):
             reference = np.random.Philox(np.random.SeedSequence((seed, *index)))
             assert self.raw_words(rng) == reference.random_raw(8).tolist()
-
-    def test_few_streams_are_keyed_one_at_a_time(self, monkeypatch):
-        def unused(prefix, suffixes):
-            raise AssertionError("a pass for fewer than _PASS_STREAMS streams")
-
-        monkeypatch.setattr(entcat.simulate, "_philox_keys", unused)
-        few = entcat.simulate._PASS_STREAMS - 1
-        streams = list(entcat.simulate._streams(9, (few,)))
-        assert [self.raw_words(rng) for rng in streams] == [
-            self.raw_words(_rng(9, b)) for b in range(few)]
 
     def test_import_leaves_numpy_random_unloaded(self):
         # The key type subclasses numpy's ISeedSequence, so it is made on
