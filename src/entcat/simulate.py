@@ -45,8 +45,7 @@ from .network import (
 ABSTRACT_MODE = "abstract"
 DETAILED_MODE = "detailed"
 
-# Fixed batch size of the max-of-geometrics sampler; each batch draws from its
-# own seed stream, so results do not depend on how batches are scheduled.
+# Trials per batch of the max-of-geometrics sampler, one stream each (_streams).
 _BATCH_TRIALS = 8192
 # Most exponentials (8 MiB) the abstract simulator holds at once, unless the
 # N of one trial are more.
@@ -60,8 +59,7 @@ _BLOCK_DOUBLES = 1 << 20
 # batch of 8192 counts sums exactly in doubles; much below 1e-10 the counts
 # themselves pass 2**53, where doubles no longer hold every integer.
 _MIN_GEOMETRIC_P = 1e-10
-# Aux ticks are applied at the first slot boundary within this relative
-# tolerance of their completion time.
+# The 1 + eps of the tick rule (_ticks_through).
 _TICK_SCALE = 1.0 + 1e-9
 _DEFAULT_MAX_SLOTS = 100_000
 
@@ -218,12 +216,7 @@ def _resolved_parameters(cfg: SimConfig):
 
 
 def _rng(*key: int) -> np.random.Generator:
-    """The Philox stream of ``key``: ``Philox(SeedSequence(key))``, one key at a time.
-
-    Every stream of a run is this one: stream k of edge e in trial t is
-    ``_rng(seed, t, e, k)`` and batch b is ``_rng(seed, b)``.  The runs build
-    theirs through :func:`_streams`, whose keys have the same bits.
-    """
+    """``Philox(SeedSequence(key))``, one key at a time: what :func:`_streams` builds in bulk."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
@@ -241,11 +234,8 @@ _KEY_CHUNK = 1 << 10
 def _hash_constants(words: int):
     """SeedSequence's hash constants for ``words`` words of entropy, shaped (2, calls, 1).
 
-    A hash xors a word with its constant, multiplies the constant by a
-    factor and the word by the product, so call i's (xor, multiplier) pair
-    is (c_i, c_{i+1}).  The pool hash starts at 0x43B0D7E5 (factor
-    0x931E8875) and makes 16 calls plus 4 per word past the pool's four; the
-    output hash starts at 0x8B51F9DD (factor 0x58F38DED) and makes 4.
+    A hash xors a word with its constant, then multiplies the constant by a
+    factor and the word by the product, so call i's pair is (c_i, c_{i+1}).
     """
     def chain(constant, factor, calls):
         pairs = []
@@ -280,13 +270,9 @@ def _philox_keys(prefix: tuple, suffixes: np.ndarray) -> np.ndarray:
     """The 128-bit Philox key of each stream ``prefix + row`` of ``suffixes``, in one pass.
 
     Row i is ``SeedSequence(prefix + tuple(suffixes[i])).generate_state(2,
-    np.uint64)``, worked for every row at once in numpy's steps: each key
-    integer becomes its little-endian 32-bit words; the first four words are
-    hashed into the pool, zeros standing in for missing ones; each pool word
-    in turn is hashed and mixed into the other three; each word past the
-    fourth is hashed and mixed into all four; and the pool is hashed into
-    four output words, read in pairs as little-endian uint64.  Suffix values
-    must lie below 2**32, one word each; a prefix integer may take several.
+    np.uint64)``, worked for every row at once in numpy's steps on
+    little-endian 32-bit words.  Suffix values must lie below 2**32, one
+    word each; a prefix integer may take several.
     """
     head = []
     for value in prefix:
@@ -323,9 +309,8 @@ def _philox_key_type() -> type:
 
     Philox seeds itself with ``generate_state(2, np.uint64)``, the key; any
     other request raises rather than return words a SeedSequence would not.
-    The class subclasses ``numpy.random.bit_generator.ISeedSequence``, so it
-    is made when a run first needs it: importing entcat leaves numpy.random
-    unimported, as before.
+    The class subclasses numpy's ``ISeedSequence``, so it is made when a run
+    first needs it: importing entcat leaves numpy.random unimported.
     """
 
     class PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -346,6 +331,10 @@ def _philox_key_type() -> type:
 def _streams(seed: int, shape: tuple):
     """Yield ``_rng(seed, *index)`` for every index of ``shape``, in C order.
 
+    Every stream of a run comes from here.  The abstract sampler's shape is
+    (batches,): stream b draws batch b's trials.  A detailed run's is
+    (trials, edges, 2 + aux paths): stream k of edge e in trial t draws the
+    edge's loads (k = 0), its attempts (k = 1) or aux path k - 2's ticks.
     The keys of ``_KEY_CHUNK`` streams come from one :func:`_philox_keys`
     pass, and each stream is built only as it is taken, so a run holds one
     chunk of keys however many streams it takes.  A pass has a fixed cost
@@ -368,12 +357,9 @@ class _MaxOfGeometrics:
     the count of its largest exponential, and only that maximum is inverted.
 
     Iterating yields each batch of ``_BATCH_TRIALS`` trials as its size and
-    the stream ``Philox(SeedSequence((seed, b)))`` of batch b, built as the
-    batch comes up from keys :func:`_streams` derives many batches at a
-    time, with the same bits.  The caller draws each trial's
-    largest exponential from the stream, drawing all N exponentials or
-    inverting one uniform (``negated_largest``, which ``add`` takes with
-    ``negated=True``), and passes them to ``add``.
+    its stream (:func:`_streams`).  The caller draws each trial's largest
+    exponential from it, of all N or by inverting one uniform
+    (``negated_largest``, with ``negated=True``), and passes them to ``add``.
     """
 
     def __init__(self, p: float, n_edges: int, trials: int, seed: int, scale: float = 1.0):
@@ -451,11 +437,10 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
     p_cat, _, t_cycle = _resolved_parameters(cfg)
     sampler = _MaxOfGeometrics(p_cat, cfg.n_edges, cfg.trials, cfg.seed, t_cycle)
     # Every edge's count is needed for its attempt total, so each trial draws
-    # all N exponentials.  Below p = 1/3 their counts are the ones
-    # Generator.geometric returns from the same stream, which inverts the
-    # same exponentials.  A batch draws its trials' rows a chunk at a time,
-    # in stream order, into one reused block of at most _BLOCK_DOUBLES, and
-    # gathers their maxima, so that its sums round as one whole batch's do.
+    # all N exponentials; below p = 1/3 their counts are the ones
+    # Generator.geometric inverts from the same stream.  A batch draws its
+    # rows in stream order into one reused block and gathers their maxima, so
+    # that its sums round as one whole batch's do.
     rows = min(max(1, _BLOCK_DOUBLES // cfg.n_edges), _BATCH_TRIALS, cfg.trials)
     block = np.empty((rows, cfg.n_edges))
     largest = np.empty(min(_BATCH_TRIALS, cfg.trials))
@@ -489,21 +474,7 @@ def simulate_abstract(cfg: SimConfig) -> SimResult:
     )
 
 
-# Loads per edge in a trial's first block of deliveries; later blocks are
-# sized from the delivery rate the trial has shown.  The memory bound: no
-# stream read makes more than _BLOCK_LOADS draws, and no block reads more
-# than about _BLOCK_LOADS loads over all its edges or holds more than a
-# quarter as many deliveries, each with a few values of its own, so the
-# arrays a block holds stay within about 4 MiB whatever max_slots and the
-# success probabilities are.  A block whose runs may step is also held as
-# Python ints while it is walked, several times the bytes, so it keeps to
-# the first block's size, or to an eighth of the loads over all its edges
-# where that is more.  The trial's streams count
-# against the same bound: each stream's Philox object takes about the bytes
-# of _STREAM_LOADS loads, up to half the bound, where the streams of a
-# thousand edges already take half of 4 MiB.  An aux path's stream, whose
-# completions the stepper takes one at a time, is read _DRAW_BLOCK draws at
-# a time.
+# Block and read sizes, and the memory bound they keep: see _trial's block-size comment.
 _FIRST_BLOCK_LOADS = 1 << 10
 _BLOCK_LOADS = 1 << 16
 _STREAM_LOADS = 16
@@ -515,8 +486,7 @@ _NO_ENTRY = np.iinfo(np.int64).max
 def _draws_for(successes: np.ndarray, p: float) -> np.ndarray:
     """The draws expected to hold each count of ``successes`` at ``p``, and a margin.
 
-    The margin is three standard deviations of that count and 16 draws.  At
-    most ``_BLOCK_LOADS``; a caller that falls short reads again.
+    The margin is three standard deviations and 16 draws; a caller short of it reads again.
     """
     spread = 3.0 * np.sqrt(successes * (1.0 - p))
     return np.minimum(np.ceil((successes + spread) / p) + 16, _BLOCK_LOADS).astype(np.int64)
@@ -528,8 +498,8 @@ def _success_bound(p: float) -> np.uint64:
     ``Generator.random`` makes each 64-bit word w of a stream the double
     ``(w >> 11) * 2**-53``, which lies below p exactly when w lies below
     ``ceil(p * 2**53) * 2**11``: one integer test per draw, with no double
-    formed.  At p = 1 the bound is the largest word, so every draw succeeds.
-    Either way each draw takes one word, as a double would.
+    formed; at p = 1 it is the largest word.  Each draw takes one word, as a
+    double would.
     """
     return np.uint64((math.ceil(p * 2.0**53) << 11) - 1)
 
@@ -537,10 +507,9 @@ def _success_bound(p: float) -> np.uint64:
 def _completions(rng: np.random.Generator, p: float, n: int, limit: int):
     """Yield the draw at each n-th, 2n-th, ... success of one stream, then infinity.
 
-    A draw ``u`` succeeds when ``u < p``, tested on its raw word
-    (:func:`_success_bound`); draws are counted from 1, at most ``limit``
-    are taken, ``_DRAW_BLOCK`` at a time, and once they run out the next
-    completion never comes.
+    Draws are counted from 1 and tested on raw words (:func:`_success_bound`);
+    at most ``limit`` are taken, ``_DRAW_BLOCK`` at a time, and once they run
+    out the next completion never comes.
     """
     words, top = rng.bit_generator.random_raw, _success_bound(p)
     skip = n - 1  # the successes before the next completion
@@ -553,7 +522,12 @@ def _completions(rng: np.random.Generator, p: float, n: int, limit: int):
 
 
 def _ticks_through(period: float, t0: float, slot: int) -> int:
-    """The ticks of a path of ``period`` applied by the end of ``slot``."""
+    """The ticks of a path of ``period`` applied by the end of ``slot``.
+
+    The tick rule: tick k of a path (counted from 1) is applied in the first
+    slot s with ``k T <= (s t0)(1 + eps)``, the slot stepper's own float
+    test.  This function and its inverse :func:`_slot_of` are its one home.
+    """
     bound = slot * t0 * _TICK_SCALE
     k = int(bound / period)  # the two loops correct any start from 0 up
     while k * period > bound:
@@ -564,7 +538,7 @@ def _ticks_through(period: float, t0: float, slot: int) -> int:
 
 
 def _slot_of(period: float, t0: float, tick) -> float:
-    """The slot in which tick ``tick`` of a path of ``period`` is applied."""
+    """The slot that applies tick ``tick`` of a path of ``period`` (:func:`_ticks_through`)."""
     if tick == math.inf:
         return math.inf
     at = tick * period
@@ -579,23 +553,13 @@ def _slot_of(period: float, t0: float, tick) -> float:
 class _Stock:
     """One edge's catalyst stock and the finite aux paths that refill it.
 
-    ``rngs`` holds the paths' streams: path i of edge e in trial t draws
-    stream 2 + i, ``Philox(SeedSequence((seed, t, e, 2 + i)))``, built by
-    :func:`_streams` from keys with the same bits.
-
-    Tick k of a path (counted from 1) is applied in the first slot s with
-    ``k T <= (s t0)(1 + eps)``, the slot stepper's own float test;
-    :func:`_ticks_through` and :func:`_slot_of` are the one home of that
-    rule.  A path draws one value per tick while the stock is below
+    ``rngs`` holds the paths' streams (:func:`_streams`).  A path draws one
+    value per tick (:func:`_ticks_through`) while the stock is below
     capacity, so its j-th catalyst completes at the draw of the (j c)-th
     success of its stream, which :func:`_completions` reads from the ticks
-    ``max_slots`` holds.  Within a slot the paths tick in index order, so
-    a completion that fills the stock stops the later paths' ticks in that
-    slot.
-
-    Only a failed attempt lowers the stock, so between failures it never
-    falls.  A stepped run meets the stock in one pass of :meth:`walk`, and
-    the end of a trial refills it through the same pass.
+    ``max_slots`` holds.  Within a slot the paths tick in index order, so a
+    completion that fills the stock stops the later paths' ticks in that
+    slot.  Only a failed attempt lowers the stock.
     """
 
     __slots__ = ("t0", "capacity", "stock", "produced", "paths", "next")
@@ -615,10 +579,9 @@ class _Stock:
             else [_slot_of(period, t0, draw) for period, draw in zip(periods, draws)]
         )
         # One list per field, indexed by path: the period, the completion
-        # draws, the draw of the next completion, the ticks less the draws
-        # while the path runs, the draws it had taken when the stock filled,
-        # and the slot of its next completion, infinite while the stock is
-        # full.
+        # draws, the draw of the next completion, the ticks less the draws while
+        # the path runs, the draws it had taken when the stock filled, and the
+        # slot of its next completion, infinite while the stock is full.
         self.paths = (periods, streams, draws, [0] * len(periods), [0] * len(periods), slots)
         self.next = min(slots)  # the slot of the earliest completion
 
@@ -629,12 +592,8 @@ class _Stock:
         moves ``base`` on.  Its attempt first applies every completion
         through that slot, and on an empty stock waits for the next one.  A
         failure spends one catalyst, and paths paused on a full stock draw
-        again from the first tick after its slot.  A run the end of the
-        trial cuts gives ``limit + 1`` and the load draws it used with
-        whether a load still waits for its attempt.
-
-        The whole run is one pass on local copies of the count, the
-        produced total and the next completion's slot, written back once.
+        again from the first tick after its slot.  A run the end of the trial
+        cuts returns what :meth:`_Runs.settle` reads of it.
         """
         t0, capacity = self.t0, self.capacity
         periods, streams, draws, offsets, drawn, slots = self.paths
@@ -684,10 +643,7 @@ class _Stock:
 
 
 def _shift(rows: np.ndarray, by: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` columns of ``rows`` after row i moves ``by[i]`` columns left.
-
-    A column moved in from past the end takes the last one's pad.
-    """
+    """Each row i of ``rows`` moved ``by[i]`` left, ``width`` wide and padded by its last."""
     index = by[:, None] + np.arange(width)
     np.minimum(index, rows.shape[1] - 1, out=index)
     index += (np.arange(len(rows)) * rows.shape[1])[:, None]
@@ -705,45 +661,28 @@ class _Runs:
     """Every edge's runs in one trial, read a block of deliveries at a time.
 
     A run is what an edge does between two deliveries: loads whose attempts
-    fail, then one whose attempt succeeds.  The edge draws one load value per
-    loading slot and one attempt value per attempt, and nothing while it
-    waits, so where its loads end (counted in load draws from 1) and how their
-    attempts come out depend on its own two streams only.  ``rngs`` yields
-    every edge's streams in turn, its two and then its aux paths'.  Stream k
-    of edge e in trial t is ``Philox(SeedSequence((seed, t, e, k)))``, 0 for
-    loads and 1 for attempts, built by :func:`_streams` from keys with the
-    same bits.
+    fail, then one whose attempt succeeds.  Where its loads end (counted in
+    load draws from 1) and how their attempts come out depend on its load
+    and attempt streams only (:func:`simulate_detailed`); ``rngs`` yields
+    every edge's streams in turn (:func:`_streams`).
 
     A load takes n successes of the load stream.  Without aux paths, one
     that starts from an empty stock takes n_cat more and turns them into a
     catalyst; the stock is empty there when the failures so far have spent
-    the initial stock and the last attempt failed.  No edge uses more load
-    values than there are slots, so at most ``max_slots`` are drawn.
+    the initial stock and the last attempt failed.
 
     Each edge is one row of two arrays: ``entries``, the load draws at which
     its unsettled entries end (a load of n successes, or one success where a
     load may rebuild), and ``wins``, the outcomes of the attempts it has
     read; attempt i is made on load i.  A count per row says how many values
-    are real.  Past them a row of ``entries`` holds values above every draw
-    the edge has made, and one of ``wins`` holds False; the last column is
-    always past them.
+    are real; past them ``entries`` holds values above every draw the edge
+    has made and ``wins`` False, and the last column is always past them.
 
-    Both streams are read by demand: a block of deliveries reads, for each
-    edge still short of its runs, the attempt values its missing successes
-    are expected to take, and then the load values that the attempts through
-    its last run of the block are expected to take, each in one read with a
-    margin (:func:`_draws_for`), reading again only where a stream falls
-    short.  Each read is tested at once into
-    bools, so no more than one edge's raw words are held.  Everything else
-    (the n-th-success selection, where each run ends, which runs step, and
-    settlement) is a fixed number of numpy calls on whole arrays, whatever
-    the edge count.  Values read past what the block uses wait for the next
-    block.
-
-    A run that may wait for a catalyst (see :func:`simulate_detailed`) is
-    stepped (:meth:`walk`) against its edge's :class:`_Stock`; every other
-    run takes exactly its no-wait offset, the load draws from its start to
-    its success.
+    Streams are read by demand, each read tested at once into bools, so no
+    more than one edge's raw words are held; the rest is a fixed number of
+    numpy calls on whole arrays, whatever the edge count.  A run that may
+    wait for a catalyst is stepped (:meth:`walk`); every other run takes
+    exactly its no-wait offset, the load draws from its start to its success.
     """
 
     def __init__(self, cfg: SimConfig, rngs, p_cat, copies):
@@ -759,8 +698,7 @@ class _Runs:
         self.limit = cfg.max_slots
         self.copies = cfg.edge.copies
         self.rebuild = copies[0] if cfg.aux.mode == NO_AUX else 0
-        # A rebuild reads the load stream one success at a time; otherwise an
-        # entry is a load of n successes.
+        # A rebuild reads one success per entry; otherwise an entry is a load.
         self.per_entry = 1 if self.rebuild else self.copies
         self.p_load, self.p_cat = cfg.edge.herald_probability, p_cat
         self.load_top, self.attempt_top = _success_bound(self.p_load), _success_bound(p_cat)
@@ -776,18 +714,15 @@ class _Runs:
         # The failures among settled attempts, and whether the last failed,
         # so that a first load from an empty stock rebuilds.
         self.failures, self.last_failed = counts(), np.ones(n_edges, bool)
-        # From the last pairing: _need() of the held attempts, where the
-        # successes lie in the flattened wins with each row's first, and how
-        # many of each row's attempts have their loads.
+        # From the last pairing: _need() of the held attempts, the flattened
+        # successes and each row's first, and each row's attempts with loads.
         self.need = self.won = self.first = self.loads = None
-        # Settled load draws; settled loads, attempts, successes and rebuilt
-        # catalysts.
+        # Settled load draws; settled loads, attempts, successes and rebuilt catalysts.
         self.used, self.totals = counts(), np.zeros((4, n_edges), np.int64)
         self.first_empty = self.stocks is not None and cfg.initial_stock < 1
-        # Where the block's runs succeed in the flattened rows, and which
-        # come after an edge's last success; with a stock, the columns of the
-        # successes and (draws used, attempt pending) of stepped runs the end
-        # cut.
+        # Where the block's runs succeed in the flattened rows, and which come
+        # after an edge's last success; with a stock, the successes' columns
+        # and (draws used, attempt pending) of stepped runs the end cut.
         self.stops = self.past = self.columns = None
         self.stopped = {}
 
@@ -835,22 +770,18 @@ class _Runs:
     def block(self, count: int):
         """The first ``count`` runs of every edge: where each succeeds, and which step.
 
-        Both are (edge, run) arrays: the load draw at which each run succeeds,
-        ``max_slots + 1`` where the load stream runs out first, and, with a
-        stock, whether each run steps (None without one).  An edge reads on
-        while it has fewer successes than runs, unless it is done or its
-        stream is spent and what it holds completes no load.
+        Both are (edge, run) arrays: the load draw at which each run succeeds
+        (or ends, :meth:`settle`), and, with a stock, whether each run steps
+        (None without one).
         """
         least = self.copies if self.rebuild else 1
         if self.rebuild and self.need is None:  # settled since the last pairing
             self.need = self._need()
         paired = False
         while True:
-            short = self.n_wins < count
-            if (spent := self.drawn >= self.limit).any():
-                spare = self.n_entries - self._entries_of(self.n_attempts)
-                short &= ~spent | (spare >= least)
-            short &= ~self.done
+            spare = self.n_entries - self._entries_of(self.n_attempts)
+            short = (self.n_wins < count) & ~self.done
+            short &= (self.drawn < self.limit) | (spare >= least)  # spent: while it holds a load
             read = short.nonzero()[0]
             if paired and not read.size:
                 return self._ends(count)
@@ -912,15 +843,15 @@ class _Runs:
     def _read_loads(self, lack: np.ndarray, missing: np.ndarray) -> None:
         """Read the load values of edges ``lack`` expected to end ``missing`` more entries.
 
-        An entry ends at every n-th success of an edge's stream, counted
-        over all its reads, and each edge reads at most ``max_slots`` values.
-        The edges' reads are tested into one array, and each edge's row is
-        one window of every n-th success in it, from the success that ends
-        its next entry, placed after the entries it holds.  Successes of no
-        edge pad the array so that every window lies within it: in front,
-        for the columns of held entries, which keep their values, and after,
-        for the widest row.  A window that runs past its edge's successes
-        reads later ones, values above every draw the edge has made.
+        An entry ends at every n-th success of an edge's stream, counted over
+        all its reads; no edge uses more values than there are slots, so each
+        reads at most ``max_slots``.  The reads are tested into one array, and
+        each edge's row is one window of every n-th success in it, placed
+        after the entries it holds.  Successes of no edge pad the array so
+        that every window lies within it: in front, for the held entries'
+        columns, which keep their values, and after, for the widest row.  A
+        window that runs past its edge's successes reads later ones, above
+        every draw the edge has made.
         """
         n, drawn, held = self.per_entry, self.drawn[lack], self.n_entries[lack]
         sizes = np.minimum(_draws_for(missing * n, self.p_load), self.limit - drawn)
@@ -1001,17 +932,9 @@ class _Runs:
         ``gaps`` holds each delivery's largest no-wait offset, which a stepped
         run can only lengthen.  The stepped (delivery, edge) pairs are walked
         in order from ``slot`` until a delivery starts at or past the end.  A
-        delivery starts at the prefix sum of the no-wait gaps before it plus
-        what the stepped runs so far have added.
-
-        A stepped run loads from the slot after its delivery's start.  A
-        load's attempt follows in the slot the load ends if the stock holds
-        a catalyst, and otherwise in the slot of the next aux completion; a
-        failure spends the catalyst and the pairs, and loading restarts in
-        the next slot.  The run meets the stock in one :meth:`_Stock.walk`
-        pass over its edge's row.  A run the end of the trial cuts gives
-        ``max_slots + 1`` and leaves the load draws it used, and whether a
-        load still waits for its attempt, in ``stopped``.
+        stepped run loads from the slot after its delivery's start, in one
+        :meth:`_Stock.walk` pass over its edge's row.  A run the end cuts
+        leaves its counts in ``stopped`` (:meth:`settle`).
         """
         limit = self.limit
         starts = (slot + np.cumsum(gaps) - gaps).tolist()
@@ -1043,12 +966,17 @@ class _Runs:
     def settle(self, used: np.ndarray, runs: int, cut: bool) -> None:
         """Count and drop each edge's loads through its first ``runs`` runs of the block.
 
-        ``used`` holds each edge's load draws so far.  Where the end of the
-        trial ``cut`` the next run, its loads completed within them are
-        counted too: all of them but a last that waits for a catalyst past
-        the end are attempted, unless a stepped run the end cut says how many
-        draws it used.  After a cut nothing is read again, so nothing is
-        dropped.
+        The one home of the end-of-trial accounting.  ``used`` holds each
+        edge's load draws so far.  Deliveries settle until their running sum
+        passes ``max_slots``; a run whose load stream runs out, or that the
+        end cuts, ends at ``max_slots + 1``, past every slot.  In the run the
+        end ``cut``, an edge not stepped has used ``min(offset, slots left)``
+        draws and a stepped one those in ``stopped``, with whether a load
+        still waits for its attempt.  The counters cover exactly those draws:
+        their completed loads, all but such a last one attempted.
+        :meth:`tally` then applies every aux completion through the end, as
+        an attempt in its last slot would.  After a cut nothing is read
+        again, so nothing is dropped.
         """
         starts = self._row_starts()[:-1]
         loads = self.stops[:, runs - 1] - starts + 1 if runs else np.zeros_like(starts)
@@ -1101,8 +1029,6 @@ class _Runs:
         produced = self.totals[3]
         if self.stocks is not None:
             for stock in self.stocks:
-                # The end of the trial applies every completion through it,
-                # as an attempt in its last slot would.
                 stock.walk((self.limit,), 0, self.limit)
             produced = produced + [stock.produced for stock in self.stocks]
         for ctr, *run in zip(counters, self.used.tolist(), *self.totals[:3].tolist(),
@@ -1113,43 +1039,39 @@ class _Runs:
 def _trial(cfg: SimConfig, rngs, p_cat, copies, counters, intervals):
     """One replication of a chain; returns the delivery count.
 
-    ``rngs`` yields the trial's streams in order, edge by edge, each edge's
-    two and then its aux paths'.  The k-th delivery comes in the slot where
-    the last edge finishes its k-th run, counted from the slot of the
-    (k-1)-th.  Runs are read a block of deliveries at a time, for every edge
-    at once (:meth:`_Runs.block`): each edge's streams are read into its
-    row, and the rest is whole-array numpy.  A first block of about
-    ``_FIRST_BLOCK_LOADS`` loads per edge, and never more deliveries than
-    ``max_slots`` can hold, then blocks sized from the delivery rate so far
-    to reach ``max_slots``, within the memory bound.  Where no run in the
-    block steps, each delivery's interval is the largest offset over the
-    edges and the block settles with no Python per delivery; otherwise the
-    block is walked (:meth:`_Runs.walk`).
-    Deliveries settle until their running sum passes ``max_slots``.  In the
-    cut-off delivery an edge that was not stepped has used
-    ``min(offset, slots left)`` draws, and its counters cover exactly the
-    draws it used.
+    ``rngs`` yields the trial's streams (:func:`_streams`).  The k-th
+    delivery comes in the slot where the last edge finishes its k-th run,
+    counted from the slot of the (k-1)-th.  Where no run in a block of
+    deliveries steps, each delivery's interval is the largest offset over
+    the edges and the block settles with no Python per delivery; otherwise
+    the block is walked (:meth:`_Runs.walk`).  The trial ends as
+    :meth:`_Runs.settle` says.
     """
     limit = cfg.max_slots
     runs = _Runs(cfg, rngs, p_cat, copies)
     slot = 0
     deliveries = 0
-    # The first block reads about _FIRST_BLOCK_LOADS loads per edge whatever
-    # p_cat is, and no block more than the memory bound allows once the
-    # trial's streams are counted.  Every run takes at least n loading
-    # slots, so no block needs more deliveries than max_slots // n and the
-    # one the end cuts.
+    # Block sizes, and the one home of the memory bound.  A first block of
+    # about _FIRST_BLOCK_LOADS loads per edge whatever p_cat is, then blocks
+    # sized from the delivery rate so far, all within `cap`.  No stream read
+    # makes more than _BLOCK_LOADS draws, an aux path's _DRAW_BLOCK, and no
+    # block reads more than about `loads` loads over all its edges or holds
+    # more than _BLOCK_LOADS // 4 deliveries, each with a few values of its
+    # own, so its arrays stay within about 4 MiB whatever max_slots and the
+    # success probabilities are.  The trial's streams count against it: each
+    # Philox object takes about the bytes of _STREAM_LOADS loads, up to half
+    # the bound, which a thousand edges' streams reach.  A block whose runs
+    # may step is also held as Python ints while it is walked, several times
+    # the bytes, so it reads an eighth of the loads.  Every run takes at
+    # least n loading slots, so no block needs more deliveries than
+    # max_slots // n and the one the end cuts.
     block = max(1, int(_FIRST_BLOCK_LOADS * p_cat))
     streams = cfg.n_edges * (2 + len(cfg.aux.paths))
     loads = _BLOCK_LOADS - min(_STREAM_LOADS * streams, _BLOCK_LOADS // 2)
-    cap = max(1, min(int(loads * p_cat / cfg.n_edges), _BLOCK_LOADS // 4,
-                     limit // cfg.edge.copies + 1))
-    if runs.stocks is not None:  # runs may step
-        cap = min(cap, max(block, int(loads // 8 * p_cat / cfg.n_edges)))
+    cap = max(1, min(int((loads if runs.stocks is None else loads // 8) * p_cat / cfg.n_edges),
+                     _BLOCK_LOADS // 4, limit // cfg.edge.copies + 1))
     while True:
         block = min(block, cap)
-        # An edge that runs out of draws is never ready again: limit + 1
-        # lies beyond every slot that is left.
         ends, steps = runs.block(block)
         offsets = np.empty_like(ends)  # np.diff with used prepended, less its copy of ends
         np.subtract(ends[:, 1:], ends[:, :-1], out=offsets[:, 1:])
@@ -1167,17 +1089,15 @@ def _trial(cfg: SimConfig, rngs, p_cat, copies, counters, intervals):
             used = ends[:, settled - 1].copy()
             slot = int(elapsed[settled - 1])
         if cut:
-            # Only the delivery the end cuts leaves a stepped run stopped.
             used = used + np.minimum(offsets[:, settled], limit - slot)
         runs.settle(used, settled, cut)
         if cut:
             runs.tally(counters)
             return deliveries
         del ends, offsets, steps  # freed before the next block reads
-        # The slots left hold about `left` deliveries at the mean interval
-        # so far.  The next block reads three standard deviations more, of
-        # the sum of that many intervals and of the mean, and 16 more, so
-        # that it is rarely short and reads little past the end.
+        # The slots left hold about `left` deliveries at the mean interval so
+        # far; the next block reads 3 sigma (of their sum and of the mean) and
+        # 16 more, so that it is rarely short and reads little past the end.
         mean = slot / deliveries
         left = (limit - slot) / mean
         spread = float(gaps.std()) / mean * math.sqrt(left + left * left / deliveries)

@@ -691,7 +691,50 @@ class TestSearchCatalysts:
             search_catalysts([ConcentrationProblem(2, 0.8)], 1)
 
 
+def _entropy_bits(values) -> float:
+    """The Shannon entropy of the distribution ``values``, in bits."""
+    values = np.asarray(values, float)
+    values = values[values > 0.0]
+    return float(-(values * np.log2(values)).sum())
+
+
+class TestEntropyBounds:
+    # Average entanglement entropy cannot rise under LOCC, and a failed
+    # attempt leaves at least 0 ebits.  So plain LOCC, which returns no
+    # catalyst, succeeds with at most min(1, n h(alpha)), and a catalyst c
+    # that a failure loses gives at most (n h(alpha) + H(c)) / (1 + H(c)).
+    # Both are hard checks, with no tolerance, on the sweep-dim4 grid.
+    GRID = np.linspace(0.55, 1.0 - 1e-6, 200).tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_locc_stays_under_the_entropy_ceiling(self, n):
+        for alpha in self.GRID:
+            p = locc_probability(ConcentrationProblem(n, alpha))
+            ceiling = min(1.0, n * _entropy_bits([alpha, 1.0 - alpha]))
+            assert p <= ceiling
+            assert p < ceiling or p == 1.0  # they meet only where both are 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_catalysts_stay_under_the_entropy_ledger(self, n):
+        problems = [ConcentrationProblem(n, alpha) for alpha in self.GRID]
+        problems = [problem for problem in problems if in_catalysis_window(problem)]
+        two_qubit_catalysts = [optimal_two_qubit_catalyst(problem) for problem in problems]
+        for catalysts in (two_qubit_catalysts, search_catalysts(problems, 3),
+                          search_catalysts(problems, 4)):
+            for problem, catalyst in zip(problems, catalysts):
+                ebits = n * _entropy_bits([problem.alpha, 1.0 - problem.alpha])
+                burned = _entropy_bits(catalyst.spectrum.coefficients)
+                assert catalyst.success_probability <= (ebits + burned) / (1.0 + burned)
+
+
 class TestIntermediateState:
+    def test_failed_verification_raises(self, monkeypatch):
+        # Every call verifies its state, and one that fails is never returned.
+        monkeypatch.setattr(catalysis, "can_convert_deterministically", lambda *_: False)
+        message = r"^intermediate state construction failed verification for p=0\.5$"
+        with pytest.raises(NumericFailureError, match=message):
+            intermediate_state(two_qubit(0.75), two_qubit(0.5))
+
     def test_probabilistic_case(self):
         gamma = intermediate_state(two_qubit(0.75), two_qubit(0.5))
         np.testing.assert_allclose(gamma.coefficients, [0.75, 0.25], atol=1e-12)

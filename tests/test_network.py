@@ -19,7 +19,7 @@ from entcat.catalysis import (
     locc_probability,
     optimal_two_qubit_catalyst,
 )
-from entcat.errors import CatalysisWindowError, InvalidInputError
+from entcat.errors import CatalysisWindowError, InvalidInputError, NumericFailureError
 from entcat.network import (
     AUX_RICH,
     FINITE_AUX,
@@ -566,6 +566,14 @@ class TestRateSlotted:
     def test_rejects_empty_chain(self):
         with pytest.raises(InvalidInputError):
             rate_slotted(EdgeParams(alpha=0.8, copies=2), 0)
+
+    def test_sum_short_of_its_tail_raises(self, monkeypatch):
+        # At P0 = 0.01 the first 16 slots leave almost every edge unfinished,
+        # so a sum capped there raises rather than return a truncated rate.
+        monkeypatch.setattr(network, "_SLOTTED_MAX_SLOTS", 16)
+        with pytest.raises(NumericFailureError,
+                           match="^slot-level survival sum failed to converge$"):
+            rate_slotted(EdgeParams(alpha=0.8, copies=2, herald_probability=0.01), 4)
 
 
 @pytest.mark.parametrize("n_edges", [2.5, 4.0, "4", None, np.array([4])])

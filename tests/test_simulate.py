@@ -33,7 +33,8 @@ from entcat.simulate import (
     simulate_detailed,
     validate_waiting_factor,
 )
-from entcat.network import rate_catalytic, t_primary, waiting_factor
+from entcat.catalysis import copies_for_catalyst
+from entcat.network import edge_catalyst, rate_catalytic, rate_slotted, t_primary, waiting_factor
 
 import oracles
 
@@ -389,6 +390,27 @@ class TestDetailed:
         # one catalyst built at the start and one after every failure
         assert ctr.catalysts_produced in (ctr.catalysis_failures, ctr.catalysis_failures + 1)
 
+    @pytest.mark.parametrize("period", [2.5e-4, 1e-3, 2.5e-3, 1e-2])
+    def test_finite_aux_single_edge_stays_under_fluid_bound(self, period):
+        # A lone edge delivers no faster than with plentiful aux paths
+        # (rate_slotted), nor than its supply allows: each failure spends one
+        # catalyst and path i makes s = P_i / (m_i T_i) of them per second, so
+        # deliveries come at most at s p / (1 - p).  Only at T = 1e-2 s does
+        # the supply term bind.
+        path = AuxPath(0.8, 0.9, period)
+        catalyst = edge_catalyst(EDGE)
+        copies = copies_for_catalyst(catalyst.spectrum, path.alpha)
+        supply = path.gen_probability / (copies * period)
+        p = catalyst.success_probability
+        bound = min(rate_slotted(EDGE, 1), supply * p / (1.0 - p))
+        for capacity, seed in itertools.product((1, 2, 8, None), (1, 2)):
+            cfg = SimConfig(n_edges=1, mode="detailed", edge=EDGE,
+                            aux=AuxConfig(FINITE_AUX, (path,)), initial_stock=1,
+                            stock_capacity=capacity, max_slots=200_000, seed=seed)
+            res = simulate_detailed(cfg)
+            sigma = res.rate_hz * res.std_error_s / res.mean_completion_s
+            assert res.rate_hz <= bound + 3 * sigma
+
     def test_no_aux_chain_rebuilds_from_empty_stock(self):
         cfg = SimConfig(n_edges=4, mode="detailed", edge=EDGE, aux=AuxConfig(NO_AUX),
                         initial_stock=0, max_slots=20_000, seed=3)
@@ -561,12 +583,13 @@ class TestMatchesSlotStepper:
     @pytest.mark.parametrize("n_edges,max_slots", [(257, 150), (4096, 10)])
     def test_many_edges(self, regime, n_edges, max_slots):
         # Blocks are capped by the memory bound less the trial's streams,
-        # 196 deliveries at N = 257 (42 where finite-aux runs step), and by
-        # the max_slots // n + 1 a trial can hold, 6 at N = 4096 over 10
-        # slots.  There most load streams run out inside the first block,
-        # some edges find no success at all, and a read leaves some rows
-        # empty.  Ten slots are too few for all 4096 edges to finish a run,
-        # so that trial times out.
+        # 196 deliveries at N = 257 (21 where finite-aux runs may step, which
+        # read an eighth of the loads, and 1 at N = 4096), and by the
+        # max_slots // n + 1 a trial can hold, 76 at N = 257 over 150 slots
+        # and 6 at N = 4096 over 10.  There most load streams run out inside
+        # the first block, some edges find no success at all, and a read
+        # leaves some rows empty.  Ten slots are too few for all 4096 edges
+        # to finish a run, so that trial times out.
         cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=EDGE, aux=REGIMES[regime],
                         max_slots=max_slots, seed=n_edges + max_slots,
                         **stock_settings(regime, 1, 2))
@@ -664,12 +687,17 @@ class TestMatchesSlotStepper:
         # The finite-aux run also reads 1.25 million aux ticks, and the run
         # without aux paths a million load values one success at a time.
         # At N = 1024 every block reads all 2048 streams into whole arrays,
-        # and the streams' generators alone take about 2 MB.
+        # and the streams' generators alone take about 2 MB.  The finite-aux
+        # chains at N = 32, 64 and 128 step runs, and a stepped block is held
+        # as Python ints while it is walked, so it reads an eighth of the loads.
         finite = dict(aux=REGIMES["finite"], initial_stock=1, stock_capacity=2)
         for edge, max_slots, extra in ((sparse, 10**7, {}), (EDGE, 10**6, {}),
                                        (sparse, 10**6, finite),
                                        (EDGE, 10**6, dict(aux=REGIMES["none"])),
-                                       (EDGE, 3000, dict(n_edges=1024))):
+                                       (EDGE, 3000, dict(n_edges=1024)),
+                                       (EDGE, 62_500, dict(finite, n_edges=32)),
+                                       (EDGE, 31_250, dict(finite, n_edges=64)),
+                                       (EDGE, 15_625, dict(finite, n_edges=128))):
             cfg = SimConfig(**{"n_edges": 1, **extra}, mode="detailed", edge=edge,
                             max_slots=max_slots, seed=4)
             tracemalloc.start()
