@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -229,6 +228,8 @@ def _cmd_simulate(args) -> int:
         values = parse_config(text)
     cfg = _sim_config_from(values, args)
     result = simulate.run_simulation(cfg)
+    import json
+
     record = simulate.result_record(cfg, result)
     with _open_out(args.out) as handle:
         handle.write(json.dumps(record) + "\n")
@@ -237,6 +238,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate_z(args) -> int:
     check = simulate.validate_waiting_factor(args.edges, args.p, args.trials, args.seed)
+    import json
+
     print(json.dumps(asdict(check)))
     return 0
 

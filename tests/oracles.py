@@ -22,8 +22,8 @@ from typing import Optional
 import mpmath
 import numpy as np
 
+from entcat._search import _CERTIFIED_TRACE
 from entcat.catalysis import (
-    _CERTIFIED_TRACE,
     ConcentrationProblem,
     catalysis_probability,
     copies_for_catalyst,
@@ -214,7 +214,7 @@ _TICK_EPS = 1e-9
 def seedsequence_keys(prefix: tuple, suffixes) -> np.ndarray:
     """The Philox key of each stream ``prefix + row``, one SeedSequence per row.
 
-    The reference for ``entcat.simulate._philox_keys``, which derives them
+    The reference for ``entcat._engine._philox_keys``, which derives them
     all in one pass: shaped (rows, 2), uint64.
     """
     keys = [np.random.SeedSequence(prefix + tuple(row)).generate_state(2, np.uint64)

@@ -22,7 +22,7 @@ from entcat.catalysis import (
     search_catalysts,
     target_spectrum,
 )
-from entcat import catalysis
+from entcat import _search, catalysis
 from entcat.errors import (
     CatalysisWindowError,
     InvalidInputError,
@@ -471,7 +471,7 @@ class TestSearchCatalyst:
 
     def test_cut_budget_exhausted_raises(self, monkeypatch):
         # an uncertified point is never returned; the best one rides on the error
-        monkeypatch.setattr(catalysis, "_max_cuts", lambda free: 20)
+        monkeypatch.setattr(_search, "_max_cuts", lambda free: 20)
         with pytest.raises(NumericFailureError) as info:
             search_catalyst(ConcentrationProblem(2, 0.8), 4)
         assert info.value.best is not None
@@ -558,7 +558,7 @@ class TestSearchCatalysts:
         rows = -np.sort(-rng.random((20, 6)), axis=1)
         rows[0, 3:] = 0.0  # a zero tail
         rows[1] = 1.0  # all ties
-        normalized, spectra = catalysis._ordered_spectra(rows)
+        normalized, spectra = _search._ordered_spectra(rows)
         for row, norm, spectrum in zip(rows, normalized, spectra):
             expected = make_schmidt(row).coefficients
             assert np.array_equal(norm, expected)
@@ -585,12 +585,12 @@ class TestSearchCatalysts:
         with pytest.raises(InvalidInputError) as own:
             SchmidtVector(normalized)
         with pytest.raises(InvalidInputError) as info:
-            catalysis._ordered_spectra(np.array([[0.5, 0.3, 0.2], row]))
+            _search._ordered_spectra(np.array([[0.5, 0.3, 0.2], row]))
         assert str(info.value) == str(own.value)
         assert message in str(info.value)
 
     def test_checked_rows_are_read_only_spectra(self):
-        normalized, spectra = catalysis._ordered_spectra(np.array([[3.0, 1.0], [2.0, 2.0]]))
+        normalized, spectra = _search._ordered_spectra(np.array([[3.0, 1.0], [2.0, 2.0]]))
         assert not normalized.flags.writeable
         for row, spectrum in zip(normalized, spectra):
             assert isinstance(spectrum, SchmidtVector) and not spectrum.coefficients.flags.writeable
@@ -617,7 +617,7 @@ class TestSearchCatalysts:
         # same bits and certify its last problem at the same cut: with that
         # many cuts it succeeds, with one fewer it runs out.
         problems = [ConcentrationProblem(n, alpha) for alpha in alphas]
-        expected, last_cut = oracles.lockstep_search(problems, d_c, catalysis._max_cuts(d_c - 1))
+        expected, last_cut = oracles.lockstep_search(problems, d_c, _search._max_cuts(d_c - 1))
 
         def assert_expected(found):
             assert len(found) == len(expected)
@@ -626,9 +626,9 @@ class TestSearchCatalysts:
                 assert spec.success_probability == probability
 
         assert_expected(search_catalysts(problems, d_c))
-        monkeypatch.setattr(catalysis, "_max_cuts", lambda free: last_cut + 1)
+        monkeypatch.setattr(_search, "_max_cuts", lambda free: last_cut + 1)
         assert_expected(search_catalysts(problems, d_c))
-        monkeypatch.setattr(catalysis, "_max_cuts", lambda free: last_cut)
+        monkeypatch.setattr(_search, "_max_cuts", lambda free: last_cut)
         with pytest.raises(NumericFailureError):
             search_catalysts(problems, d_c)
 
@@ -668,7 +668,7 @@ class TestSearchCatalysts:
         assert search_catalysts([], 4) == []
 
     def test_cut_budget_exhausted_raises(self, monkeypatch):
-        monkeypatch.setattr(catalysis, "_max_cuts", lambda free: 20)
+        monkeypatch.setattr(_search, "_max_cuts", lambda free: 20)
         problems = _sweep_dim4_problems()[::10]
         with pytest.raises(NumericFailureError) as info:
             search_catalysts(problems, 4)
@@ -922,7 +922,7 @@ class TestSupplyAccounting:
     def test_batch_counts_are_the_exact_majorization_answer(self, dim):
         rng = np.random.default_rng(40 + dim)
         weights = rng.random((24, dim)) ** rng.uniform(1.0, 4.0, (24, 1))
-        catalysts, spectra = catalysis._ordered_spectra(-np.sort(-weights, axis=1))
+        catalysts, spectra = _search._ordered_spectra(-np.sort(-weights, axis=1))
         # supply alphas over [0.55, 1 - 1e-6]: both ends, uniform draws, and
         # draws crowding 1, where the counts run to the hundreds of thousands
         alphas = np.concatenate([[0.55, 1.0 - 1e-6], rng.uniform(0.55, 1.0 - 1e-6, 11),

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import entcat
-from entcat import catalysis, cli, simulate
+from entcat import _engine, catalysis, cli
 from entcat.cli import main, parse_config
 from entcat.errors import InvalidInputError, NumericFailureError
 
@@ -24,7 +25,63 @@ def run_cli(capsys, *argv):
 
 def rng_streams(seed, shape):
     """Every stream of a run keyed one at a time: ``_rng(seed, *index)`` in C order."""
-    return (simulate._rng(seed, *index) for index in np.ndindex(*shape))
+    return (_engine._rng(seed, *index) for index in np.ndindex(*shape))
+
+
+def count_engine_calls(monkeypatch) -> dict:
+    """From now on, count the engine's delivery blocks, aux-path reads and key passes.
+
+    The spies wrap what the engine holds when this is called, so a later
+    patch of one of those functions replaces its spy.
+    """
+    calls = dict.fromkeys(("blocks", "aux_reads", "key_passes", "streams"), 0)
+    block, completions, philox_keys = (_engine._Runs.block, _engine._completions,
+                                       _engine._philox_keys)
+
+    def spy_block(self, count):
+        calls["blocks"] += 1
+        return block(self, count)
+
+    def spy_completions(rng, *args):
+        words = rng.bit_generator.random_raw
+
+        def read(size):
+            calls["aux_reads"] += 1
+            return words(size)
+
+        return completions(SimpleNamespace(bit_generator=SimpleNamespace(random_raw=read)), *args)
+
+    def spy_keys(prefix, suffixes):
+        calls["key_passes"] += 1
+        calls["streams"] += len(suffixes)
+        return philox_keys(prefix, suffixes)
+
+    monkeypatch.setattr(_engine._Runs, "block", spy_block)
+    monkeypatch.setattr(_engine, "_completions", spy_completions)
+    monkeypatch.setattr(_engine, "_philox_keys", spy_keys)
+    return calls
+
+
+def calls_at_default_sizes(capsys, monkeypatch, *argvs) -> tuple:
+    """The engine's calls for the runs ``argvs`` at the default sizes, and a counter for later runs.
+
+    The counter is zeroed, so it counts only the runs made after this call.
+    """
+    calls = count_engine_calls(monkeypatch)
+    for argv in argvs:
+        assert run_cli(capsys, *argv)[0] == 0
+    default = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    return default, calls
+
+
+def key_chunk_reached(builder: dict, default: dict, calls: dict) -> bool:
+    """Whether a builder that shrinks the key chunk made the runs take more key passes.
+
+    Runs of at most 5 streams take one pass at any chunk size.
+    """
+    shrunk = "_KEY_CHUNK" in builder
+    return not shrunk or calls["key_passes"] > default["key_passes"] or default["streams"] <= 5
 
 
 class TestMonotones:
@@ -540,25 +597,35 @@ class TestSimulateCommand:
                                                                   sizes):
         # The detailed simulator sizes its stream reads and delivery blocks
         # from demand; with tiny sizes every record keeps the default bytes.
-        for name, size in zip(("_FIRST_BLOCK_LOADS", "_BLOCK_LOADS", "_DRAW_BLOCK"), sizes):
-            monkeypatch.setattr(simulate, name, size)
         conf = tmp_path / "sim.conf"
         conf.write_text(setting)
-        code, out, _ = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        argv = ("simulate", "--config", str(conf), "--out", "-")
+        default, calls = calls_at_default_sizes(capsys, monkeypatch, argv)
+        for name, size in zip(("_FIRST_BLOCK_LOADS", "_BLOCK_LOADS", "_DRAW_BLOCK"), sizes):
+            monkeypatch.setattr(_engine, name, size)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # The sizes reached the engine: more blocks, except in a run of one
+        # slot, which takes one block of one delivery at any sizes, and more
+        # reads of the aux paths there are.
+        assert calls["blocks"] > default["blocks"] or json.loads(out)["timed_out"]
+        assert calls["aux_reads"] > default["aux_reads"] or not default["aux_reads"]
 
     @pytest.mark.parametrize("builder", STREAM_BUILDERS)
     @pytest.mark.parametrize("setting,digest", PINNED)
     def test_bytes_do_not_depend_on_how_streams_are_built(self, capsys, tmp_path, monkeypatch,
                                                           setting, digest, builder):
-        for name, value in builder.items():
-            monkeypatch.setattr(simulate, name, value)
         conf = tmp_path / "sim.conf"
         conf.write_text(setting)
-        code, out, _ = run_cli(capsys, "simulate", "--config", str(conf), "--out", "-")
+        argv = ("simulate", "--config", str(conf), "--out", "-")
+        default, calls = calls_at_default_sizes(capsys, monkeypatch, argv)
+        for name, value in builder.items():
+            monkeypatch.setattr(_engine, name, value)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert key_chunk_reached(builder, default, calls)
 
     @pytest.mark.parametrize("builder", STREAM_BUILDERS[:2])
     def test_long_seed_bytes_do_not_depend_on_how_streams_are_built(self, capsys, tmp_path,
@@ -577,17 +644,20 @@ class TestSimulateCommand:
         runs = (("simulate", "--config", str(conf), "--out", "-"),
                 ("validate-z", "--edges", "8", "--p", "0.3", "--trials", str(2 * 8192 + 777),
                  "--seed", str(2**64 + 5)))
+        default, calls = calls_at_default_sizes(capsys, monkeypatch, *runs)
         outputs = []
         for built in (self.STREAM_BUILDERS[2].values[0], builder):
+            calls.update(dict.fromkeys(calls, 0))  # the last builder's calls are kept
             with monkeypatch.context() as patch:
                 for name, value in built.items():
-                    patch.setattr(simulate, name, value)
+                    patch.setattr(_engine, name, value)
                 for argv in runs:
                     code, out, _ = run_cli(capsys, *argv)
                     assert code == 0
                     outputs.append(out)
         assert outputs[:2] == outputs[2:]
         assert json.loads(outputs[0])["deliveries"] > 0
+        assert key_chunk_reached(builder, default, calls)
 
     def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
         conf = tmp_path / "sim.conf"
@@ -631,11 +701,13 @@ class TestValidateZ:
     def test_output_bytes_do_not_depend_on_how_streams_are_built(self, capsys, monkeypatch,
                                                                  builder):
         # 62 batches: in chunks of 5 keys the last chunk holds 2.
+        default, calls = calls_at_default_sizes(capsys, monkeypatch, self.PINNED_ARGV)
         for name, value in builder.items():
-            monkeypatch.setattr(simulate, name, value)
+            monkeypatch.setattr(_engine, name, value)
         code, out, _ = run_cli(capsys, *self.PINNED_ARGV)
         assert code == 0
         assert out == self.PINNED_OUT
+        assert key_chunk_reached(builder, default, calls)
 
     @pytest.mark.filterwarnings("error")
     def test_p_it_cannot_sample_is_an_input_error(self, capsys):
@@ -732,3 +804,63 @@ class TestParserReuse:
         assert run_cli(capsys, "sweep", "--mode", "none", "--dim", "4", "--steps", "2")[0] == 0
         code, again, _ = run_cli(capsys, *sweep)
         assert (code, again) == (0, first)
+
+
+# Prints which of the engine and the search modules a fresh interpreter has
+# loaded after building the parser, whether each function perfbench traces
+# is loaded by then, and what each CLI call in argv[2] (a JSON list) loads.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import TARGETS
+import entcat.cli
+
+def loaded():
+    return [name for name in ("entcat._engine", "entcat._search") if name in sys.modules]
+
+entcat.cli._build_parser()
+states = {"parser": loaded(), "traced": {
+    target: callable(getattr(sys.modules.get("entcat." + target.split(".")[0]),
+                             target.split(".")[1], None))
+    for target in TARGETS}}
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        states[argv[0] + " " + argv[-1]] = (entcat.cli.main(argv), loaded())
+print(json.dumps(states))
+"""
+
+
+class TestImports:
+    """What ``import entcat.cli`` compiles, and what compiles on first use."""
+
+    @staticmethod
+    def probe(*argvs):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(root / "perfbench"), json.dumps(argvs)],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        return json.loads(out.stdout)
+
+    def test_engine_and_search_load_on_first_use(self, tmp_path):
+        # The parser and a dimension-2 sweep and catalyst load neither; the
+        # dimension-4 catalyst loads the search and validate-z the engine.
+        states = self.probe(["sweep", "--steps", "3", "--out", "-"],
+                            ["catalyst", "--n", "2", "--alpha", "0.8", "--dim", "2"],
+                            ["catalyst", "--n", "2", "--alpha", "0.8", "--dim", "4"],
+                            ["validate-z", "--edges", "4", "--p", "0.5", "--trials", "10"])
+        assert states.pop("parser") == []
+        # The five modules the tracer reads each hold their traced functions.
+        traced = states.pop("traced")
+        assert {target.split(".")[0] for target in traced} == {
+            "cli", "network", "catalysis", "spectra", "simulate"}
+        assert all(traced.values())
+        assert states == {"sweep -": [0, []], "catalyst 2": [0, []],
+                          "catalyst 4": [0, ["entcat._search"]],
+                          "validate-z 10": [0, ["entcat._engine", "entcat._search"]]}
+        conf = tmp_path / "sim.conf"
+        conf.write_text("mode = detailed\nn_edges = 4\nalpha = 0.8\nmax_slots = 300\nseed = 3\n")
+        states = self.probe(["simulate", "--config", str(conf), "--out", "-"])
+        assert states["parser"] == []
+        assert states["simulate -"] == [0, ["entcat._engine"]]

@@ -8,25 +8,28 @@ import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
-import entcat.simulate
-from entcat.errors import CatalysisWindowError, InvalidInputError
-from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, AuxConfig, AuxPath, EdgeParams
-from entcat.simulate import (
+import entcat._engine
+from entcat._engine import (
     _BATCH_TRIALS,
     _FIRST_BLOCK_LOADS,
-    SimConfig,
     _MaxOfGeometrics,
     _completions,
-    _resolved_parameters,
     _rng,
     _slot_of,
     _success_bound,
     _ticks_through,
+)
+from entcat.errors import CatalysisWindowError, InvalidInputError
+from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, AuxConfig, AuxPath, EdgeParams
+from entcat.simulate import (
+    SimConfig,
+    _resolved_parameters,
     result_record,
     run_simulation,
     simulate_abstract,
@@ -497,7 +500,7 @@ def record_bytes(simulate, cfg):
 def trial_blocks(monkeypatch):
     """Record, for each trial the detailed simulator runs, its deliveries and block sizes."""
     trials = []
-    trial, block = entcat.simulate._trial, entcat.simulate._Runs.block
+    trial, block = entcat._engine._trial, entcat._engine._Runs.block
 
     def spy_trial(*args):
         trials.append([None, []])
@@ -508,8 +511,8 @@ def trial_blocks(monkeypatch):
         trials[-1][1].append(count)
         return block(self, count)
 
-    monkeypatch.setattr(entcat.simulate, "_trial", spy_trial)
-    monkeypatch.setattr(entcat.simulate._Runs, "block", spy_block)
+    monkeypatch.setattr(entcat._engine, "_trial", spy_trial)
+    monkeypatch.setattr(entcat._engine._Runs, "block", spy_block)
     return trials
 
 
@@ -541,7 +544,8 @@ class TestMatchesSlotStepper:
           for regime in sorted(REGIMES)),
         # More than three blocks of deliveries per trial, from an empty stock:
         # with the memory bound lowered to 4096 loads, a block holds at most
-        # 1024 deliveries, against 3800-4500 per trial.
+        # 1024 deliveries, against 3800-4500 per trial.  At the default bound
+        # each of these trials takes two blocks, so more shows the bound read.
         *(pytest.param(regime, EDGE, ((1, 0),), 20_000, 23, 6 * EDGE_BLOCK, "capped",
                        id=f"{regime}-three-blocks")
           for regime in sorted(REGIMES)),
@@ -564,7 +568,7 @@ class TestMatchesSlotStepper:
     def test_long_runs_cross_every_block(self, monkeypatch, regime, edge, runs, max_slots, seed,
                                          more_than, blocks):
         if blocks == "capped":
-            monkeypatch.setattr(entcat.simulate, "_BLOCK_LOADS", 4 * _FIRST_BLOCK_LOADS)
+            monkeypatch.setattr(entcat._engine, "_BLOCK_LOADS", 4 * _FIRST_BLOCK_LOADS)
         for n_edges, initial_stock, *capacity in runs:
             cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=edge, aux=REGIMES[regime],
                             max_slots=max_slots, trials=2, seed=seed,
@@ -606,14 +610,14 @@ class TestMatchesSlotStepper:
         # ceil((16 + 3 sqrt(16 (1 - p_cat))) / p_cat) + 16 = 39 attempt values.
         # An edge whose load stream is spent reads no more of them.
         taken = []
-        streams = entcat.simulate._streams
+        streams = entcat._engine._streams
 
         def spy(seed, shape):
             for rng in streams(seed, shape):
                 taken.append(rng)
                 yield rng
 
-        monkeypatch.setattr(entcat.simulate, "_streams", spy)
+        monkeypatch.setattr(entcat._engine, "_streams", spy)
         cfg = SimConfig(n_edges=32, mode="detailed", edge=EDGE, max_slots=30, seed=6)
         assert simulate_detailed(cfg).deliveries > 0
         for edge in range(cfg.n_edges):
@@ -688,8 +692,9 @@ class TestMatchesSlotStepper:
         # without aux paths a million load values one success at a time.
         # At N = 1024 every block reads all 2048 streams into whole arrays,
         # and the streams' generators alone take about 2 MB.  The finite-aux
-        # chains at N = 32, 64 and 128 step runs, and a stepped block is held
-        # as Python ints while it is walked, so it reads an eighth of the loads.
+        # chains at N = 32, 64, 128 and 256 step runs, and a stepped block is
+        # held as Python ints while it is walked, so it reads an eighth of the
+        # loads.  At N = 256 the 512 aux paths' pieces are a share of the bound.
         finite = dict(aux=REGIMES["finite"], initial_stock=1, stock_capacity=2)
         for edge, max_slots, extra in ((sparse, 10**7, {}), (EDGE, 10**6, {}),
                                        (sparse, 10**6, finite),
@@ -697,7 +702,8 @@ class TestMatchesSlotStepper:
                                        (EDGE, 3000, dict(n_edges=1024)),
                                        (EDGE, 62_500, dict(finite, n_edges=32)),
                                        (EDGE, 31_250, dict(finite, n_edges=64)),
-                                       (EDGE, 15_625, dict(finite, n_edges=128))):
+                                       (EDGE, 15_625, dict(finite, n_edges=128)),
+                                       (EDGE, 8_000, dict(finite, n_edges=256))):
             cfg = SimConfig(**{"n_edges": 1, **extra}, mode="detailed", edge=edge,
                             max_slots=max_slots, seed=4)
             tracemalloc.start()
@@ -995,13 +1001,22 @@ class TestAuxCompletions:
         # Pieces of 7 draws and a limit that is no multiple of 7: the
         # successes carry from piece to piece, infinity follows the last
         # completion, and no draw is taken past the limit.
-        monkeypatch.setattr(entcat.simulate, "_DRAW_BLOCK", 7)
+        monkeypatch.setattr(entcat._engine, "_DRAW_BLOCK", 7)
         limit = 7 * 1000 + 4
         successes = (_rng(5, 1, 2, 0).random(limit) < p).nonzero()[0] + 1
         expected = successes[n - 1 :: n].tolist()
         rng = _rng(5, 1, 2, 0)
-        completions = _completions(rng, p, n, limit)
+        reads = []  # the size of each read, all 7 but the last
+
+        def read(size):
+            reads.append(size)
+            return rng.bit_generator.random_raw(size)
+
+        # One path's pieces, which the memory bound leaves at _DRAW_BLOCK.
+        completions = _completions(SimpleNamespace(bit_generator=SimpleNamespace(random_raw=read)),
+                                   p, n, limit, 1)
         assert list(itertools.islice(completions, len(expected) + 3)) == expected + [math.inf] * 3
+        assert reads == [7] * 1000 + [4]
         next_word = _rng(5, 1, 2, 0).bit_generator.random_raw(limit + 1)[-1]
         assert rng.bit_generator.random_raw() == next_word
 
@@ -1033,7 +1048,7 @@ class TestStreamKeys:
     def test_detailed_keys_are_seedsequence_keys(self, seed):
         rows = np.array([(t, e, k) for t in (0, 1, 99) for e in (0, 1, 2, 31, 255, 1000, 4095)
                          for k in range(4)])
-        keys = entcat.simulate._philox_keys((seed,), rows)
+        keys = entcat._engine._philox_keys((seed,), rows)
         assert keys.dtype == np.uint64
         assert keys.tolist() == oracles.seedsequence_keys((seed,), rows).tolist()
 
@@ -1042,7 +1057,7 @@ class TestStreamKeys:
         # Two-word keys, and three- and four-word ones for the larger seeds:
         # SeedSequence pads the pool with hashes of zero.
         rows = np.arange(70)[:, None]
-        keys = entcat.simulate._philox_keys((seed,), rows)
+        keys = entcat._engine._philox_keys((seed,), rows)
         assert keys.tolist() == oracles.seedsequence_keys((seed,), rows).tolist()
 
     @pytest.mark.parametrize("seed", KEY_SEEDS)
@@ -1052,10 +1067,19 @@ class TestStreamKeys:
         # Chunks of 7 keys end inside a trial and inside an edge's streams;
         # the smallest runs, one batch or one edge's two streams, take the
         # same pass.
-        monkeypatch.setattr(entcat.simulate, "_KEY_CHUNK", 7)
-        streams = list(entcat.simulate._streams(seed, shape))
+        monkeypatch.setattr(entcat._engine, "_KEY_CHUNK", 7)
+        passes = []  # the keys of each pass: 7, but fewer in the last
+        philox_keys = entcat._engine._philox_keys
+
+        def counted(prefix, rows):
+            passes.append(len(rows))
+            return philox_keys(prefix, rows)
+
+        monkeypatch.setattr(entcat._engine, "_philox_keys", counted)
+        streams = list(entcat._engine._streams(seed, shape))
         indices = list(np.ndindex(*shape))
         assert len(streams) == len(indices)
+        assert passes == [min(7, len(indices) - start) for start in range(0, len(indices), 7)]
         for rng, index in zip(streams, indices):
             reference = np.random.Philox(np.random.SeedSequence((seed, *index)))
             assert self.raw_words(rng) == reference.random_raw(8).tolist()
@@ -1076,14 +1100,14 @@ class TestStreamKeys:
 
     def test_suffix_past_one_word_is_rejected(self):
         with pytest.raises(ValueError):
-            entcat.simulate._philox_keys((3,), np.array([[1, 2], [2**32, 0]]))
+            entcat._engine._philox_keys((3,), np.array([[1, 2], [2**32, 0]]))
 
     @pytest.mark.parametrize("n_words,dtype", [(2, np.uint64), (2, "u8"), (1, np.uint64),
                                                (3, np.uint64), (4, np.uint32), (2, np.uint32),
                                                (2, np.int64)])
     def test_key_gives_seedsequence_words_or_raises(self, n_words, dtype):
-        key = entcat.simulate._philox_keys((5,), np.array([[1, 2, 0]]))[0]
-        given = entcat.simulate._philox_key_type()(key)
+        key = entcat._engine._philox_keys((5,), np.array([[1, 2, 0]]))[0]
+        given = entcat._engine._philox_key_type()(key)
         reference = np.random.SeedSequence((5, 1, 2, 0))
         try:
             words = given.generate_state(n_words, dtype)
