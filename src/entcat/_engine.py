@@ -47,6 +47,12 @@ _BATCH_TRIALS = 8192
 _MIN_GEOMETRIC_P = 1e-10
 # The 1 + eps of the tick rule (_ticks_through).
 _TICK_SCALE = 1.0 + 1e-9
+# A period within this relative distance of r slots, or of a slot over r, for
+# a whole number r, may tick on the integer clock; the clock then equals the
+# tick rule at every slot s with s b < _CLOCK_SPAN, where b is the path's
+# periods per slot, r or 1 (_tick_clock).
+_RATIO_TOL = 1e-12
+_CLOCK_SPAN = (1.0 - 2.0 * _RATIO_TOL) / (_TICK_SCALE - 1.0 + 2.0 * _RATIO_TOL)
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -317,7 +323,9 @@ def _ticks_through(period: float, t0: float, slot: int) -> int:
 
     The tick rule: tick k of a path (counted from 1) is applied in the first
     slot s with ``k T <= (s t0)(1 + eps)``, the slot stepper's own float
-    test.  This function and its inverse :func:`_slot_of` are its one home.
+    test.  This function and its inverse :func:`_slot_of` are its one home;
+    :func:`_tick_clock` gives their proven-equal integer form for a period
+    of whole slots or a whole fraction of one.
     """
     bound = slot * t0 * _TICK_SCALE
     k = int(bound / period)  # the two loops correct any start from 0 up
@@ -341,44 +349,81 @@ def _slot_of(period: float, t0: float, tick) -> float:
     return slot
 
 
+def _tick_clock(period: float, t0: float, max_slots: int) -> tuple:
+    """The tick rule of a path of ``period`` through slot ``max_slots``: (ticks_through, slot_of).
+
+    Each is a function of the slot or tick alone, equal to
+    :func:`_ticks_through` or :func:`_slot_of` with ``period`` and ``t0``
+    at every slot through ``max_slots``; a tick whose slot lies past it gets
+    a slot past it from both.  A period of r whole slots ticks on the
+    integer clock ``slot // r`` and ``tick * r``, and a slot of r whole
+    periods on ``slot * r`` and ``ceil(tick / r)``.  Any other period, or a
+    ``max_slots`` past the clock's reach, takes the two helpers themselves.
+
+    The reach.  Write the period T = (a / b) t0 rho, with (a, b) = (r, 1) or
+    (1, r); a ratio within _RATIO_TOL of r, on doubles of unit roundoff
+    u = 2**-53, puts rho within delta = _RATIO_TOL + 3u of 1.  The integer
+    clock applies tick k by slot s when k a <= s b, and the rule when
+    fl(k T) <= fl(fl(s t0) sigma), sigma = fl(1 + 1e-9).  Where k a <= s b,
+    fl(k T) <= s t0 (1 + delta)(1 + u), below s t0 sigma (1 - u)**2 at
+    every s.  Where k a >= s b + 1, fl(k T) >= (s + 1 / b) t0 (1 - delta)
+    (1 - u), above s t0 sigma (1 + u)**2 when
+    s b (sigma - 1 + delta + 4u) < 1 - delta - u, which
+    s b < _CLOCK_SPAN ensures, 2 _RATIO_TOL standing for delta + 4u.  So the
+    reach, about 1e9 slots at b = 1, shrinks with the periods per slot.
+    """
+    ratio = period / t0
+    if ratio >= 1.0:
+        r = round(ratio)
+        if abs(ratio - r) <= _RATIO_TOL * r and max_slots < _CLOCK_SPAN:
+            return (lambda slot: slot // r), (lambda tick: tick * r)
+    else:
+        ratio = t0 / period
+        r = round(ratio)
+        if abs(ratio - r) <= _RATIO_TOL * r and max_slots * r < _CLOCK_SPAN:
+            return (lambda slot: slot * r), (
+                lambda tick: -(-tick // r) if tick != math.inf else tick)
+    return functools.partial(_ticks_through, period, t0), functools.partial(_slot_of, period, t0)
+
+
 class _Stock:
     """One edge's catalyst stock and the finite aux paths that refill it.
 
-    ``rngs`` holds the paths' streams (:func:`_streams`).  A path draws one
-    value per tick (:func:`_ticks_through`) while the stock is below
-    capacity, so its j-th catalyst completes at the draw of the (j c)-th
-    success of its stream, which :func:`_completions` reads from the ticks
-    ``max_slots`` holds.  Within a slot the paths tick in index order, so a
-    completion that fills the stock stops the later paths' ticks in that
-    slot.  Only a failed attempt lowers the stock.
+    ``rngs`` holds the paths' streams (:func:`_streams`) and ``clocks`` their
+    tick rule (:func:`_tick_clock`).  A path draws one value per tick while
+    the stock is below capacity, so its j-th catalyst completes at the draw
+    of the (j c)-th success of its stream, which :func:`_completions` reads
+    from the ticks ``max_slots`` holds.  Within a slot the paths tick in
+    index order, so a completion that fills the stock stops the later
+    paths' ticks in that slot.  Only a failed attempt lowers the stock.
     """
 
-    __slots__ = ("t0", "capacity", "stock", "produced", "paths", "next")
+    __slots__ = ("capacity", "stock", "produced", "paths", "next")
 
-    def __init__(self, cfg: SimConfig, rngs: list, copies_needed):
-        self.t0 = t0 = cfg.edge.cycle_time_s
+    def __init__(self, cfg: SimConfig, rngs: list, copies_needed, clocks: tuple):
         self.capacity = math.inf if cfg.stock_capacity is None else cfg.stock_capacity
         self.stock = cfg.initial_stock
         self.produced = 0
-        periods = [path.gen_time_s for path in cfg.aux.paths]
-        streams = [_completions(rng, path.gen_probability, copies,
-                                _ticks_through(path.gen_time_s, t0, cfg.max_slots),
-                                cfg.n_edges * len(periods))
-                   for path, copies, rng in zip(cfg.aux.paths, copies_needed, rngs)]
+        through, slot_of = clocks
+        streams = [_completions(rng, path.gen_probability, copies, ticks(cfg.max_slots),
+                                cfg.n_edges * len(through))
+                   for path, copies, rng, ticks in zip(cfg.aux.paths, copies_needed, rngs, through)]
         draws = [next(stream) for stream in streams]
         slots = (
-            [math.inf] * len(periods) if self.stock >= self.capacity
-            else [_slot_of(period, t0, draw) for period, draw in zip(periods, draws)]
+            [math.inf] * len(through) if self.stock >= self.capacity
+            else [slot(draw) for slot, draw in zip(slot_of, draws)]
         )
-        # One list per field, indexed by path: the period, the completion
-        # draws, the draw of the next completion, the ticks less the draws while
-        # the path runs, the draws it had taken when the stock filled, and the
-        # slot of its next completion, infinite while the stock is full.
-        self.paths = (periods, streams, draws, [0] * len(periods), [0] * len(periods), slots)
+        # One sequence per field, indexed by path: its clock's two functions,
+        # the completion draws, the draw of the next completion, the ticks less
+        # the draws while the path runs, the draws it had taken when the stock
+        # filled, and the slot of its next completion, infinite while the
+        # stock is full.
+        self.paths = (through, slot_of, streams, draws, [0] * len(through), [0] * len(through),
+                      slots)
         self.next = min(slots)  # the slot of the earliest completion
 
-    def walk(self, ends: list, base: int, limit: int):
-        """Step a run whose loads end at draws ``ends``: the slot it succeeds in, and None.
+    def walk(self, ends: list, first: int, last: int, base: int, limit: int):
+        """Step a run whose loads end at ``ends[first:last]``: the slot it succeeds in, and None.
 
         A load ending at draw ``end`` is ready in slot ``base + end``; a wait
         moves ``base`` on.  Its attempt first applies every completion
@@ -387,11 +432,11 @@ class _Stock:
         again from the first tick after its slot.  A run the end of the trial
         cuts returns what :meth:`_Runs.settle` reads of it.
         """
-        t0, capacity = self.t0, self.capacity
-        periods, streams, draws, offsets, drawn, slots = self.paths
+        capacity = self.capacity
+        through, slot_of, streams, draws, offsets, drawn, slots = self.paths
         stock, produced, nxt = self.stock, self.produced, self.next
-        final = ends[-1]  # the load whose attempt succeeds
-        for end in ends:
+        final = ends[last - 1]  # the load whose attempt succeeds
+        for end in ends[first:last]:
             ready = base + end
             if ready > limit:
                 result = limit + 1, (limit - base, False)
@@ -405,15 +450,14 @@ class _Stock:
                 filled = draws[j]
                 draws[j] = next(streams[j])
                 if stock < capacity:
-                    slots[j] = _slot_of(periods[j], t0, draws[j] + offsets[j])
+                    slots[j] = slot_of[j](draws[j] + offsets[j])
                     nxt = min(slots)
                     continue
                 # Full: every path stops drawing, path j at this completion,
                 # the paths before it after this slot's tick and the paths
                 # after it before.
-                for p, period in enumerate(periods):
-                    drawn[p] = filled if p == j else (
-                        _ticks_through(period, t0, nxt if p < j else nxt - 1) - offsets[p])
+                for p, ticks in enumerate(through):
+                    drawn[p] = filled if p == j else ticks(nxt if p < j else nxt - 1) - offsets[p]
                     slots[p] = math.inf
                 nxt = math.inf
             if stock < 1:
@@ -424,9 +468,9 @@ class _Stock:
                 break
             if stock >= capacity:
                 # The paths draw again from the first tick after this slot.
-                for p, period in enumerate(periods):
-                    offsets[p] = _ticks_through(period, t0, ready) - drawn[p]
-                    slots[p] = _slot_of(period, t0, draws[p] + offsets[p])
+                for p, ticks in enumerate(through):
+                    offsets[p] = ticks(ready) - drawn[p]
+                    slots[p] = slot_of[p](draws[p] + offsets[p])
                 nxt = min(slots)
             stock -= 1
             base = ready - end
@@ -484,7 +528,11 @@ class _Runs:
         self.attempt_words = [rng.bit_generator.random_raw for rng in streams[1::per_edge]]
         self.stocks = None
         if cfg.aux.mode == FINITE_AUX:
-            self.stocks = [_Stock(cfg, streams[start + 2 : start + per_edge], copies)
+            # Each path's clock (_tick_clock), as a tuple of ticks_through
+            # functions and one of slot_of functions, shared by every stock.
+            clocks = tuple(zip(*(_tick_clock(path.gen_time_s, cfg.edge.cycle_time_s,
+                                             cfg.max_slots) for path in cfg.aux.paths)))
+            self.stocks = [_Stock(cfg, streams[start + 2 : start + per_edge], copies, clocks)
                            for start in range(0, len(streams), per_edge)]
         del streams  # each stream is held by its reader from here on
         self.limit = cfg.max_slots
@@ -718,42 +766,55 @@ class _Runs:
         self.columns = columns
         return ends, steps
 
-    def walk(self, steps: np.ndarray, gaps: np.ndarray, slot: int) -> list:
-        """The gaps of a block whose runs in ``steps`` step: ``gaps`` corrected, as a list.
+    def walk(self, steps: np.ndarray, gaps: np.ndarray, slot: int) -> None:
+        """Correct in place the gaps of a block whose runs in ``steps`` step.
 
         ``gaps`` holds each delivery's largest no-wait offset, which a stepped
         run can only lengthen.  The stepped (delivery, edge) pairs are walked
         in order from ``slot`` until a delivery starts at or past the end.  A
-        stepped run loads from the slot after its delivery's start, in one
-        :meth:`_Stock.walk` pass over its edge's row.  A run the end cuts
-        leaves its counts in ``stopped`` (:meth:`settle`).
+        stepped run loads from the slot after its delivery's start, fixed at
+        its first stepped pair, in one :meth:`_Stock.walk` pass; a wait found
+        on one edge shifts only later deliveries.  One numpy pass gathers the
+        load ends of the stepped runs whose delivery may start before the
+        end (a run whose load stream ran out ends at a load past every slot)
+        and each run's no-wait base, the slot before its first load less the
+        draws loaded by then.  A run the end cuts leaves its counts in
+        ``stopped`` (:meth:`settle`).
         """
         limit = self.limit
-        starts = (slot + np.cumsum(gaps) - gaps).tolist()
-        gaps = gaps.tolist()
-        rows = {}  # each stepped edge's loads, a run cut short by its stream ending at infinity
+        starts = slot + np.cumsum(gaps) - gaps  # without the waits, which only add
+        delivery, edge = np.nonzero(steps.T)
+        taken = np.searchsorted(delivery, np.searchsorted(starts, limit))
+        delivery, edge = delivery[:taken], edge[:taken]
+        last = self.columns[edge, delivery]
+        first = np.where(delivery > 0, self.columns[edge, delivery - 1] + 1, 0)
+        sizes = last - first + 1
+        bounds = np.zeros(taken + 1, np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        rows = np.repeat(edge, sizes)
+        at = np.arange(bounds[-1]) - np.repeat(bounds[:-1] - first, sizes)  # each load's column
+        ends = np.where(at < self.loads[rows], self.entries[rows, at], _NO_ENTRY)
+        del rows, at
+        begins = starts[delivery]
+        base = begins - np.where(first > 0, self.entries[edge, first - 1], self.used[edge])
+        stocks = self.stocks
+        ends, bounds = ends.tolist(), bounds.tolist()
         added = 0
         current = -1
-        for k, e in np.argwhere(steps.T).tolist():
+        for k, e, a, b, nowait, begin, gap in zip(
+                delivery.tolist(), edge.tolist(), bounds, bounds[1:], base.tolist(),
+                begins.tolist(), gaps[delivery].tolist()):
             if k != current:
-                current, start = k, starts[k] + added
+                current, shift, longest = k, added, gap
+                start = begin + shift
                 if start >= limit:
                     break
-            row = rows.get(e)
-            if row is None:
-                row = rows[e] = (self.entries[e, : self.loads[e]].tolist() + [math.inf],
-                                 self.columns[e].tolist(), self.stocks[e].walk)
-            at, stops, walk = row
-            first = stops[k - 1] + 1 if k else 0
-            loaded = at[first - 1] if first else int(self.used[e])
-            ready, stopped = walk(at[first : stops[k] + 1], start - loaded, limit)
+            ready, stopped = stocks[e].walk(ends, a, b, nowait + shift, limit)
             if stopped:
                 self.stopped[e] = stopped
-            latest = start + gaps[k]
-            if ready > latest:
-                added += ready - latest
-                gaps[k] = ready - start
-        return gaps
+            if ready > start + longest:
+                added += ready - start - longest
+                longest = gaps[k] = ready - start
 
     def settle(self, used: np.ndarray, runs: int, cut: bool) -> None:
         """Count and drop each edge's loads through its first ``runs`` runs of the block.
@@ -821,7 +882,7 @@ class _Runs:
         produced = self.totals[3]
         if self.stocks is not None:
             for stock in self.stocks:
-                stock.walk((self.limit,), 0, self.limit)
+                stock.walk([self.limit], 0, 1, 0, self.limit)
             produced = produced + [stock.produced for stock in self.stocks]
         for ctr, *run in zip(counters, self.used.tolist(), *self.totals[:3].tolist(),
                              produced.tolist()):
@@ -858,15 +919,17 @@ def _trial(cfg: SimConfig, rngs, p_cat, copies, counters, intervals):
     # together span at most _BLOCK_LOADS draws, and each at most _DRAW_BLOCK
     # (_completions), so they hold at most about that half of the bound
     # again, and P / c of it for paths of success probability P that take c
-    # successes per catalyst.  A block whose runs may step is also held as
-    # Python ints while it is walked, several times the bytes, so it reads
-    # an eighth of the loads.  Every run takes at least n loading slots, so
-    # no block needs more deliveries than max_slots // n and the one the end
-    # cuts.
+    # successes per catalyst.  A block whose runs may step also holds its
+    # stepped runs' loads, and a few values per stepped run, as Python ints
+    # while it is walked (_Runs.walk), several times their bytes in arrays.
+    # Where most runs step, as at p_cat = 0.3, that nears the bound at half
+    # the loads, so such a block reads a quarter.  Every run takes at least
+    # n loading slots, so no block needs more deliveries than max_slots // n
+    # and the one the end cuts.
     block = max(1, int(_FIRST_BLOCK_LOADS * p_cat))
     streams = cfg.n_edges * (2 + len(cfg.aux.paths))
     loads = _BLOCK_LOADS - min(_STREAM_LOADS * streams, _BLOCK_LOADS // 2)
-    cap = max(1, min(int((loads if runs.stocks is None else loads // 8) * p_cat / cfg.n_edges),
+    cap = max(1, min(int((loads if runs.stocks is None else loads // 4) * p_cat / cfg.n_edges),
                      _BLOCK_LOADS // 4, limit // cfg.edge.copies + 1))
     while True:
         block = min(block, cap)
@@ -876,7 +939,7 @@ def _trial(cfg: SimConfig, rngs, p_cat, copies, counters, intervals):
         np.subtract(ends[:, 0], runs.used, out=offsets[:, 0])
         gaps = offsets.max(axis=0)
         if steps is not None and steps.any():
-            gaps = np.array(runs.walk(steps, gaps, slot), np.int64)
+            runs.walk(steps, gaps, slot)
         elapsed = slot + np.cumsum(gaps)
         settled = int(np.searchsorted(elapsed, limit, side="right"))
         intervals.append(gaps[:settled] * cfg.edge.cycle_time_s)

@@ -17,12 +17,14 @@ import pytest
 import entcat._engine
 from entcat._engine import (
     _BATCH_TRIALS,
+    _CLOCK_SPAN,
     _FIRST_BLOCK_LOADS,
     _MaxOfGeometrics,
     _completions,
     _rng,
     _slot_of,
     _success_bound,
+    _tick_clock,
     _ticks_through,
 )
 from entcat.errors import CatalysisWindowError, InvalidInputError
@@ -469,17 +471,19 @@ def stock_settings(regime, initial_stock, stock_capacity=None):
     return dict(initial_stock=initial_stock, stock_capacity=stock_capacity)
 
 
-# A period below one slot, periods that are not multiples of it, and P = 1.
-# The last period is 3 * t0 * (1 + 1e-9) evaluated left to right, with
-# EDGE's t0 = 2.5e-4 s; at 0.55 one copy makes a catalyst, so every tick
-# completes one.  Tick 1 lands in slot 3 only if the slot bound is formed
-# as (3 * t0) * (1 + 1e-9), the stepper's order: 3 * (t0 * (1 + 1e-9)) is
-# one ulp lower and puts it in slot 4.
+# A period below one slot, periods that are not multiples of it, P = 1, and
+# a quarter of a slot, which ticks on the integer clock's sub-slot form
+# (_tick_clock).  The slot_boundary period is 3 * t0 * (1 + 1e-9) evaluated
+# left to right, with EDGE's t0 = 2.5e-4 s; at 0.55 one copy makes a
+# catalyst, so every tick completes one.  Tick 1 lands in slot 3 only if
+# the slot bound is formed as (3 * t0) * (1 + 1e-9), the stepper's order:
+# 3 * (t0 * (1 + 1e-9)) is one ulp lower and puts it in slot 4.
 FINITE_PATHS = {
     "fast": (AuxPath(0.8, 0.2, 1e-4),),
     "off_slot": (AuxPath(0.8, 0.1, 3.3e-4), AuxPath(0.75, 0.4, 7.5e-4)),
     "certain": (AuxPath(0.8, 1.0, 5e-4), AuxPath(0.9, 0.05, 2.5e-4)),
     "slot_boundary": (AuxPath(0.55, 1.0, float.fromhex("0x1.89374bcd40c94p-11")),),
+    "sub_slot": (AuxPath(0.8, 0.2, 6.25e-5),),
 }
 
 
@@ -587,8 +591,8 @@ class TestMatchesSlotStepper:
     @pytest.mark.parametrize("n_edges,max_slots", [(257, 150), (4096, 10)])
     def test_many_edges(self, regime, n_edges, max_slots):
         # Blocks are capped by the memory bound less the trial's streams,
-        # 196 deliveries at N = 257 (21 where finite-aux runs may step, which
-        # read an eighth of the loads, and 1 at N = 4096), and by the
+        # 196 deliveries at N = 257 (42 where finite-aux runs may step, which
+        # read a quarter of the loads, and 1 at N = 4096), and by the
         # max_slots // n + 1 a trial can hold, 76 at N = 257 over 150 slots
         # and 6 at N = 4096 over 10.  There most load streams run out inside
         # the first block, some edges find no success at all, and a read
@@ -692,9 +696,10 @@ class TestMatchesSlotStepper:
         # without aux paths a million load values one success at a time.
         # At N = 1024 every block reads all 2048 streams into whole arrays,
         # and the streams' generators alone take about 2 MB.  The finite-aux
-        # chains at N = 32, 64, 128 and 256 step runs, and a stepped block is
-        # held as Python ints while it is walked, so it reads an eighth of the
-        # loads.  At N = 256 the 512 aux paths' pieces are a share of the bound.
+        # chains at N = 32, 64, 128 and 256 step runs, and a stepped block
+        # holds its stepped runs as Python ints while it is walked, so it
+        # reads a quarter of the loads.  At N = 256 the 512 aux paths' pieces
+        # are a share of the bound.
         finite = dict(aux=REGIMES["finite"], initial_stock=1, stock_capacity=2)
         for edge, max_slots, extra in ((sparse, 10**7, {}), (EDGE, 10**6, {}),
                                        (sparse, 10**6, finite),
@@ -716,15 +721,12 @@ class TestMatchesSlotStepper:
             assert peak <= 4 * 2**20 + 16 * res.deliveries
 
 
-def tick_periods(t0):
-    """Every period of REGIMES and FINITE_PATHS, then 200 seeded ones in [0.3 t0, 40 t0].
+def seeded_periods(t0):
+    """200 seeded periods in [0.3 t0, 40 t0]: 100 uniform, then 100 near slot bounds.
 
-    Half of the seeded periods are uniform.  The other half are m t0 (1 + 1e-9) / q,
-    which puts ticks on or next to slot bounds, where each helper's first
-    guess may be off by one.
+    A period near slot bounds is m t0 (1 + 1e-9) / q, which puts ticks on or
+    next to them, where each helper's first guess may be off by one.
     """
-    fixed = {path.gen_time_s
-             for paths in (REGIMES["finite"].paths, *FINITE_PATHS.values()) for path in paths}
     rng = np.random.default_rng(29)
     uniform = (rng.uniform(0.3, 40.0, 100) * t0).tolist()
     near_bounds = []
@@ -732,15 +734,36 @@ def tick_periods(t0):
         m, q = rng.integers(1, 121, 2).tolist()
         if 0.3 <= m / q <= 40.0:
             near_bounds.append(m * t0 * (1.0 + 1e-9) / q)
+    return uniform, near_bounds
+
+
+def tick_periods(t0):
+    """Every period of REGIMES and FINITE_PATHS, then the seeded ones (seeded_periods)."""
+    fixed = {path.gen_time_s
+             for paths in (REGIMES["finite"].paths, *FINITE_PATHS.values()) for path in paths}
+    uniform, near_bounds = seeded_periods(t0)
     return sorted(fixed) + uniform + near_bounds
 
 
+def commensurate_periods(t0):
+    """(period, periods per slot) for every r t0, r = 1..40, and every t0 / r, r = 2..16."""
+    return [(r * t0, 1) for r in range(1, 41)] + [(t0 / r, r) for r in range(2, 17)]
+
+
+def is_float_rule(clock):
+    """Whether a path's clock (_tick_clock) is the float rule's two helpers."""
+    through, slot_of = clock
+    return (getattr(through, "func", None) is _ticks_through
+            and getattr(slot_of, "func", None) is _slot_of)
+
+
 class TestTickRule:
-    """The aux tick/slot rule of the detailed simulator, on its own.
+    """The aux tick/slot rule of the detailed simulator, and its integer clock.
 
     Tick k of a path of period T is applied in the first slot s >= 1 with
     ``k T <= (s t0)(1 + 1e-9)``.  Both helpers are checked against that
-    definition at every slot 0-5000 and every tick those slots hold.
+    definition at every slot 0-5000 and every tick those slots hold, and the
+    integer clock of a commensurate period against the helpers.
     """
 
     def test_helpers_match_the_brute_force(self):
@@ -776,6 +799,60 @@ class TestTickRule:
 
     def test_no_tick_has_no_slot(self):
         assert _slot_of(2.5e-4, 2.5e-4, math.inf) == math.inf
+
+    def test_integer_clock_matches_the_helpers(self):
+        t0 = EDGE.cycle_time_s
+        slots = range(5001)
+        for period, _ in commensurate_periods(t0):
+            clock = through, slot_of = _tick_clock(period, t0, slots[-1])
+            assert not is_float_rule(clock), period
+            ticks = [through(s) for s in slots]
+            assert ticks == [_ticks_through(period, t0, s) for s in slots]
+            # Every tick those slots hold and the next, from tick 0 in slot 0.
+            held = range(ticks[-1] + 2)
+            assert [slot_of(k) for k in held] == [_slot_of(period, t0, k) for k in held]
+            assert slot_of(0) == _slot_of(period, t0, 0) == 0
+            assert slot_of(math.inf) == math.inf
+
+    def test_integer_clock_holds_through_its_reach(self):
+        # The last slot s with s b < _CLOCK_SPAN, for b periods per slot, and
+        # the 64 before it; a max_slots one slot further takes the float rule.
+        t0 = EDGE.cycle_time_s
+        for period, per_slot in commensurate_periods(t0):
+            reach = int(_CLOCK_SPAN) // per_slot
+            assert reach * per_slot < _CLOCK_SPAN <= (reach + 1) * per_slot
+            clock = through, slot_of = _tick_clock(period, t0, reach)
+            assert not is_float_rule(clock), period
+            assert is_float_rule(_tick_clock(period, t0, reach + 1))
+            slots = range(reach - 64, reach + 1)
+            assert [through(s) for s in slots] == [_ticks_through(period, t0, s) for s in slots]
+            held = range(through(slots[0]), through(reach) + 2)
+            assert [slot_of(k) for k in held] == [_slot_of(period, t0, k) for k in held]
+        # The reach is needed: a little past it the float rule leaves the
+        # clock, as 1e9 slots of 1 + 1e-9 hold one tick more than 1e9.
+        assert _ticks_through(t0, t0, 10**9) == 10**9 + 1
+
+    def test_other_periods_take_the_float_rule(self):
+        t0 = EDGE.cycle_time_s
+        _, near_bounds = seeded_periods(t0)
+        slot_boundary = FINITE_PATHS["slot_boundary"][0].gen_time_s
+        for period in (slot_boundary, 1e-4, 3.3e-4, *near_bounds):
+            assert is_float_rule(_tick_clock(period, t0, 5000)), period
+        for period, _ in commensurate_periods(t0):
+            assert is_float_rule(_tick_clock(period, t0, 10**9))
+
+    @pytest.mark.parametrize("n_edges", [1, 4, 32])
+    def test_integer_clock_gives_the_float_rules_bytes(self, monkeypatch, n_edges):
+        # Both of the chain's periods, one slot and four, tick on the integer
+        # clock; with every clock forced to the float rule the record is the same.
+        cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=EDGE, aux=REGIMES["finite"],
+                        initial_stock=1, stock_capacity=2, max_slots=20_000, trials=2, seed=47)
+        paths = [(path.gen_time_s, EDGE.cycle_time_s, cfg.max_slots) for path in cfg.aux.paths]
+        assert not any(is_float_rule(_tick_clock(*path)) for path in paths)
+        default = record_bytes(simulate_detailed, cfg)
+        monkeypatch.setattr(entcat._engine, "_CLOCK_SPAN", 0.0)
+        assert all(is_float_rule(_tick_clock(*path)) for path in paths)
+        assert record_bytes(simulate_detailed, cfg) == default
 
 
 class TestValidateWaitingFactor:
