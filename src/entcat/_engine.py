@@ -14,9 +14,9 @@ takes load draws, unless an attempt waits for a catalyst.  Only finite aux
 paths make an attempt wait, on an empty stock, and a success spends
 nothing, so only a run that holds a failure, or the first run from an
 empty initial stock, can wait.  Those runs alone are stepped against the
-edge's stock and aux clocks; a block of deliveries with none of them
-settles at once.  Trials are independently seeded so results are
-bit-identical however they are scheduled.
+edge's stock by its three rules (:class:`_Stock`); a block of deliveries
+with none of them settles at once.  Trials are independently seeded so
+results are bit-identical however they are scheduled.
 """
 
 from __future__ import annotations
@@ -395,7 +395,13 @@ class _Stock:
     of the (j c)-th success of its stream, which :func:`_completions` reads
     from the ticks ``max_slots`` holds.  Within a slot the paths tick in
     index order, so a completion that fills the stock stops the later
-    paths' ticks in that slot.  Only a failed attempt lowers the stock.
+    paths' ticks in that slot.
+
+    The stock's three rules, stated here once.  An attempt first applies
+    every completion through its slot (:meth:`refill`).  On an empty stock
+    it waits for the next completion, and the run stops if that lies past
+    ``max_slots`` (the one wait, in :meth:`_Runs.walk`).  A failure spends
+    one catalyst, and on a full stock first restarts the paths (:meth:`resume`).
     """
 
     __slots__ = ("capacity", "stock", "produced", "paths", "next")
@@ -422,60 +428,35 @@ class _Stock:
                       slots)
         self.next = min(slots)  # the slot of the earliest completion
 
-    def walk(self, ends: list, first: int, last: int, base: int, limit: int):
-        """Step a run whose loads end at ``ends[first:last]``: the slot it succeeds in, and None.
-
-        A load ending at draw ``end`` is ready in slot ``base + end``; a wait
-        moves ``base`` on.  Its attempt first applies every completion
-        through that slot, and on an empty stock waits for the next one.  A
-        failure spends one catalyst, and paths paused on a full stock draw
-        again from the first tick after its slot.  A run the end of the trial
-        cuts returns what :meth:`_Runs.settle` reads of it.
-        """
-        capacity = self.capacity
+    def refill(self, slot: int) -> None:
+        """Apply every completion through ``slot``; one that fills the stock pauses the paths."""
         through, slot_of, streams, draws, offsets, drawn, slots = self.paths
-        stock, produced, nxt = self.stock, self.produced, self.next
-        final = ends[last - 1]  # the load whose attempt succeeds
-        for end in ends[first:last]:
-            ready = base + end
-            if ready > limit:
-                result = limit + 1, (limit - base, False)
-                break
-            while nxt <= (ready if stock > 0 else limit):
-                if nxt > ready:
-                    ready = nxt  # an empty stock waits for this completion
-                j = slots.index(nxt)  # the first of the earliest: paths tick in index order
-                stock += 1
-                produced += 1
-                filled = draws[j]
-                draws[j] = next(streams[j])
-                if stock < capacity:
-                    slots[j] = slot_of[j](draws[j] + offsets[j])
-                    nxt = min(slots)
-                    continue
-                # Full: every path stops drawing, path j at this completion,
-                # the paths before it after this slot's tick and the paths
-                # after it before.
-                for p, ticks in enumerate(through):
-                    drawn[p] = filled if p == j else ticks(nxt if p < j else nxt - 1) - offsets[p]
-                    slots[p] = math.inf
-                nxt = math.inf
-            if stock < 1:
-                result = limit + 1, (end, True)
-                break
-            if end == final:
-                result = ready, None
-                break
-            if stock >= capacity:
-                # The paths draw again from the first tick after this slot.
-                for p, ticks in enumerate(through):
-                    offsets[p] = ticks(ready) - drawn[p]
-                    slots[p] = slot_of[p](draws[p] + offsets[p])
+        stock, nxt = self.stock, self.next
+        while nxt <= slot:
+            j = slots.index(nxt)  # the first of the earliest: paths tick in index order
+            stock += 1
+            self.produced += 1
+            filled = draws[j]
+            draws[j] = next(streams[j])
+            if stock < self.capacity:
+                slots[j] = slot_of[j](draws[j] + offsets[j])
                 nxt = min(slots)
-            stock -= 1
-            base = ready - end
-        self.stock, self.produced, self.next = stock, produced, nxt
-        return result
+                continue
+            # Full: every path stops drawing, path j at this completion, the
+            # paths before it after this slot's tick and those after it before.
+            for p, ticks in enumerate(through):
+                drawn[p] = filled if p == j else ticks(nxt if p < j else nxt - 1) - offsets[p]
+                slots[p] = math.inf
+            nxt = math.inf
+        self.stock, self.next = stock, nxt
+
+    def resume(self, slot: int) -> None:
+        """Restart a full stock's paused paths from their first tick after ``slot``."""
+        through, slot_of, _, draws, offsets, drawn, slots = self.paths
+        for p, ticks in enumerate(through):
+            offsets[p] = ticks(slot) - drawn[p]
+            slots[p] = slot_of[p](draws[p] + offsets[p])
+        self.next = min(slots)
 
 
 def _shift(rows: np.ndarray, by: np.ndarray, width: int) -> np.ndarray:
@@ -773,13 +754,14 @@ class _Runs:
         run can only lengthen.  The stepped (delivery, edge) pairs are walked
         in order from ``slot`` until a delivery starts at or past the end.  A
         stepped run loads from the slot after its delivery's start, fixed at
-        its first stepped pair, in one :meth:`_Stock.walk` pass; a wait found
-        on one edge shifts only later deliveries.  One numpy pass gathers the
-        load ends of the stepped runs whose delivery may start before the
-        end (a run whose load stream ran out ends at a load past every slot)
-        and each run's no-wait base, the slot before its first load less the
-        draws loaded by then.  A run the end cuts leaves its counts in
-        ``stopped`` (:meth:`settle`).
+        its first stepped pair; a wait found on one edge shifts only later
+        deliveries.  One numpy pass gathers the load ends of the stepped runs
+        whose delivery may start before the end (a run whose load stream ran
+        out ends at a load past every slot) and each run's no-wait base, the
+        slot before its first load less the draws loaded by then.  A load
+        ending at draw ``end`` is attempted in slot ``base + end`` by the
+        stock's three rules (:class:`_Stock`); a wait moves ``base`` on.  A
+        run the end cuts leaves its counts in ``stopped`` (:meth:`settle`).
         """
         limit = self.limit
         starts = slot + np.cumsum(gaps) - gaps  # without the waits, which only add
@@ -796,22 +778,39 @@ class _Runs:
         ends = np.where(at < self.loads[rows], self.entries[rows, at], _NO_ENTRY)
         del rows, at
         begins = starts[delivery]
-        base = begins - np.where(first > 0, self.entries[edge, first - 1], self.used[edge])
+        bases = begins - np.where(first > 0, self.entries[edge, first - 1], self.used[edge])
         stocks = self.stocks
         ends, bounds = ends.tolist(), bounds.tolist()
         added = 0
         current = -1
         for k, e, a, b, nowait, begin, gap in zip(
-                delivery.tolist(), edge.tolist(), bounds, bounds[1:], base.tolist(),
+                delivery.tolist(), edge.tolist(), bounds, bounds[1:], bases.tolist(),
                 begins.tolist(), gaps[delivery].tolist()):
             if k != current:
                 current, shift, longest = k, added, gap
                 start = begin + shift
                 if start >= limit:
                     break
-            ready, stopped = stocks[e].walk(ends, a, b, nowait + shift, limit)
-            if stopped:
-                self.stopped[e] = stopped
+            stock, base, final = stocks[e], nowait + shift, ends[b - 1]
+            for end in ends[a:b]:
+                ready = base + end
+                if ready > limit:
+                    ready, self.stopped[e] = limit + 1, (limit - base, False)
+                    break
+                if stock.next <= ready:  # most loads find no completion due: skip the call
+                    stock.refill(ready)
+                if stock.stock < 1:  # the empty-stock wait
+                    if stock.next > limit:
+                        ready, self.stopped[e] = limit + 1, (end, True)
+                        break
+                    ready = stock.next
+                    stock.refill(ready)
+                if end == final:  # its attempt succeeds
+                    break
+                if stock.stock >= stock.capacity:  # it fails, on a full stock
+                    stock.resume(ready)
+                stock.stock -= 1
+                base = ready - end
             if ready > start + longest:
                 added += ready - start - longest
                 longest = gaps[k] = ready - start
@@ -882,7 +881,7 @@ class _Runs:
         produced = self.totals[3]
         if self.stocks is not None:
             for stock in self.stocks:
-                stock.walk([self.limit], 0, 1, 0, self.limit)
+                stock.refill(self.limit)
             produced = produced + [stock.produced for stock in self.stocks]
         for ctr, *run in zip(counters, self.used.tolist(), *self.totals[:3].tolist(),
                              produced.tolist()):

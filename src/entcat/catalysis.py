@@ -410,7 +410,10 @@ def _copies_for_catalysts(catalysts: np.ndarray, alpha) -> np.ndarray:
     catalyst coefficient, so each count starts at the smallest such m.  For
     a two-qubit catalyst that first condition is the whole test (its only
     other partial sum is the whole mass), and that m is the count.  Above,
-    m steps up until every monotone of the supply power dominates the
+    LOCC cannot raise the Schmidt rank, so the count starts at least at
+    ``ceil(log2(rank))``, the rank counting every positive coefficient,
+    however small, which the test's tolerance would pass as zero.  From
+    there m steps up until every monotone of the supply power dominates the
     catalyst's.  Only the first few monotones of the power can bind, because
     the catalyst's vanish beyond its own dimension, so the test stays cheap
     for any copy count.  Each step takes the supply powers of all the rows
@@ -423,6 +426,8 @@ def _copies_for_catalysts(catalysts: np.ndarray, alpha) -> np.ndarray:
     dim = catalysts.shape[1]
     if dim <= 2:
         return m
+    ranks = np.count_nonzero(catalysts > 0.0, axis=1).tolist()
+    np.maximum(m, np.array([(rank - 1).bit_length() for rank in ranks], dtype=int), out=m)
     # Each catalyst's monotones after the first, as monotones() sums them,
     # less the tolerance the test allows.
     floor = np.cumsum(catalysts[:, :0:-1], axis=1)[:, ::-1] - TOL

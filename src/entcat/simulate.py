@@ -271,8 +271,8 @@ def simulate_detailed(cfg: SimConfig) -> SimResult:
     finds the stock empty.  A success spends nothing, so that needs a
     failure earlier in the same run, or the first run from an empty initial
     stock.  Only those runs are stepped, from the slot their delivery
-    leaves, each in one pass against the stock that applies the aux
-    completions through every attempt's slot.  Every other run, and every
+    leaves, each in one pass against the edge's stock by the stock's three
+    rules (:class:`entcat._engine._Stock`).  Every other run, and every
     block of deliveries without a stepped run, is settled from its offsets
     alone.  The result is that of stepping every
     slot, draw for draw.

@@ -103,18 +103,22 @@ def copies_to_reach(catalyst, alpha: float, tol: float = 0.0) -> int:
     catalyst's j largest, which hold the whole mass for j at or beyond its
     dimension.  Each sum past the first may exceed the catalyst's by ``tol``,
     the slack :data:`entcat.spectra.TOL` the library's rule allows; the
-    largest entries are compared exactly.  Decided at 60 digits on the
-    power's layers, layer k holding ``C(m, k)`` entries
-    ``alpha**(m-k) (1-alpha)**k``, from the top.  Adding a copy keeps what
-    the catalyst majorizes, so the valid m are a ray; the first one is found
-    by doubling and bisection.
+    largest entries are compared exactly, and so are the Schmidt ranks: the
+    power's 2**m entries must cover the catalyst's positive coefficients, as
+    LOCC cannot raise the rank.  Decided at 60 digits on the power's layers,
+    layer k holding ``C(m, k)`` entries ``alpha**(m-k) (1-alpha)**k``, from
+    the top.  Adding a copy keeps what the catalyst majorizes, so the valid
+    m are a ray; the first one is found by doubling and bisection.
     """
     with mpmath.workdps(60):
         a = mpmath.mpf(alpha)
         largest = list(itertools.accumulate(mpmath.mpf(c) for c in catalyst[:-1]))
         bounds = largest[:1] + [total + mpmath.mpf(tol) for total in largest[1:]]
+        rank = sum(c > 0 for c in catalyst)
 
         def majorized(m):
+            if (rank - 1).bit_length() > m:  # 2**m < rank
+                return False
             top, k, left = mpmath.mpf(0), 0, 1  # left: entries of layer k not yet in top
             for bound in bounds:
                 while not left and k < m:

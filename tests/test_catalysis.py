@@ -940,6 +940,20 @@ class TestSupplyAccounting:
         # above dimension 2, some counts step past the largest-coefficient bound
         assert (stepped > 0) == (dim > 2)
 
+    def test_counts_cover_the_catalyst_schmidt_rank(self):
+        # Row 18 of the dimension-5 batch above: a rank-5 catalyst whose tail
+        # lies below TOL.  Two copies have rank 4, and LOCC cannot raise the
+        # Schmidt rank, so every supply needs at least three.
+        row = [0.7075783481235891, 0.2742671811945351, 0.012153485554903875,
+               0.006000985126970761, 9.420518867184452e-16]
+        alphas = [0.55, 0.75, 0.8]
+        column = catalysis._copies_for_catalysts(np.array([row] * 3), np.array(alphas))
+        assert column.tolist() == [3, 3, 3]
+        for alpha in alphas:
+            assert copies_for_catalyst(make_schmidt(row), alpha) == 3
+            assert oracles.copies_to_reach(row, alpha, TOL) == 3
+            assert oracles.copies_to_reach(row, alpha) == 3
+
     def test_sweep_catalyst_counts_are_the_exact_majorization_answer(self):
         # the dimension-4 catalysts of the sweep-dim4 grid, at their own alphas
         problems = _sweep_dim4_problems()

@@ -696,10 +696,12 @@ class TestMatchesSlotStepper:
         # without aux paths a million load values one success at a time.
         # At N = 1024 every block reads all 2048 streams into whole arrays,
         # and the streams' generators alone take about 2 MB.  The finite-aux
-        # chains at N = 32, 64, 128 and 256 step runs, and a stepped block
-        # holds its stepped runs as Python ints while it is walked, so it
-        # reads a quarter of the loads.  At N = 256 the 512 aux paths' pieces
-        # are a share of the bound.
+        # chains at N = 32 to 512 step runs, and a stepped block holds its
+        # stepped runs as Python ints while it is walked, so it reads a
+        # quarter of the loads.  At N = 256 and 512 the aux paths' pieces are
+        # a share of the bound; at N = 512 the 2048 streams' generators take
+        # about 2 MB too.  A finite chain at N = 1024, whose 4096 streams
+        # take about 4 MB, exceeds the bound (README).
         finite = dict(aux=REGIMES["finite"], initial_stock=1, stock_capacity=2)
         for edge, max_slots, extra in ((sparse, 10**7, {}), (EDGE, 10**6, {}),
                                        (sparse, 10**6, finite),
@@ -708,7 +710,8 @@ class TestMatchesSlotStepper:
                                        (EDGE, 62_500, dict(finite, n_edges=32)),
                                        (EDGE, 31_250, dict(finite, n_edges=64)),
                                        (EDGE, 15_625, dict(finite, n_edges=128)),
-                                       (EDGE, 8_000, dict(finite, n_edges=256))):
+                                       (EDGE, 8_000, dict(finite, n_edges=256)),
+                                       (EDGE, 4_000, dict(finite, n_edges=512))):
             cfg = SimConfig(**{"n_edges": 1, **extra}, mode="detailed", edge=edge,
                             max_slots=max_slots, seed=4)
             tracemalloc.start()
