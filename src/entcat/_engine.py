@@ -45,14 +45,9 @@ _BATCH_TRIALS = 8192
 # batch of 8192 counts sums exactly in doubles; much below 1e-10 the counts
 # themselves pass 2**53, where doubles no longer hold every integer.
 _MIN_GEOMETRIC_P = 1e-10
-# The 1 + eps of the tick rule (_ticks_through).
-_TICK_SCALE = 1.0 + 1e-9
-# A period within this relative distance of r slots, or of a slot over r, for
-# a whole number r, may tick on the integer clock; the clock then equals the
-# tick rule at every slot s with s b < _CLOCK_SPAN, where b is the path's
-# periods per slot, r or 1 (_tick_clock).
-_RATIO_TOL = 1e-12
-_CLOCK_SPAN = (1.0 - 2.0 * _RATIO_TOL) / (_TICK_SCALE - 1.0 + 2.0 * _RATIO_TOL)
+# delta = 1e-9, the one rounding of a finite aux path's period, as the
+# integer ratio (1, 10**9) (_period_in_slots).
+_PERIOD_TOL = (1, 10**9)
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -297,12 +292,13 @@ def _success_bound(p: float) -> np.uint64:
 
 
 def _completions(rng: np.random.Generator, p: float, n: int, limit: int, paths: int):
-    """Yield the draw at each n-th, 2n-th, ... success of one stream, then infinity.
+    """Yield the draw at each n-th, 2n-th, ... success of one stream, then ``limit + 1``.
 
     Draws are counted from 1 and tested on raw words (:func:`_success_bound`);
     at most ``limit`` are taken, in pieces sized for one of a trial's
-    ``paths`` aux paths (:func:`_trial`'s block-size comment), and once they
-    run out the next completion never comes.
+    ``paths`` aux paths (:func:`_trial`'s block-size comment).  ``limit`` is
+    the path's ticks through ``max_slots``, so once they run out the next
+    completion, at draw ``limit + 1``, lies past the last slot.
     """
     words, top = rng.bit_generator.random_raw, _success_bound(p)
     piece = max(1, min(_DRAW_BLOCK, _BLOCK_LOADS // paths))
@@ -315,85 +311,44 @@ def _completions(rng: np.random.Generator, p: float, n: int, limit: int, paths: 
         del hits  # only the piece's completions are held while they are taken
         skip = (skip - found) % n
         yield from completions
-    yield from itertools.repeat(math.inf)
+    yield from itertools.repeat(limit + 1)
 
 
-def _ticks_through(period: float, t0: float, slot: int) -> int:
-    """The ticks of a path of ``period`` applied by the end of ``slot``.
+def _period_in_slots(period: float, t0: float) -> tuple:
+    """A finite aux path's period in slots, ``(a, b)`` for ``a / b``: the tick rule's one home.
 
-    The tick rule: tick k of a path (counted from 1) is applied in the first
-    slot s with ``k T <= (s t0)(1 + eps)``, the slot stepper's own float
-    test.  This function and its inverse :func:`_slot_of` are its one home;
-    :func:`_tick_clock` gives their proven-equal integer form for a period
-    of whole slots or a whole fraction of one.
+    ``a / b`` is the simplest rational, the one of smallest denominator,
+    within delta (_PERIOD_TOL) relative of the exact ratio of the doubles
+    ``period / t0``, read term by term from the continued fractions of the
+    interval's ends (Khinchin, *Continued Fractions*, 1964) on the doubles'
+    integer ratios.  Tick k of the path, counted from 1, is applied in slot
+    ``ceil(k a / b)``, so the ticks through slot s are ``s b // a``: Python
+    ints, exact at every slot.
     """
-    bound = slot * t0 * _TICK_SCALE
-    k = int(bound / period)  # the two loops correct any start from 0 up
-    while k * period > bound:
-        k -= 1
-    while (k + 1) * period <= bound:
-        k += 1
-    return k
-
-
-def _slot_of(period: float, t0: float, tick) -> float:
-    """The slot that applies tick ``tick`` of a path of ``period`` (:func:`_ticks_through`)."""
-    if tick == math.inf:
-        return math.inf
-    at = tick * period
-    slot = math.ceil(at / (t0 * _TICK_SCALE))  # at least 1: ticks count from 1
-    while slot > 1 and at <= (slot - 1) * t0 * _TICK_SCALE:
-        slot -= 1
-    while at > slot * t0 * _TICK_SCALE:
-        slot += 1
-    return slot
-
-
-def _tick_clock(period: float, t0: float, max_slots: int) -> tuple:
-    """The tick rule of a path of ``period`` through slot ``max_slots``: (ticks_through, slot_of).
-
-    Each is a function of the slot or tick alone, equal to
-    :func:`_ticks_through` or :func:`_slot_of` with ``period`` and ``t0``
-    at every slot through ``max_slots``; a tick whose slot lies past it gets
-    a slot past it from both.  A period of r whole slots ticks on the
-    integer clock ``slot // r`` and ``tick * r``, and a slot of r whole
-    periods on ``slot * r`` and ``ceil(tick / r)``.  Any other period, or a
-    ``max_slots`` past the clock's reach, takes the two helpers themselves.
-
-    The reach.  Write the period T = (a / b) t0 rho, with (a, b) = (r, 1) or
-    (1, r); a ratio within _RATIO_TOL of r, on doubles of unit roundoff
-    u = 2**-53, puts rho within delta = _RATIO_TOL + 3u of 1.  The integer
-    clock applies tick k by slot s when k a <= s b, and the rule when
-    fl(k T) <= fl(fl(s t0) sigma), sigma = fl(1 + 1e-9).  Where k a <= s b,
-    fl(k T) <= s t0 (1 + delta)(1 + u), below s t0 sigma (1 - u)**2 at
-    every s.  Where k a >= s b + 1, fl(k T) >= (s + 1 / b) t0 (1 - delta)
-    (1 - u), above s t0 sigma (1 + u)**2 when
-    s b (sigma - 1 + delta + 4u) < 1 - delta - u, which
-    s b < _CLOCK_SPAN ensures, 2 _RATIO_TOL standing for delta + 4u.  So the
-    reach, about 1e9 slots at b = 1, shrinks with the periods per slot.
-    """
-    ratio = period / t0
-    if ratio >= 1.0:
-        r = round(ratio)
-        if abs(ratio - r) <= _RATIO_TOL * r and max_slots < _CLOCK_SPAN:
-            return (lambda slot: slot // r), (lambda tick: tick * r)
-    else:
-        ratio = t0 / period
-        r = round(ratio)
-        if abs(ratio - r) <= _RATIO_TOL * r and max_slots * r < _CLOCK_SPAN:
-            return (lambda slot: slot * r), (
-                lambda tick: -(-tick // r) if tick != math.inf else tick)
-    return functools.partial(_ticks_through, period, t0), functools.partial(_slot_of, period, t0)
+    (pn, pd), (tn, td) = period.as_integer_ratio(), t0.as_integer_ratio()
+    tol, scale = _PERIOD_TOL
+    lo_n, hi_n = pn * td * (scale - tol), pn * td * (scale + tol)
+    lo_d = hi_d = pd * tn * scale
+    # The convergents so far, num / den and the one before.
+    num, den, prev_num, prev_den = 1, 0, 0, 1
+    while True:
+        term = -(-lo_n // lo_d)  # ceil(lo), the simplest term the interval holds
+        if term * hi_d <= hi_n:
+            return term * num + prev_num, term * den + prev_den
+        term -= 1  # lo and hi lie in (term, term + 1): go on with 1 / (x - term)
+        num, den, prev_num, prev_den = term * num + prev_num, term * den + prev_den, num, den
+        lo_n, lo_d, hi_n, hi_d = hi_d, hi_n - term * hi_d, lo_d, lo_n - term * lo_d
 
 
 class _Stock:
     """One edge's catalyst stock and the finite aux paths that refill it.
 
-    ``rngs`` holds the paths' streams (:func:`_streams`) and ``clocks`` their
-    tick rule (:func:`_tick_clock`).  A path draws one value per tick while
-    the stock is below capacity, so its j-th catalyst completes at the draw
-    of the (j c)-th success of its stream, which :func:`_completions` reads
-    from the ticks ``max_slots`` holds.  Within a slot the paths tick in
+    ``rngs`` holds the paths' streams (:func:`_streams`) and ``periods``
+    their periods in slots, ``(a, b)`` each (:func:`_period_in_slots`),
+    whose tick rule the methods apply inline.  A path draws one value per
+    tick while the stock is below capacity, so its j-th catalyst completes
+    at the draw of the (j c)-th success of its stream, which
+    :func:`_completions` reads from the ticks ``max_slots`` holds.  Within a slot the paths tick in
     index order, so a completion that fills the stock stops the later
     paths' ticks in that slot.
 
@@ -406,31 +361,30 @@ class _Stock:
 
     __slots__ = ("capacity", "stock", "produced", "paths", "next")
 
-    def __init__(self, cfg: SimConfig, rngs: list, copies_needed, clocks: tuple):
+    def __init__(self, cfg: SimConfig, rngs: list, copies_needed, periods: list):
         self.capacity = math.inf if cfg.stock_capacity is None else cfg.stock_capacity
         self.stock = cfg.initial_stock
         self.produced = 0
-        through, slot_of = clocks
-        streams = [_completions(rng, path.gen_probability, copies, ticks(cfg.max_slots),
-                                cfg.n_edges * len(through))
-                   for path, copies, rng, ticks in zip(cfg.aux.paths, copies_needed, rngs, through)]
+        limit, count = cfg.max_slots, len(periods)
+        streams = [_completions(rng, path.gen_probability, copies, limit * b // a,
+                                cfg.n_edges * count)
+                   for path, copies, rng, (a, b) in zip(cfg.aux.paths, copies_needed, rngs, periods)]
         draws = [next(stream) for stream in streams]
         slots = (
-            [math.inf] * len(through) if self.stock >= self.capacity
-            else [slot(draw) for slot, draw in zip(slot_of, draws)]
+            [math.inf] * count if self.stock >= self.capacity
+            else [-(-draw * a // b) for draw, (a, b) in zip(draws, periods)]
         )
-        # One sequence per field, indexed by path: its clock's two functions,
-        # the completion draws, the draw of the next completion, the ticks less
+        # One sequence per field, indexed by path: its period in slots, the
+        # completion draws, the draw of the next completion, the ticks less
         # the draws while the path runs, the draws it had taken when the stock
         # filled, and the slot of its next completion, infinite while the
         # stock is full.
-        self.paths = (through, slot_of, streams, draws, [0] * len(through), [0] * len(through),
-                      slots)
+        self.paths = (periods, streams, draws, [0] * count, [0] * count, slots)
         self.next = min(slots)  # the slot of the earliest completion
 
     def refill(self, slot: int) -> None:
         """Apply every completion through ``slot``; one that fills the stock pauses the paths."""
-        through, slot_of, streams, draws, offsets, drawn, slots = self.paths
+        periods, streams, draws, offsets, drawn, slots = self.paths
         stock, nxt = self.stock, self.next
         while nxt <= slot:
             j = slots.index(nxt)  # the first of the earliest: paths tick in index order
@@ -439,23 +393,24 @@ class _Stock:
             filled = draws[j]
             draws[j] = next(streams[j])
             if stock < self.capacity:
-                slots[j] = slot_of[j](draws[j] + offsets[j])
+                a, b = periods[j]
+                slots[j] = -(-(draws[j] + offsets[j]) * a // b)
                 nxt = min(slots)
                 continue
             # Full: every path stops drawing, path j at this completion, the
             # paths before it after this slot's tick and those after it before.
-            for p, ticks in enumerate(through):
-                drawn[p] = filled if p == j else ticks(nxt if p < j else nxt - 1) - offsets[p]
+            for p, (a, b) in enumerate(periods):
+                drawn[p] = filled if p == j else (nxt if p < j else nxt - 1) * b // a - offsets[p]
                 slots[p] = math.inf
             nxt = math.inf
         self.stock, self.next = stock, nxt
 
     def resume(self, slot: int) -> None:
         """Restart a full stock's paused paths from their first tick after ``slot``."""
-        through, slot_of, _, draws, offsets, drawn, slots = self.paths
-        for p, ticks in enumerate(through):
-            offsets[p] = ticks(slot) - drawn[p]
-            slots[p] = slot_of[p](draws[p] + offsets[p])
+        periods, _, draws, offsets, drawn, slots = self.paths
+        for p, (a, b) in enumerate(periods):
+            offsets[p] = slot * b // a - drawn[p]
+            slots[p] = -(-(draws[p] + offsets[p]) * a // b)
         self.next = min(slots)
 
 
@@ -509,11 +464,9 @@ class _Runs:
         self.attempt_words = [rng.bit_generator.random_raw for rng in streams[1::per_edge]]
         self.stocks = None
         if cfg.aux.mode == FINITE_AUX:
-            # Each path's clock (_tick_clock), as a tuple of ticks_through
-            # functions and one of slot_of functions, shared by every stock.
-            clocks = tuple(zip(*(_tick_clock(path.gen_time_s, cfg.edge.cycle_time_s,
-                                             cfg.max_slots) for path in cfg.aux.paths)))
-            self.stocks = [_Stock(cfg, streams[start + 2 : start + per_edge], copies, clocks)
+            periods = [_period_in_slots(path.gen_time_s, cfg.edge.cycle_time_s)
+                       for path in cfg.aux.paths]
+            self.stocks = [_Stock(cfg, streams[start + 2 : start + per_edge], copies, periods)
                            for start in range(0, len(streams), per_edge)]
         del streams  # each stream is held by its reader from here on
         self.limit = cfg.max_slots

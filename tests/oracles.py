@@ -22,6 +22,7 @@ from typing import Optional
 import mpmath
 import numpy as np
 
+from entcat._engine import _period_in_slots
 from entcat._search import _CERTIFIED_TRACE
 from entcat.catalysis import (
     ConcentrationProblem,
@@ -212,8 +213,6 @@ def chain_mean_completion_slots(n_pairs: int, p0: float, p_cat: float, n_edges: 
 # Slot-level chain simulator, stepped one slot at a time
 # ---------------------------------------------------------------------------
 
-_TICK_EPS = 1e-9
-
 
 def seedsequence_keys(prefix: tuple, suffixes) -> np.ndarray:
     """The Philox key of each stream ``prefix + row``, one SeedSequence per row.
@@ -254,6 +253,8 @@ def _detailed_trial(cfg, trial: int, p_cat, copies_needed, rebuild_copies, count
 
     infinite_stock = cfg.aux.mode == AUX_RICH
     paths = cfg.aux.paths if cfg.aux.mode == FINITE_AUX else ()
+    # Each path's period in slots, a / b: the library's one rounding of it.
+    periods = [_period_in_slots(path.gen_time_s, t0) for path in paths]
 
     load_rngs = []
     attempt_rngs = []
@@ -274,7 +275,6 @@ def _detailed_trial(cfg, trial: int, p_cat, copies_needed, rebuild_copies, count
     deliveries = 0
     last_delivery_slot = 0
     for slot in range(1, cfg.max_slots + 1):
-        t = slot * t0
         all_ready = True
         for e in range(cfg.n_edges):
             st = states[e]
@@ -295,10 +295,11 @@ def _detailed_trial(cfg, trial: int, p_cat, copies_needed, rebuild_copies, count
                             st.stock = 1
                             ctr.catalysts_produced += 1
             # Auxiliary paths tick on their own period, applied at the first
-            # slot boundary at or after each completion; a full stock pauses
-            # the path rather than discarding finished catalysts.
-            for i, path in enumerate(paths):
-                while (st.aux_ticks[i] + 1) * path.gen_time_s <= t * (1.0 + _TICK_EPS):
+            # slot boundary at or after each completion, tick k at slot s once
+            # k a <= s b; a full stock pauses the path rather than discarding
+            # finished catalysts.
+            for i, (path, (a, b)) in enumerate(zip(paths, periods)):
+                while (st.aux_ticks[i] + 1) * a <= slot * b:
                     st.aux_ticks[i] += 1
                     if st.stock is not None and cfg.stock_capacity is not None:
                         if st.stock >= cfg.stock_capacity:

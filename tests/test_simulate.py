@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,15 +18,13 @@ import pytest
 import entcat._engine
 from entcat._engine import (
     _BATCH_TRIALS,
-    _CLOCK_SPAN,
     _FIRST_BLOCK_LOADS,
     _MaxOfGeometrics,
+    _Stock,
     _completions,
+    _period_in_slots,
     _rng,
-    _slot_of,
     _success_bound,
-    _tick_clock,
-    _ticks_through,
 )
 from entcat.errors import CatalysisWindowError, InvalidInputError
 from entcat.network import AUX_RICH, FINITE_AUX, NO_AUX, AuxConfig, AuxPath, EdgeParams
@@ -471,13 +470,12 @@ def stock_settings(regime, initial_stock, stock_capacity=None):
     return dict(initial_stock=initial_stock, stock_capacity=stock_capacity)
 
 
-# A period below one slot, periods that are not multiples of it, P = 1, and
-# a quarter of a slot, which ticks on the integer clock's sub-slot form
-# (_tick_clock).  The slot_boundary period is 3 * t0 * (1 + 1e-9) evaluated
-# left to right, with EDGE's t0 = 2.5e-4 s; at 0.55 one copy makes a
-# catalyst, so every tick completes one.  Tick 1 lands in slot 3 only if
-# the slot bound is formed as (3 * t0) * (1 + 1e-9), the stepper's order:
-# 3 * (t0 * (1 + 1e-9)) is one ulp lower and puts it in slot 4.
+# A period below one slot, periods that are not multiples of it (3.3e-4 s
+# is 33/25 of EDGE's t0 = 2.5e-4 s), P = 1, and a quarter of a slot.  The
+# slot_boundary period, 3 t0 (1 + 1e-9), lies just outside delta of three
+# slots (_period_in_slots), so it is read as 499999966/166666655 slots and
+# tick k lands in slot 3k + 1, not 3k; at 0.55 one copy makes a catalyst,
+# so every tick completes one.
 FINITE_PATHS = {
     "fast": (AuxPath(0.8, 0.2, 1e-4),),
     "off_slot": (AuxPath(0.8, 0.1, 3.3e-4), AuxPath(0.75, 0.4, 7.5e-4)),
@@ -670,11 +668,12 @@ class TestMatchesSlotStepper:
             assert (json.loads(new)["deliveries"] == 0) == (capacity == 0 and initial_stock == 0)
 
     def test_chain_that_starves(self):
-        # The path ticks once per 4000 slots and needs more than one tick per
-        # catalyst, so none is made: an edge that has spent its stock holds a
-        # load it cannot attempt until the run ends.
-        aux = AuxConfig(FINITE_AUX, (AuxPath(0.8, 1.0, 1.0),))
-        for initial_stock in (0, 2):
+        # The path ticks once per 4000 slots, or once per some 4e309 slots,
+        # whose ratio to t0 overflows a double, and needs more than one tick
+        # per catalyst, so none is made: an edge that has spent its stock
+        # holds a load it cannot attempt until the run ends.
+        for period, initial_stock in itertools.product((1.0, 1e306), (0, 2)):
+            aux = AuxConfig(FINITE_AUX, (AuxPath(0.8, 1.0, period),))
             cfg = SimConfig(n_edges=3, mode="detailed", edge=EDGE, aux=aux,
                             initial_stock=initial_stock, max_slots=5000, trials=2, seed=8,
                             p_cat_override=0.5)
@@ -724,138 +723,115 @@ class TestMatchesSlotStepper:
             assert peak <= 4 * 2**20 + 16 * res.deliveries
 
 
-def seeded_periods(t0):
-    """200 seeded periods in [0.3 t0, 40 t0]: 100 uniform, then 100 near slot bounds.
+DELTA = Fraction(1, 10**9)
 
-    A period near slot bounds is m t0 (1 + 1e-9) / q, which puts ticks on or
-    next to them, where each helper's first guess may be off by one.
-    """
+
+def smallest_denominator(ratio):
+    """The rational of smallest denominator within DELTA relative of ``ratio``, searched."""
+    lo, hi = ratio * (1 - DELTA), ratio * (1 + DELTA)
+    for den in itertools.count(1):
+        num = math.ceil(lo * den)
+        if num <= hi * den:
+            return num, den
+
+
+def rational_periods(t0, count, largest):
+    """``count`` seeded (period, (a, b)): r = a / b in [0.3, 40] in lowest terms, with b
+    at most ``largest``, and a period r t0 off by less than DELTA relative."""
     rng = np.random.default_rng(29)
-    uniform = (rng.uniform(0.3, 40.0, 100) * t0).tolist()
-    near_bounds = []
-    while len(near_bounds) < 100:
-        m, q = rng.integers(1, 121, 2).tolist()
-        if 0.3 <= m / q <= 40.0:
-            near_bounds.append(m * t0 * (1.0 + 1e-9) / q)
-    return uniform, near_bounds
+    periods = []
+    while len(periods) < count:
+        den = int(rng.integers(1, largest + 1))
+        ratio = Fraction(int(rng.integers(math.ceil(0.3 * den), 40 * den + 1)), den)
+        off = 1.0 + float(rng.uniform(-0.9, 0.9)) * 1e-9
+        periods.append((float(ratio) * t0 * off, (ratio.numerator, ratio.denominator)))
+    return periods
 
 
-def tick_periods(t0):
-    """Every period of REGIMES and FINITE_PATHS, then the seeded ones (seeded_periods)."""
-    fixed = {path.gen_time_s
-             for paths in (REGIMES["finite"].paths, *FINITE_PATHS.values()) for path in paths}
-    uniform, near_bounds = seeded_periods(t0)
-    return sorted(fixed) + uniform + near_bounds
-
-
-def commensurate_periods(t0):
-    """(period, periods per slot) for every r t0, r = 1..40, and every t0 / r, r = 2..16."""
-    return [(r * t0, 1) for r in range(1, 41)] + [(t0 / r, r) for r in range(2, 17)]
-
-
-def is_float_rule(clock):
-    """Whether a path's clock (_tick_clock) is the float rule's two helpers."""
-    through, slot_of = clock
-    return (getattr(through, "func", None) is _ticks_through
-            and getattr(slot_of, "func", None) is _slot_of)
+def certain_stock(period, max_slots, capacity=None, initial_stock=0):
+    """One edge's stock fed by one path of ``period`` at P = 1, one copy a
+    catalyst, so that every tick completes one."""
+    cfg = SimpleNamespace(stock_capacity=capacity, initial_stock=initial_stock,
+                          max_slots=max_slots, n_edges=1,
+                          aux=SimpleNamespace(paths=[AuxPath(0.8, 1.0, period)]))
+    return _Stock(cfg, [_rng(0)], [1], [_period_in_slots(period, EDGE.cycle_time_s)])
 
 
 class TestTickRule:
-    """The aux tick/slot rule of the detailed simulator, and its integer clock.
+    """The aux tick rule of the detailed simulator: each period a rational number of slots.
 
-    Tick k of a path of period T is applied in the first slot s >= 1 with
-    ``k T <= (s t0)(1 + 1e-9)``.  Both helpers are checked against that
-    definition at every slot 0-5000 and every tick those slots hold, and the
-    integer clock of a commensurate period against the helpers.
+    A path's period T is read as the simplest rational a / b slots within
+    delta = 1e-9 relative of T / t0 (_period_in_slots), and tick k (counted
+    from 1) is applied in the first slot s with k a / b <= s.
     """
 
-    def test_helpers_match_the_brute_force(self):
+    @pytest.mark.parametrize("period", sorted(
+        {path.gen_time_s for paths in (REGIMES["finite"].paths, *FINITE_PATHS.values())
+         for path in paths}) + ["random"])
+    def test_stock_ticks_match_the_fraction_brute_force(self, period):
+        # A stock of no capacity refilled slot by slot, through 10**5, has
+        # produced exactly the ticks through each slot and holds the slot of
+        # the next as its next completion.
         t0 = EDGE.cycle_time_s
-        scale = 1.0 + 1e-9
-        bounds = np.arange(5001) * t0 * scale  # (s t0)(1 + 1e-9), in that order
-        # Where each helper's first guess was too high or too low, so that a
-        # correction loop ran.
-        fired = dict.fromkeys(("ticks down", "ticks up", "slot down", "slot up"), 0)
-        periods = tick_periods(t0)
-        assert float.fromhex("0x1.89374bcd40c94p-11") in periods  # slot_boundary
+        periods = ([period] if period != "random"
+                   else [period for period, _ in rational_periods(t0, 8, 1000)])
+        slots = 10**5
         for period in periods:
-            ticks = np.arange(int(bounds[-1] / period) + 2) * period
-            assert ticks[-1] > bounds[-1]
-            # ticks_through(s) = max{k >= 0 : k T <= bound(s)}
-            through = [_ticks_through(period, t0, s) for s in range(bounds.size)]
-            assert through == (np.searchsorted(ticks, bounds, side="right") - 1).tolist()
-            # slot_of(k) = min{s >= 1 : k T <= bound(s)}
-            last = through[-1]
-            slots = [_slot_of(period, t0, k) for k in range(last + 2)]
-            brute = np.searchsorted(bounds[1:], ticks[1 : last + 1], side="left") + 1
-            assert slots[1:-1] == brute.tolist()
-            for s, k in enumerate(through):
-                assert slots[k] <= s < slots[k + 1]
-                guess = int(bounds[s] / period)
-                fired["ticks down"] += guess > k
-                fired["ticks up"] += guess < k
-            for k in range(1, last + 1):
-                guess = math.ceil(k * period / (t0 * scale))
-                fired["slot down"] += guess > slots[k]
-                fired["slot up"] += guess < slots[k]
-        assert all(fired.values()), fired
+            stock = certain_stock(period, slots)
+            step = due = Fraction(*_period_in_slots(period, t0))
+            ticks = 0
+            for slot in range(1, slots + 1):
+                while due <= slot:  # tick k is due at k a / b slots
+                    ticks, due = ticks + 1, due + step
+                stock.refill(slot)
+                assert stock.produced == stock.stock == ticks, (period, slot)
+                assert stock.next == math.ceil(due), (period, slot)
+            assert stock.next > slots
 
-    def test_no_tick_has_no_slot(self):
-        assert _slot_of(2.5e-4, 2.5e-4, math.inf) == math.inf
-
-    def test_integer_clock_matches_the_helpers(self):
+    def test_snap_is_the_smallest_denominator(self):
         t0 = EDGE.cycle_time_s
-        slots = range(5001)
-        for period, _ in commensurate_periods(t0):
-            clock = through, slot_of = _tick_clock(period, t0, slots[-1])
-            assert not is_float_rule(clock), period
-            ticks = [through(s) for s in slots]
-            assert ticks == [_ticks_through(period, t0, s) for s in slots]
-            # Every tick those slots hold and the next, from tick 0 in slot 0.
-            held = range(ticks[-1] + 2)
-            assert [slot_of(k) for k in held] == [_slot_of(period, t0, k) for k in held]
-            assert slot_of(0) == _slot_of(period, t0, 0) == 0
-            assert slot_of(math.inf) == math.inf
+        ratios = set()
+        for period, (a, b) in rational_periods(t0, 100, 10**4 - 1):
+            ratio = Fraction(period) / Fraction(t0)
+            snapped = _period_in_slots(period, t0)
+            assert snapped == smallest_denominator(ratio), period
+            assert snapped[1] <= b
+            ratios.add(snapped == (a, b))
+        assert ratios == {True, False}  # some snap to a simpler ratio than the one drawn
 
-    def test_integer_clock_holds_through_its_reach(self):
-        # The last slot s with s b < _CLOCK_SPAN, for b periods per slot, and
-        # the 64 before it; a max_slots one slot further takes the float rule.
+    def test_tested_periods_read_as_listed(self):
         t0 = EDGE.cycle_time_s
-        for period, per_slot in commensurate_periods(t0):
-            reach = int(_CLOCK_SPAN) // per_slot
-            assert reach * per_slot < _CLOCK_SPAN <= (reach + 1) * per_slot
-            clock = through, slot_of = _tick_clock(period, t0, reach)
-            assert not is_float_rule(clock), period
-            assert is_float_rule(_tick_clock(period, t0, reach + 1))
-            slots = range(reach - 64, reach + 1)
-            assert [through(s) for s in slots] == [_ticks_through(period, t0, s) for s in slots]
-            held = range(through(slots[0]), through(reach) + 2)
-            assert [slot_of(k) for k in held] == [_slot_of(period, t0, k) for k in held]
-        # The reach is needed: a little past it the float rule leaves the
-        # clock, as 1e9 slots of 1 + 1e-9 hold one tick more than 1e9.
-        assert _ticks_through(t0, t0, 10**9) == 10**9 + 1
+        listed = {2.5e-4: (1, 1), 1e-3: (4, 1), 1e-4: (2, 5), 3.3e-4: (33, 25),
+                  7.5e-4: (3, 1), 5e-4: (2, 1), 6.25e-5: (1, 4),
+                  FINITE_PATHS["slot_boundary"][0].gen_time_s: (499999966, 166666655)}
+        assert {period: _period_in_slots(period, t0) for period in listed} == listed
 
-    def test_other_periods_take_the_float_rule(self):
+    def test_delta_bounds_the_snap(self):
+        # delta/2 from three slots reads as three, 2 delta from it does not.
         t0 = EDGE.cycle_time_s
-        _, near_bounds = seeded_periods(t0)
-        slot_boundary = FINITE_PATHS["slot_boundary"][0].gen_time_s
-        for period in (slot_boundary, 1e-4, 3.3e-4, *near_bounds):
-            assert is_float_rule(_tick_clock(period, t0, 5000)), period
-        for period, _ in commensurate_periods(t0):
-            assert is_float_rule(_tick_clock(period, t0, 10**9))
+        for sign in (1.0, -1.0):
+            assert _period_in_slots(3.0 * t0 * (1.0 + sign * 0.5e-9), t0) == (3, 1)
+            assert _period_in_slots(3.0 * t0 * (1.0 + sign * 2e-9), t0) != (3, 1)
+            assert _period_in_slots(t0 / 3.0 * (1.0 + sign * 0.5e-9), t0) == (1, 3)
+        # The bound is closed: 3e9 / (1e9 -+ 1) is exactly delta from three
+        # (3 = x (1 -+ delta)), both doubles exact.
+        assert _period_in_slots(3e9, 1e9 - 1.0) == _period_in_slots(3e9, 1e9 + 1.0) == (3, 1)
 
-    @pytest.mark.parametrize("n_edges", [1, 4, 32])
-    def test_integer_clock_gives_the_float_rules_bytes(self, monkeypatch, n_edges):
-        # Both of the chain's periods, one slot and four, tick on the integer
-        # clock; with every clock forced to the float rule the record is the same.
-        cfg = SimConfig(n_edges=n_edges, mode="detailed", edge=EDGE, aux=REGIMES["finite"],
-                        initial_stock=1, stock_capacity=2, max_slots=20_000, trials=2, seed=47)
-        paths = [(path.gen_time_s, EDGE.cycle_time_s, cfg.max_slots) for path in cfg.aux.paths]
-        assert not any(is_float_rule(_tick_clock(*path)) for path in paths)
-        default = record_bytes(simulate_detailed, cfg)
-        monkeypatch.setattr(entcat._engine, "_CLOCK_SPAN", 0.0)
-        assert all(is_float_rule(_tick_clock(*path)) for path in paths)
-        assert record_bytes(simulate_detailed, cfg) == default
+    def test_the_rule_has_no_reach(self):
+        # A path of one slot's period ticks once a slot however long the run:
+        # a full stock restarted after slot 10**12, with 10**12 ticks through
+        # it, completes its next catalyst in slot 10**12 + 1.  The float
+        # rule, k T <= s t0 (1 + 1e-9), held 10**9 + 1 ticks through slot 10**9.
+        t0 = EDGE.cycle_time_s
+        assert _period_in_slots(t0, t0) == (1, 1)
+        stock = certain_stock(t0, 10**12, capacity=1, initial_stock=1)
+        assert stock.next == math.inf
+        stock.resume(10**12)
+        assert stock.next == 10**12 + 1
+        # A period whose ratio to t0 overflows a double reads as a whole
+        # number of slots past any run.
+        a, b = _period_in_slots(1e306, t0)
+        assert b == 1 and a == math.ceil(Fraction(1e306) / Fraction(t0) * (1 - DELTA))
 
 
 class TestValidateWaitingFactor:
@@ -1079,8 +1055,9 @@ class TestAuxCompletions:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_every_nth_success_across_pieces(self, monkeypatch, n, p):
         # Pieces of 7 draws and a limit that is no multiple of 7: the
-        # successes carry from piece to piece, infinity follows the last
-        # completion, and no draw is taken past the limit.
+        # successes carry from piece to piece, draw limit + 1, past every
+        # tick, follows the last completion, and no draw is taken past the
+        # limit.
         monkeypatch.setattr(entcat._engine, "_DRAW_BLOCK", 7)
         limit = 7 * 1000 + 4
         successes = (_rng(5, 1, 2, 0).random(limit) < p).nonzero()[0] + 1
@@ -1095,7 +1072,7 @@ class TestAuxCompletions:
         # One path's pieces, which the memory bound leaves at _DRAW_BLOCK.
         completions = _completions(SimpleNamespace(bit_generator=SimpleNamespace(random_raw=read)),
                                    p, n, limit, 1)
-        assert list(itertools.islice(completions, len(expected) + 3)) == expected + [math.inf] * 3
+        assert list(itertools.islice(completions, len(expected) + 3)) == expected + [limit + 1] * 3
         assert reads == [7] * 1000 + [4]
         next_word = _rng(5, 1, 2, 0).bit_generator.random_raw(limit + 1)[-1]
         assert rng.bit_generator.random_raw() == next_word
